@@ -22,10 +22,10 @@
 //! * **reference_filters** — µs per filter for the nine built-in reference
 //!   filters through the legacy per-window kernel stream vs the plane-routed
 //!   `ReferenceFilter::apply`, byte-identity gated,
-//! * **cross_job_cache** — the service-level cache: fitness-cache hit rate
-//!   of a replayed same-image batch (byte-identity gated against a
-//!   cache-off service) and the cold-vs-warm-start evaluations-to-target
-//!   gap when seeding from the champion library,
+//! * **cross_job_cache** — the service-level cache: shared-window hits of
+//!   a replayed same-image batch (byte-identity gated against a cache-off
+//!   service) and the cold-vs-warm-start evaluations-to-target gap when
+//!   seeding from the champion library,
 //! * **streaming** — the frame-stream engine: steady-state frames/sec with
 //!   a trained incumbent and no drift, frames-to-recover after a scripted
 //!   noise shift (detection to applied adaptation), and the warm-vs-cold
@@ -419,10 +419,10 @@ fn main() {
     );
     let service_scaling = service_2p / service_1p;
 
-    // --- cross-job cache: replay hit rate and warm-start speedup -----------
-    // Two figures for the service-level cache.  (1) Hit rate: one batch of
-    // same-image jobs submitted twice against a cache-on service — the
-    // second pass replays the first out of the fitness cache — gated
+    // --- cross-job cache: window sharing and warm-start speedup ------------
+    // Two figures for the service-level cache.  (1) Window sharing: one
+    // batch of same-image jobs submitted twice against a cache-on service —
+    // every job after the first reuses one window extraction — gated
     // byte-identical against a cache-off service running the identical
     // sequence.  (2) Warm start: a trainer job deposits its champion, then
     // a cold (random-start) and a warm (champion-seeded) run chase the
@@ -441,15 +441,12 @@ fn main() {
             })
             .collect()
     };
-    let run_twice = |cache: bool| -> (Vec<ServiceOutcome>, Vec<f64>, ehw_service::CacheStats) {
+    let run_twice = |cache: bool| -> (Vec<ServiceOutcome>, ehw_service::CacheStats) {
         let service =
             EhwService::new(ServiceConfig::new(1).cache(cache)).expect("valid service config");
         let mut outcomes = Vec::new();
-        let mut pass_s = Vec::new();
         for _ in 0..2 {
-            let start = Instant::now();
             let results = service.run_batch(cache_specs()).expect("cache batch");
-            pass_s.push(start.elapsed().as_secs_f64().max(1e-9));
             outcomes.push(
                 results
                     .iter()
@@ -463,18 +460,19 @@ fn main() {
                     .collect(),
             );
         }
-        (outcomes, pass_s, service.stats().cache)
+        (outcomes, service.stats().cache)
     };
-    let (cached_outcomes, cached_pass_s, svc_cache_stats) = run_twice(true);
-    let (uncached_outcomes, _, _) = run_twice(false);
+    let (cached_outcomes, svc_cache_stats) = run_twice(true);
+    let (uncached_outcomes, _) = run_twice(false);
     // Byte-identity gate: the cache must change nothing about the results.
     assert_eq!(
         cached_outcomes, uncached_outcomes,
         "cross-job cache changed results"
     );
-    let cache_hit_rate = svc_cache_stats.fitness_hit_rate();
-    assert!(cache_hit_rate > 0.0, "replay pass never hit the cache");
-    let replay_speedup = cached_pass_s[0] / cached_pass_s[1].max(1e-9);
+    assert!(
+        svc_cache_stats.windows_hits > 0,
+        "same-image jobs never shared windows"
+    );
 
     let warm_service = EhwService::new(ServiceConfig::new(1)).expect("valid service config");
     let trainer = warm_service
@@ -824,11 +822,10 @@ fn main() {
          {service_2p:.2} jobs/s @2 platforms, scaling {service_scaling:.2}x"
     );
     println!(
-        "cross-job cache ({cache_jobs} same-image jobs x2 passes): hit rate {:.1}%, \
-         replay speedup {replay_speedup:.2}x; warm start: cold {cold_evals} evals \
-         ({cold_s:.3}s) to target {target}, warm {warm_evals} evals ({warm_s:.3}s), \
-         speedup {warm_speedup:.1}x",
-        cache_hit_rate * 100.0
+        "cross-job cache ({cache_jobs} same-image jobs x2 passes): {} window hits; \
+         warm start: cold {cold_evals} evals ({cold_s:.3}s) to target {target}, \
+         warm {warm_evals} evals ({warm_s:.3}s), speedup {warm_speedup:.1}x",
+        svc_cache_stats.windows_hits
     );
     println!(
         "resilience: schedule compile {schedule_compile_ns:.0} ns/event \
@@ -945,13 +942,11 @@ fn main() {
          {service_size}x{service_size} salt&pepper 40%, {service_generations} generations; \
          warm start chases a 40-generation champion's fitness\","
     );
-    let _ = writeln!(json, "    \"hit_rate\": {cache_hit_rate:.4},");
     let _ = writeln!(
         json,
         "    \"windows_hits\": {},",
         svc_cache_stats.windows_hits
     );
-    let _ = writeln!(json, "    \"replay_speedup\": {replay_speedup:.2},");
     let _ = writeln!(json, "    \"target_fitness\": {target},");
     let _ = writeln!(json, "    \"cold_evaluations_to_target\": {cold_evals},");
     let _ = writeln!(json, "    \"warm_evaluations_to_target\": {warm_evals},");

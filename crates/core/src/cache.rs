@@ -1,42 +1,31 @@
 //! Cross-job caching and warm-start: content-addressed state shared by every
 //! job a service instance executes.
 //!
-//! At production traffic most submitted jobs repeat structure — the same
-//! training image, the same noise class, even the same candidate genotypes.
-//! [`CrossJobCache`] exploits all three repetitions without ever changing a
-//! result byte:
+//! At production traffic many submitted jobs train on the same image and
+//! the same noise class.  [`CrossJobCache`] exploits both repetitions in two
+//! tiers:
 //!
 //! * a **shared-windows cache**: jobs whose specs carry the same training
 //!   image (by [`GrayImage::content_hash`]) share one [`SharedWindows`]
 //!   extraction behind an [`Arc`] instead of re-deriving the 3×3 window
 //!   planes per job,
-//! * a **bounded fitness cache**: the per-batch dedup memo promoted to
-//!   service scope, keyed by (genotype bytes, input image hash, reference
-//!   image hash, fault-overlay fingerprint), holding **exact** fitness
-//!   values only,
 //! * a **champion library** ([`ChampionLibrary`]): completed evolution jobs
 //!   deposit their best genotype keyed by workload fingerprint (image hash ×
 //!   noise class × array shape); opted-in jobs seed their initial parent from
 //!   a matching champion instead of a random draw.
 //!
+//! The service also uses the windows tier's image hash as a queue-pickup
+//! affinity, so a shard prefers jobs whose windows it just built.
+//!
 //! # Determinism contract
 //!
-//! A fitness-cache **hit returns the exact bytes the miss path would have
-//! computed**.  Two rules make that hold under bounded (early-exit)
-//! evaluation:
-//!
-//! 1. only exact values are inserted — an early-exited partial sum is a
-//!    deterministic stand-in *under its own bound* and is never cached;
-//! 2. a hit is served only when the cached value `v` satisfies `v <= bound`
-//!    (or the request is unbounded) — exactly the condition under which the
-//!    miss path would have completed without an early exit and produced
-//!    `(v, false)`.
-//!
-//! Under those rules a cached evaluation is byte-identical to an uncached
-//! one, *including* the `EngineStats` accounting — pinned by
-//! `tests/property_cache_determinism.rs`.  LRU recency (and therefore which
-//! entries survive eviction) may vary with worker scheduling, but recency
-//! only decides what gets *recomputed*, never what value is returned.
+//! The windows tier never changes a result byte: a shared extraction is a
+//! pure function of the image content, so a hit hands the job exactly the
+//! planes a miss would have built.  LRU recency (and therefore which images
+//! stay resident) may vary with worker scheduling, but it only decides what
+//! gets *rebuilt*, never what a job computes.  Byte-identity with the cache
+//! on and off — `EngineStats` accounting included — is pinned by
+//! `tests/property_cache_determinism.rs`.
 //!
 //! Warm-starting changes results by design (that is the point); it is opt-in
 //! per spec and the result records provenance so a client can reproduce the
@@ -56,9 +45,6 @@ pub use ehw_reconfig::library::{Champion, ChampionKey};
 pub struct CrossJobCacheConfig {
     /// Distinct training images whose window extractions are kept alive.
     pub windows_capacity: usize,
-    /// Exact fitness values kept (each key is ~13 genotype bytes + 24 bytes
-    /// of hashes; the default bound is a few MiB of keys).
-    pub fitness_capacity: usize,
     /// Champions kept in the warm-start library.
     pub champion_capacity: usize,
 }
@@ -67,66 +53,9 @@ impl Default for CrossJobCacheConfig {
     fn default() -> Self {
         Self {
             windows_capacity: 8,
-            fitness_capacity: 65_536,
             champion_capacity: 256,
         }
     }
-}
-
-/// Key of one cached exact fitness value: *which circuit*, *on which
-/// training pair*, *under which damage*.
-///
-/// The reference image is part of the key, not just the input: fitness is
-/// MAE against the reference, so two jobs training on the same input toward
-/// different targets (e.g. denoising vs edge detection over one noisy image)
-/// are different computations and must never share an entry.
-///
-/// The fault fingerprint is per array (not per platform): the same genotype
-/// scored on a healthy and on a damaged array are different computations, so
-/// they must be different keys — mirroring the per-batch memo, which is keyed
-/// by `(array, genotype)` for the same reason.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct FitnessKey {
-    /// `Genotype::encode()` bytes of the candidate.
-    pub genotype: Vec<u8>,
-    /// [`GrayImage::content_hash`] of the training input.
-    pub image_hash: u64,
-    /// [`GrayImage::content_hash`] of the training reference the fitness is
-    /// measured against.
-    pub reference_hash: u64,
-    /// [`fault_fingerprint`] of the scoring array's injected-fault overlay.
-    pub fault_fingerprint: u64,
-}
-
-/// Fingerprint of one array's injected-fault overlay: an FNV-1a hash over the
-/// sorted `(row, col, kind)` triples.  `faults` must already be restricted to
-/// one array and sorted (e.g. filtered from
-/// [`EhwPlatform::injected_faults`](crate::platform::EhwPlatform::injected_faults),
-/// whose backing map iterates in key order).  A healthy array hashes to the
-/// FNV offset basis — stable across processes.
-pub fn fault_fingerprint<'a>(
-    faults: impl IntoIterator<Item = &'a crate::platform::InjectedFault>,
-) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut eat = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    };
-    for fault in faults {
-        for b in (fault.row as u64).to_le_bytes() {
-            eat(b);
-        }
-        for b in (fault.col as u64).to_le_bytes() {
-            eat(b);
-        }
-        eat(match fault.kind {
-            ehw_fabric::fault::FaultKind::Seu => 1,
-            ehw_fabric::fault::FaultKind::Lpd => 2,
-        });
-    }
-    h
 }
 
 /// Monotonic counters of a [`CrossJobCache`] — a snapshot, reported through
@@ -137,32 +66,11 @@ pub struct CacheStats {
     pub windows_hits: u64,
     /// Window extractions that had to be built.
     pub windows_misses: u64,
-    /// Fitness evaluations served from the cache.
-    pub fitness_hits: u64,
-    /// Fitness evaluations that had to run (includes present-but-unusable
-    /// entries whose value exceeded the request's early-exit bound).
-    pub fitness_misses: u64,
-    /// Exact fitness values inserted.
-    pub fitness_insertions: u64,
-    /// Fitness entries evicted by the LRU bound.
-    pub fitness_evictions: u64,
     /// Evolution jobs whose initial parent came from the champion library.
     pub warm_starts: u64,
     /// Champion deposits that changed the library (new key or better
     /// fitness).
     pub champions_deposited: u64,
-}
-
-impl CacheStats {
-    /// Fitness-cache hit rate in `[0, 1]` (0 when nothing was looked up).
-    pub fn fitness_hit_rate(&self) -> f64 {
-        let total = self.fitness_hits + self.fitness_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.fitness_hits as f64 / total as f64
-        }
-    }
 }
 
 /// An LRU-bounded map: `HashMap` for lookup plus a tick-ordered `BTreeMap`
@@ -196,51 +104,37 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> LruMap<K, V> {
         Some(value)
     }
 
-    /// Inserts, returning how many entries were evicted to make room (0 or
-    /// 1; an update of an existing key never evicts).
-    fn insert(&mut self, key: K, value: V) -> u64 {
+    /// Inserts, evicting the least-recently-used entry when a new key would
+    /// exceed the capacity (an update of an existing key never evicts).
+    fn insert(&mut self, key: K, value: V) {
         self.tick += 1;
         if let Some((old_value, old_tick)) = self.entries.get_mut(&key) {
             *old_value = value;
             self.order.remove(&std::mem::replace(old_tick, self.tick));
             self.order.insert(self.tick, key);
-            return 0;
+            return;
         }
-        let mut evicted = 0;
         if self.entries.len() >= self.capacity {
-            if let Some((&oldest, _)) = self.order.iter().next() {
-                if let Some(victim) = self.order.remove(&oldest) {
-                    self.entries.remove(&victim);
-                    evicted = 1;
-                }
+            if let Some((_, victim)) = self.order.pop_first() {
+                self.entries.remove(&victim);
             }
         }
         self.entries.insert(key.clone(), (value, self.tick));
         self.order.insert(self.tick, key);
-        evicted
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
     }
 }
 
-/// The service-scope cache; see the module docs for the three tiers and the
+/// The service-scope cache; see the module docs for the two tiers and the
 /// determinism contract.  All methods take `&self` — the cache is shared
 /// across shard threads behind an [`Arc`].
 pub struct CrossJobCache {
     windows: Mutex<LruMap<u64, Arc<SharedWindows>>>,
-    fitness: Mutex<LruMap<FitnessKey, u64>>,
     champions: Mutex<ChampionLibrary>,
     /// Bumped on every deposit or import that changed the champion library —
     /// the persistence layer's "is there anything new to save" check.
     champion_epoch: AtomicU64,
     windows_hits: AtomicU64,
     windows_misses: AtomicU64,
-    fitness_hits: AtomicU64,
-    fitness_misses: AtomicU64,
-    fitness_insertions: AtomicU64,
-    fitness_evictions: AtomicU64,
     warm_starts: AtomicU64,
     champions_deposited: AtomicU64,
 }
@@ -258,15 +152,10 @@ impl CrossJobCache {
     pub fn new(config: CrossJobCacheConfig) -> Self {
         Self {
             windows: Mutex::new(LruMap::new(config.windows_capacity)),
-            fitness: Mutex::new(LruMap::new(config.fitness_capacity)),
             champions: Mutex::new(ChampionLibrary::new(config.champion_capacity)),
             champion_epoch: AtomicU64::new(0),
             windows_hits: AtomicU64::new(0),
             windows_misses: AtomicU64::new(0),
-            fitness_hits: AtomicU64::new(0),
-            fitness_misses: AtomicU64::new(0),
-            fitness_insertions: AtomicU64::new(0),
-            fitness_evictions: AtomicU64::new(0),
             warm_starts: AtomicU64::new(0),
             champions_deposited: AtomicU64::new(0),
         }
@@ -290,46 +179,6 @@ impl CrossJobCache {
         let shared = Arc::new(SharedWindows::new(image));
         windows.insert(hash, Arc::clone(&shared));
         shared
-    }
-
-    /// Looks up an exact fitness value usable under `bound`.
-    ///
-    /// Returns `Some(v)` only when `v` would have been computed exactly by
-    /// the miss path: the cached value exists and `bound` is `None` or
-    /// `v <= bound`.  A present-but-over-bound entry counts as a miss — the
-    /// caller must evaluate (and may early-exit above the bound, which is
-    /// precisely why the entry cannot be served).
-    pub fn lookup_fitness(&self, key: &FitnessKey, bound: Option<u64>) -> Option<u64> {
-        let Ok(mut fitness) = self.fitness.lock() else {
-            return None;
-        };
-        match fitness.get(key) {
-            Some(v) if bound.is_none_or(|b| v <= b) => {
-                self.fitness_hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            _ => {
-                self.fitness_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts an **exact** fitness value.  Callers must never pass an
-    /// early-exited partial sum — that value is only meaningful under the
-    /// bound it was computed with.
-    pub fn insert_fitness(&self, key: FitnessKey, value: u64) {
-        let Ok(mut fitness) = self.fitness.lock() else {
-            return;
-        };
-        let evicted = fitness.insert(key, value);
-        self.fitness_insertions.fetch_add(1, Ordering::Relaxed);
-        self.fitness_evictions.fetch_add(evicted, Ordering::Relaxed);
-    }
-
-    /// Number of fitness entries currently held.
-    pub fn fitness_len(&self) -> usize {
-        self.fitness.lock().map(|f| f.len()).unwrap_or(0)
     }
 
     /// The champion for a workload fingerprint, if deposited.  Does **not**
@@ -414,10 +263,6 @@ impl CrossJobCache {
         CacheStats {
             windows_hits: self.windows_hits.load(Ordering::Relaxed),
             windows_misses: self.windows_misses.load(Ordering::Relaxed),
-            fitness_hits: self.fitness_hits.load(Ordering::Relaxed),
-            fitness_misses: self.fitness_misses.load(Ordering::Relaxed),
-            fitness_insertions: self.fitness_insertions.load(Ordering::Relaxed),
-            fitness_evictions: self.fitness_evictions.load(Ordering::Relaxed),
             warm_starts: self.warm_starts.load(Ordering::Relaxed),
             champions_deposited: self.champions_deposited.load(Ordering::Relaxed),
         }
@@ -433,17 +278,6 @@ impl Default for CrossJobCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::platform::EhwPlatform;
-    use ehw_fabric::fault::FaultKind;
-
-    fn key(genotype: u8) -> FitnessKey {
-        FitnessKey {
-            genotype: vec![genotype; 13],
-            image_hash: 1,
-            reference_hash: 3,
-            fault_fingerprint: 2,
-        }
-    }
 
     #[test]
     fn windows_are_shared_by_content_not_identity() {
@@ -464,64 +298,28 @@ mod tests {
     }
 
     #[test]
-    fn fitness_hits_respect_the_bound_rule() {
-        let cache = CrossJobCache::default();
-        cache.insert_fitness(key(1), 100);
-        // Unbounded and loose bounds serve the hit...
-        assert_eq!(cache.lookup_fitness(&key(1), None), Some(100));
-        assert_eq!(cache.lookup_fitness(&key(1), Some(100)), Some(100));
-        // ...but a tighter bound must miss: the miss path would early-exit
-        // and produce a different (partial) value.
-        assert_eq!(cache.lookup_fitness(&key(1), Some(99)), None);
-        assert_eq!(cache.lookup_fitness(&key(2), None), None);
-        let stats = cache.stats();
-        assert_eq!(stats.fitness_hits, 2);
-        assert_eq!(stats.fitness_misses, 2);
-        assert!((stats.fitness_hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn differing_references_are_distinct_keys() {
-        // Same genotype, same input, different training target: fitness is
-        // measured against the reference, so these must never collide.
-        let cache = CrossJobCache::default();
-        cache.insert_fitness(key(1), 100);
-        let mut other_target = key(1);
-        other_target.reference_hash = 99;
-        assert_eq!(cache.lookup_fitness(&other_target, None), None);
-        assert_eq!(cache.lookup_fitness(&key(1), None), Some(100));
-    }
-
-    #[test]
-    fn fitness_cache_is_bounded_and_evicts_lru() {
-        let cache = CrossJobCache::new(CrossJobCacheConfig {
-            fitness_capacity: 2,
-            ..CrossJobCacheConfig::default()
-        });
-        cache.insert_fitness(key(1), 10);
-        cache.insert_fitness(key(2), 20);
+    fn lru_is_bounded_and_evicts_the_least_recently_used() {
+        let mut lru = LruMap::new(2);
+        lru.insert(1u64, 10u64);
+        lru.insert(2, 20);
         // Touch key 1 so key 2 is the LRU victim.
-        assert_eq!(cache.lookup_fitness(&key(1), None), Some(10));
-        cache.insert_fitness(key(3), 30);
-        assert_eq!(cache.fitness_len(), 2);
-        assert_eq!(cache.lookup_fitness(&key(2), None), None, "LRU evicted");
-        assert_eq!(cache.lookup_fitness(&key(1), None), Some(10));
-        assert_eq!(cache.lookup_fitness(&key(3), None), Some(30));
-        assert_eq!(cache.stats().fitness_evictions, 1);
+        assert_eq!(lru.get(&1), Some(10));
+        lru.insert(3, 30);
+        assert_eq!(lru.entries.len(), 2);
+        assert_eq!(lru.get(&2), None, "LRU evicted");
+        assert_eq!(lru.get(&1), Some(10));
+        assert_eq!(lru.get(&3), Some(30));
     }
 
     #[test]
     fn reinserting_a_key_updates_without_evicting() {
-        let cache = CrossJobCache::new(CrossJobCacheConfig {
-            fitness_capacity: 2,
-            ..CrossJobCacheConfig::default()
-        });
-        cache.insert_fitness(key(1), 10);
-        cache.insert_fitness(key(2), 20);
-        cache.insert_fitness(key(1), 10);
-        assert_eq!(cache.fitness_len(), 2);
-        assert_eq!(cache.stats().fitness_evictions, 0);
-        assert_eq!(cache.lookup_fitness(&key(2), None), Some(20));
+        let mut lru = LruMap::new(2);
+        lru.insert(1u64, 10u64);
+        lru.insert(2, 20);
+        lru.insert(1, 11);
+        assert_eq!(lru.entries.len(), 2);
+        assert_eq!(lru.get(&2), Some(20));
+        assert_eq!(lru.get(&1), Some(11));
     }
 
     #[test]
@@ -575,23 +373,5 @@ mod tests {
         // Re-importing the same snapshot changes nothing.
         assert_eq!(restored.import_champions(exported), 0);
         assert_eq!(restored.champion_epoch(), 2);
-    }
-
-    #[test]
-    fn fault_fingerprints_distinguish_overlays() {
-        let mut platform = EhwPlatform::new(2);
-        let healthy = fault_fingerprint(platform.injected_faults().iter().filter(|f| f.array == 0));
-        platform.inject_pe_fault(0, 1, 2, FaultKind::Lpd);
-        let faults = platform.injected_faults();
-        let damaged = fault_fingerprint(faults.iter().filter(|f| f.array == 0));
-        let other_array = fault_fingerprint(faults.iter().filter(|f| f.array == 1));
-        assert_ne!(healthy, damaged);
-        assert_eq!(healthy, other_array, "array 1 is still healthy");
-        // Kind matters: an SEU at the same position is a different overlay.
-        let mut seu = EhwPlatform::new(1);
-        seu.inject_pe_fault(0, 1, 2, FaultKind::Seu);
-        let seu_faults = seu.injected_faults();
-        let seu_print = fault_fingerprint(seu_faults.iter().filter(|f| f.array == 0));
-        assert_ne!(seu_print, damaged);
     }
 }

@@ -66,16 +66,10 @@ impl EvolutionTask {
 /// compiled against that array's fault overlay, so the fault corrupts the
 /// *plan*, never a per-pixel lookup.
 ///
-/// When constructed [`with_cache`](Self::with_cache), the window extraction
-/// is shared with every other job training on the same image, and exact
-/// fitness values flow through the service-scope
-/// [`CrossJobCache`](crate::cache::CrossJobCache) keyed by (genotype bytes,
-/// input image hash, reference image hash, per-array fault fingerprint).
-/// Cache hits return exactly what
-/// the miss path would compute — including the [`EngineStats`] accounting —
-/// see the determinism contract in [`crate::cache`].
-///
-/// [`EngineStats`]: ehw_evolution::fitness::EngineStats
+/// When constructed [`with_windows`](Self::with_windows), the window
+/// extraction is shared with every other job training on the same image
+/// (the service-scope [`CrossJobCache`](crate::cache::CrossJobCache) hands it
+/// out); scoring is identical either way.
 #[derive(Debug)]
 pub struct PlatformEvaluator {
     arrays: Vec<ProcessingArray>,
@@ -83,50 +77,23 @@ pub struct PlatformEvaluator {
     reference: GrayImage,
     evaluations: u64,
     stats: ehw_evolution::fitness::EngineStats,
-    cache: Option<std::sync::Arc<crate::cache::CrossJobCache>>,
-    /// Content hash of the training input (only computed when caching).
-    image_hash: u64,
-    /// Content hash of the training reference (only computed when caching).
-    /// Part of every fitness key: the same input evolved toward a different
-    /// target is a different computation.
-    reference_hash: u64,
-    /// Per-array fault-overlay fingerprints (only computed when caching).
-    fault_prints: Vec<u64>,
 }
 
 impl PlatformEvaluator {
     /// Creates an evaluator over the platform's current arrays and the given
     /// training pair.
     pub fn new(platform: &EhwPlatform, task: &EvolutionTask) -> Self {
-        Self::with_cache(platform, task, None)
+        let windows = ehw_image::window::SharedWindows::new(&task.input);
+        Self::with_windows(platform, task, std::sync::Arc::new(windows))
     }
 
-    /// [`new`](Self::new) with an optional service-scope cross-job cache.
-    pub fn with_cache(
+    /// [`new`](Self::new) over an already extracted, possibly shared, window
+    /// set of `task.input`.
+    pub fn with_windows(
         platform: &EhwPlatform,
         task: &EvolutionTask,
-        cache: Option<std::sync::Arc<crate::cache::CrossJobCache>>,
+        windows: std::sync::Arc<ehw_image::window::SharedWindows>,
     ) -> Self {
-        let windows = match &cache {
-            Some(cache) => cache.windows_for(&task.input),
-            None => std::sync::Arc::new(ehw_image::window::SharedWindows::new(&task.input)),
-        };
-        let (image_hash, reference_hash, fault_prints) = match &cache {
-            Some(_) => {
-                let faults = platform.injected_faults();
-                let prints = (0..platform.num_arrays())
-                    .map(|a| {
-                        crate::cache::fault_fingerprint(faults.iter().filter(|f| f.array == a))
-                    })
-                    .collect();
-                (
-                    task.input.content_hash(),
-                    task.reference.content_hash(),
-                    prints,
-                )
-            }
-            None => (0, 0, Vec::new()),
-        };
         Self {
             arrays: platform
                 .acbs()
@@ -137,19 +104,6 @@ impl PlatformEvaluator {
             reference: task.reference.clone(),
             evaluations: 0,
             stats: ehw_evolution::fitness::EngineStats::default(),
-            cache,
-            image_hash,
-            reference_hash,
-            fault_prints,
-        }
-    }
-
-    fn fitness_key(&self, array: usize, genotype: &Genotype) -> crate::cache::FitnessKey {
-        crate::cache::FitnessKey {
-            genotype: genotype.encode(),
-            image_hash: self.image_hash,
-            reference_hash: self.reference_hash,
-            fault_fingerprint: self.fault_prints[array],
         }
     }
 
@@ -163,16 +117,6 @@ impl FitnessEvaluator for PlatformEvaluator {
     fn evaluate(&mut self, genotype: &Genotype) -> u64 {
         self.evaluations += 1;
         self.stats.plans_evaluated += 1;
-        if let Some(cache) = self.cache.clone() {
-            let key = self.fitness_key(0, genotype);
-            if let Some(value) = cache.lookup_fitness(&key, None) {
-                return value;
-            }
-            let plan = self.arrays[0].compile_with(genotype);
-            let value = ehw_evolution::fitness::plan_mae(&plan, &self.windows, &self.reference);
-            cache.insert_fitness(key, value);
-            return value;
-        }
         let plan = self.arrays[0].compile_with(genotype);
         ehw_evolution::fitness::plan_mae(&plan, &self.windows, &self.reference)
     }
@@ -209,39 +153,6 @@ impl FitnessEvaluator for PlatformEvaluator {
         let arrays = &self.arrays;
         let windows = &self.windows;
         let reference = &self.reference;
-        // Cross-job cache consultation lives inside the per-candidate eval
-        // closures: only exact values are served (and only when `<= bound`),
-        // so a hit returns precisely what the miss path would compute and the
-        // per-batch dedup/early-exit accounting is unchanged — see the
-        // determinism contract in `crate::cache`.
-        let cache = self.cache.as_deref();
-        let image_hash = self.image_hash;
-        let reference_hash = self.reference_hash;
-        let fault_prints = &self.fault_prints;
-        let cached_eval = move |array: usize,
-                                genotype: &Genotype,
-                                compute: &mut dyn FnMut() -> (u64, bool)|
-              -> (u64, bool) {
-            match cache {
-                Some(cache) => {
-                    let key = crate::cache::FitnessKey {
-                        genotype: genotype.encode(),
-                        image_hash,
-                        reference_hash,
-                        fault_fingerprint: fault_prints[array],
-                    };
-                    if let Some(value) = cache.lookup_fitness(&key, bound) {
-                        return (value, false);
-                    }
-                    let result = compute();
-                    if !result.1 {
-                        cache.insert_fitness(key, result.0);
-                    }
-                    result
-                }
-                None => compute(),
-            }
-        };
         match incumbent {
             Some((pg, _)) => {
                 let parent_plans: Vec<ehw_array::compiled::CompiledArray> =
@@ -257,16 +168,14 @@ impl FitnessEvaluator for PlatformEvaluator {
                     |_| false,
                     || parent_plans.clone(),
                     |plans, i| {
-                        cached_eval(i % num_arrays, &batch[i], &mut || {
-                            let plan = &mut plans[i % num_arrays];
-                            let diff = &diffs[i];
-                            plan.apply(diff);
-                            let result = ehw_evolution::fitness::plan_mae_bounded(
-                                plan, windows, reference, bound,
-                            );
-                            plan.revert(diff);
-                            result
-                        })
+                        let plan = &mut plans[i % num_arrays];
+                        let diff = &diffs[i];
+                        plan.apply(diff);
+                        let result = ehw_evolution::fitness::plan_mae_bounded(
+                            plan, windows, reference, bound,
+                        );
+                        plan.revert(diff);
+                        result
                     },
                     &mut self.stats,
                 )
@@ -278,10 +187,8 @@ impl FitnessEvaluator for PlatformEvaluator {
                 |i, g| (i % num_arrays, g),
                 |_| false,
                 |i| {
-                    cached_eval(i % num_arrays, &batch[i], &mut || {
-                        let plan = arrays[i % num_arrays].compile_with(&batch[i]);
-                        ehw_evolution::fitness::plan_mae_bounded(&plan, windows, reference, bound)
-                    })
+                    let plan = arrays[i % num_arrays].compile_with(&batch[i]);
+                    ehw_evolution::fitness::plan_mae_bounded(&plan, windows, reference, bound)
                 },
                 &mut self.stats,
             ),

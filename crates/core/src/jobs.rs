@@ -1321,17 +1321,16 @@ pub fn execute_controlled(
 /// [`CrossJobCache`](crate::cache::CrossJobCache) — the entry the
 /// `ehw-service` shards use.
 ///
-/// For evolution jobs the cache supplies three things: a shared window
-/// extraction for the training image, a content-addressed exact-fitness
-/// cache, and (when the spec opted in via [`EvolutionBuilder::warm_start`])
-/// a champion-library lookup that seeds the initial parent.  Completed
-/// evolution jobs deposit their champion back.  Cascade and fault-campaign
-/// jobs run uncached: their inner images change per stage/position, so the
-/// cross-job tiers would not hit (the cascade engine has its own
-/// intra/cross-generation memos).  With `cache: None` this is byte-identical
-/// to [`execute_controlled`]; with a cache, results are *still* byte-identical
-/// unless warm starting changes the initial parent — see the determinism
-/// contract in [`crate::cache`].
+/// For evolution jobs the cache supplies two things: a shared window
+/// extraction for the training image, and (when the spec opted in via
+/// [`EvolutionBuilder::warm_start`]) a champion-library lookup that seeds the
+/// initial parent.  Completed evolution jobs deposit their champion back.
+/// Cascade and fault-campaign jobs run uncached: their inner images change
+/// per stage/position, so the cross-job tiers would not hit (the cascade
+/// engine has its own intra/cross-generation memos).  With `cache: None`
+/// this is byte-identical to [`execute_controlled`]; with a cache, results
+/// are *still* byte-identical unless warm starting changes the initial
+/// parent — see the determinism contract in [`crate::cache`].
 pub fn execute_controlled_cached(
     platform: &mut EhwPlatform,
     spec: &JobSpec,
@@ -1360,7 +1359,14 @@ pub fn execute_controlled_cached(
                 parallel: platform.parallel_config(),
                 ..s.config
             };
-            let mut evaluator = PlatformEvaluator::with_cache(platform, &s.task, cache.cloned());
+            let mut evaluator = match cache {
+                Some(cache) => PlatformEvaluator::with_windows(
+                    platform,
+                    &s.task,
+                    cache.windows_for(&s.task.input),
+                ),
+                None => PlatformEvaluator::new(platform, &s.task),
+            };
             let timer = PipelineTimer::new(
                 platform.timing(),
                 platform.num_arrays(),

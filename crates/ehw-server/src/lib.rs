@@ -845,11 +845,9 @@ fn handle_metrics(stream: &mut TcpStream, state: &ServerState, request: &Request
             Value::object(vec![
                 ("windows_hits", u64v(stats.cache.windows_hits)),
                 ("windows_misses", u64v(stats.cache.windows_misses)),
-                ("fitness_hits", u64v(stats.cache.fitness_hits)),
-                ("fitness_misses", u64v(stats.cache.fitness_misses)),
-                ("fitness_insertions", u64v(stats.cache.fitness_insertions)),
-                ("fitness_evictions", u64v(stats.cache.fitness_evictions)),
-                ("fitness_hit_rate", f64v(stats.cache.fitness_hit_rate())),
+                // No fitness tier any more; e2ebench's /metrics reader requires both keys.
+                ("fitness_hits", u64v(0)),
+                ("fitness_misses", u64v(0)),
                 ("warm_starts", u64v(stats.cache.warm_starts)),
                 ("champions_deposited", u64v(stats.cache.champions_deposited)),
             ]),
@@ -981,34 +979,6 @@ fn prometheus_metrics(state: &ServerState) -> String {
         "counter",
         "Shared-window extractions computed fresh.",
         stats.cache.windows_misses,
-    );
-    metric(
-        &mut out,
-        "ehw_cache_fitness_hits_total",
-        "counter",
-        "Fitness evaluations served from the cross-job cache.",
-        stats.cache.fitness_hits,
-    );
-    metric(
-        &mut out,
-        "ehw_cache_fitness_misses_total",
-        "counter",
-        "Fitness evaluations the cache could not answer.",
-        stats.cache.fitness_misses,
-    );
-    metric(
-        &mut out,
-        "ehw_cache_fitness_insertions_total",
-        "counter",
-        "Exact fitness values inserted into the cross-job cache.",
-        stats.cache.fitness_insertions,
-    );
-    metric(
-        &mut out,
-        "ehw_cache_fitness_evictions_total",
-        "counter",
-        "Fitness entries evicted under capacity pressure.",
-        stats.cache.fitness_evictions,
     );
     metric(
         &mut out,

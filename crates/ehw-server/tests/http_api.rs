@@ -522,7 +522,7 @@ fn metrics_speak_prometheus_when_asked() {
         "ehw_jobs_submitted_total 1",
         "ehw_jobs_completed_total 1",
         "ehw_jobs{state=\"done\"} 1",
-        "# TYPE ehw_cache_fitness_hits_total counter",
+        "# TYPE ehw_cache_windows_hits_total counter",
         "ehw_jobs_evicted_total 0",
         "ehw_shards_alive 1",
     ] {
@@ -532,6 +532,12 @@ fn metrics_speak_prometheus_when_asked() {
             response.body
         );
     }
+    // The cross-job cache has no fitness tier, so it exports no series.
+    assert!(
+        !response.body.contains("ehw_cache_fitness_"),
+        "{}",
+        response.body
+    );
 
     // Via the Accept header.
     let raw = "GET /metrics HTTP/1.1\r\nHost: t\r\nAccept: text/plain\r\nConnection: close\r\n\r\n";
@@ -542,8 +548,16 @@ fn metrics_speak_prometheus_when_asked() {
     // Plain GET still speaks JSON, including the cache section.
     let metrics = get(addr, "/metrics").json();
     let cache = metrics.get("cache").unwrap();
-    assert!(cache.get("fitness_hits").unwrap().as_u64().is_some());
-    assert!(cache.get("fitness_hit_rate").unwrap().as_f64().is_some());
+    // The two fitness counters stay on the wire for existing readers, at 0.
+    assert_eq!(cache.get("fitness_hits").unwrap().as_u64(), Some(0));
+    assert_eq!(cache.get("fitness_misses").unwrap().as_u64(), Some(0));
+    for removed in [
+        "fitness_insertions",
+        "fitness_evictions",
+        "fitness_hit_rate",
+    ] {
+        assert!(cache.get(removed).is_none(), "{removed} is still reported");
+    }
 }
 
 #[test]

@@ -143,14 +143,15 @@ pub struct ServiceConfig {
     /// with `SeedSequence::new(seed).fork(n)`).
     pub seed: u64,
     /// Whether the shards share a service-scope [`CrossJobCache`] (shared
-    /// window extractions, content-addressed exact-fitness cache, champion
-    /// library, image-affinity queue pickup).  Caching never changes a result
-    /// byte — `tests/property_cache_determinism.rs` pins byte-identity with
-    /// this flag on vs off — it only changes how much work is recomputed.
+    /// window extractions, champion library, image-affinity queue pickup).
+    /// Caching never changes a result byte —
+    /// `tests/property_cache_determinism.rs` pins byte-identity with this
+    /// flag on vs off — it only changes how often windows are rebuilt.
     /// Warm starting additionally requires the per-spec
     /// [`EvolutionBuilder::warm_start`] opt-in.
     pub cache: bool,
-    /// Sizing of the cross-job cache tiers; ignored when `cache` is off.
+    /// Sizing of the two cross-job cache tiers (windows and champions);
+    /// ignored when `cache` is off.
     pub cache_sizes: CrossJobCacheConfig,
 }
 
@@ -210,7 +211,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the cross-job cache tier capacities.
+    /// Sets the cross-job cache tier capacities (distinct training images
+    /// whose windows stay resident, champions kept for warm starts).
     pub fn cache_sizes(mut self, sizes: CrossJobCacheConfig) -> Self {
         self.cache_sizes = sizes;
         self
@@ -239,9 +241,7 @@ impl ServiceConfig {
             ));
         }
         if self.cache
-            && (self.cache_sizes.windows_capacity == 0
-                || self.cache_sizes.fitness_capacity == 0
-                || self.cache_sizes.champion_capacity == 0)
+            && (self.cache_sizes.windows_capacity == 0 || self.cache_sizes.champion_capacity == 0)
         {
             return Err(ServiceError::InvalidConfig(
                 "cache tier capacities must be at least 1 (or disable the cache)".into(),

@@ -32,11 +32,8 @@ TRACKED = [
     # per-window kernel stream (byte-identity gated in the bench itself).
     ("reference_filters", "plane_speedup"),
     # Cross-job cache: warm-start evaluations-to-target over a cold start
-    # (champion-library seeding) and the fitness-cache hit rate of a
-    # replayed same-image batch.  Recorded, not yet gated — no committed
-    # baseline exists until this summary lands.
+    # (champion-library seeding).
     ("cross_job_cache", "warm_speedup"),
-    ("cross_job_cache", "hit_rate"),
     # Fault-scenario layer: schedule compilation throughput (events/sec,
     # higher is better — the ns/event figure is recorded alongside for
     # readability) and the generalised campaign executor's evals/sec plus

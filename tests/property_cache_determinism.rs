@@ -1,8 +1,8 @@
 //! Cross-job cache determinism suite.
 //!
-//! The cross-job cache (shared windows, fitness memo, champion library) is
-//! an *accelerator*, never an oracle: every hit returns exactly the bytes
-//! the miss path would have computed.  These properties pin that contract:
+//! The cross-job cache (shared windows, champion library) is an
+//! *accelerator*, never an oracle: every hit returns exactly the bytes the
+//! miss path would have computed.  These properties pin that contract:
 //!
 //! 1. **Cache transparency** — mixed batches (same-image and distinct-image
 //!    jobs, including an identical-spec replay) produce byte-identical
@@ -48,10 +48,10 @@ fn fingerprint(result: &JobResult) -> (u64, u64, Vec<Vec<u8>>, Vec<u64>, (u64, u
     )
 }
 
-/// A batch that exercises every sharing pattern: two identical specs (a
-/// replay the fitness cache can answer), a same-image sibling with a
-/// different seed, a distinct-image job, a wider platform shape on the
-/// shared image, and a cascade job (which bypasses the cache entirely).
+/// A batch that exercises every sharing pattern: two identical specs (an
+/// exact resubmit), a same-image sibling with a different seed, a
+/// distinct-image job, a wider platform shape on the shared image, and a
+/// cascade job (which bypasses the cache entirely).
 fn mixed_specs(shared: &EvolutionTask, distinct: &EvolutionTask) -> Vec<JobSpec> {
     vec![
         JobSpec::evolution(shared.input.clone(), shared.reference.clone())
@@ -113,7 +113,11 @@ fn mixed_batches_are_byte_identical_with_the_cache_on_and_off() {
     };
 
     let (reference, off_stats) = run(false, 1, 1);
-    assert_eq!(off_stats.cache.fitness_hits, 0, "cache off must not count");
+    assert_eq!(
+        off_stats.cache,
+        Default::default(),
+        "cache off must not count"
+    );
     for cache in [false, true] {
         for &(platforms, workers) in &[(1usize, 2usize), (1, 8), (2, 1), (2, 8)] {
             let (got, _) = run(cache, platforms, workers);
@@ -125,60 +129,14 @@ fn mixed_batches_are_byte_identical_with_the_cache_on_and_off() {
     }
 
     // The transparency above is not vacuous: a sequential cache-on run
-    // actually hits — the identical-spec replay answers from the fitness
-    // cache and every same-image sibling shares one window extraction.
+    // actually hits — every same-image sibling shares one window extraction
+    // and completed jobs deposit their champions.
     let (got, on_stats) = run(true, 1, 1);
     assert_eq!(got, reference);
-    assert!(on_stats.cache.fitness_hits > 0, "{:?}", on_stats.cache);
     assert!(on_stats.cache.windows_hits > 0, "{:?}", on_stats.cache);
     assert!(
         on_stats.cache.champions_deposited > 0,
         "{:?}",
-        on_stats.cache
-    );
-}
-
-/// Same training input, *different* reference targets: fitness is MAE
-/// against the reference, so the fitness key must separate these jobs even
-/// though their inputs (and, with pinned equal seeds, their candidate
-/// genotype streams) are identical.  A key that omitted the reference would
-/// serve job B job A's cached values — byte-divergence the mixed-batch
-/// property above can never catch, because it only varies the input.
-#[test]
-fn same_input_with_differing_references_never_shares_fitness() {
-    let denoise = denoise_task(12, 0xA5A5);
-    // Same noisy input, evolved toward a different target entirely.
-    let other_target = synth::shapes(12, 12, 5);
-    let specs = || {
-        vec![
-            JobSpec::evolution(denoise.input.clone(), denoise.reference.clone())
-                .generations(4)
-                .seed(31)
-                .build()
-                .unwrap(),
-            JobSpec::evolution(denoise.input.clone(), other_target.clone())
-                .generations(4)
-                .seed(31)
-                .build()
-                .unwrap(),
-        ]
-    };
-    let run = |cache: bool| {
-        let service = EhwService::new(ServiceConfig::new(1).seed(17).cache(cache)).unwrap();
-        let results = service.run_batch(specs()).expect("batch accepted");
-        let stats = service.stats();
-        (results.iter().map(fingerprint).collect::<Vec<_>>(), stats)
-    };
-    let (reference, _) = run(false);
-    let (got, on_stats) = run(true);
-    assert_eq!(got, reference, "reference image leaked through the cache");
-    // Not vacuous: both jobs share one window extraction (same input) and
-    // with equal seeds their genotype streams overlap, so the second job
-    // *looks up* keys the first one inserted — and must miss on all of them.
-    assert!(on_stats.cache.windows_hits > 0, "{:?}", on_stats.cache);
-    assert_eq!(
-        on_stats.cache.fitness_hits, 0,
-        "distinct references must never hit: {:?}",
         on_stats.cache
     );
 }
@@ -204,23 +162,29 @@ fn a_cache_squeezed_to_toy_capacities_evicts_but_stays_transparent() {
     let squeezed = EhwService::new(ServiceConfig::new(1).seed(7).cache_sizes(
         CrossJobCacheConfig {
             windows_capacity: 1,
-            fitness_capacity: 4,
             champion_capacity: 1,
         },
     ))
     .unwrap();
-    let got: Vec<_> = squeezed
-        .run_batch(mixed_specs(&shared, &distinct))
-        .expect("batch accepted")
-        .iter()
-        .map(fingerprint)
-        .collect();
-    assert_eq!(got, reference, "eviction pressure changed results");
+    // Two rounds: one window slot cannot hold both training images across
+    // the round boundary, whatever order affinity pickup runs them in.
+    for _ in 0..2 {
+        let got: Vec<_> = squeezed
+            .run_batch(mixed_specs(&shared, &distinct))
+            .expect("batch accepted")
+            .iter()
+            .map(fingerprint)
+            .collect();
+        assert_eq!(got, reference, "eviction pressure changed results");
+    }
+    // More builds than distinct training images: an extraction was evicted
+    // and rebuilt.
+    let distinct_images = 2;
     let stats = squeezed.stats();
-    assert!(stats.cache.fitness_evictions > 0, "{:?}", stats.cache);
     assert!(
-        squeezed.cache().expect("cache on").fitness_len() <= 4,
-        "capacity bound violated"
+        stats.cache.windows_misses > distinct_images,
+        "{:?}",
+        stats.cache
     );
 }
 

@@ -201,7 +201,7 @@ fn main() {
     let patch_ns = {
         // The production data path keeps one resident plan per worker and
         // applies/reverts each candidate's precomputed gene diff in place —
-        // no 352-byte struct copy and no diff recomputation per candidate.
+        // no plan struct copy and no diff recomputation per candidate.
         let diffs: Vec<_> = children.iter().map(|c| c.diff_from(&parent)).collect();
         let mut plan = parent_plan;
         let start = Instant::now();

@@ -14,16 +14,22 @@
 //! * the resolved output row.
 //!
 //! Compilation costs a few dozen nanoseconds and happens once per candidate;
-//! the inner loop then touches only flat arrays.  The original interpreter is
-//! kept verbatim in this module ([`interpret_window`] /
-//! [`interpret_filter_image`]) as the correctness oracle for the equivalence
-//! suite and as the baseline the evaluation benches measure the plan against;
-//! `CompiledArray` is bit-identical to it by construction and by test.
+//! the inner loop then touches only flat arrays.  Bulk evaluation runs in
+//! blocks of [`CompiledArray::BLOCK`] windows: every PE's opcode is applied
+//! across the block's lanes, and a faulty PE's behaviour is applied right
+//! after it, lane-wise, so clean and faulty plans share one vectorised path.
+//! [`CompiledArray::evaluate_window`] is the scalar path for single windows.
+//!
+//! The original interpreter is kept verbatim in this module
+//! ([`interpret_window`] / [`interpret_filter_image`]) as the correctness
+//! oracle for the equivalence suite and as the baseline the evaluation
+//! benches measure the plan against; `CompiledArray` is bit-identical to it
+//! by construction and by test.
 
 use std::collections::BTreeMap;
 
 use ehw_image::image::GrayImage;
-use ehw_image::window::{map_windows, Window3x3, WindowPlanes};
+use ehw_image::window::{Window3x3, WindowPlanes};
 
 use crate::genotype::{GeneDiff, Genotype, ARRAY_COLS, ARRAY_ROWS, INPUT_GENES, PE_GENES};
 use crate::pe::{FaultBehaviour, PeFunction};
@@ -41,8 +47,6 @@ pub struct CompiledArray {
     west: [usize; ARRAY_ROWS],
     /// Resolved output row (`output_gene % ARRAY_ROWS`).
     out_row: usize,
-    /// `true` if at least one PE carries a fault (selects the overlay loop).
-    has_faults: bool,
 }
 
 impl CompiledArray {
@@ -62,11 +66,9 @@ impl CompiledArray {
             *f = PeFunction::from_gene(genotype.pe_genes[i]);
         }
         let mut faults = [None; PE_GENES];
-        let mut has_faults = false;
         for ((row, col), behaviour) in overlay {
             if row < ARRAY_ROWS && col < ARRAY_COLS {
                 faults[row * ARRAY_COLS + col] = Some(behaviour);
-                has_faults = true;
             }
         }
         let mut north = [0usize; ARRAY_COLS];
@@ -83,7 +85,6 @@ impl CompiledArray {
             north,
             west,
             out_row: (genotype.output_gene as usize) % ARRAY_ROWS,
-            has_faults,
         }
     }
 
@@ -162,34 +163,28 @@ impl CompiledArray {
         let mut plan = *self;
         if row < ARRAY_ROWS && col < ARRAY_COLS {
             plan.faults[row * ARRAY_COLS + col] = behaviour;
-            plan.has_faults = plan.faults.iter().any(|f| f.is_some());
         }
         plan
     }
 
     /// `true` if the plan carries at least one faulty PE.
     pub fn has_faults(&self) -> bool {
-        self.has_faults
+        self.faults.iter().any(Option::is_some)
     }
 
     /// Windows per block of the lane-parallel evaluation path.  Each PE
-    /// opcode is dispatched once per block and applied across the whole lane
-    /// buffer, which the compiler vectorises on `u8` lanes.
+    /// opcode (and fault behaviour) is dispatched once per block and applied
+    /// across the whole lane buffer, which the compiler vectorises on `u8`
+    /// lanes.
     pub const BLOCK: usize = 64;
 
     /// Computes the array output for one 3×3 window — bit-identical to
-    /// [`interpret_window`] on the same genotype and overlay.
+    /// [`interpret_window`] on the same genotype and overlay.  The scalar
+    /// path for single-window callers; bulk callers go through the block
+    /// path of [`evaluate_windows_into`](Self::evaluate_windows_into) and
+    /// [`evaluate_planes_into`](Self::evaluate_planes_into).
     #[inline]
     pub fn evaluate_window(&self, window: &Window3x3) -> u8 {
-        if self.has_faults {
-            self.evaluate_faulty(window)
-        } else {
-            self.evaluate_clean(window)
-        }
-    }
-
-    #[inline]
-    fn evaluate_clean(&self, window: &Window3x3) -> u8 {
         let px = &window.0;
         // `prev` holds the north inputs of the current row: the selected
         // window pixels for row 0, the previous row's outputs afterwards.
@@ -203,26 +198,6 @@ impl CompiledArray {
         for r in 0..=self.out_row {
             let mut w_in = px[self.west[r]];
             for (c, p) in prev.iter_mut().enumerate() {
-                let v = self.fns[r * ARRAY_COLS + c].apply(w_in, *p);
-                *p = v;
-                w_in = v;
-            }
-            out = w_in;
-        }
-        out
-    }
-
-    #[inline]
-    fn evaluate_faulty(&self, window: &Window3x3) -> u8 {
-        let px = &window.0;
-        let mut prev = [0u8; ARRAY_COLS];
-        for (c, p) in prev.iter_mut().enumerate() {
-            *p = px[self.north[c]];
-        }
-        let mut out = 0u8;
-        for r in 0..=self.out_row {
-            let mut w_in = px[self.west[r]];
-            for (c, p) in prev.iter_mut().enumerate() {
                 let idx = r * ARRAY_COLS + c;
                 let correct = self.fns[idx].apply(w_in, *p);
                 let v = match self.faults[idx] {
@@ -237,151 +212,85 @@ impl CompiledArray {
         out
     }
 
-    /// Evaluates a block of at most [`BLOCK`](Self::BLOCK) windows with the
-    /// per-PE opcode dispatch hoisted out of the pixel loop: each opcode is
-    /// matched once and applied across the whole lane buffer, which the
-    /// compiler turns into `u8` SIMD.
-    fn evaluate_block_clean(&self, windows: &[Window3x3], out: &mut [u8]) {
-        let len = windows.len();
-        debug_assert!(len <= Self::BLOCK);
-        debug_assert_eq!(out.len(), len);
-        // `north[c]` holds the north inputs of the current row for every
-        // window of the block: the selected window pixels before row 0, the
-        // row's own outputs afterwards.
-        let mut north = [[0u8; Self::BLOCK]; ARRAY_COLS];
-        for (c, lanes) in north.iter_mut().enumerate() {
-            let sel = self.north[c];
-            for (lane, w) in lanes.iter_mut().zip(windows) {
-                *lane = w.0[sel];
-            }
-        }
-        let mut west = [0u8; Self::BLOCK];
-        for r in 0..=self.out_row {
-            let sel = self.west[r];
-            for (lane, w) in west.iter_mut().zip(windows) {
-                *lane = w.0[sel];
-            }
-            for (c, lanes) in north.iter_mut().enumerate() {
-                apply_lanes(
-                    self.fns[r * ARRAY_COLS + c],
-                    &mut west[..len],
-                    &lanes[..len],
-                );
-                lanes[..len].copy_from_slice(&west[..len]);
-            }
-        }
-        out.copy_from_slice(&west[..len]);
-    }
-
-    /// Evaluates every window of `windows` into `out` (same length), using
-    /// the lane-parallel block path for fault-free plans and the scalar
-    /// overlay path otherwise.  Bit-identical to calling
-    /// [`evaluate_window`](Self::evaluate_window) per element.
-    pub fn evaluate_windows_into(&self, windows: &[Window3x3], out: &mut [u8]) {
-        assert_eq!(windows.len(), out.len(), "window/output length mismatch");
-        if self.has_faults {
-            for (o, w) in out.iter_mut().zip(windows) {
-                *o = self.evaluate_faulty(w);
-            }
-        } else {
-            for (wc, oc) in windows.chunks(Self::BLOCK).zip(out.chunks_mut(Self::BLOCK)) {
-                self.evaluate_block_clean(wc, oc);
-            }
-        }
-    }
-
-    /// [`evaluate_block_clean`](Self::evaluate_block_clean) reading the SoA
-    /// plane layout: each lane buffer is filled with one contiguous `memcpy`
-    /// from the selected plane instead of a stride-9 gather across AoS
-    /// windows.  Evaluates windows `start..start + out.len()`.
-    fn evaluate_block_clean_planes(&self, planes: &WindowPlanes, start: usize, out: &mut [u8]) {
+    /// Evaluates one block of at most [`BLOCK`](Self::BLOCK) windows into
+    /// `out` with the per-PE dispatch hoisted out of the pixel loop: each
+    /// opcode, and each fault behaviour, is matched once and applied across
+    /// the whole lane buffer, which the compiler turns into `u8` SIMD.
+    /// `load(sel, lanes)` fills `lanes` with window pixel `sel` of every
+    /// window of the block; it is the only thing that differs between the
+    /// AoS and SoA window layouts.
+    #[inline(always)]
+    fn evaluate_block(&self, out: &mut [u8], load: impl Fn(usize, &mut [u8])) {
         let len = out.len();
         debug_assert!(len <= Self::BLOCK);
+        // `north[c]` holds column `c`'s north inputs for every window of the
+        // block: the selected window pixels before row 0, the previous row's
+        // outputs afterwards.  Each PE overwrites its column's lanes with its
+        // own outputs, which are both the next row's north inputs and, within
+        // the row, the west inputs of the PE to its east — so no lanes are
+        // ever copied between PEs.
         let mut north = [[0u8; Self::BLOCK]; ARRAY_COLS];
         for (c, lanes) in north.iter_mut().enumerate() {
-            lanes[..len].copy_from_slice(&planes.plane(self.north[c])[start..start + len]);
+            load(self.north[c], &mut lanes[..len]);
         }
         let mut west = [0u8; Self::BLOCK];
         for r in 0..=self.out_row {
-            west[..len].copy_from_slice(&planes.plane(self.west[r])[start..start + len]);
-            for (c, lanes) in north.iter_mut().enumerate() {
-                apply_lanes(
-                    self.fns[r * ARRAY_COLS + c],
-                    &mut west[..len],
-                    &lanes[..len],
-                );
-                lanes[..len].copy_from_slice(&west[..len]);
+            load(self.west[r], &mut west[..len]);
+            for c in 0..ARRAY_COLS {
+                let (done, rest) = north.split_at_mut(c);
+                let w = match done.last() {
+                    Some(lanes) => &lanes[..len],
+                    None => &west[..len],
+                };
+                let n = &mut rest[0][..len];
+                let idx = r * ARRAY_COLS + c;
+                match self.faults[idx] {
+                    None => apply_lanes(self.fns[idx], w, n),
+                    Some(fault) => apply_faulty_lanes(self.fns[idx], fault, w, n),
+                }
             }
         }
-        out.copy_from_slice(&west[..len]);
+        out.copy_from_slice(&north[ARRAY_COLS - 1][..len]);
     }
 
-    /// Scalar overlay path reading the SoA plane layout.  Only the (at most
-    /// eight) selected planes are touched, each at consecutive raster
-    /// indices across windows — sequential reads rather than the stride-9
-    /// AoS walk.  Bit-identical to [`evaluate_window`](Self::evaluate_window)
-    /// on the gathered window.
-    fn evaluate_faulty_planes(&self, planes: &WindowPlanes, i: usize) -> u8 {
-        let mut prev = [0u8; ARRAY_COLS];
-        for (c, p) in prev.iter_mut().enumerate() {
-            *p = planes.plane(self.north[c])[i];
+    /// Evaluates every window of `windows` into `out` (same length) through
+    /// the lane-parallel block path, fault overlay included.  Bit-identical
+    /// to calling [`evaluate_window`](Self::evaluate_window) per element.
+    pub fn evaluate_windows_into(&self, windows: &[Window3x3], out: &mut [u8]) {
+        assert_eq!(windows.len(), out.len(), "window/output length mismatch");
+        for (wc, oc) in windows.chunks(Self::BLOCK).zip(out.chunks_mut(Self::BLOCK)) {
+            self.evaluate_block(oc, |sel, lanes| {
+                for (lane, w) in lanes.iter_mut().zip(wc) {
+                    *lane = w.0[sel];
+                }
+            });
         }
-        let mut out = 0u8;
-        for r in 0..=self.out_row {
-            let mut w_in = planes.plane(self.west[r])[i];
-            for (c, p) in prev.iter_mut().enumerate() {
-                let idx = r * ARRAY_COLS + c;
-                let correct = self.fns[idx].apply(w_in, *p);
-                let v = match self.faults[idx] {
-                    Some(fault) => fault.corrupt(correct, w_in, *p),
-                    None => correct,
-                };
-                *p = v;
-                w_in = v;
-            }
-            out = w_in;
-        }
-        out
     }
 
     /// Evaluates the windows `start..start + out.len()` of the SoA plane
     /// layout into `out` — the plane-layout counterpart of
     /// [`evaluate_windows_into`](Self::evaluate_windows_into), bit-identical
     /// to gathering each window and calling
-    /// [`evaluate_window`](Self::evaluate_window).
+    /// [`evaluate_window`](Self::evaluate_window).  Each lane buffer is
+    /// filled with one contiguous copy from the selected plane instead of a
+    /// stride-9 gather across AoS windows.
     pub fn evaluate_planes_into(&self, planes: &WindowPlanes, start: usize, out: &mut [u8]) {
         assert!(
             start + out.len() <= planes.len(),
             "plane range out of bounds"
         );
-        if self.has_faults {
-            for (k, o) in out.iter_mut().enumerate() {
-                *o = self.evaluate_faulty_planes(planes, start + k);
-            }
-        } else {
-            let mut offset = 0;
-            let len = out.len();
-            while offset < len {
-                let chunk = (len - offset).min(Self::BLOCK);
-                self.evaluate_block_clean_planes(
-                    planes,
-                    start + offset,
-                    &mut out[offset..offset + chunk],
-                );
-                offset += chunk;
-            }
+        for (k, oc) in out.chunks_mut(Self::BLOCK).enumerate() {
+            let base = start + k * Self::BLOCK;
+            self.evaluate_block(oc, |sel, lanes| {
+                lanes.copy_from_slice(&planes.plane(sel)[base..base + lanes.len()]);
+            });
         }
     }
 
-    /// Filters a whole image through the plan (streaming window extraction
-    /// followed by the block evaluation path).
+    /// Filters a whole image through the plan: windows are extracted one
+    /// row at a time and pushed through the block path, so evaluation is
+    /// lane-parallel without materialising the whole window set.
     pub fn filter_image(&self, img: &GrayImage) -> GrayImage {
-        if self.has_faults {
-            return map_windows(img, |w| self.evaluate_faulty(w));
-        }
-        // Extract one row of windows at a time and push it through the block
-        // path: lane-parallel evaluation without materialising the whole
-        // window set.
         let width = img.width();
         let mut row_windows: Vec<Window3x3> = Vec::with_capacity(width);
         let mut data = vec![0u8; img.len()];
@@ -396,78 +305,105 @@ impl CompiledArray {
     }
 }
 
-/// Applies one PE opcode across a block of lanes: `w[k] = f(w[k], n[k])`.
-/// The single dispatch per block (instead of per pixel) is what lets the
-/// compiler vectorise the arithmetic.
-fn apply_lanes(f: PeFunction, w: &mut [u8], n: &[u8]) {
+/// Applies one PE opcode across a block of lanes, writing each result over
+/// the north input: `n[k] = f(w[k], n[k])`.  The single dispatch per block
+/// (instead of per pixel) is what lets the compiler vectorise the
+/// arithmetic.
+fn apply_lanes(f: PeFunction, w: &[u8], n: &mut [u8]) {
     debug_assert_eq!(w.len(), n.len());
     match f {
-        PeFunction::IdentityW => {}
-        PeFunction::IdentityN => w.copy_from_slice(n),
-        PeFunction::ConstMax => w.fill(255),
+        PeFunction::IdentityW => n.copy_from_slice(w),
+        PeFunction::IdentityN => {}
+        PeFunction::ConstMax => n.fill(255),
         PeFunction::InvertW => {
-            for x in w.iter_mut() {
-                *x = 255 - *x;
+            for (y, &x) in n.iter_mut().zip(w) {
+                *y = 255 - x;
             }
         }
         PeFunction::Or => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x |= y;
+            for (y, &x) in n.iter_mut().zip(w) {
+                *y |= x;
             }
         }
         PeFunction::And => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x &= y;
+            for (y, &x) in n.iter_mut().zip(w) {
+                *y &= x;
             }
         }
         PeFunction::Xor => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x ^= y;
+            for (y, &x) in n.iter_mut().zip(w) {
+                *y ^= x;
             }
         }
         PeFunction::ShiftRightW => {
-            for x in w.iter_mut() {
-                *x >>= 1;
+            for (y, &x) in n.iter_mut().zip(w) {
+                *y = x >> 1;
             }
         }
         PeFunction::AddSat => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x = x.saturating_add(y);
+            for (y, &x) in n.iter_mut().zip(w) {
+                *y = x.saturating_add(*y);
             }
         }
         PeFunction::SubSatWN => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x = x.saturating_sub(y);
+            for (y, &x) in n.iter_mut().zip(w) {
+                *y = x.saturating_sub(*y);
             }
         }
         PeFunction::SubSatNW => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x = y.saturating_sub(*x);
+            for (y, &x) in n.iter_mut().zip(w) {
+                *y = y.saturating_sub(x);
             }
         }
         PeFunction::AbsDiff => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x = x.abs_diff(y);
+            for (y, &x) in n.iter_mut().zip(w) {
+                *y = x.abs_diff(*y);
             }
         }
         PeFunction::Average => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x = ((*x as u16 + y as u16) / 2) as u8;
+            for (y, &x) in n.iter_mut().zip(w) {
+                *y = ((x as u16 + *y as u16) / 2) as u8;
             }
         }
         PeFunction::Max => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x = (*x).max(y);
+            for (y, &x) in n.iter_mut().zip(w) {
+                *y = x.max(*y);
             }
         }
         PeFunction::Min => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x = (*x).min(y);
+            for (y, &x) in n.iter_mut().zip(w) {
+                *y = x.min(*y);
             }
         }
         PeFunction::ShiftRightN => {
-            for (x, &y) in w.iter_mut().zip(n) {
-                *x = y >> 1;
+            for y in n.iter_mut() {
+                *y >>= 1;
+            }
+        }
+    }
+}
+
+/// Applies a faulty PE across a block of lanes:
+/// `n[k] = fault.corrupt(f(w[k], n[k]), w[k], n[k])`, with the behaviour
+/// matched once per block like the opcode in [`apply_lanes`].
+fn apply_faulty_lanes(f: PeFunction, fault: FaultBehaviour, w: &[u8], n: &mut [u8]) {
+    match fault {
+        FaultBehaviour::StuckAt { value } => n.fill(value),
+        FaultBehaviour::InvertedOutput => {
+            apply_lanes(f, w, n);
+            for y in n.iter_mut() {
+                *y = !*y;
+            }
+        }
+        FaultBehaviour::RandomOutput { .. } => {
+            // The hash reads the PE's north input, which the correct
+            // values overwrite, so keep a copy of it.
+            let mut n_in = [0u8; CompiledArray::BLOCK];
+            let n_in = &mut n_in[..n.len()];
+            n_in.copy_from_slice(n);
+            apply_lanes(f, w, n);
+            for ((y, &x), &ni) in n.iter_mut().zip(w).zip(n_in.iter()) {
+                *y = fault.corrupt(*y, x, ni);
             }
         }
     }

@@ -41,6 +41,7 @@ use ehw_array::compiled::CompiledArray;
 use ehw_array::genotype::Genotype;
 use ehw_array::pe::FaultBehaviour;
 use ehw_image::image::GrayImage;
+use ehw_image::metrics::sad;
 use ehw_image::window::SharedWindows;
 use ehw_parallel::ParallelConfig;
 
@@ -142,8 +143,9 @@ pub fn plan_mae(plan: &CompiledArray, windows: &SharedWindows, reference: &GrayI
 }
 
 /// [`plan_mae`] with an early-exit bound: the windows are evaluated in
-/// lane-parallel blocks and accumulation stops at the first block boundary
-/// where the running sum exceeds `bound`.  Returns the sum and whether the
+/// lane-parallel blocks, each block's absolute differences are summed with
+/// [`sad`], and accumulation stops at the first block boundary where the
+/// running sum exceeds `bound`.  Returns the sum and whether the
 /// evaluation exited early; the sum is the exact MAE iff it is `<= bound`
 /// (equivalently, iff the exit flag is `false`), and is a deterministic
 /// partial sum otherwise.
@@ -165,11 +167,7 @@ pub fn plan_mae_bounded(
         let out = &mut buf[..rchunk.len()];
         plan.evaluate_planes_into(planes, start, out);
         start += rchunk.len();
-        sum += out
-            .iter()
-            .zip(rchunk)
-            .map(|(&o, &r)| o.abs_diff(r) as u64)
-            .sum::<u64>();
+        sum += sad(out, rchunk);
         if let Some(bound) = bound {
             if sum > bound {
                 return (sum, true);
@@ -221,11 +219,7 @@ pub fn plan_image_mae_bounded(
             row_windows.push(*w);
         });
         plan.evaluate_windows_into(&row_windows, &mut buf);
-        sum += buf
-            .iter()
-            .zip(reference.row(y))
-            .map(|(&o, &r)| o.abs_diff(r) as u64)
-            .sum::<u64>();
+        sum += sad(&buf, reference.row(y));
         if let Some(bound) = bound {
             if sum > bound {
                 return (sum, true);

@@ -19,10 +19,32 @@ use crate::image::GrayImage;
 pub fn mae(a: &GrayImage, b: &GrayImage) -> u64 {
     assert_eq!(a.width(), b.width(), "width mismatch");
     assert_eq!(a.height(), b.height(), "height mismatch");
-    a.as_slice()
-        .iter()
-        .zip(b.as_slice().iter())
-        .map(|(&x, &y)| (x as i32 - y as i32).unsigned_abs() as u64)
+    sad(a.as_slice(), b.as_slice())
+}
+
+/// Bytes per `u16` run of [`sad`]: 256 × 255 = 65,280 ≤ `u16::MAX`.
+const SAD_RUN: usize = 256;
+
+/// Sum of absolute differences `Σ |a[i] − b[i]|` of two byte slices — the
+/// fitness unit's accumulator, shared by [`mae`] and the plan fitness paths.
+///
+/// Each run of at most 256 bytes is summed in `u16`, which cannot overflow
+/// (256 × 255 = 65,280), so the compiler keeps 8–16 lanes per SIMD register
+/// instead of the 2 a `u64` accumulator allows.  Each run's subtotal feeds a
+/// running `u64`, so the result equals the plain `u64` sum.
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+pub fn sad(a: &[u8], b: &[u8]) -> u64 {
+    assert_eq!(a.len(), b.len(), "length mismatch");
+    a.chunks(SAD_RUN)
+        .zip(b.chunks(SAD_RUN))
+        .map(|(x, y)| {
+            x.iter()
+                .zip(y)
+                .map(|(&p, &q)| u16::from(p.abs_diff(q)))
+                .sum::<u16>() as u64
+        })
         .sum()
 }
 
@@ -108,6 +130,24 @@ mod tests {
         let b = GrayImage::from_fn(8, 8, |_, y| (y * 20) as u8);
         let c = GrayImage::new(8, 8, 100);
         assert!(mae(&a, &c) <= mae(&a, &b) + mae(&b, &c));
+    }
+
+    #[test]
+    fn sad_of_extreme_slices_matches_a_u64_reference() {
+        // All-0 against all-255 is the worst case for the `u16` runs: a run
+        // longer than 257 bytes would overflow and this would fail.
+        for len in [0usize, 1, 255, 256, 257, 65_537] {
+            let zeros = vec![0u8; len];
+            let full = vec![255u8; len];
+            let reference: u64 = zeros
+                .iter()
+                .zip(&full)
+                .map(|(&x, &y)| u64::from(x.abs_diff(y)))
+                .sum();
+            assert_eq!(sad(&zeros, &full), reference, "len {len}");
+            assert_eq!(sad(&full, &zeros), reference, "len {len}");
+            assert_eq!(reference, 255 * len as u64);
+        }
     }
 
     #[test]

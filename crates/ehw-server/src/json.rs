@@ -222,11 +222,20 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses one JSON document; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts.  The parser recurses
+/// once per level, so without a cap a body of a few hundred thousand `[`
+/// would overflow the stack and abort the process; past the cap the
+/// document is rejected with a [`ParseError`] instead.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document; trailing non-whitespace is an error, and so is
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -238,8 +247,11 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -280,8 +292,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -290,6 +302,21 @@ impl<'a> Parser<'a> {
             Some(other) => Err(self.error(format!("unexpected byte 0x{other:02x}"))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -398,13 +425,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash.
+                    // Both are ASCII, so the run ends on a char boundary of
+                    // the (valid UTF-8) input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -512,6 +541,31 @@ mod tests {
         assert_eq!(parse("\"\\u0041\"").unwrap().as_str(), Some("A"));
         assert_eq!(parse("\"\\ud83d\\ude00\"").unwrap().as_str(), Some("😀"));
         assert!(parse("\"\\ud83d\"").is_err(), "lone surrogate rejected");
+    }
+
+    #[test]
+    fn a_megabyte_multibyte_string_with_escapes_round_trips() {
+        let unit = "grün ✓ 😀 \"q\" back\\slash\n\t";
+        let original = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(original.len() >= 1 << 20);
+        let encoded = strv(original.as_str()).to_json();
+        assert_eq!(parse(&encoded).unwrap().as_str(), Some(original.as_str()));
+    }
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_rejected() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).expect_err("too deep");
+        assert!(err.message.contains("nesting"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        // Far past the cap the parser answers instead of overflowing.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -370,6 +370,24 @@ fn malformed_requests_get_400s_not_crashes() {
 }
 
 #[test]
+fn deeply_nested_bodies_get_a_400_and_the_server_keeps_serving() {
+    let server = start_server(1);
+    let addr = server.local_addr();
+
+    // Far past the parser's depth cap: before the cap this overflowed the
+    // connection thread's stack and aborted the whole process.
+    let body = "[".repeat(200_000);
+    let response = request(addr, "POST", "/jobs", Some(&body));
+    assert_eq!(response.status, 400);
+    let error = response.json();
+    let message = error.get("error").and_then(Value::as_str).unwrap();
+    assert!(message.contains("nesting"), "{message}");
+
+    // A fresh connection still gets answered.
+    assert_eq!(get(addr, "/metrics").status, 200);
+}
+
+#[test]
 fn oversized_bodies_get_413() {
     let server = start_server(1);
     let addr = server.local_addr();

@@ -54,10 +54,51 @@ fn arb_overlay() -> impl Strategy<Value = BTreeMap<(usize, usize), FaultBehaviou
 
 /// Strategy generating a small grayscale image with arbitrary content.
 fn arb_image() -> impl Strategy<Value = GrayImage> {
-    (3usize..20, 3usize..20).prop_flat_map(|(w, h)| {
+    arb_image_sized(3..20, 3..20)
+}
+
+/// Strategy generating an image with arbitrary content whose width and
+/// height are drawn from the given ranges.
+fn arb_image_sized(
+    width: std::ops::Range<usize>,
+    height: std::ops::Range<usize>,
+) -> impl Strategy<Value = GrayImage> {
+    (width, height).prop_flat_map(|(w, h)| {
         proptest::collection::vec(any::<u8>(), w * h)
             .prop_map(move |data| GrayImage::from_vec(w, h, data))
     })
+}
+
+/// Strategy generating a fault overlay that, besides up to six arbitrary
+/// faults, may damage the output PE and may damage a PE below the output
+/// row (which can never reach the output), so the lane kernel's handling of
+/// both positions is exercised.
+fn arb_genotype_and_faulty_overlay(
+) -> impl Strategy<Value = (Genotype, BTreeMap<(usize, usize), FaultBehaviour>)> {
+    (
+        arb_genotype(),
+        arb_overlay(),
+        (any::<bool>(), arb_fault()),
+        (
+            any::<bool>(),
+            0usize..ARRAY_ROWS,
+            0usize..ARRAY_COLS,
+            arb_fault(),
+        ),
+    )
+        .prop_map(
+            |(g, mut overlay, (on_output, output_fault), (below, dr, col, fault))| {
+                let out_row = g.output_gene as usize % ARRAY_ROWS;
+                if on_output {
+                    overlay.insert((out_row, ARRAY_COLS - 1), output_fault);
+                }
+                let row = out_row + 1 + dr;
+                if below && row < ARRAY_ROWS {
+                    overlay.insert((row, col), fault);
+                }
+                (g, overlay)
+            },
+        )
 }
 
 fn compile(g: &Genotype, overlay: &BTreeMap<(usize, usize), FaultBehaviour>) -> CompiledArray {
@@ -151,6 +192,31 @@ proptest! {
         prop_assert_eq!(from_aos, from_planes);
     }
 
+    #[test]
+    fn block_ranges_crossing_block_edges_match_interpreter(
+        circuit in arb_genotype_and_faulty_overlay(),
+        img in arb_image_sized(24..40, 12..20),
+        start in 0usize..150,
+        len in 1usize..131,
+    ) {
+        // Ranges start anywhere and run up to two block edges past it, so
+        // the lane kernel sees full blocks, ragged heads and ragged tails;
+        // the image has at least 288 windows, so every range fits.
+        let (g, overlay) = circuit;
+        let plan = compile(&g, &overlay);
+        let windows = SharedWindows::new(&img);
+        let expected: Vec<u8> = (start..start + len)
+            .map(|k| interpret_window(&g, &overlay, &windows.window(k)))
+            .collect();
+        let mut from_planes = vec![0u8; len];
+        plan.evaluate_planes_into(windows.planes(), start, &mut from_planes);
+        prop_assert_eq!(&from_planes, &expected);
+        let aos: Vec<Window3x3> = (start..start + len).map(|k| windows.window(k)).collect();
+        let mut from_aos = vec![0u8; len];
+        plan.evaluate_windows_into(&aos, &mut from_aos);
+        prop_assert_eq!(&from_aos, &expected);
+    }
+
     // ------------------------------------------------------------------
     // Patched plans == fresh compiles
     // ------------------------------------------------------------------
@@ -239,6 +305,35 @@ proptest! {
             prop_assert!(bounded > bound, "early exit must report above the bound");
             prop_assert!(bounded <= exact, "partial sum cannot exceed the exact MAE");
         }
+    }
+
+    #[test]
+    fn early_exit_sum_is_the_naive_prefix_at_the_exit_block(
+        circuit in arb_genotype_and_faulty_overlay(),
+        input in arb_image_sized(3..40, 3..30),
+        bound in 0u64..40_000,
+    ) {
+        // The early-exit contract pinned exactly: accumulation stops at the
+        // first block of `CompiledArray::BLOCK` windows after which the
+        // running sum exceeds the bound, and reports that running sum.
+        let (g, overlay) = circuit;
+        let plan = compile(&g, &overlay);
+        let windows = SharedWindows::new(&input);
+        let reference = GrayImage::new(input.width(), input.height(), 128);
+        let output = interpret_filter_image(&g, &overlay, &input);
+        let mut expected = (0u64, false);
+        for (o, r) in output
+            .as_slice()
+            .chunks(CompiledArray::BLOCK)
+            .zip(reference.as_slice().chunks(CompiledArray::BLOCK))
+        {
+            expected.0 += o.iter().zip(r).map(|(&a, &b)| u64::from(a.abs_diff(b))).sum::<u64>();
+            if expected.0 > bound {
+                expected.1 = true;
+                break;
+            }
+        }
+        prop_assert_eq!(plan_mae_bounded(&plan, &windows, &reference, Some(bound)), expected);
     }
 
     // ------------------------------------------------------------------

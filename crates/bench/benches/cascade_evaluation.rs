@@ -10,22 +10,25 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ehw_parallel::ParallelConfig;
-use ehw_platform::evo_modes::{evolve_cascade, CascadeConfig, CascadeEngine};
+use ehw_platform::evo_modes::CascadeEngine;
+use ehw_platform::jobs::{execute, JobSpec};
 use ehw_platform::modes::{CascadeFitness, CascadeSchedule};
 use ehw_platform::platform::EhwPlatform;
 use std::hint::black_box;
 
 fn run(engine: CascadeEngine, fitness: CascadeFitness, schedule: CascadeSchedule) -> u64 {
     let task = ehw_bench::denoise_task(48, 0.4, 11);
-    let config = CascadeConfig {
-        engine,
-        fitness,
-        schedule,
-        ..CascadeConfig::paper(5, 2, 77)
-    };
+    let spec = JobSpec::cascade(task.input, task.reference)
+        .stages(3)
+        .generations(5)
+        .engine(engine)
+        .fitness(fitness)
+        .schedule(schedule)
+        .build()
+        .expect("valid cascade spec");
     let mut platform = EhwPlatform::with_parallel(3, ParallelConfig::serial());
-    let result = evolve_cascade(&mut platform, &task, &config);
-    result.final_fitness().expect("three stages")
+    let job = execute(&mut platform, &spec, 77);
+    job.final_fitness().expect("three stages")
 }
 
 fn bench_cascade_evolution(c: &mut Criterion) {

@@ -11,8 +11,7 @@ use ehw_evolution::strategy::{run_evolution, EsConfig, NullObserver};
 use ehw_image::noise::salt_pepper;
 use ehw_image::synth;
 use ehw_parallel::ParallelConfig;
-use ehw_platform::evo_modes::EvolutionTask;
-use ehw_platform::fault_campaign::systematic_fault_campaign_with;
+use ehw_platform::jobs::{execute, JobSpec};
 use ehw_platform::platform::EhwPlatform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,21 +64,16 @@ fn bench_fault_campaign_scaling(c: &mut Criterion) {
     let clean = synth::shapes(16, 16, 2);
     let mut rng = StdRng::seed_from_u64(5);
     let noisy = salt_pepper(&clean, 0.2, &mut rng);
-    let task = EvolutionTask::new(noisy, clean);
-    let baseline = Genotype::identity();
-    let recovery = EsConfig::paper(1, 1, 2, 7);
+    let spec = JobSpec::fault_campaign(noisy, clean)
+        .recovery_mutation_rate(1)
+        .recovery_generations(2)
+        .build()
+        .expect("valid campaign spec");
     for workers in WORKER_COUNTS {
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
             b.iter(|| {
-                let mut platform = EhwPlatform::new(1);
-                black_box(systematic_fault_campaign_with(
-                    &mut platform,
-                    &baseline,
-                    &task,
-                    &recovery,
-                    &[0],
-                    ParallelConfig::with_workers(w),
-                ))
+                let mut platform = EhwPlatform::with_parallel(1, ParallelConfig::with_workers(w));
+                black_box(execute(&mut platform, &spec, 7))
             })
         });
     }

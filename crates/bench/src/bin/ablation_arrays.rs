@@ -12,8 +12,7 @@
 //! ```
 
 use ehw_bench::{arg_usize, banner, denoise_task, fmt_time, print_table, ExperimentArgs};
-use ehw_evolution::strategy::EsConfig;
-use ehw_platform::evo_modes::evolve_parallel;
+use ehw_platform::jobs::{execute, JobSpec};
 use ehw_platform::platform::EhwPlatform;
 use ehw_platform::resources::PlatformResources;
 
@@ -33,8 +32,13 @@ fn main() {
     for arrays in 1..=max_arrays {
         let task = denoise_task(size, 0.4, 12000);
         let mut platform = EhwPlatform::with_parallel(arrays, parallel);
-        let config = EsConfig::paper(3, arrays, generations, 5);
-        let (_, time) = evolve_parallel(&mut platform, &task, &config);
+        let spec = JobSpec::evolution(task.input, task.reference)
+            .num_arrays(arrays)
+            .generations(generations)
+            .build()
+            .expect("valid evolution spec");
+        let job = execute(&mut platform, &spec, 5);
+        let (_, time) = job.as_evolution().expect("evolution job");
         let per_gen = time.per_generation_s();
         let baseline_per_gen = *baseline.get_or_insert(per_gen);
         let resources = PlatformResources::for_arrays(arrays);

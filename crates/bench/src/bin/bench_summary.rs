@@ -46,10 +46,9 @@ use ehw_image::filters::ReferenceFilter;
 use ehw_image::metrics::mae;
 use ehw_image::window::{map_windows, SharedWindows, Window3x3, WindowPlanes};
 use ehw_parallel::ParallelConfig;
-use ehw_platform::evo_modes::{evolve_cascade, CascadeConfig, CascadeEngine};
-use ehw_platform::fault_campaign::{
-    scenario_fault_campaign_with, systematic_fault_campaign_with, CampaignReport,
-};
+use ehw_platform::evo_modes::CascadeEngine;
+use ehw_platform::fault_campaign::{run_campaign, CampaignReport};
+use ehw_platform::jobs::{execute, JobControl};
 use ehw_platform::platform::EhwPlatform;
 use ehw_platform::scenario::ScenarioRegistry;
 use ehw_platform::self_healing::RecoveryPolicy;
@@ -319,20 +318,21 @@ fn main() {
     let cascade_generations = ehw_bench::arg_usize("cascade-generations", 60);
     let cascade_reps = ehw_bench::arg_usize("cascade-reps", 3).max(1);
     let cascade_task = ehw_bench::denoise_task(cascade_size, 0.4, 9);
-    let cascade_config = CascadeConfig::paper(cascade_generations, 2, 4242);
     let run_cascade = |engine: CascadeEngine| {
-        let config = CascadeConfig {
-            engine,
-            ..cascade_config
-        };
+        let spec = JobSpec::cascade(cascade_task.input.clone(), cascade_task.reference.clone())
+            .stages(3)
+            .generations(cascade_generations)
+            .engine(engine)
+            .build()
+            .expect("valid cascade spec");
         let mut best_s = f64::INFINITY;
         let mut result = None;
         for _ in 0..cascade_reps {
             let mut platform = EhwPlatform::with_parallel(3, ParallelConfig::serial());
             let start = Instant::now();
-            let r = evolve_cascade(&mut platform, &cascade_task, &config);
+            let job = execute(&mut platform, &spec, 4242);
             best_s = best_s.min(start.elapsed().as_secs_f64().max(1e-9));
-            result = Some(r);
+            result = Some(job.as_cascade().expect("cascade job").clone());
         }
         (best_s, result.expect("at least one cascade rep"))
     };
@@ -527,10 +527,11 @@ fn main() {
     // Two figures for the declarative fault-scenario layer.  (1) Compile
     // cost: turning every builtin scenario into its injection schedule,
     // ns/event — pure data work, should stay far below any campaign cost.
-    // (2) Campaign overhead: the historical systematic sweep vs the same
-    // sweep expressed as SingleSweep + the default recovery ladder through
-    // the generalised event executor, byte-identity gated; the ratio is the
-    // price of the abstraction (should hold ~1.0).
+    // (2) Campaign overhead: the systematic sweep as the job path runs a
+    // campaign spec that names no scenario or policy (the "legacy" side) vs
+    // the same sweep spelled out as SingleSweep + the default recovery
+    // ladder and handed straight to `run_campaign`, byte-identity gated; the
+    // ratio is the price of the job envelope (should hold ~1.0).
     let resilience_size = ehw_bench::arg_usize("resilience-size", 32);
     let resilience_task = ehw_bench::denoise_task(resilience_size, 0.4, 55);
     let registry = ScenarioRegistry::builtin();
@@ -550,11 +551,17 @@ fn main() {
         let ns = start.elapsed().as_nanos() as f64 / (schedule_rounds * events) as f64;
         (events, ns)
     };
-    let campaign_baseline = {
+    let campaign = JobSpec::fault_campaign(
+        resilience_task.input.clone(),
+        resilience_task.reference.clone(),
+    )
+    .baseline({
         let mut rng = StdRng::seed_from_u64(77);
         Genotype::random(&mut rng)
-    };
-    let campaign_recovery = EsConfig::paper(1, 1, 2, 77);
+    })
+    .arrays(vec![0, 1])
+    .recovery_mutation_rate(1)
+    .recovery_generations(2);
     let time_campaign = |run: &mut dyn FnMut() -> CampaignReport| -> (f64, CampaignReport) {
         let _ = run(); // warm-up
         let start = Instant::now();
@@ -562,30 +569,24 @@ fn main() {
         let elapsed = start.elapsed().as_secs_f64().max(1e-9);
         (report.total_evaluations() as f64 / elapsed, report)
     };
+    let legacy_spec = campaign.clone().build().expect("valid campaign spec");
     let (legacy_campaign_eps, legacy_report) = time_campaign(&mut || {
-        let mut platform = EhwPlatform::new(2);
-        systematic_fault_campaign_with(
-            &mut platform,
-            &campaign_baseline,
-            &resilience_task,
-            &campaign_recovery,
-            &[0, 1],
-            ParallelConfig::serial(),
-        )
+        let mut platform = EhwPlatform::with_parallel(2, ParallelConfig::serial());
+        let job = execute(&mut platform, &legacy_spec, 77);
+        job.as_campaign().expect("campaign job").clone()
     });
     let single_sweep = registry.scenario("single_sweep").expect("builtin").clone();
+    let JobSpec::FaultCampaign(scenario_spec) = campaign
+        .scenario(single_sweep)
+        .policy(RecoveryPolicy::default_ladder())
+        .build()
+        .expect("valid campaign spec")
+    else {
+        unreachable!("the campaign builder builds campaign specs")
+    };
     let (scenario_campaign_eps, scenario_report) = time_campaign(&mut || {
-        let mut platform = EhwPlatform::new(2);
-        scenario_fault_campaign_with(
-            &mut platform,
-            &campaign_baseline,
-            &resilience_task,
-            &campaign_recovery,
-            &[0, 1],
-            &single_sweep,
-            &RecoveryPolicy::default_ladder(),
-            ParallelConfig::serial(),
-        )
+        let mut platform = EhwPlatform::with_parallel(2, ParallelConfig::serial());
+        run_campaign(&mut platform, &scenario_spec, 77, &JobControl::new())
     });
     // Byte-identity gate: the scenario layer must reproduce the historical
     // campaign exactly before its overhead number means anything.

@@ -11,8 +11,7 @@
 
 use ehw_bench::{banner, denoise_task, fmt_time, print_table, ExperimentArgs};
 use ehw_evolution::stats::Summary;
-use ehw_evolution::strategy::EsConfig;
-use ehw_platform::evo_modes::evolve_parallel;
+use ehw_platform::jobs::{execute, JobSpec};
 use ehw_platform::platform::EhwPlatform;
 
 fn main() {
@@ -35,8 +34,14 @@ fn main() {
             for run in 0..runs {
                 let task = denoise_task(size, 0.4, 2000 + run as u64);
                 let mut platform = EhwPlatform::with_parallel(arrays, parallel);
-                let config = EsConfig::paper(k, arrays, generations, 7 + run as u64);
-                let (_, time) = evolve_parallel(&mut platform, &task, &config);
+                let spec = JobSpec::evolution(task.input, task.reference)
+                    .mutation_rate(k)
+                    .num_arrays(arrays)
+                    .generations(generations)
+                    .build()
+                    .expect("valid evolution spec");
+                let job = execute(&mut platform, &spec, 7 + run as u64);
+                let (_, time) = job.as_evolution().expect("evolution job");
                 per_gen.push(time.per_generation_s());
             }
             means.push(Summary::of(&per_gen).mean);

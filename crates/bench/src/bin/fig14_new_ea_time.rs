@@ -13,8 +13,8 @@
 
 use ehw_bench::{banner, denoise_task, fmt_time, print_table, ExperimentArgs};
 use ehw_evolution::stats::Summary;
-use ehw_evolution::strategy::{EsConfig, MutationStrategy};
-use ehw_platform::evo_modes::evolve_parallel;
+use ehw_evolution::strategy::MutationStrategy;
+use ehw_platform::jobs::{execute, JobSpec};
 use ehw_platform::platform::EhwPlatform;
 
 fn main() {
@@ -36,11 +36,15 @@ fn main() {
             for run in 0..runs {
                 let task = denoise_task(size, 0.4, 3000 + run as u64);
                 let mut platform = EhwPlatform::with_parallel(3, parallel);
-                let config = EsConfig {
-                    strategy,
-                    ..EsConfig::paper(k, 3, generations, 11 + run as u64)
-                };
-                let (_, time) = evolve_parallel(&mut platform, &task, &config);
+                let spec = JobSpec::evolution(task.input, task.reference)
+                    .mutation_rate(k)
+                    .num_arrays(3)
+                    .generations(generations)
+                    .strategy(strategy)
+                    .build()
+                    .expect("valid evolution spec");
+                let job = execute(&mut platform, &spec, 11 + run as u64);
+                let (_, time) = job.as_evolution().expect("evolution job");
                 per_gen.push(time.per_generation_s());
             }
             means.push(Summary::of(&per_gen).mean);

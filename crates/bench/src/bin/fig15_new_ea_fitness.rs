@@ -10,8 +10,8 @@
 
 use ehw_bench::{banner, denoise_task, print_table, ExperimentArgs};
 use ehw_evolution::stats::Summary;
-use ehw_evolution::strategy::{EsConfig, MutationStrategy};
-use ehw_platform::evo_modes::evolve_parallel;
+use ehw_evolution::strategy::MutationStrategy;
+use ehw_platform::jobs::{execute, JobSpec};
 use ehw_platform::platform::EhwPlatform;
 
 fn main() {
@@ -33,12 +33,15 @@ fn main() {
             for run in 0..runs {
                 let task = denoise_task(size, 0.4, 4000 + run as u64);
                 let mut platform = EhwPlatform::with_parallel(3, parallel);
-                let config = EsConfig {
-                    strategy,
-                    ..EsConfig::paper(k, 3, generations, 100 + run as u64)
-                };
-                let (result, _) = evolve_parallel(&mut platform, &task, &config);
-                best.push(result.best_fitness);
+                let spec = JobSpec::evolution(task.input, task.reference)
+                    .mutation_rate(k)
+                    .num_arrays(3)
+                    .generations(generations)
+                    .strategy(strategy)
+                    .build()
+                    .expect("valid evolution spec");
+                let job = execute(&mut platform, &spec, 100 + run as u64);
+                best.push(job.final_fitness().expect("evolution job"));
             }
             means.push(Summary::of_u64(&best));
         }

@@ -14,7 +14,7 @@ use ehw_bench::{banner, denoise_task, print_table, ExperimentArgs};
 use ehw_image::filters;
 use ehw_image::metrics::{mae, psnr};
 use ehw_image::pgm;
-use ehw_platform::evo_modes::{evolve_cascade, CascadeConfig};
+use ehw_platform::jobs::{execute, JobSpec};
 use ehw_platform::platform::EhwPlatform;
 
 fn main() {
@@ -37,11 +37,14 @@ fn main() {
 
     // Evolved cascade.
     let mut platform = EhwPlatform::with_parallel(3, parallel);
-    let config = CascadeConfig {
-        engine,
-        ..CascadeConfig::paper(generations / 3, 2, 4242)
-    };
-    let result = evolve_cascade(&mut platform, &task, &config);
+    let spec = JobSpec::cascade(task.input.clone(), task.reference.clone())
+        .stages(3)
+        .generations(generations / 3)
+        .engine(engine)
+        .build()
+        .expect("valid cascade spec (--generations must be at least 3)");
+    let job = execute(&mut platform, &spec, 4242);
+    let result = job.as_cascade().expect("cascade job");
     println!(
         "cascade engine: {engine:?} — {} evaluations, early-exit rate {:.1}%, {} memo hits",
         result.evaluations,

@@ -14,8 +14,9 @@ use ehw_bench::{arg_usize, banner, denoise_task, print_table, ExperimentArgs};
 use ehw_evolution::stats::Summary;
 use ehw_evolution::strategy::{EsConfig, NullObserver};
 use ehw_fabric::fault::FaultKind;
-use ehw_platform::evo_modes::{evolve_imitation, evolve_parallel, ImitationStart};
+use ehw_platform::evo_modes::{evolve_imitation, ImitationStart};
 use ehw_platform::fault_campaign::find_injectable_pe;
+use ehw_platform::jobs::{execute, JobSpec};
 use ehw_platform::platform::EhwPlatform;
 
 fn main() {
@@ -39,8 +40,12 @@ fn main() {
 
         // Initial evolution: one working filter configured in both arrays.
         let mut platform = EhwPlatform::with_parallel(2, parallel);
-        let config = EsConfig::paper(3, 2, evolution_generations, 900 + run as u64);
-        let _ = evolve_parallel(&mut platform, &task, &config);
+        let spec = JobSpec::evolution(task.input.clone(), task.reference.clone())
+            .num_arrays(2)
+            .generations(evolution_generations)
+            .build()
+            .expect("valid evolution spec");
+        let _ = execute(&mut platform, &spec, 900 + run as u64);
 
         // Permanent fault in an active PE of the apprentice array (upstream
         // of the output, so the inherited genotype can be repaired by

@@ -14,8 +14,9 @@
 use ehw_bench::{arg_usize, banner, denoise_task, print_table, ExperimentArgs};
 use ehw_evolution::strategy::{EsConfig, GenerationObserver};
 use ehw_fabric::fault::FaultKind;
-use ehw_platform::evo_modes::{evolve_imitation, evolve_parallel, ImitationStart};
+use ehw_platform::evo_modes::{evolve_imitation, ImitationStart};
 use ehw_platform::fault_campaign::find_injectable_pe;
+use ehw_platform::jobs::{execute, JobSpec};
 use ehw_platform::platform::EhwPlatform;
 use ehw_platform::self_healing::TmrSupervisor;
 
@@ -47,9 +48,16 @@ fn main() {
 
     // Phase 1: initial evolution, same circuit in all three arrays.
     let mut platform = EhwPlatform::with_parallel(3, parallel);
-    let config = EsConfig::paper(3, 3, evolution_generations, 77);
-    let (evolved, _) = evolve_parallel(&mut platform, &task, &config);
-    println!("evolved filter fitness: {}\n", evolved.best_fitness);
+    let spec = JobSpec::evolution(task.input.clone(), task.reference.clone())
+        .num_arrays(3)
+        .generations(evolution_generations)
+        .build()
+        .expect("valid evolution spec");
+    let evolved = execute(&mut platform, &spec, 77);
+    println!(
+        "evolved filter fitness: {}\n",
+        evolved.final_fitness().expect("evolution job")
+    );
 
     let reference = platform.acb(0).raw_output(&task.input);
     let supervisor = TmrSupervisor::new(100);

@@ -8,11 +8,13 @@
 //! * [`evolve_independent`] — each array is evolved sequentially with its own
 //!   training pair (independent processing, independent cascade, or to
 //!   prepare a redundant parallel configuration),
-//! * [`evolve_parallel`] — the offspring of each generation are distributed
-//!   over the arrays and evaluated simultaneously; evolution time follows the
-//!   pipeline of Fig. 11,
-//! * [`evolve_cascade`] — cascaded evolution with separate or merged fitness,
-//!   sequential or interleaved scheduling (Figs. 6, 16, 17),
+//! * [`PlatformEvaluator`] — the offspring of each generation are
+//!   distributed over the arrays and evaluated simultaneously; evolution time
+//!   follows the pipeline of Fig. 11 (run as a
+//!   [`JobSpec::evolution`](crate::jobs::JobSpec::evolution) job),
+//! * the cascade engines — cascaded evolution with separate or merged
+//!   fitness, sequential or interleaved scheduling (Figs. 6, 16, 17; run as a
+//!   [`JobSpec::cascade`](crate::jobs::JobSpec::cascade) job),
 //! * [`evolve_same_filter_cascade`] — the "same filter in every stage"
 //!   baseline of Figs. 16–17,
 //! * [`evolve_imitation`] — evolution by imitation (Fig. 7): a bypassed array
@@ -201,7 +203,7 @@ impl FitnessEvaluator for PlatformEvaluator {
 }
 
 // ---------------------------------------------------------------------------
-// Independent and parallel evolution
+// Independent evolution
 // ---------------------------------------------------------------------------
 
 /// Evolves every array sequentially, each with its own training pair
@@ -251,31 +253,6 @@ pub fn evolve_independent(
         results.push(result);
     }
     (results, total)
-}
-
-/// Evolves a single task distributing each generation's offspring over all
-/// arrays (parallel evolution, §IV.B, Fig. 5-b).  The evolved circuit is
-/// configured into **every** array, ready for parallel/TMR operation; callers
-/// that want per-array diversity should use [`evolve_independent`].
-///
-/// Thin shim over the job path: builds a [`crate::jobs::JobSpec`] from the
-/// config and runs it through [`crate::jobs::execute`] on this platform.
-/// `num_arrays` and host parallelism follow the platform the evolution
-/// actually runs on, as they always have.  New code should submit the spec to
-/// the `ehw-service` front-end instead.
-pub fn evolve_parallel(
-    platform: &mut EhwPlatform,
-    task: &EvolutionTask,
-    config: &EsConfig,
-) -> (EvolutionResult, EvolutionTimeEstimate) {
-    let mut cfg = *config;
-    cfg.num_arrays = platform.num_arrays();
-    let spec = crate::jobs::evolution_spec_from_config(task.clone(), &cfg);
-    let job = crate::jobs::execute(platform, &spec, config.seed);
-    match job.output {
-        crate::jobs::JobOutput::Evolution { result, time } => (result, time),
-        _ => unreachable!("an evolution spec produces an evolution output"),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -379,14 +356,6 @@ impl CascadeResult {
     }
 }
 
-/// Computes the MAE of every cascaded stage output against the reference —
-/// one entry per stage, so the vector is empty exactly when the platform has
-/// no stages (unconstructible via [`EhwPlatform::new`], which requires at
-/// least one array).  Delegates to the platform's compiled streaming path.
-pub fn chain_fitness(platform: &EhwPlatform, input: &GrayImage, reference: &GrayImage) -> Vec<u64> {
-    platform.chain_fitness(input, reference)
-}
-
 fn filter_chain(
     arrays: &[ProcessingArray],
     genotypes: &[Genotype],
@@ -402,33 +371,15 @@ fn filter_chain(
     stream
 }
 
-/// Cascaded evolution (§IV.B, Fig. 6): evolves one circuit per stage so the
-/// chain progressively approaches the reference.  Honours the configured
-/// fitness arrangement, schedule and engine, and configures the evolved
-/// circuits into the platform before returning.
+/// Cascaded evolution (§IV.B, Fig. 6), the engine behind
+/// [`JobSpec::cascade`](crate::jobs::JobSpec::cascade) jobs: evolves one
+/// circuit per stage so the chain progressively approaches the reference.
+/// Honours the configured fitness arrangement, schedule and engine, and
+/// configures the evolved circuits into the platform before returning.
 ///
 /// The two engines are byte-identical in everything observable
 /// (`stage_genotypes`, `stage_fitness`, `evaluations`), at any worker count;
 /// they differ only in the work performed.  See [`CascadeEngine`].
-///
-/// Thin shim over the job path: builds a [`crate::jobs::JobSpec`] with one
-/// stage per platform array and runs it through [`crate::jobs::execute`].
-/// New code should submit the spec to the `ehw-service` front-end instead.
-pub fn evolve_cascade(
-    platform: &mut EhwPlatform,
-    task: &EvolutionTask,
-    config: &CascadeConfig,
-) -> CascadeResult {
-    let spec = crate::jobs::cascade_spec_from_config(task.clone(), platform.num_arrays(), config);
-    let job = crate::jobs::execute(platform, &spec, config.seed);
-    match job.output {
-        crate::jobs::JobOutput::Cascade(result) => result,
-        _ => unreachable!("a cascade spec produces a cascade output"),
-    }
-}
-
-/// Engine dispatch behind the job path (and therefore behind
-/// [`evolve_cascade`]).
 ///
 /// `on_step` is invoked after every scheduler step (one stage-generation)
 /// with a running step index; returning `false` stops the cascade at that
@@ -560,7 +511,7 @@ fn evolve_cascade_naive(
     for (stage, genotype) in parents.iter().enumerate() {
         platform.configure_array(stage, genotype);
     }
-    let stage_fitness = chain_fitness(platform, &task.input, &task.reference);
+    let stage_fitness = platform.chain_fitness(&task.input, &task.reference);
     CascadeResult {
         stage_genotypes: parents,
         stage_fitness,
@@ -911,7 +862,7 @@ impl CascadeState<'_> {
     }
 }
 
-/// The compiled engine behind [`evolve_cascade`].
+/// The compiled engine behind [`evolve_cascade_with_engine`].
 fn evolve_cascade_compiled(
     platform: &mut EhwPlatform,
     task: &EvolutionTask,
@@ -960,7 +911,7 @@ fn evolve_cascade_compiled(
     for (stage, genotype) in state.parents.iter().enumerate() {
         platform.configure_array(stage, genotype);
     }
-    let stage_fitness = chain_fitness(platform, &task.input, &task.reference);
+    let stage_fitness = platform.chain_fitness(&task.input, &task.reference);
     CascadeResult {
         stage_genotypes: state.parents,
         stage_fitness,
@@ -986,7 +937,7 @@ pub fn evolve_same_filter_cascade(
     );
     let result = run_evolution(&cfg, &mut evaluator, &mut NullObserver);
     platform.configure_all_arrays(&result.best_genotype);
-    let stage_fitness = chain_fitness(platform, &task.input, &task.reference);
+    let stage_fitness = platform.chain_fitness(&task.input, &task.reference);
     CascadeResult {
         stage_genotypes: vec![result.best_genotype; platform.num_arrays()],
         stage_fitness,
@@ -1043,6 +994,7 @@ pub fn evolve_imitation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::{execute, CascadeBuilder, JobSpec};
     use ehw_fabric::fault::FaultKind;
     use ehw_image::filters;
     use ehw_image::noise::salt_pepper;
@@ -1053,6 +1005,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let noisy = salt_pepper(&clean, density, &mut rng);
         EvolutionTask::new(noisy, clean)
+    }
+
+    /// A cascade job over `task` with one stage per array of `platform`.
+    fn cascade_spec(platform: &EhwPlatform, task: &EvolutionTask) -> CascadeBuilder {
+        JobSpec::cascade(task.input.clone(), task.reference.clone()).stages(platform.num_arrays())
+    }
+
+    fn run_cascade(platform: &mut EhwPlatform, spec: CascadeBuilder, seed: u64) -> CascadeResult {
+        let spec = spec.build().expect("valid cascade spec");
+        let job = execute(platform, &spec, seed);
+        job.as_cascade().expect("cascade job").clone()
     }
 
     #[test]
@@ -1101,8 +1064,13 @@ mod tests {
     fn parallel_evolution_improves_and_configures_all_arrays() {
         let mut platform = EhwPlatform::paper_three_arrays();
         let task = denoise_task(24, 0.3, 3);
-        let config = EsConfig::paper(3, 3, 40, 7);
-        let (result, time) = evolve_parallel(&mut platform, &task, &config);
+        let spec = JobSpec::evolution(task.input, task.reference)
+            .num_arrays(3)
+            .generations(40)
+            .build()
+            .unwrap();
+        let job = execute(&mut platform, &spec, 7);
+        let (result, time) = job.as_evolution().expect("evolution job");
         assert!(result.best_fitness <= result.initial_fitness);
         assert!(time.total_s > 0.0);
         assert_eq!(time.generations, 40);
@@ -1138,8 +1106,8 @@ mod tests {
     fn cascade_evolution_improves_over_stages() {
         let mut platform = EhwPlatform::paper_three_arrays();
         let task = denoise_task(24, 0.4, 9);
-        let config = CascadeConfig::paper(30, 2, 13);
-        let result = evolve_cascade(&mut platform, &task, &config);
+        let spec = cascade_spec(&platform, &task).generations(30);
+        let result = run_cascade(&mut platform, spec, 13);
         assert_eq!(result.stage_fitness.len(), 3);
         assert_eq!(result.stage_genotypes.len(), 3);
         // With pass-through initialisation and elitist selection the chain can
@@ -1160,23 +1128,15 @@ mod tests {
     fn interleaved_and_sequential_cascades_both_converge() {
         let task = denoise_task(20, 0.3, 17);
         let mut seq_platform = EhwPlatform::paper_three_arrays();
-        let seq = evolve_cascade(
-            &mut seq_platform,
-            &task,
-            &CascadeConfig {
-                schedule: CascadeSchedule::Sequential,
-                ..CascadeConfig::paper(20, 2, 3)
-            },
-        );
+        let spec = cascade_spec(&seq_platform, &task)
+            .generations(20)
+            .schedule(CascadeSchedule::Sequential);
+        let seq = run_cascade(&mut seq_platform, spec, 3);
         let mut int_platform = EhwPlatform::paper_three_arrays();
-        let interleaved = evolve_cascade(
-            &mut int_platform,
-            &task,
-            &CascadeConfig {
-                schedule: CascadeSchedule::Interleaved,
-                ..CascadeConfig::paper(20, 2, 3)
-            },
-        );
+        let spec = cascade_spec(&int_platform, &task)
+            .generations(20)
+            .schedule(CascadeSchedule::Interleaved);
+        let interleaved = run_cascade(&mut int_platform, spec, 3);
         let identity_fitness = mae(&task.input, &task.reference);
         assert!(seq.final_fitness().expect("stages") < identity_fitness);
         assert!(interleaved.final_fitness().expect("stages") < identity_fitness);
@@ -1192,12 +1152,11 @@ mod tests {
     fn merged_fitness_cascade_runs() {
         let mut platform = EhwPlatform::new(2);
         let task = denoise_task(20, 0.3, 19);
-        let config = CascadeConfig {
-            fitness: CascadeFitness::Merged,
-            schedule: CascadeSchedule::Interleaved,
-            ..CascadeConfig::paper(15, 2, 23)
-        };
-        let result = evolve_cascade(&mut platform, &task, &config);
+        let spec = cascade_spec(&platform, &task)
+            .generations(15)
+            .fitness(CascadeFitness::Merged)
+            .schedule(CascadeSchedule::Interleaved);
+        let result = run_cascade(&mut platform, spec, 23);
         assert_eq!(result.stage_fitness.len(), 2);
         assert!(result.final_fitness().expect("stages") < mae(&task.input, &task.reference));
     }
@@ -1206,11 +1165,10 @@ mod tests {
     fn random_init_cascade_still_runs() {
         let mut platform = EhwPlatform::new(2);
         let task = denoise_task(16, 0.2, 53);
-        let config = CascadeConfig {
-            init: CascadeInit::Random,
-            ..CascadeConfig::paper(10, 2, 59)
-        };
-        let result = evolve_cascade(&mut platform, &task, &config);
+        let spec = cascade_spec(&platform, &task)
+            .generations(10)
+            .init(CascadeInit::Random);
+        let result = run_cascade(&mut platform, spec, 59);
         assert_eq!(result.stage_fitness.len(), 2);
     }
 
@@ -1237,26 +1195,17 @@ mod tests {
         let task = denoise_task(20, 0.35, 71);
         for fitness in [CascadeFitness::Separate, CascadeFitness::Merged] {
             for schedule in [CascadeSchedule::Sequential, CascadeSchedule::Interleaved] {
-                let config = CascadeConfig {
-                    fitness,
-                    schedule,
-                    ..CascadeConfig::paper(8, 2, 67)
-                };
-                let naive = {
+                let run = |engine: CascadeEngine| {
                     let mut platform = EhwPlatform::paper_three_arrays();
-                    evolve_cascade(
-                        &mut platform,
-                        &task,
-                        &CascadeConfig {
-                            engine: CascadeEngine::Naive,
-                            ..config
-                        },
-                    )
+                    let spec = cascade_spec(&platform, &task)
+                        .generations(8)
+                        .fitness(fitness)
+                        .schedule(schedule)
+                        .engine(engine);
+                    run_cascade(&mut platform, spec, 67)
                 };
-                let compiled = {
-                    let mut platform = EhwPlatform::paper_three_arrays();
-                    evolve_cascade(&mut platform, &task, &config)
-                };
+                let naive = run(CascadeEngine::Naive);
+                let compiled = run(CascadeEngine::Compiled);
                 assert_eq!(
                     naive.stage_genotypes, compiled.stage_genotypes,
                     "{fitness:?}/{schedule:?}"
@@ -1275,19 +1224,16 @@ mod tests {
     #[test]
     fn compiled_cascade_is_identical_at_any_worker_count() {
         let task = denoise_task(20, 0.3, 73);
-        let config = CascadeConfig {
-            schedule: CascadeSchedule::Interleaved,
-            ..CascadeConfig::paper(6, 2, 79)
+        let run = |parallel: ParallelConfig| {
+            let mut platform = EhwPlatform::with_parallel(3, parallel);
+            let spec = cascade_spec(&platform, &task)
+                .generations(6)
+                .schedule(CascadeSchedule::Interleaved);
+            run_cascade(&mut platform, spec, 79)
         };
-        let reference = {
-            let mut platform =
-                EhwPlatform::with_parallel(3, ehw_parallel::ParallelConfig::serial());
-            evolve_cascade(&mut platform, &task, &config)
-        };
+        let reference = run(ParallelConfig::serial());
         for workers in [2usize, 8] {
-            let mut platform =
-                EhwPlatform::with_parallel(3, ehw_parallel::ParallelConfig::with_workers(workers));
-            let r = evolve_cascade(&mut platform, &task, &config);
+            let r = run(ParallelConfig::with_workers(workers));
             assert_eq!(r.stage_genotypes, reference.stage_genotypes);
             assert_eq!(r.stage_fitness, reference.stage_fitness);
             assert_eq!(r.evaluations, reference.evaluations);
@@ -1305,22 +1251,17 @@ mod tests {
         // EngineStats accounting) must be independent of the worker count.
         let task = denoise_task(20, 0.35, 83);
         for schedule in [CascadeSchedule::Sequential, CascadeSchedule::Interleaved] {
-            let config = CascadeConfig {
-                fitness: CascadeFitness::Merged,
-                schedule,
-                ..CascadeConfig::paper(8, 2, 89)
+            let run = |parallel: ParallelConfig| {
+                let mut platform = EhwPlatform::with_parallel(3, parallel);
+                let spec = cascade_spec(&platform, &task)
+                    .generations(8)
+                    .fitness(CascadeFitness::Merged)
+                    .schedule(schedule);
+                run_cascade(&mut platform, spec, 89)
             };
-            let reference = {
-                let mut platform =
-                    EhwPlatform::with_parallel(3, ehw_parallel::ParallelConfig::serial());
-                evolve_cascade(&mut platform, &task, &config)
-            };
+            let reference = run(ParallelConfig::serial());
             for workers in [2usize, 8] {
-                let mut platform = EhwPlatform::with_parallel(
-                    3,
-                    ehw_parallel::ParallelConfig::with_workers(workers),
-                );
-                let r = evolve_cascade(&mut platform, &task, &config);
+                let r = run(ParallelConfig::with_workers(workers));
                 assert_eq!(r.stage_genotypes, reference.stage_genotypes, "{schedule:?}");
                 assert_eq!(r.stage_fitness, reference.stage_fitness);
                 assert_eq!(r.evaluations, reference.evaluations);

@@ -13,13 +13,14 @@
 //! recovery needs).
 //!
 //! The systematic sweep is one instance of the general machinery: a
-//! [`FaultScenario`] compiles into a deterministic
-//! [`InjectionSchedule`](crate::scenario::InjectionSchedule)
+//! [`FaultScenario`](crate::scenario::FaultScenario) compiles into a
+//! deterministic [`InjectionSchedule`](crate::scenario::InjectionSchedule)
 //! of multi-fault events, and each event is recovered by walking a
 //! [`RecoveryPolicy`] escalation ladder
 //! (scrub → TMR remap → re-evolve, with per-step budgets and stop
-//! conditions).  The legacy entry points delegate to the scenario path with
-//! `SingleSweep` + the default ladder and stay byte-identical.
+//! conditions).  [`run_campaign`] runs any scenario under any ladder; the
+//! campaign builder's defaults — `SingleSweep` under the one-rung re-evolve
+//! ladder — are the systematic sweep.
 
 use ehw_array::array::ProcessingArray;
 use ehw_array::genotype::{Genotype, ARRAY_COLS, ARRAY_ROWS};
@@ -30,9 +31,9 @@ use ehw_parallel::ParallelConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::evo_modes::EvolutionTask;
-use crate::jobs::JobControl;
+use crate::jobs::{FaultCampaignSpec, JobControl};
 use crate::platform::EhwPlatform;
-use crate::scenario::{FaultScenario, InjectionEvent, PlannedFault, ScenarioKind};
+use crate::scenario::{InjectionEvent, PlannedFault, ScenarioKind};
 use crate::self_healing::{RecoveryPolicy, RecoveryStep};
 
 /// Relays the job-level cancellation token — and, when the recovery step
@@ -459,158 +460,46 @@ fn run_event(
     }
 }
 
-/// Runs a systematic PE-level fault campaign over every position of the given
-/// arrays, using the platform's [`ParallelConfig`] to shard positions over
-/// host workers.
+/// Runs a fault campaign — the one campaign entry point, and what the job
+/// path runs for every
+/// [`JobSpec::FaultCampaign`](crate::jobs::JobSpec::FaultCampaign).
 ///
-/// For each position a snapshot of the array is restored to `baseline`, a
-/// permanent dummy-PE fault is injected, and recovery runs a (1+λ) evolution
-/// on the damaged array seeded with the baseline genotype.  The report lists
-/// positions in injection order — array by array, row-major — regardless of
-/// how the work was scheduled, and the platform is left clean and configured
-/// with the baseline.
+/// The spec's [`FaultScenario`](crate::scenario::FaultScenario) is compiled
+/// into its deterministic injection schedule (seeded from `seed`), then every
+/// event runs a measure → ladder → measure cycle on a snapshot of its array,
+/// sharded over the platform's [`ParallelConfig`].  Sharding is scheduling
+/// only: each event derives its state from an immutable snapshot and the
+/// seed, so any worker count produces a byte-identical report, listed in
+/// schedule order (array by array, row-major for the sweep).  A
+/// `SingleSweep` scenario fills the report's per-PE `positions` view; every
+/// other kind fills `events`.  The platform is left configured with the
+/// baseline on every targeted array.
 ///
-/// Thin shim over the job path: builds a [`crate::jobs::JobSpec`] from the
-/// arguments and runs it through [`crate::jobs::execute`] on this platform.
-/// New code should submit the spec to the `ehw-service` front-end instead.
-pub fn systematic_fault_campaign(
+/// A cancelled campaign winds down cooperatively: every event still performs
+/// its clean/faulty measurements (cheap, and what keeps the report shape
+/// deterministic), but each recovery evolution stops at its first generation
+/// boundary after `control` fires.  The job layer discards such a partial
+/// report and answers [`JobOutput::Cancelled`](crate::jobs::JobOutput)
+/// instead.
+pub fn run_campaign(
     platform: &mut EhwPlatform,
-    baseline: &Genotype,
-    task: &EvolutionTask,
-    recovery: &EsConfig,
-    arrays: &[usize],
-) -> CampaignReport {
-    let spec = crate::jobs::campaign_spec_from_config(
-        task.clone(),
-        baseline.clone(),
-        arrays.to_vec(),
-        platform.num_arrays(),
-        recovery,
-    );
-    let job = crate::jobs::execute(platform, &spec, recovery.seed);
-    match job.output {
-        crate::jobs::JobOutput::FaultCampaign(report) => report,
-        _ => unreachable!("a campaign spec produces a campaign output"),
-    }
-}
-
-/// [`systematic_fault_campaign`] under an explicit [`ParallelConfig`].
-///
-/// Sharding is scheduling only: each position derives its state from an
-/// immutable snapshot of the platform and the recovery seed, so any worker
-/// count produces a byte-identical report (the cross-thread determinism
-/// suite asserts 1 == 2 == 8 workers).
-pub fn systematic_fault_campaign_with(
-    platform: &mut EhwPlatform,
-    baseline: &Genotype,
-    task: &EvolutionTask,
-    recovery: &EsConfig,
-    arrays: &[usize],
-    parallel: ParallelConfig,
-) -> CampaignReport {
-    // A fresh token is never cancelled and carries no deadline, so this is
-    // exactly the historical uncontrolled campaign.
-    systematic_fault_campaign_controlled(
-        platform,
-        baseline,
-        task,
-        recovery,
-        arrays,
-        parallel,
-        &JobControl::new(),
-    )
-}
-
-/// [`systematic_fault_campaign_with`] under a job-level cancellation token.
-///
-/// A cancelled campaign winds down cooperatively: every position still
-/// performs its clean/faulty measurements (cheap, and what keeps the report
-/// shape deterministic), but each recovery evolution stops at its first
-/// generation boundary after the token fires.  The partial report is
-/// discarded by the job layer, which replaces the output with
-/// [`crate::jobs::JobOutput::Cancelled`].
-#[allow(clippy::too_many_arguments)]
-pub fn systematic_fault_campaign_controlled(
-    platform: &mut EhwPlatform,
-    baseline: &Genotype,
-    task: &EvolutionTask,
-    recovery: &EsConfig,
-    arrays: &[usize],
-    parallel: ParallelConfig,
+    spec: &FaultCampaignSpec,
+    seed: u64,
     control: &JobControl,
 ) -> CampaignReport {
-    scenario_fault_campaign_controlled(
-        platform,
-        baseline,
-        task,
-        recovery,
-        arrays,
-        &FaultScenario::single_sweep(),
-        &RecoveryPolicy::default_ladder(),
-        parallel,
-        control,
-    )
-}
-
-/// Runs a declarative [`FaultScenario`] under a [`RecoveryPolicy`] ladder —
-/// the general campaign every other entry point is a special case of.
-///
-/// The scenario is first compiled into its deterministic injection schedule
-/// (seeded from the recovery config's seed), then every event runs a
-/// measure → ladder → measure cycle on a snapshot of its
-/// array, sharded over the given [`ParallelConfig`].  A `SingleSweep`
-/// scenario fills the report's legacy `positions` view (and, under the
-/// default ladder, is byte-identical to the historic systematic campaign);
-/// every other kind fills `events`.  The platform is left configured with
-/// the baseline on every targeted array, as the sweep always has.
-#[allow(clippy::too_many_arguments)]
-pub fn scenario_fault_campaign_with(
-    platform: &mut EhwPlatform,
-    baseline: &Genotype,
-    task: &EvolutionTask,
-    recovery: &EsConfig,
-    arrays: &[usize],
-    scenario: &FaultScenario,
-    policy: &RecoveryPolicy,
-    parallel: ParallelConfig,
-) -> CampaignReport {
-    scenario_fault_campaign_controlled(
-        platform,
-        baseline,
-        task,
-        recovery,
-        arrays,
-        scenario,
-        policy,
-        parallel,
-        &JobControl::new(),
-    )
-}
-
-/// [`scenario_fault_campaign_with`] under a job-level cancellation token
-/// (see [`systematic_fault_campaign_controlled`] for the wind-down
-/// semantics).
-#[allow(clippy::too_many_arguments)]
-pub fn scenario_fault_campaign_controlled(
-    platform: &mut EhwPlatform,
-    baseline: &Genotype,
-    task: &EvolutionTask,
-    recovery: &EsConfig,
-    arrays: &[usize],
-    scenario: &FaultScenario,
-    policy: &RecoveryPolicy,
-    parallel: ParallelConfig,
-    control: &JobControl,
-) -> CampaignReport {
+    let scenario = spec.scenario();
     // The whole campaign is fixed here, before any worker starts: one unit
     // of work per injection event, in deterministic schedule order.
-    let schedule = scenario.compile(arrays, recovery.seed);
+    let schedule = scenario.compile(spec.arrays(), seed);
 
     // Events are the parallel unit; the recovery work inside each event runs
     // serially (determinism makes the nesting choice free, and flat sharding
     // avoids worker oversubscription).
-    let mut recovery_cfg = *recovery;
-    recovery_cfg.parallel = ParallelConfig::serial();
+    let recovery = EsConfig {
+        seed,
+        parallel: ParallelConfig::serial(),
+        ..*spec.recovery()
+    };
 
     let snapshots: Vec<ProcessingArray> = platform
         .acbs()
@@ -620,29 +509,30 @@ pub fn scenario_fault_campaign_controlled(
     // One window-extraction pass of the training input serves every event of
     // every array (the per-event recovery evolutions build their own,
     // through their SoftwareEvaluator).
-    let windows = SharedWindows::new(&task.input);
+    let windows = SharedWindows::new(&spec.task().input);
     let ctx = CampaignContext {
-        baseline,
-        task,
+        baseline: spec.baseline(),
+        task: spec.task(),
         windows: &windows,
-        recovery: &recovery_cfg,
-        policy,
+        recovery: &recovery,
+        policy: spec.policy(),
         control,
     };
-    let results = ehw_parallel::ordered_map(parallel, &schedule.events, |_, event| {
-        run_event(&ctx, &snapshots[event.array], event)
-    });
+    let results =
+        ehw_parallel::ordered_map(platform.parallel_config(), &schedule.events, |_, event| {
+            run_event(&ctx, &snapshots[event.array], event)
+        });
 
     // Leave the campaigned arrays configured with the baseline, exactly as
     // the sequential campaign always has.  Faults injected into the platform
     // before the campaign are preserved — only snapshots were damaged here.
-    for &array in arrays {
-        platform.configure_array(array, baseline);
+    for &array in spec.arrays() {
+        platform.configure_array(array, spec.baseline());
     }
 
     let mut report = CampaignReport {
         scenario: scenario.name.clone(),
-        policy: policy.describe(),
+        policy: spec.policy().describe(),
         ..CampaignReport::default()
     };
     if scenario.kind == ScenarioKind::SingleSweep {
@@ -656,25 +546,39 @@ pub fn scenario_fault_campaign_controlled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::{execute, FaultCampaignBuilder, JobSpec};
+    use crate::scenario::FaultScenario;
     use ehw_image::noise::salt_pepper;
     use ehw_image::synth;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn small_task(seed: u64) -> EvolutionTask {
+    /// A campaign builder over a small denoising pair: identity baseline,
+    /// array 0, one-gene recovery mutations.
+    fn small_campaign(seed: u64) -> FaultCampaignBuilder {
         let clean = synth::shapes(16, 16, 2);
         let mut rng = StdRng::seed_from_u64(seed);
         let noisy = salt_pepper(&clean, 0.2, &mut rng);
-        EvolutionTask::new(noisy, clean)
+        JobSpec::fault_campaign(noisy, clean).recovery_mutation_rate(1)
+    }
+
+    fn campaign_spec(builder: FaultCampaignBuilder) -> FaultCampaignSpec {
+        let JobSpec::FaultCampaign(spec) = builder.build().expect("valid campaign spec") else {
+            unreachable!("the campaign builder builds campaign specs")
+        };
+        spec
+    }
+
+    /// Runs the campaign uncancelled on `platform`.
+    fn run(platform: &mut EhwPlatform, builder: FaultCampaignBuilder, seed: u64) -> CampaignReport {
+        run_campaign(platform, &campaign_spec(builder), seed, &JobControl::new())
     }
 
     #[test]
     fn campaign_covers_every_position_of_the_requested_array() {
         let mut platform = EhwPlatform::new(1);
-        let task = small_task(1);
         let baseline = Genotype::identity();
-        let recovery = EsConfig::paper(1, 1, 3, 7);
-        let report = systematic_fault_campaign(&mut platform, &baseline, &task, &recovery, &[0]);
+        let report = run(&mut platform, small_campaign(1).recovery_generations(3), 7);
         assert_eq!(report.len(), 16);
         assert!(!report.is_empty());
         // The platform is left clean and configured with the baseline.
@@ -702,10 +606,7 @@ mod tests {
         // With the identity genotype the active path is row 0; faults in the
         // other rows never reach the output.
         let mut platform = EhwPlatform::new(1);
-        let task = small_task(2);
-        let baseline = Genotype::identity();
-        let recovery = EsConfig::paper(1, 1, 2, 9);
-        let report = systematic_fault_campaign(&mut platform, &baseline, &task, &recovery, &[0]);
+        let report = run(&mut platform, small_campaign(2).recovery_generations(2), 9);
         for p in &report.positions {
             if p.row == 0 {
                 assert!(
@@ -724,10 +625,13 @@ mod tests {
     #[test]
     fn recovery_never_reports_worse_than_faulty_state() {
         let mut platform = EhwPlatform::new(1);
-        let task = small_task(3);
-        let baseline = Genotype::identity();
-        let recovery = EsConfig::paper(2, 1, 10, 11);
-        let report = systematic_fault_campaign(&mut platform, &baseline, &task, &recovery, &[0]);
+        let report = run(
+            &mut platform,
+            small_campaign(3)
+                .recovery_mutation_rate(2)
+                .recovery_generations(10),
+            11,
+        );
         for p in &report.positions {
             // Recovery is seeded with the baseline genotype evaluated on the
             // damaged array, and selection is elitist.
@@ -740,30 +644,14 @@ mod tests {
 
     #[test]
     fn campaign_report_is_identical_at_any_worker_count() {
-        let task = small_task(5);
-        let baseline = Genotype::identity();
-        let recovery = EsConfig::paper(1, 1, 3, 21);
+        let spec = campaign_spec(small_campaign(5).recovery_generations(3));
         let reference = {
-            let mut platform = EhwPlatform::new(1);
-            systematic_fault_campaign_with(
-                &mut platform,
-                &baseline,
-                &task,
-                &recovery,
-                &[0],
-                ParallelConfig::serial(),
-            )
+            let mut platform = EhwPlatform::with_parallel(1, ParallelConfig::serial());
+            run_campaign(&mut platform, &spec, 21, &JobControl::new())
         };
         for workers in [2usize, 8] {
-            let mut platform = EhwPlatform::new(1);
-            let report = systematic_fault_campaign_with(
-                &mut platform,
-                &baseline,
-                &task,
-                &recovery,
-                &[0],
-                ParallelConfig::with_workers(workers),
-            );
+            let mut platform = EhwPlatform::with_parallel(1, ParallelConfig::with_workers(workers));
+            let report = run_campaign(&mut platform, &spec, 21, &JobControl::new());
             assert_eq!(
                 report.positions, reference.positions,
                 "campaign diverged at {workers} workers"
@@ -775,10 +663,11 @@ mod tests {
     fn campaign_spanning_multiple_arrays_keeps_injection_order() {
         let mut platform = EhwPlatform::new(2);
         platform.set_parallel_config(ParallelConfig::with_workers(4));
-        let task = small_task(6);
-        let baseline = Genotype::identity();
-        let recovery = EsConfig::paper(1, 1, 2, 3);
-        let report = systematic_fault_campaign(&mut platform, &baseline, &task, &recovery, &[1, 0]);
+        let report = run(
+            &mut platform,
+            small_campaign(6).recovery_generations(2).arrays(vec![1, 0]),
+            3,
+        );
         assert_eq!(report.len(), 32);
         let order: Vec<(usize, usize, usize)> = report
             .positions
@@ -837,33 +726,24 @@ mod tests {
 
     #[test]
     fn scenario_single_sweep_under_default_policy_matches_the_legacy_campaign() {
-        let task = small_task(7);
-        let baseline = Genotype::identity();
-        let recovery = EsConfig::paper(1, 1, 3, 13);
+        // The legacy side is the campaign builder's defaults (no scenario, no
+        // policy) run through the job path: the historic systematic sweep.
         let legacy = {
-            let mut platform = EhwPlatform::new(1);
-            systematic_fault_campaign_with(
-                &mut platform,
-                &baseline,
-                &task,
-                &recovery,
-                &[0],
-                ParallelConfig::serial(),
-            )
+            let spec = small_campaign(7).recovery_generations(3).build().unwrap();
+            let mut platform = EhwPlatform::with_parallel(1, ParallelConfig::serial());
+            execute(&mut platform, &spec, 13)
         };
-        let mut platform = EhwPlatform::new(1);
-        let scenario = FaultScenario::single_sweep();
-        let report = scenario_fault_campaign_with(
+        let legacy = legacy.as_campaign().expect("campaign payload");
+        let mut platform = EhwPlatform::with_parallel(1, ParallelConfig::serial());
+        let report = run(
             &mut platform,
-            &baseline,
-            &task,
-            &recovery,
-            &[0],
-            &scenario,
-            &RecoveryPolicy::default_ladder(),
-            ParallelConfig::serial(),
+            small_campaign(7)
+                .recovery_generations(3)
+                .scenario(FaultScenario::single_sweep())
+                .policy(RecoveryPolicy::default_ladder()),
+            13,
         );
-        assert_eq!(report, legacy);
+        assert_eq!(&report, legacy);
         assert_eq!(report.scenario, "single_sweep");
         assert_eq!(report.policy, "reevolve");
         assert!(report.events.is_empty());
@@ -872,10 +752,7 @@ mod tests {
     #[test]
     fn scrub_ladder_heals_transient_bursts_without_evolving() {
         use crate::scenario::ScenarioKind;
-        let mut platform = EhwPlatform::new(1);
-        let task = small_task(8);
-        let baseline = Genotype::identity();
-        let recovery = EsConfig::paper(1, 1, 5, 17);
+        let mut platform = EhwPlatform::with_parallel(1, ParallelConfig::serial());
         let scenario = FaultScenario::new(
             "burst",
             ScenarioKind::Burst {
@@ -883,15 +760,13 @@ mod tests {
                 width: 2,
             },
         );
-        let report = scenario_fault_campaign_with(
+        let report = run(
             &mut platform,
-            &baseline,
-            &task,
-            &recovery,
-            &[0],
-            &scenario,
-            &RecoveryPolicy::scrub_then_reevolve(),
-            ParallelConfig::serial(),
+            small_campaign(8)
+                .recovery_generations(5)
+                .scenario(scenario)
+                .policy(RecoveryPolicy::scrub_then_reevolve()),
+            17,
         );
         assert!(report.positions.is_empty());
         assert!(!report.events.is_empty());
@@ -915,24 +790,19 @@ mod tests {
     fn tmr_remap_rung_measures_every_output_row() {
         use crate::scenario::ScenarioKind;
         use crate::self_healing::RecoveryStep;
-        let mut platform = EhwPlatform::new(1);
-        let task = small_task(9);
-        let baseline = Genotype::identity();
-        let recovery = EsConfig::paper(1, 1, 2, 19);
+        let mut platform = EhwPlatform::with_parallel(1, ParallelConfig::serial());
         let scenario = FaultScenario::new("lpd", ScenarioKind::PermanentLpd);
         let policy = RecoveryPolicy {
             steps: vec![RecoveryStep::TmrRemap],
             stop_margin: None,
         };
-        let report = scenario_fault_campaign_with(
+        let report = run(
             &mut platform,
-            &baseline,
-            &task,
-            &recovery,
-            &[0],
-            &scenario,
-            &policy,
-            ParallelConfig::serial(),
+            small_campaign(9)
+                .recovery_generations(2)
+                .scenario(scenario)
+                .policy(policy),
+            19,
         );
         assert_eq!(report.events.len(), 1);
         let event = &report.events[0];
@@ -949,11 +819,8 @@ mod tests {
     fn reevolve_wall_clock_budget_cuts_recovery_short() {
         use crate::scenario::ScenarioKind;
         use crate::self_healing::RecoveryStep;
-        let mut platform = EhwPlatform::new(1);
-        let task = small_task(12);
-        let baseline = Genotype::identity();
+        let mut platform = EhwPlatform::with_parallel(1, ParallelConfig::serial());
         // An absurd generation budget that only the wall-clock bound can end.
-        let recovery = EsConfig::paper(1, 1, 5, 29);
         let scenario = FaultScenario::new("lpd", ScenarioKind::PermanentLpd);
         let policy = RecoveryPolicy {
             steps: vec![RecoveryStep::Reevolve {
@@ -963,15 +830,13 @@ mod tests {
             stop_margin: None,
         };
         let start = std::time::Instant::now();
-        let report = scenario_fault_campaign_with(
+        let report = run(
             &mut platform,
-            &baseline,
-            &task,
-            &recovery,
-            &[0],
-            &scenario,
-            &policy,
-            ParallelConfig::serial(),
+            small_campaign(12)
+                .recovery_generations(5)
+                .scenario(scenario)
+                .policy(policy),
+            29,
         );
         assert!(
             start.elapsed() < std::time::Duration::from_secs(30),
@@ -989,41 +854,25 @@ mod tests {
     #[test]
     fn scenario_campaigns_are_identical_at_any_worker_count() {
         use crate::scenario::{CorrelationShape, ScenarioKind};
-        let task = small_task(10);
-        let baseline = Genotype::identity();
-        let recovery = EsConfig::paper(1, 1, 2, 23);
         let scenario = FaultScenario::new(
             "corr",
             ScenarioKind::Correlated {
                 shape: CorrelationShape::Col,
             },
         );
-        let policy = RecoveryPolicy::full_ladder();
+        let spec = campaign_spec(
+            small_campaign(10)
+                .recovery_generations(2)
+                .scenario(scenario)
+                .policy(RecoveryPolicy::full_ladder()),
+        );
         let reference = {
-            let mut platform = EhwPlatform::new(1);
-            scenario_fault_campaign_with(
-                &mut platform,
-                &baseline,
-                &task,
-                &recovery,
-                &[0],
-                &scenario,
-                &policy,
-                ParallelConfig::serial(),
-            )
+            let mut platform = EhwPlatform::with_parallel(1, ParallelConfig::serial());
+            run_campaign(&mut platform, &spec, 23, &JobControl::new())
         };
         for workers in [2usize, 8] {
-            let mut platform = EhwPlatform::new(1);
-            let report = scenario_fault_campaign_with(
-                &mut platform,
-                &baseline,
-                &task,
-                &recovery,
-                &[0],
-                &scenario,
-                &policy,
-                ParallelConfig::with_workers(workers),
-            );
+            let mut platform = EhwPlatform::with_parallel(1, ParallelConfig::with_workers(workers));
+            let report = run_campaign(&mut platform, &spec, 23, &JobControl::new());
             assert_eq!(report, reference, "campaign diverged at {workers} workers");
         }
     }

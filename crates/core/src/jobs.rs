@@ -1,19 +1,14 @@
 //! The job path: one typed request format for every workload the platform
 //! serves.
 //!
-//! Historically each workload had its own ad-hoc entry point — single-filter
-//! and parallel evolution through
-//! [`run_evolution`](ehw_evolution::strategy::run_evolution) plus a hand-wired
-//! evaluator, cascades through `evolve_cascade`, fault campaigns through
-//! `systematic_fault_campaign` — each owning one [`EhwPlatform`] and its own
-//! validation (mostly `assert!`s that fire mid-run).  This module turns those
-//! workloads into *data*:
+//! Every workload — single-filter and parallel evolution, cascades, fault
+//! campaigns and streams — is *data* here:
 //!
 //! * [`JobSpec`] — a validated, self-contained description of one unit of
-//!   service work (an evolution, a cascade, or a fault campaign), built
-//!   through builder types that check λ, generation budgets and image shapes
-//!   at **construction**, returning [`SpecError`] instead of panicking once
-//!   the job is already holding a platform,
+//!   service work (an evolution, a cascade, a fault campaign or a stream),
+//!   built through builder types that check λ, generation budgets and image
+//!   shapes at **construction**, returning [`SpecError`] instead of panicking
+//!   once the job is already holding a platform,
 //! * [`execute`] — the single execution path: given a platform and a seed it
 //!   runs any spec kind and returns a [`JobResult`],
 //! * [`JobResult`] — a uniform result envelope: every job kind reports its
@@ -21,11 +16,11 @@
 //!   [`EngineStats`] the same way, with the kind-specific payload preserved
 //!   in [`JobOutput`].
 //!
-//! The legacy free functions (`evolve_parallel`, `evolve_cascade`,
-//! `systematic_fault_campaign`) still exist but are thin shims that build a
-//! spec and call [`execute`] — new code should construct specs directly and
-//! submit them to the `ehw-service` front-end, which multiplexes jobs over a
-//! sharded pool of platforms.
+//! Callers build a spec and either run it on a platform they own with
+//! [`execute`] — the tests, examples and experiment binaries do — or submit
+//! it to the `ehw-service` front-end, which multiplexes jobs over a sharded
+//! pool of platforms and reaches the same code through
+//! [`execute_controlled_cached`].
 //!
 //! # Determinism
 //!
@@ -460,8 +455,7 @@ impl CascadeBuilder {
 /// arrays, and recover each one by walking the recovery-policy ladder.
 ///
 /// The default scenario/policy pair — a `SingleSweep` under the one-rung
-/// re-evolve ladder — is the paper's systematic campaign (§VI.D), and legacy
-/// constructors map to exactly that.
+/// re-evolve ladder — is the paper's systematic campaign (§VI.D).
 #[derive(Debug, Clone)]
 pub struct FaultCampaignSpec {
     task: EvolutionTask,
@@ -937,54 +931,6 @@ impl JobSpec {
     }
 }
 
-// Lossless spec construction for the legacy shims.  Deliberately skips the
-// builder validation: invalid values keep panicking inside the engines
-// exactly as they always did, so shimmed callers observe identical
-// behaviour.
-
-pub(crate) fn evolution_spec_from_config(task: EvolutionTask, config: &EsConfig) -> JobSpec {
-    JobSpec::Evolution(EvolutionSpec {
-        task,
-        config: *config,
-        seed: Some(config.seed),
-        warm_start: false,
-    })
-}
-
-pub(crate) fn cascade_spec_from_config(
-    task: EvolutionTask,
-    stages: usize,
-    config: &CascadeConfig,
-) -> JobSpec {
-    JobSpec::Cascade(CascadeSpec {
-        task,
-        stages,
-        config: *config,
-        seed: Some(config.seed),
-    })
-}
-
-pub(crate) fn campaign_spec_from_config(
-    task: EvolutionTask,
-    baseline: Genotype,
-    arrays: Vec<usize>,
-    platform_arrays: usize,
-    recovery: &EsConfig,
-) -> JobSpec {
-    JobSpec::FaultCampaign(FaultCampaignSpec {
-        task,
-        baseline,
-        arrays,
-        platform_arrays,
-        recovery: *recovery,
-        // The legacy free functions are, by definition, the systematic sweep
-        // under the historic reaction.
-        scenario: FaultScenario::single_sweep(),
-        policy: RecoveryPolicy::default_ladder(),
-        seed: Some(recovery.seed),
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Cooperative cancellation
 // ---------------------------------------------------------------------------
@@ -1009,8 +955,8 @@ impl std::fmt::Display for CancelKind {
 
 /// Cooperative cancellation token and deadline for one job.
 ///
-/// The engines never preempt work mid-generation: [`execute_controlled`]
-/// polls the token at **generation boundaries** (and the service layer polls
+/// The engines never preempt work mid-generation:
+/// [`execute_controlled_cached`] polls the token at **generation boundaries** (and the service layer polls
 /// it once more at queue pickup), so a cancelled job winds down within one
 /// generation and reports [`JobOutput::Cancelled`].  A default token never
 /// stops anything.
@@ -1284,21 +1230,19 @@ impl JobResult {
 // Execution
 // ---------------------------------------------------------------------------
 
-/// Executes a job spec on the given platform with the given effective seed —
-/// the single path every entry point (legacy shims and the `ehw-service`
-/// front-end) funnels through.
+/// Executes a job spec on the given platform with the given effective seed.
 ///
 /// The platform's array count must match [`JobSpec::arrays_needed`], and the
 /// platform's [`ParallelConfig`](ehw_parallel::ParallelConfig) governs host
 /// parallelism (scheduling only: results are byte-identical at any worker
-/// count).  The evolved circuits are left configured in the platform, exactly
-/// as the legacy entry points always did.
+/// count).  The evolved circuits are left configured in the platform.
 pub fn execute(platform: &mut EhwPlatform, spec: &JobSpec, seed: u64) -> JobResult {
-    execute_controlled(platform, spec, seed, &JobControl::new(), &mut |_| {})
+    execute_controlled_cached(platform, spec, seed, &JobControl::new(), &mut |_| {}, None)
 }
 
-/// [`execute`] with a cancellation token and a progress sink — the entry the
-/// service layer uses.
+/// [`execute`] with a cancellation token, a progress sink and an optional
+/// service-scope [`CrossJobCache`](crate::cache::CrossJobCache) — the entry
+/// the `ehw-service` shards use.
 ///
 /// `control` is polled at every generation boundary (cascades: every
 /// scheduler step; campaigns: every recovery generation of every position);
@@ -1307,19 +1251,6 @@ pub fn execute(platform: &mut EhwPlatform, spec: &JobSpec, seed: u64) -> JobResu
 /// `stats` still counting the partial work.  `progress` receives one
 /// [`JobProgress`] per generation boundary (campaigns emit none).  An
 /// uncancelled run is byte-identical to plain [`execute`].
-pub fn execute_controlled(
-    platform: &mut EhwPlatform,
-    spec: &JobSpec,
-    seed: u64,
-    control: &JobControl,
-    progress: &mut dyn FnMut(JobProgress),
-) -> JobResult {
-    execute_controlled_cached(platform, spec, seed, control, progress, None)
-}
-
-/// [`execute_controlled`] with an optional service-scope
-/// [`CrossJobCache`](crate::cache::CrossJobCache) — the entry the
-/// `ehw-service` shards use.
 ///
 /// For evolution jobs the cache supplies two things: a shared window
 /// extraction for the training image, and (when the spec opted in via
@@ -1327,10 +1258,9 @@ pub fn execute_controlled(
 /// initial parent.  Completed evolution jobs deposit their champion back.
 /// Cascade and fault-campaign jobs run uncached: their inner images change
 /// per stage/position, so the cross-job tiers would not hit (the cascade
-/// engine has its own intra/cross-generation memos).  With `cache: None`
-/// this is byte-identical to [`execute_controlled`]; with a cache, results
-/// are *still* byte-identical unless warm starting changes the initial
-/// parent — see the determinism contract in [`crate::cache`].
+/// engine has its own intra/cross-generation memos).  With a cache, results
+/// are *still* byte-identical to `cache: None` unless warm starting changes
+/// the initial parent — see the determinism contract in [`crate::cache`].
 pub fn execute_controlled_cached(
     platform: &mut EhwPlatform,
     spec: &JobSpec,
@@ -1457,18 +1387,7 @@ pub fn execute_controlled_cached(
             }
         }
         JobSpec::FaultCampaign(s) => {
-            let recovery = EsConfig { seed, ..s.recovery };
-            let report = crate::fault_campaign::scenario_fault_campaign_controlled(
-                platform,
-                &s.baseline,
-                &s.task,
-                &recovery,
-                &s.arrays,
-                &s.scenario,
-                &s.policy,
-                platform.parallel_config(),
-                control,
-            );
+            let report = crate::fault_campaign::run_campaign(platform, s, seed, control);
             let output = match control.stop_reason() {
                 Some(kind) => JobOutput::Cancelled(kind),
                 None => JobOutput::FaultCampaign(report.clone()),
@@ -1914,9 +1833,14 @@ mod tests {
             .unwrap();
         let mut platform = EhwPlatform::new(1);
         let mut events = Vec::new();
-        let result = execute_controlled(&mut platform, &spec, 42, &JobControl::new(), &mut |p| {
-            events.push(p)
-        });
+        let result = execute_controlled_cached(
+            &mut platform,
+            &spec,
+            42,
+            &JobControl::new(),
+            &mut |p| events.push(p),
+            None,
+        );
         assert!(!result.is_failed() && !result.is_cancelled());
         let report = result.as_stream().expect("stream payload");
         assert_eq!(report.frames, 12);
@@ -1956,7 +1880,8 @@ mod tests {
         let mut platform = EhwPlatform::new(1);
         let control = JobControl::new();
         control.cancel();
-        let result = execute_controlled(&mut platform, &spec, 3, &control, &mut |_| {});
+        let result =
+            execute_controlled_cached(&mut platform, &spec, 3, &control, &mut |_| {}, None);
         assert_eq!(result.cancel_kind(), Some(CancelKind::Requested));
     }
 

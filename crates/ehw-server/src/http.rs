@@ -6,10 +6,12 @@
 //! in), the per-connection request budget runs out, or a streaming response
 //! takes over the socket.  That is exactly enough for the job API (and for
 //! `curl`), and it keeps the parser small enough to audit: the request line,
-//! headers until the blank line, then `Content-Length` bytes of body, with a
-//! hard size cap so a hostile client cannot balloon the server.
+//! headers until the blank line, then `Content-Length` bytes of body, with
+//! hard caps on line length, header count and body size so a hostile client
+//! can neither balloon the server nor hold a handler thread with an endless
+//! header block.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, Write};
 use std::net::TcpStream;
 
 /// Largest request body the server will buffer.  Training images dominate
@@ -19,6 +21,10 @@ pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 
 /// Largest single header line (and request line) the parser accepts.
 const MAX_LINE_BYTES: usize = 16 * 1024;
+
+/// Most header lines one request may carry; past it the request is
+/// malformed (400).
+const MAX_HEADERS: usize = 100;
 
 /// Requests served over one connection before the server closes it anyway —
 /// a bound on how long a single client can monopolise a handler thread.
@@ -67,7 +73,7 @@ impl From<io::Error> for RequestError {
 /// Reads one request from a (possibly reused) buffered connection.  The
 /// reader must persist across requests on the same connection: bytes of the
 /// next request may already sit in its buffer after this one's body.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, RequestError> {
+pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, RequestError> {
     // A clean EOF before the first byte of a request is the client ending a
     // keep-alive session, not a malformed request.
     if reader.fill_buf()?.is_empty() {
@@ -104,10 +110,17 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, Reques
     let mut content_length = 0usize;
     let mut accept = String::new();
     let mut connection = String::new();
+    let mut headers = 0usize;
     loop {
         let line = read_line(reader)?;
         if line.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(RequestError::Malformed(format!(
+                "more than {MAX_HEADERS} header lines"
+            )));
         }
         let Some((name, value)) = line.split_once(':') else {
             return Err(RequestError::Malformed(format!(
@@ -146,7 +159,7 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, Reques
 }
 
 /// Reads one CRLF- (or bare-LF-) terminated line, size-capped.
-fn read_line(reader: &mut BufReader<TcpStream>) -> Result<String, RequestError> {
+fn read_line<R: BufRead>(reader: &mut R) -> Result<String, RequestError> {
     let mut line = Vec::new();
     loop {
         let mut byte = [0u8; 1];
@@ -218,4 +231,51 @@ pub fn write_stream_head(stream: &mut TcpStream, content_type: &str) -> io::Resu
         format!("HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nConnection: close\r\n\r\n");
     stream.write_all(head.as_bytes())?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+
+    fn parse(raw: &[u8]) -> Result<Request, RequestError> {
+        read_request(&mut Cursor::new(raw))
+    }
+
+    /// A `GET` request carrying `headers` filler header lines.
+    fn with_headers(headers: usize) -> Vec<u8> {
+        let mut raw = b"GET /metrics HTTP/1.1\r\n".to_vec();
+        for i in 0..headers {
+            raw.extend_from_slice(format!("X-Filler-{i}: v\r\n").as_bytes());
+        }
+        raw.extend_from_slice(b"\r\n");
+        raw
+    }
+
+    #[test]
+    fn header_count_is_capped() {
+        let request = parse(&with_headers(MAX_HEADERS)).expect("at the cap is fine");
+        assert_eq!(request.path, "/metrics");
+        match parse(&with_headers(MAX_HEADERS + 1)) {
+            Err(RequestError::Malformed(why)) => assert!(why.contains("header lines"), "{why}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn clean_eof_before_a_request_is_closed() {
+        assert!(matches!(parse(b""), Err(RequestError::Closed)));
+    }
+
+    #[test]
+    fn content_length_over_the_body_cap_is_too_large() {
+        let head = format!(
+            "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
+        assert!(matches!(
+            parse(head.as_bytes()),
+            Err(RequestError::TooLarge(n)) if n == MAX_BODY_BYTES + 1
+        ));
+    }
 }

@@ -404,6 +404,40 @@ fn oversized_bodies_get_413() {
 }
 
 #[test]
+fn header_floods_get_400_and_the_server_keeps_serving() {
+    let server = start_server(1);
+    let addr = server.local_addr();
+
+    let mut flood = b"GET /metrics HTTP/1.1\r\nHost: t\r\n".to_vec();
+    for i in 0..10_000 {
+        flood.extend_from_slice(format!("X-Flood-{i}: x\r\n").as_bytes());
+    }
+    flood.extend_from_slice(b"\r\n");
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    // A server that accepted the flood would keep the connection alive;
+    // the timeout turns that into a failed assertion instead of a hang.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    let mut writer = stream.try_clone().expect("clone the socket");
+    // The server answers as soon as the header cap is passed and closes the
+    // connection while the flood is still arriving, so the send may fail:
+    // write from a side thread and keep whatever the server sent back.
+    let sender = std::thread::spawn(move || {
+        let _ = writer.write_all(&flood);
+    });
+    let mut raw = Vec::new();
+    let _ = stream.read_to_end(&mut raw);
+    sender.join().expect("sender thread");
+    let text = String::from_utf8_lossy(&raw);
+    assert!(text.starts_with("HTTP/1.1 400 "), "{text}");
+    assert!(text.contains("header lines"), "{text}");
+
+    // A fresh connection still gets answered.
+    assert_eq!(get(addr, "/metrics").status, 200);
+}
+
+#[test]
 fn metrics_reflect_a_failed_job() {
     // Wire specs go through the validating builders, so a failure has to be
     // provoked below the builder layer: the doomed spec helper builds a spec

@@ -31,7 +31,7 @@
 //! the priority lanes, or the worker configuration (seeds are assigned at
 //! submission, before any reordering can happen).
 //! `tests/property_service_equivalence.rs` pins this, together with
-//! byte-identity against the legacy entry points.
+//! byte-identity against direct [`jobs::execute`] runs.
 //!
 //! # Backpressure, priorities
 //!
@@ -656,12 +656,12 @@ impl JobQueue {
 /// Each shard is one OS thread owning its platforms (one per array count it
 /// has seen, recycled via [`EhwPlatform::reset`] so no state leaks between
 /// jobs) and executing one job at a time through the single
-/// [`jobs::execute_controlled`] path; intra-job parallelism is governed by
-/// [`ServiceConfig::workers_per_platform`].  Dropping the service is a
-/// **graceful drain**, not a cancel: the queue stops accepting new jobs,
-/// every job already accepted still executes, the shards are joined, and
-/// every issued [`JobHandle`] remains resolvable (results are buffered in
-/// the handle's channel).  To stop a job early, cancel it through its
+/// [`jobs::execute_controlled_cached`] path; intra-job parallelism is
+/// governed by [`ServiceConfig::workers_per_platform`].  Dropping the
+/// service is a **graceful drain**, not a cancel: the queue stops accepting
+/// new jobs, every job already accepted still executes, the shards are
+/// joined, and every issued [`JobHandle`] remains resolvable (results are
+/// buffered in the handle's channel).  To stop a job early, cancel it through its
 /// [`JobMonitor`] or give it a [`JobOptions::deadline`].
 pub struct EhwService {
     queue: Arc<JobQueue>,
@@ -904,7 +904,7 @@ impl JobHandle {
     }
 
     /// The effective RNG seed the job runs with (pinned or derived) —
-    /// re-running the same spec through a legacy entry point with this seed
+    /// re-running the same spec through [`jobs::execute`] with this seed
     /// reproduces the result byte for byte.
     pub fn seed(&self) -> u64 {
         self.seed

@@ -41,7 +41,7 @@ fn main() {
     println!("median filter MAE:         {}", mae(&median, &clean));
 
     // One typed cascade job (3 stages, the paper's parameters); the pinned
-    // seed reproduces the legacy `evolve_cascade` run byte for byte.
+    // seed makes the run byte-reproducible on any pool size.
     let service = EhwService::new(ServiceConfig::new(1)).expect("valid service config");
     let spec = JobSpec::cascade(noisy.clone(), clean.clone())
         .stages(3)

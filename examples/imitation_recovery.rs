@@ -15,8 +15,9 @@ use ehw_evolution::strategy::{EsConfig, NullObserver};
 use ehw_fabric::fault::FaultKind;
 use ehw_image::noise::NoiseModel;
 use ehw_image::synth;
-use ehw_platform::evo_modes::{evolve_imitation, evolve_parallel, EvolutionTask, ImitationStart};
+use ehw_platform::evo_modes::{evolve_imitation, ImitationStart};
 use ehw_platform::fault_campaign::find_injectable_pe;
+use ehw_platform::jobs::{execute, JobSpec};
 use ehw_platform::platform::EhwPlatform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,14 +31,20 @@ fn main() {
     let clean = synth::shapes(64, 64, 4);
     let mut rng = StdRng::seed_from_u64(3);
     let noisy = NoiseModel::SaltPepper { density: 0.3 }.apply(&clean, &mut rng);
-    let task = EvolutionTask::new(noisy.clone(), clean);
 
     // Initial evolution: both arrays get the same working filter.
     let mut platform = EhwPlatform::new(2);
-    let config = EsConfig::paper(3, 2, 200, 11);
-    let (evolved, _) = evolve_parallel(&mut platform, &task, &config);
+    let spec = JobSpec::evolution(noisy.clone(), clean)
+        .num_arrays(2)
+        .generations(200)
+        .build()
+        .expect("valid evolution spec");
+    let evolved = execute(&mut platform, &spec, 11);
     println!("== Evolution by imitation after a permanent fault ==");
-    println!("working filter fitness:          {}", evolved.best_fitness);
+    println!(
+        "working filter fitness:          {}",
+        evolved.final_fitness().expect("evolution job")
+    );
 
     // Permanent fault in an active PE of array 1 (upstream of the output, so
     // the inherited genotype can re-route around it); the reference image is

@@ -43,9 +43,9 @@ fn main() {
 
     // A typed evolution job with the paper's EA parameters (9 offspring per
     // generation, mutation rate k = 3); the spec validates shapes and budgets
-    // at construction.  The pinned seed makes the run byte-reproducible — the
-    // legacy `evolve_parallel` entry point with the same seed returns the
-    // exact same result.
+    // at construction.  The pinned seed makes the run byte-reproducible —
+    // running the same spec directly on a platform with
+    // `ehw_platform::jobs::execute` returns the exact same result.
     let spec = JobSpec::evolution(noisy.clone(), clean.clone())
         .mutation_rate(3)
         .generations(generations)

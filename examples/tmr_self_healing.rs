@@ -15,7 +15,7 @@ use ehw_fabric::fault::FaultKind;
 use ehw_image::metrics::mae;
 use ehw_image::noise::NoiseModel;
 use ehw_image::synth;
-use ehw_platform::evo_modes::{evolve_parallel, EvolutionTask};
+use ehw_platform::jobs::{execute, JobSpec};
 use ehw_platform::platform::EhwPlatform;
 use ehw_platform::self_healing::{HealingOutcome, TmrSupervisor};
 use rand::rngs::StdRng;
@@ -34,15 +34,21 @@ fn main() {
     let clean = synth::shapes(64, 64, 5);
     let mut rng = StdRng::seed_from_u64(20);
     let noisy = NoiseModel::SaltPepper { density: 0.3 }.apply(&clean, &mut rng);
-    let task = EvolutionTask::new(noisy.clone(), clean.clone());
 
     println!("== TMR parallel mode with fault injection and imitation recovery ==");
 
     // Step a: evolve a working circuit and configure it in all three arrays.
     let mut platform = EhwPlatform::paper_three_arrays();
-    let config = EsConfig::paper(3, 3, evolution_generations, 5);
-    let (result, _) = evolve_parallel(&mut platform, &task, &config);
-    println!("evolved filter fitness:       {}", result.best_fitness);
+    let spec = JobSpec::evolution(noisy.clone(), clean)
+        .num_arrays(3)
+        .generations(evolution_generations)
+        .build()
+        .expect("valid evolution spec");
+    let evolved = execute(&mut platform, &spec, 5);
+    println!(
+        "evolved filter fitness:       {}",
+        evolved.final_fitness().expect("evolution job")
+    );
 
     // The reference stream the fitness voter compares against is the evolved
     // filter's own output on the mission input.

@@ -8,9 +8,9 @@ use ehw_image::metrics::mae;
 use ehw_image::noise::salt_pepper;
 use ehw_image::synth;
 use ehw_platform::evo_modes::{
-    chain_fitness, evolve_cascade, evolve_imitation, evolve_parallel, evolve_same_filter_cascade,
-    CascadeConfig, EvolutionTask, ImitationStart,
+    evolve_imitation, evolve_same_filter_cascade, EvolutionTask, ImitationStart,
 };
+use ehw_platform::jobs::{execute, EvolutionBuilder, JobSpec};
 use ehw_platform::modes::CascadeSchedule;
 use ehw_platform::platform::EhwPlatform;
 use ehw_platform::timing::PipelineTimer;
@@ -24,14 +24,24 @@ fn denoise_task(size: usize, density: f64, seed: u64) -> EvolutionTask {
     EvolutionTask::new(noisy, clean)
 }
 
+/// An evolution job over `task` with the offspring spread over every array
+/// of `platform`.
+fn evolution(platform: &EhwPlatform, task: &EvolutionTask) -> EvolutionBuilder {
+    JobSpec::evolution(task.input.clone(), task.reference.clone()).num_arrays(platform.num_arrays())
+}
+
 #[test]
 fn parallel_evolution_beats_identity_and_updates_platform() {
     let mut platform = EhwPlatform::paper_three_arrays();
     let task = denoise_task(32, 0.4, 1);
     let identity_fitness = mae(&task.input, &task.reference);
 
-    let config = EsConfig::paper(3, 3, 120, 7);
-    let (result, time) = evolve_parallel(&mut platform, &task, &config);
+    let spec = evolution(&platform, &task)
+        .generations(120)
+        .build()
+        .unwrap();
+    let job = execute(&mut platform, &spec, 7);
+    let (result, time) = job.as_evolution().expect("evolution job");
 
     assert!(result.best_fitness < identity_fitness);
     assert!(time.total_s > 0.0);
@@ -53,13 +63,16 @@ fn three_arrays_reduce_modelled_evolution_time_at_equal_quality() {
     // evaluations overlap.  The paper's 128×128 image size makes the saved
     // evaluation time dominate any difference in reconfiguration counts.
     let task = denoise_task(128, 0.3, 3);
-    let config = EsConfig::paper(3, 1, 30, 13);
 
     let mut single = EhwPlatform::new(1);
-    let (result_single, time_single) = evolve_parallel(&mut single, &task, &config);
+    let spec = evolution(&single, &task).generations(30).build().unwrap();
+    let single_job = execute(&mut single, &spec, 13);
+    let (result_single, time_single) = single_job.as_evolution().expect("evolution job");
 
     let mut triple = EhwPlatform::paper_three_arrays();
-    let (result_triple, time_triple) = evolve_parallel(&mut triple, &task, &config);
+    let spec = evolution(&triple, &task).generations(30).build().unwrap();
+    let triple_job = execute(&mut triple, &spec, 13);
+    let (result_triple, time_triple) = triple_job.as_evolution().expect("evolution job");
 
     assert!(time_triple.total_s < time_single.total_s);
     // Quality is statistically equivalent; with the same seed and number of
@@ -73,16 +86,20 @@ fn two_level_ea_is_faster_per_generation_than_classic() {
     // Fig. 14 at integration level: with the same budget the two-level EA
     // spends less model time because secondary offspring only touch one PE.
     let task = denoise_task(24, 0.3, 5);
-    let classic_cfg = EsConfig::paper(5, 3, 60, 17);
-    let two_level_cfg = EsConfig {
-        strategy: MutationStrategy::two_level(),
-        ..classic_cfg
+    let run = |strategy: MutationStrategy| {
+        let mut platform = EhwPlatform::paper_three_arrays();
+        let spec = evolution(&platform, &task)
+            .mutation_rate(5)
+            .generations(60)
+            .strategy(strategy)
+            .build()
+            .unwrap();
+        let job = execute(&mut platform, &spec, 17);
+        *job.as_evolution().expect("evolution job").1
     };
 
-    let mut classic_platform = EhwPlatform::paper_three_arrays();
-    let (_, classic_time) = evolve_parallel(&mut classic_platform, &task, &classic_cfg);
-    let mut two_level_platform = EhwPlatform::paper_three_arrays();
-    let (_, two_level_time) = evolve_parallel(&mut two_level_platform, &task, &two_level_cfg);
+    let classic_time = run(MutationStrategy::Classic);
+    let two_level_time = run(MutationStrategy::two_level());
 
     assert!(two_level_time.total_s < classic_time.total_s);
     assert!(two_level_time.pe_reconfigurations < classic_time.pe_reconfigurations);
@@ -99,14 +116,14 @@ fn adapted_cascade_beats_replicating_the_same_filter() {
         evolve_same_filter_cascade(&mut same_platform, &task, &EsConfig::paper(2, 1, 150, 21));
 
     let mut adapted_platform = EhwPlatform::paper_three_arrays();
-    let adapted = evolve_cascade(
-        &mut adapted_platform,
-        &task,
-        &CascadeConfig {
-            schedule: CascadeSchedule::Interleaved,
-            ..CascadeConfig::paper(50, 2, 21)
-        },
-    );
+    let spec = JobSpec::cascade(task.input.clone(), task.reference.clone())
+        .stages(3)
+        .generations(50)
+        .schedule(CascadeSchedule::Interleaved)
+        .build()
+        .unwrap();
+    let job = execute(&mut adapted_platform, &spec, 21);
+    let adapted = job.as_cascade().expect("cascade job");
 
     let adapted_final = adapted.final_fitness().expect("three stages");
     let same_final = same.final_fitness().expect("three stages");
@@ -116,7 +133,7 @@ fn adapted_cascade_beats_replicating_the_same_filter() {
     );
 
     // chain_fitness agrees with the result the cascade reported.
-    let recheck = chain_fitness(&adapted_platform, &task.input, &task.reference);
+    let recheck = adapted_platform.chain_fitness(&task.input, &task.reference);
     assert_eq!(recheck, adapted.stage_fitness);
 }
 
@@ -129,12 +146,13 @@ fn imitation_learns_an_edge_detector_without_its_reference() {
     let task = EvolutionTask::new(scene.clone(), edges);
 
     let mut platform = EhwPlatform::new(2);
-    let config = EsConfig::paper(3, 2, 120, 31);
     // Evolve only array 0 (parallel over a single-array platform would also
     // work; here we configure array 0 and keep array 1 untouched).
     let mut single = EhwPlatform::new(1);
-    let (evolved, _) = evolve_parallel(&mut single, &task, &config);
-    platform.configure_array(0, &evolved.best_genotype);
+    let spec = evolution(&single, &task).generations(120).build().unwrap();
+    let job = execute(&mut single, &spec, 31);
+    let evolved = job.best_genotype().expect("evolved genotype");
+    platform.configure_array(0, evolved);
 
     let recovery = EsConfig {
         target_fitness: Some(0),
@@ -165,7 +183,7 @@ fn pipeline_timer_integrates_with_a_real_evolution_run() {
     let config = EsConfig::paper(3, 3, 30, 43);
 
     // Run evolution manually against the platform evaluator to check that the
-    // observer hook composes outside of evolve_parallel as well.
+    // observer hook composes outside of the job path as well.
     let mut evaluator = ehw_platform::evo_modes::PlatformEvaluator::new(&platform, &task);
     let result = ehw_evolution::strategy::run_evolution(&config, &mut evaluator, &mut timer);
     platform.configure_all_arrays(&result.best_genotype);

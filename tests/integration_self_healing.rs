@@ -7,7 +7,8 @@ use ehw_fabric::fault::FaultKind;
 use ehw_image::metrics::mae;
 use ehw_image::noise::salt_pepper;
 use ehw_image::synth;
-use ehw_platform::evo_modes::{evolve_parallel, EvolutionTask};
+use ehw_platform::evo_modes::EvolutionTask;
+use ehw_platform::jobs::{execute, JobSpec};
 use ehw_platform::platform::EhwPlatform;
 use ehw_platform::self_healing::{
     CascadedSelfHealing, HealingOutcome, RecoveryConfig, RecoveryMethod, TmrSupervisor,
@@ -21,11 +22,14 @@ fn evolved_platform(arrays: usize, seed: u64) -> (EhwPlatform, EvolutionTask) {
     let clean = synth::shapes(32, 32, 4);
     let mut rng = StdRng::seed_from_u64(seed);
     let noisy = salt_pepper(&clean, 0.3, &mut rng);
-    let task = EvolutionTask::new(noisy, clean);
+    let spec = JobSpec::evolution(noisy.clone(), clean.clone())
+        .num_arrays(arrays)
+        .generations(80)
+        .build()
+        .expect("valid spec");
     let mut platform = EhwPlatform::new(arrays);
-    let config = EsConfig::paper(3, 2, 80, seed);
-    let _ = evolve_parallel(&mut platform, &task, &config);
-    (platform, task)
+    let _ = execute(&mut platform, &spec, seed);
+    (platform, EvolutionTask::new(noisy, clean))
 }
 
 /// The PE that is guaranteed to sit on the active data path of the

@@ -9,9 +9,8 @@ use ehw_fabric::fault::FaultKind;
 use ehw_image::noise::salt_pepper;
 use ehw_image::synth;
 use ehw_parallel::ParallelConfig;
-use ehw_platform::evo_modes::{
-    evolve_cascade, CascadeConfig, CascadeEngine, CascadeInit, CascadeResult, EvolutionTask,
-};
+use ehw_platform::evo_modes::{CascadeEngine, CascadeInit, CascadeResult, EvolutionTask};
+use ehw_platform::jobs::{execute, CascadeBuilder, JobSpec};
 use ehw_platform::modes::{CascadeFitness, CascadeSchedule};
 use ehw_platform::platform::EhwPlatform;
 use proptest::prelude::*;
@@ -51,14 +50,19 @@ fn platform(workers: usize, faulty: bool) -> EhwPlatform {
     p
 }
 
-fn run(
-    config: &CascadeConfig,
-    task: &EvolutionTask,
-    workers: usize,
-    faulty: bool,
-) -> CascadeResult {
-    let mut p = platform(workers, faulty);
-    evolve_cascade(&mut p, task, config)
+/// A three-stage cascade job over `task`.
+fn cascade(task: &EvolutionTask) -> CascadeBuilder {
+    JobSpec::cascade(task.input.clone(), task.reference.clone()).stages(3)
+}
+
+/// Runs the cascade on `platform` and returns its payload.
+fn run_on(p: &mut EhwPlatform, spec: &JobSpec, seed: u64) -> CascadeResult {
+    let job = execute(p, spec, seed);
+    job.as_cascade().expect("cascade job").clone()
+}
+
+fn run(spec: &JobSpec, seed: u64, workers: usize, faulty: bool) -> CascadeResult {
+    run_on(&mut platform(workers, faulty), spec, seed)
 }
 
 proptest! {
@@ -74,22 +78,22 @@ proptest! {
         faulty in any::<bool>(),
     ) {
         let task = denoise_task(14, img_seed);
-        let config = CascadeConfig {
-            fitness,
-            schedule,
-            init,
-            offspring: 5,
-            ..CascadeConfig::paper(4, 2, seed)
+        let spec = |engine: CascadeEngine| {
+            cascade(&task)
+                .generations(4)
+                .offspring(5)
+                .fitness(fitness)
+                .schedule(schedule)
+                .init(init)
+                .engine(engine)
+                .build()
+                .expect("valid spec")
         };
-        let naive = run(
-            &CascadeConfig { engine: CascadeEngine::Naive, ..config },
-            &task,
-            1,
-            faulty,
-        );
-        let reference = run(&config, &task, 1, faulty);
+        let naive = run(&spec(CascadeEngine::Naive), seed, 1, faulty);
+        let compiled_spec = spec(CascadeEngine::Compiled);
+        let reference = run(&compiled_spec, seed, 1, faulty);
         for workers in [1usize, 2, 8] {
-            let compiled = run(&config, &task, workers, faulty);
+            let compiled = run(&compiled_spec, seed, workers, faulty);
             prop_assert_eq!(
                 &compiled.stage_genotypes, &naive.stage_genotypes,
                 "genotypes diverged at {} workers ({:?}/{:?})", workers, fitness, schedule
@@ -116,19 +120,19 @@ proptest! {
         // Beyond the returned result: the platform both engines leave behind
         // must hold the same circuits and report the same chain fitness.
         let task = denoise_task(12, img_seed);
-        let config = CascadeConfig {
-            schedule,
-            offspring: 4,
-            ..CascadeConfig::paper(3, 2, seed)
+        let spec = |engine: CascadeEngine| {
+            cascade(&task)
+                .generations(3)
+                .offspring(4)
+                .schedule(schedule)
+                .engine(engine)
+                .build()
+                .expect("valid spec")
         };
         let mut naive_platform = platform(1, false);
-        let _ = evolve_cascade(
-            &mut naive_platform,
-            &task,
-            &CascadeConfig { engine: CascadeEngine::Naive, ..config },
-        );
+        let _ = run_on(&mut naive_platform, &spec(CascadeEngine::Naive), seed);
         let mut compiled_platform = platform(1, false);
-        let _ = evolve_cascade(&mut compiled_platform, &task, &config);
+        let _ = run_on(&mut compiled_platform, &spec(CascadeEngine::Compiled), seed);
         for i in 0..3 {
             prop_assert_eq!(
                 naive_platform.acb(i).genotype(),

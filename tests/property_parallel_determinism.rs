@@ -13,8 +13,8 @@ use ehw_evolution::strategy::{run_evolution, EsConfig, MutationStrategy, NullObs
 use ehw_image::noise::salt_pepper;
 use ehw_image::synth;
 use ehw_parallel::{ordered_map, ParallelConfig};
-use ehw_platform::evo_modes::{evolve_parallel, EvolutionTask};
-use ehw_platform::fault_campaign::systematic_fault_campaign_with;
+use ehw_platform::evo_modes::EvolutionTask;
+use ehw_platform::jobs::{execute, JobSpec};
 use ehw_platform::platform::EhwPlatform;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -68,14 +68,20 @@ proptest! {
     #[test]
     fn platform_evolution_is_worker_count_invariant(seed in any::<u64>()) {
         let task = denoise_task(16, seed ^ 0x3C3C);
+        let spec = JobSpec::evolution(task.input, task.reference)
+            .mutation_rate(2)
+            .num_arrays(3)
+            .generations(10)
+            .build()
+            .expect("valid spec");
         let results: Vec<_> = WORKER_COUNTS
             .iter()
             .map(|&workers| {
                 let mut platform =
                     EhwPlatform::with_parallel(3, ParallelConfig::with_workers(workers));
-                let config = EsConfig::paper(2, 3, 10, seed);
-                let (result, _time) = evolve_parallel(&mut platform, &task, &config);
-                (result, platform.acb(0).genotype().encode())
+                let job = execute(&mut platform, &spec, seed);
+                let (result, _time) = job.as_evolution().expect("evolution job");
+                (result.clone(), platform.acb(0).genotype().encode())
             })
             .collect();
         for (result, configured) in &results[1..] {
@@ -99,19 +105,20 @@ proptest! {
             let mut rng = StdRng::seed_from_u64(seed);
             Genotype::random(&mut rng)
         };
-        let recovery = EsConfig::paper(1, 1, 2, seed ^ 1);
+        let spec = JobSpec::fault_campaign(task.input, task.reference)
+            .baseline(baseline)
+            .arrays(vec![0, 1])
+            .recovery_mutation_rate(1)
+            .recovery_generations(2)
+            .build()
+            .expect("valid spec");
         let reports: Vec<_> = WORKER_COUNTS
             .iter()
             .map(|&workers| {
-                let mut platform = EhwPlatform::new(2);
-                systematic_fault_campaign_with(
-                    &mut platform,
-                    &baseline,
-                    &task,
-                    &recovery,
-                    &[0, 1],
-                    ParallelConfig::with_workers(workers),
-                )
+                let mut platform =
+                    EhwPlatform::with_parallel(2, ParallelConfig::with_workers(workers));
+                let job = execute(&mut platform, &spec, seed ^ 1);
+                job.as_campaign().expect("campaign job").clone()
             })
             .collect();
         for report in &reports[1..] {

@@ -7,20 +7,18 @@
 //! that contract: the schedule itself is reproducible across compiles, and
 //! the campaign a schedule drives is byte-identical at 1, 2 and 8 workers
 //! for every scenario kind crossed with every recovery-policy ladder.  The
-//! legacy single-PE sweep is also pinned as exactly `SingleSweep` under the
-//! default policy, so PR-era call sites and the scenario layer can never
-//! drift apart silently.
+//! campaign builder's defaults — the historic single-PE sweep — are also
+//! pinned as exactly `SingleSweep` under the default policy, so a campaign
+//! that names neither and the scenario layer can never drift apart silently.
 
 use ehw_array::genotype::Genotype;
 use ehw_evolution::fitness::EngineStats;
-use ehw_evolution::strategy::EsConfig;
 use ehw_image::noise::salt_pepper;
 use ehw_image::synth;
 use ehw_parallel::ParallelConfig;
 use ehw_platform::evo_modes::EvolutionTask;
-use ehw_platform::fault_campaign::{
-    scenario_fault_campaign_with, systematic_fault_campaign_with, CampaignReport,
-};
+use ehw_platform::fault_campaign::{self, CampaignReport};
+use ehw_platform::jobs::{execute, FaultCampaignBuilder, JobControl, JobSpec};
 use ehw_platform::platform::EhwPlatform;
 use ehw_platform::scenario::{FaultScenario, ResilienceReport, ScenarioKind, ScenarioRegistry};
 use ehw_platform::self_healing::RecoveryPolicy;
@@ -37,29 +35,37 @@ fn denoise_task(size: usize, seed: u64) -> EvolutionTask {
     EvolutionTask::new(noisy, clean)
 }
 
+/// The campaign every property runs: a random baseline over both arrays of
+/// a two-array platform, with a short one-gene recovery budget.
+fn campaign(seed: u64) -> FaultCampaignBuilder {
+    let task = denoise_task(12, seed ^ 0x5EED);
+    let baseline = {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Genotype::random(&mut rng)
+    };
+    JobSpec::fault_campaign(task.input, task.reference)
+        .baseline(baseline)
+        .arrays(vec![0, 1])
+        .recovery_mutation_rate(1)
+        .recovery_generations(2)
+}
+
 fn run_campaign(
     scenario: &FaultScenario,
     policy: &RecoveryPolicy,
     seed: u64,
     workers: usize,
 ) -> CampaignReport {
-    let task = denoise_task(12, seed ^ 0x5EED);
-    let baseline = {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Genotype::random(&mut rng)
+    let spec = campaign(seed)
+        .scenario(scenario.clone())
+        .policy(policy.clone())
+        .build()
+        .expect("valid spec");
+    let JobSpec::FaultCampaign(spec) = spec else {
+        unreachable!("the campaign builder builds campaign specs")
     };
-    let recovery = EsConfig::paper(1, 1, 2, seed);
-    let mut platform = EhwPlatform::new(2);
-    scenario_fault_campaign_with(
-        &mut platform,
-        &baseline,
-        &task,
-        &recovery,
-        &[0, 1],
-        scenario,
-        policy,
-        ParallelConfig::with_workers(workers),
-    )
+    let mut platform = EhwPlatform::with_parallel(2, ParallelConfig::with_workers(workers));
+    fault_campaign::run_campaign(&mut platform, &spec, seed, &JobControl::new())
 }
 
 proptest! {
@@ -137,31 +143,19 @@ proptest! {
 
     #[test]
     fn legacy_campaign_equals_single_sweep_under_the_default_policy(seed in any::<u64>()) {
-        let task = denoise_task(12, seed ^ 0x5EED);
-        let baseline = {
-            let mut rng = StdRng::seed_from_u64(seed);
-            Genotype::random(&mut rng)
-        };
-        let recovery = EsConfig::paper(1, 1, 2, seed);
-
-        let legacy = {
-            let mut platform = EhwPlatform::new(2);
-            systematic_fault_campaign_with(
-                &mut platform,
-                &baseline,
-                &task,
-                &recovery,
-                &[0, 1],
-                ParallelConfig::with_workers(2),
-            )
-        };
+        // The legacy side names no scenario and no policy and runs through
+        // the job path: the builder's defaults are the historic sweep.
+        let spec = campaign(seed).build().expect("valid spec");
+        let mut platform = EhwPlatform::with_parallel(2, ParallelConfig::with_workers(2));
+        let job = execute(&mut platform, &spec, seed);
+        let legacy = job.as_campaign().expect("campaign job");
         let scenario = run_campaign(
             &FaultScenario::single_sweep(),
             &RecoveryPolicy::default_ladder(),
             seed,
             2,
         );
-        prop_assert_eq!(&legacy, &scenario);
+        prop_assert_eq!(legacy, &scenario);
         prop_assert_eq!(legacy.len(), 32);
     }
 }

@@ -4,11 +4,10 @@
 //! function of its spec and its effective seed, never of how the pool is
 //! sized or scheduled.  Three families of properties pin that down:
 //!
-//! 1. **Legacy equivalence** — every [`JobSpec`] kind, run through an
-//!    [`EhwService`], returns byte-identical results to the legacy entry
-//!    point (`evolve_parallel`, `evolve_cascade`,
-//!    `systematic_fault_campaign`) with the same seed, at any worker or
-//!    platform count.
+//! 1. **Direct-execution equivalence** — every [`JobSpec`] kind, run through
+//!    an [`EhwService`], returns byte-identical results to the same spec run
+//!    directly through [`execute`] on a serial platform with the same seed,
+//!    at any worker or platform count.
 //! 2. **Pool invariance** — a mixed-kind batch produces byte-identical
 //!    results at 1/2/8 workers × 1/2 platforms, and derived (unpinned) seeds
 //!    follow the service root sequence reproducibly.
@@ -16,12 +15,11 @@
 //!    every submitted job resolves, and a submitter against a saturated
 //!    queue provably waits until a shard frees capacity.
 
-use ehw_evolution::strategy::EsConfig;
 use ehw_image::noise::salt_pepper;
 use ehw_image::synth;
 use ehw_parallel::ParallelConfig;
-use ehw_platform::evo_modes::{evolve_cascade, evolve_parallel, CascadeConfig, EvolutionTask};
-use ehw_platform::fault_campaign::systematic_fault_campaign;
+use ehw_platform::evo_modes::EvolutionTask;
+use ehw_platform::jobs::execute;
 use ehw_platform::modes::{CascadeFitness, CascadeSchedule};
 use ehw_platform::platform::EhwPlatform;
 use ehw_service::{EhwService, JobResult, JobSpec, ServiceConfig};
@@ -50,11 +48,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     // ------------------------------------------------------------------
-    // 1. Legacy equivalence, per job kind
+    // 1. Direct-execution equivalence, per job kind
     // ------------------------------------------------------------------
 
     #[test]
-    fn evolution_jobs_match_evolve_parallel(
+    fn evolution_jobs_match_direct_execution(
         seed in any::<u64>(),
         mutation_rate in 1usize..4,
         arrays in 1usize..4,
@@ -71,13 +69,13 @@ proptest! {
         let service = EhwService::new(
             ServiceConfig::new(1).workers_per_platform(workers),
         ).expect("valid config");
-        let job = service.submit(spec).expect("accepted").wait().expect("shard pool is alive");
+        let job = service.submit(spec.clone()).expect("accepted").wait().expect("shard pool is alive");
         let (got, got_time) = job.as_evolution().expect("evolution job");
 
         let mut platform =
             EhwPlatform::with_parallel(arrays, ParallelConfig::serial());
-        let config = EsConfig::paper(mutation_rate, arrays, 6, seed);
-        let (want, want_time) = evolve_parallel(&mut platform, &task, &config);
+        let direct = execute(&mut platform, &spec, seed);
+        let (want, want_time) = direct.as_evolution().expect("evolution job");
 
         prop_assert_eq!(got.best_genotype.encode(), want.best_genotype.encode());
         prop_assert_eq!(got.best_fitness, want.best_fitness);
@@ -91,7 +89,7 @@ proptest! {
     }
 
     #[test]
-    fn cascade_jobs_match_evolve_cascade(
+    fn cascade_jobs_match_direct_execution(
         seed in any::<u64>(),
         merged in any::<bool>(),
         interleaved in any::<bool>(),
@@ -112,16 +110,12 @@ proptest! {
         let service = EhwService::new(
             ServiceConfig::new(1).workers_per_platform(workers),
         ).expect("valid config");
-        let job = service.submit(spec).expect("accepted").wait().expect("shard pool is alive");
+        let job = service.submit(spec.clone()).expect("accepted").wait().expect("shard pool is alive");
         let got = job.as_cascade().expect("cascade job");
 
         let mut platform = EhwPlatform::with_parallel(2, ParallelConfig::serial());
-        let config = CascadeConfig {
-            fitness,
-            schedule,
-            ..CascadeConfig::paper(4, 2, seed)
-        };
-        let want = evolve_cascade(&mut platform, &task, &config);
+        let direct = execute(&mut platform, &spec, seed);
+        let want = direct.as_cascade().expect("cascade job");
 
         prop_assert_eq!(&got.stage_genotypes, &want.stage_genotypes);
         prop_assert_eq!(&got.stage_fitness, &want.stage_fitness);
@@ -131,7 +125,7 @@ proptest! {
     }
 
     #[test]
-    fn campaign_jobs_match_systematic_fault_campaign(
+    fn campaign_jobs_match_direct_execution(
         seed in any::<u64>(),
         workers in prop_oneof![Just(1usize), Just(2), Just(8)],
     ) {
@@ -145,13 +139,12 @@ proptest! {
         let service = EhwService::new(
             ServiceConfig::new(1).workers_per_platform(workers),
         ).expect("valid config");
-        let job = service.submit(spec).expect("accepted").wait().expect("shard pool is alive");
+        let job = service.submit(spec.clone()).expect("accepted").wait().expect("shard pool is alive");
         let got = job.as_campaign().expect("campaign job");
 
         let mut platform = EhwPlatform::with_parallel(1, ParallelConfig::serial());
-        let recovery = EsConfig::paper(1, 1, 2, seed);
-        let baseline = ehw_array::genotype::Genotype::identity();
-        let want = systematic_fault_campaign(&mut platform, &baseline, &task, &recovery, &[0]);
+        let direct = execute(&mut platform, &spec, seed);
+        let want = direct.as_campaign().expect("campaign job");
 
         prop_assert_eq!(&got.positions, &want.positions);
         prop_assert_eq!(job.evaluations, want.total_evaluations());
@@ -244,11 +237,11 @@ fn derived_seeds_follow_the_root_and_reproduce_the_legacy_path() {
     assert_eq!(h1.seed(), root.fork(1).seed());
     let r0 = h0.wait().expect("shard pool is alive");
 
-    // Re-running the legacy entry point with the derived seed reproduces the
-    // job byte for byte — the migration story for existing callers.
+    // Re-running the spec directly with the derived seed reproduces the job
+    // byte for byte.
     let mut platform = EhwPlatform::with_parallel(1, ParallelConfig::serial());
-    let config = EsConfig::paper(3, 1, 5, r0.seed);
-    let (want, _) = evolve_parallel(&mut platform, &task, &config);
+    let direct = execute(&mut platform, &spec(5), r0.seed);
+    let (want, _) = direct.as_evolution().expect("evolution job");
     let (got, _) = r0.as_evolution().expect("evolution job");
     assert_eq!(got.best_genotype.encode(), want.best_genotype.encode());
     assert_eq!(got.history, want.history);

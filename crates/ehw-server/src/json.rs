@@ -42,11 +42,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Builds an object value from `(key, value)` pairs.
-    pub fn object(pairs: Vec<(&str, Value)>) -> Value {
-        Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
     /// The member `key` of an object, if this is an object that has it.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -119,27 +114,6 @@ impl Value {
         write_value(&mut out, self);
         out
     }
-}
-
-/// Shorthand constructors for the writer side.
-pub fn u64v(n: u64) -> Value {
-    Value::Number(Number::U64(n))
-}
-
-pub fn usizev(n: usize) -> Value {
-    Value::Number(Number::U64(n as u64))
-}
-
-pub fn f64v(f: f64) -> Value {
-    Value::Number(Number::F64(f))
-}
-
-pub fn strv(s: impl Into<String>) -> Value {
-    Value::String(s.into())
-}
-
-pub fn bytesv(bytes: &[u8]) -> Value {
-    Value::Array(bytes.iter().map(|&b| u64v(u64::from(b))).collect())
 }
 
 fn write_value(out: &mut String, value: &Value) {
@@ -531,7 +505,7 @@ mod tests {
     #[test]
     fn string_escapes_round_trip() {
         let original = "line\nbreak \"quoted\" back\\slash tab\t control\u{1}";
-        let encoded = strv(original).to_json();
+        let encoded = Value::String(original.to_string()).to_json();
         let back = parse(&encoded).unwrap();
         assert_eq!(back.as_str(), Some(original));
     }
@@ -548,7 +522,7 @@ mod tests {
         let unit = "grün ✓ 😀 \"q\" back\\slash\n\t";
         let original = unit.repeat((1 << 20) / unit.len() + 1);
         assert!(original.len() >= 1 << 20);
-        let encoded = strv(original.as_str()).to_json();
+        let encoded = Value::String(original.clone()).to_json();
         assert_eq!(parse(&encoded).unwrap().as_str(), Some(original.as_str()));
     }
 

@@ -28,7 +28,7 @@
 //! the connection.
 //!
 //! Settled jobs are retained for a TTL ([`DEFAULT_JOB_TTL`], configurable
-//! via [`EhwServer::serve_with_ttl`]) and then evicted by a background
+//! via [`EhwServer::serve_with_persistence`]) and then evicted by a background
 //! reaper thread so a long-lived server's registry cannot grow without
 //! bound; an evicted job's status reads as 404, and the eviction count is
 //! exported under `/metrics`.
@@ -43,6 +43,7 @@
 //! promises *settling soon*, not instant death.
 
 pub mod base64;
+mod codec;
 pub mod http;
 pub mod json;
 pub mod wire;
@@ -60,9 +61,10 @@ use std::time::{Duration, Instant};
 
 use ehw_service::{EhwService, JobHandle, JobMonitor, JobResult, ScenarioRegistry};
 
+use codec::{obj, ToJson};
 use http::{read_request, write_response, write_stream_head, Request, RequestError};
-use json::{f64v, strv, u64v, usizev, Value};
-use wire::{encode_error, encode_event, encode_result};
+use json::Value;
+use wire::{encode_error, encode_event};
 
 /// Latency histogram bucket bounds, in milliseconds (log₂ spaced, the last
 /// bucket is open-ended).
@@ -158,16 +160,10 @@ impl LatencyHistogram {
     }
 
     fn encode(&self) -> Value {
-        Value::object(vec![
-            (
-                "bounds_ms",
-                Value::Array(LATENCY_BOUNDS_MS.iter().map(|&b| u64v(b)).collect()),
-            ),
-            (
-                "counts",
-                Value::Array(self.counts.iter().map(|&c| u64v(c)).collect()),
-            ),
-            ("total", u64v(self.total)),
+        obj(&[
+            ("bounds_ms", &LATENCY_BOUNDS_MS.as_slice()),
+            ("counts", &self.counts.as_slice()),
+            ("total", &self.total),
         ])
     }
 }
@@ -209,6 +205,26 @@ impl ServerState {
                 latencies.entry(kind).or_default().record(latency);
             }
         }
+    }
+
+    /// Tracked jobs per lifecycle state, in the order both `/metrics` forms
+    /// report them.
+    fn jobs_by_state(&self) -> [(&'static str, u64); 6] {
+        let mut by_state = [
+            ("queued", 0),
+            ("running", 0),
+            ("done", 0),
+            ("failed", 0),
+            ("cancelled", 0),
+            ("lost", 0),
+        ];
+        for job in self.jobs.lock().expect("job registry lock").values() {
+            let status = job.status();
+            if let Some(slot) = by_state.iter_mut().find(|(name, _)| *name == status) {
+                slot.1 += 1;
+            }
+        }
+        by_state
     }
 
     /// Evicts every settled job whose retention window has lapsed.  Pending
@@ -278,42 +294,31 @@ impl EhwServer {
     /// `service` on it, retaining settled jobs for [`DEFAULT_JOB_TTL`] and
     /// resolving scenario/policy names against the built-in registry.
     pub fn serve(service: EhwService, addr: &str) -> io::Result<EhwServer> {
-        EhwServer::serve_with_ttl(service, addr, DEFAULT_JOB_TTL)
+        EhwServer::serve_with_persistence(
+            service,
+            addr,
+            DEFAULT_JOB_TTL,
+            ScenarioRegistry::builtin(),
+            None,
+        )
     }
 
-    /// [`EhwServer::serve`] with an explicit retention window for settled
-    /// jobs.  Once a job has been settled for `job_ttl`, the background
-    /// reaper drops it from the registry and its status reads as 404.
-    pub fn serve_with_ttl(
-        service: EhwService,
-        addr: &str,
-        job_ttl: Duration,
-    ) -> io::Result<EhwServer> {
-        EhwServer::serve_with_registry(service, addr, job_ttl, ScenarioRegistry::builtin())
-    }
-
-    /// [`EhwServer::serve_with_ttl`] with an explicit scenario/policy
-    /// registry — what `GET /registry` exposes and `fault_campaign` specs
-    /// resolve their `scenario`/`policy` name fields against.  Start from
-    /// [`wire::parse_registry`] to overlay a JSON registry file on the
-    /// built-ins.
-    pub fn serve_with_registry(
-        service: EhwService,
-        addr: &str,
-        job_ttl: Duration,
-        registry: ScenarioRegistry,
-    ) -> io::Result<EhwServer> {
-        EhwServer::serve_with_persistence(service, addr, job_ttl, registry, None)
-    }
-
-    /// [`EhwServer::serve_with_registry`] with champion persistence: when
-    /// `champions_file` is set, the server loads the champion library from it
-    /// at startup (a missing file is a fresh start; a malformed one refuses
-    /// to boot) and saves it back — atomically, via temp file + rename —
-    /// whenever the library changed, checked on every reaper sweep and once
-    /// more at shutdown.  Requires the service's cross-job cache to be on;
-    /// with the cache disabled the path is rejected, because champions would
-    /// silently neither load nor save.
+    /// [`EhwServer::serve`] with every knob explicit.
+    ///
+    /// * `job_ttl` — once a job has been settled this long, the background
+    ///   reaper drops it from the registry and its status reads as 404.
+    /// * `registry` — the named fault scenarios and recovery policies that
+    ///   `GET /registry` exposes and `fault_campaign` specs resolve their
+    ///   `scenario`/`policy` names against.  Start from
+    ///   [`wire::parse_registry`] to overlay a JSON registry file on the
+    ///   built-ins.
+    /// * `champions_file` — when set, the server loads the champion library
+    ///   from it at startup (a missing file is a fresh start; a malformed one
+    ///   refuses to boot) and saves it back — atomically, via temp file +
+    ///   rename — whenever the library changed, checked on every reaper sweep
+    ///   and once more at shutdown.  Requires the service's cross-job cache to
+    ///   be on; with the cache disabled the path is rejected, because
+    ///   champions would silently neither load nor save.
     pub fn serve_with_persistence(
         service: EhwService,
         addr: &str,
@@ -582,7 +587,7 @@ fn handle_submit(
         match doc.get("kind").and_then(Value::as_str) {
             None => {
                 if let Value::Object(pairs) = &mut doc {
-                    pairs.push(("kind".to_string(), strv(forced)));
+                    pairs.push(("kind".to_string(), forced.to_value()));
                 }
             }
             Some(kind) if kind != forced => {
@@ -632,11 +637,11 @@ fn handle_submit(
     respond_json(
         stream,
         201,
-        &Value::object(vec![
-            ("job_id", u64v(job_id)),
-            ("seed", u64v(seed)),
-            ("kind", strv(kind)),
-            ("status", strv("queued")),
+        &obj(&[
+            ("job_id", &job_id),
+            ("seed", &seed),
+            ("kind", &kind),
+            ("status", &"queued"),
         ]),
         close,
     );
@@ -655,18 +660,19 @@ fn handle_status(stream: &mut TcpStream, state: &ServerState, job_id: u64, close
         );
         return;
     };
-    let mut pairs = vec![
-        ("job_id", u64v(job_id)),
-        ("kind", strv(job.kind)),
-        ("seed", u64v(job.seed)),
-        ("status", strv(job.status())),
+    let status = job.status();
+    let mut members: Vec<(&str, &dyn ToJson)> = vec![
+        ("job_id", &job_id),
+        ("kind", &job.kind),
+        ("seed", &job.seed),
+        ("status", &status),
     ];
     match &job.state {
-        JobState::Settled(Ok(result)) => pairs.push(("result", encode_result(result))),
-        JobState::Settled(Err(lost)) => pairs.push(("error", strv(lost.as_str()))),
+        JobState::Settled(Ok(result)) => members.push(("result", result)),
+        JobState::Settled(Err(lost)) => members.push(("error", lost)),
         JobState::Pending(_) => {}
     }
-    let doc = Value::object(pairs);
+    let doc = obj(&members);
     drop(jobs);
     respond_json(stream, 200, &doc, close);
 }
@@ -691,7 +697,7 @@ fn handle_cancel(stream: &mut TcpStream, state: &ServerState, job_id: u64, close
         job.monitor.cancel();
         "cancelling"
     };
-    let doc = Value::object(vec![("job_id", u64v(job_id)), ("status", strv(status))]);
+    let doc = obj(&[("job_id", &job_id), ("status", &status)]);
     drop(jobs);
     // Cancellation is cooperative: 202 says "requested", the job settles at
     // its next generation boundary.  An already settled job reports its
@@ -764,24 +770,7 @@ fn handle_metrics(stream: &mut TcpStream, state: &ServerState, request: &Request
         return;
     }
 
-    let mut by_state: Vec<(&'static str, u64)> = vec![
-        ("queued", 0),
-        ("running", 0),
-        ("done", 0),
-        ("failed", 0),
-        ("cancelled", 0),
-        ("lost", 0),
-    ];
-    {
-        let jobs = state.jobs.lock().expect("job registry lock");
-        for job in jobs.values() {
-            let status = job.status();
-            if let Some(slot) = by_state.iter_mut().find(|(name, _)| *name == status) {
-                slot.1 += 1;
-            }
-        }
-    }
-
+    let by_state = state.jobs_by_state();
     let stats = state.service.stats();
     let elapsed = state.started_at.elapsed().as_secs_f64().max(1e-9);
     let liveness = state.service.shard_liveness();
@@ -797,66 +786,57 @@ fn handle_metrics(stream: &mut TcpStream, state: &ServerState, request: &Request
                 .collect(),
         )
     };
+    let jobs: Vec<(&str, &dyn ToJson)> = by_state
+        .iter()
+        .map(|(name, count)| (*name, count as &dyn ToJson))
+        .collect();
+    let settled = (stats.completed + stats.failed + stats.cancelled) as f64;
 
-    let doc = Value::object(vec![
-        ("queue_depth", usizev(state.service.queue_depth())),
-        (
-            "jobs",
-            Value::Object(
-                by_state
-                    .into_iter()
-                    .map(|(name, count)| (name.to_string(), u64v(count)))
-                    .collect(),
-            ),
-        ),
+    let doc = obj(&[
+        ("queue_depth", &state.service.queue_depth()),
+        ("jobs", &obj(&jobs)),
         (
             "service",
-            Value::object(vec![
-                ("submitted", u64v(stats.submitted)),
-                ("completed", u64v(stats.completed)),
-                ("failed", u64v(stats.failed)),
-                ("cancelled", u64v(stats.cancelled)),
-                ("lost", u64v(stats.lost)),
+            &obj(&[
+                ("submitted", &stats.submitted),
+                ("completed", &stats.completed),
+                ("failed", &stats.failed),
+                ("cancelled", &stats.cancelled),
+                ("lost", &stats.lost),
             ]),
         ),
         (
             "throughput",
-            Value::object(vec![
-                ("uptime_s", f64v(elapsed)),
-                (
-                    "jobs_per_sec",
-                    f64v((stats.completed + stats.failed + stats.cancelled) as f64 / elapsed),
-                ),
+            &obj(&[
+                ("uptime_s", &elapsed),
+                ("jobs_per_sec", &(settled / elapsed)),
             ]),
         ),
-        ("latency_ms", latency),
+        ("latency_ms", &latency),
         (
             "shards",
-            Value::object(vec![
-                (
-                    "alive",
-                    Value::Array(liveness.iter().map(|&a| Value::Bool(a)).collect()),
-                ),
-                ("alive_count", usizev(state.service.alive_shards())),
+            &obj(&[
+                ("alive", &liveness),
+                ("alive_count", &state.service.alive_shards()),
             ]),
         ),
         (
             "cache",
-            Value::object(vec![
-                ("windows_hits", u64v(stats.cache.windows_hits)),
-                ("windows_misses", u64v(stats.cache.windows_misses)),
+            &obj(&[
+                ("windows_hits", &stats.cache.windows_hits),
+                ("windows_misses", &stats.cache.windows_misses),
                 // No fitness tier any more; e2ebench's /metrics reader requires both keys.
-                ("fitness_hits", u64v(0)),
-                ("fitness_misses", u64v(0)),
-                ("warm_starts", u64v(stats.cache.warm_starts)),
-                ("champions_deposited", u64v(stats.cache.champions_deposited)),
+                ("fitness_hits", &0u64),
+                ("fitness_misses", &0u64),
+                ("warm_starts", &stats.cache.warm_starts),
+                ("champions_deposited", &stats.cache.champions_deposited),
             ]),
         ),
         (
             "retention",
-            Value::object(vec![
-                ("job_ttl_s", f64v(state.job_ttl.as_secs_f64())),
-                ("jobs_evicted", u64v(state.evicted.load(Ordering::Relaxed))),
+            &obj(&[
+                ("job_ttl_s", &state.job_ttl.as_secs_f64()),
+                ("jobs_evicted", &state.evicted.load(Ordering::Relaxed)),
             ]),
         ),
     ]);
@@ -883,29 +863,12 @@ fn prometheus_metrics(state: &ServerState) -> String {
         "Jobs waiting in the service queue.",
         state.service.queue_depth(),
     );
-    let mut by_state: Vec<(&'static str, u64)> = vec![
-        ("queued", 0),
-        ("running", 0),
-        ("done", 0),
-        ("failed", 0),
-        ("cancelled", 0),
-        ("lost", 0),
-    ];
-    {
-        let jobs = state.jobs.lock().expect("job registry lock");
-        for job in jobs.values() {
-            let status = job.status();
-            if let Some(slot) = by_state.iter_mut().find(|(name, _)| *name == status) {
-                slot.1 += 1;
-            }
-        }
-    }
     let _ = writeln!(
         out,
         "# HELP ehw_jobs Tracked jobs in the registry by lifecycle state."
     );
     let _ = writeln!(out, "# TYPE ehw_jobs gauge");
-    for (name, count) in by_state {
+    for (name, count) in state.jobs_by_state() {
         let _ = writeln!(out, "ehw_jobs{{state=\"{name}\"}} {count}");
     }
 

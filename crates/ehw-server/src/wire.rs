@@ -1,11 +1,29 @@
-//! The wire codec: JSON shapes for job specs, results and progress events.
+//! The wire codec: JSON shapes for job specs, results, progress events, the
+//! scenario/policy registry and the champions file.
+//!
+//! Every shape is declared once, as an impl of the crate's encode/decode
+//! trait pair (`ToJson`/`FromJson`), and both directions come from that
+//! declaration.  Plain structs (`EngineStats`, the campaign's per-position
+//! and per-event results, storm phases) and string-tagged unit enums
+//! (`FaultKind`, `CorrelationShape`, `Priority`, `CancelKind`) are declared
+//! through two small macros.  Tagged shapes (scenario kinds, target
+//! filters, recovery steps, fault behaviours, stream sources, scenes and
+//! noise models) decode through a third that takes the one table of their
+//! tags; their encoders, and the shapes with flattened or computed members,
+//! are written by hand on the same traits.  Decoders read object members
+//! only through one member reader (`req` for a required member, `opt` for
+//! an optional one), so a missing or mistyped member always comes back as a
+//! [`WireError`] naming its path, such as `'input.width' is missing`.
 //!
 //! Decoding goes through the validating [`JobSpec`] builders, so every spec
 //! that crosses the wire obeys the same invariants as an in-process one — a
 //! malformed or out-of-range spec is a 400, never a panicking shard.
 //! Encoding is a total function of the [`JobResult`]: the integration suite
 //! asserts that a result fetched over HTTP is byte-identical to the same
-//! job's in-process result run through [`encode_result`].
+//! job's in-process result run through [`encode_result`], and
+//! `tests/wire_golden.rs` pins the bytes themselves.
+
+use std::time::Duration;
 
 use ehw_array::genotype::Genotype;
 use ehw_array::pe::FaultBehaviour;
@@ -15,7 +33,7 @@ use ehw_image::noise::NoiseModel;
 use ehw_image::GrayImage;
 use ehw_platform::fault_campaign::{CampaignReport, EventResult, PositionResult};
 use ehw_platform::jobs::{
-    CancelKind, JobOutput, JobProgress, JobResult, JobSpec, StreamSourceSpec,
+    CancelKind, JobOutput, JobProgress, JobResult, JobSpec, SpecError, StreamSourceSpec,
 };
 use ehw_platform::scenario::{
     CorrelationShape, FaultScenario, PlannedFault, ScenarioKind, ScenarioRegistry, StormPhase,
@@ -24,31 +42,40 @@ use ehw_platform::scenario::{
 use ehw_platform::self_healing::{RecoveryPolicy, RecoveryStep};
 use ehw_platform::timing::EvolutionTimeEstimate;
 use ehw_service::{
-    Champion, ChampionKey, JobOptions, NoiseSegment, PgmDirSource, Priority, SceneKind,
-    StreamEvent, StreamReport,
+    AdaptationConfig, Champion, ChampionKey, DriftConfig, JobOptions, NoiseSegment, PgmDirSource,
+    Priority, SceneKind, SegmentReport, StreamEvent, StreamReport,
 };
 
 use crate::base64;
-use crate::json::{bytesv, f64v, strv, u64v, usizev, Value};
+pub use crate::codec::WireError;
+use crate::codec::{
+    err, expected, json_struct, json_tags, obj, tagged, FromJson, Hex, Obj, ToJson,
+};
+use crate::json::Value;
 
-/// Why a request document could not be turned into a job spec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireError(pub String);
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
+json_struct! {
+    EngineStats { plans_evaluated, memo_hits, early_exits }
+    EvolutionTimeEstimate {
+        total_s, reconfiguration_s, evaluation_s, generations, candidates, pe_reconfigurations,
     }
+    PositionResult {
+        array, row, col, fitness_clean, fitness_faulty, fitness_recovered, evaluations, stats,
+    }
+    EventResult {
+        tick, array, faults, fitness_clean, fitness_faulty, fitness_recovered, evaluations, stats,
+    }
+    StormPhase { ticks, rate }
 }
 
-impl std::error::Error for WireError {}
-
-fn err(message: impl Into<String>) -> WireError {
-    WireError(message.into())
+json_tags! {
+    FaultKind { Seu => "seu", Lpd => "lpd" }
+    CorrelationShape { Row => "row", Col => "col", Neighborhood => "neighborhood" }
+    Priority { High => "high", Normal => "normal", Low => "low" }
+    CancelKind { Requested => "requested", DeadlineExpired => "deadline_expired" }
 }
 
 // ---------------------------------------------------------------------------
-// Decoding: JSON -> (JobSpec, JobOptions)
+// Job specs
 // ---------------------------------------------------------------------------
 
 /// Decodes a `POST /jobs` document into a validated spec plus its options,
@@ -76,10 +103,20 @@ fn err(message: impl Into<String>) -> WireError {
 /// pixel array.
 ///
 /// Stream specs (`POST /streams`) replace the training pair with a
-/// `"source"` member (see [`decode_stream_source`](self)) plus optional
-/// `"initial"` genotype bytes, `"drift_window"`, `"drift_threshold_pct"`,
-/// `"drift_cooldown"`, adaptation budgets (`"offspring"`, `"mutation_rate"`,
-/// `"generations"`, `"max_millis"`, `"target_fitness"`) and `"warm_start"`.
+/// `"source"` member plus optional `"initial"` genotype bytes,
+/// `"drift_window"`, `"drift_threshold_pct"`, `"drift_cooldown"`,
+/// adaptation budgets (`"offspring"`, `"mutation_rate"`, `"generations"`,
+/// `"max_millis"`, `"target_fitness"`) and `"warm_start"`.  The source is
+///
+/// ```json
+/// {"type": "synthetic", "scene": "shapes", "complexity": 4,
+///  "width": W, "height": H, "frames": N,
+///  "schedule": [{"start_frame": 0, "noise": {"model": "salt_pepper", "density": 0.2}}, ...]}
+/// {"type": "pgm_dir", "dir": "/frames", "reference": "/frames/clean.pgm"}
+/// ```
+///
+/// The `pgm_dir` variant reads **server-side** paths and loads every frame
+/// eagerly, so a missing or malformed file is a 400 at submission.
 ///
 /// Unknown kinds, missing images, unresolvable scenario/policy names and
 /// builder-validation failures all come back as [`WireError`]s carrying a
@@ -95,642 +132,265 @@ pub fn decode_spec_with(
     doc: &Value,
     registry: &ScenarioRegistry,
 ) -> Result<(JobSpec, JobOptions), WireError> {
-    let kind = doc
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or_else(|| err("spec needs a string 'kind'"))?;
-    // Stream specs carry their frames in a 'source' member instead of a
-    // training pair, so the image decode is deferred to the kinds that
-    // actually take one.
-    let images = || -> Result<(GrayImage, GrayImage), WireError> {
-        Ok((
-            decode_image(
-                doc.get("input").ok_or_else(|| err("spec needs 'input'"))?,
-                "input",
-            )?,
-            decode_image(
-                doc.get("reference")
-                    .ok_or_else(|| err("spec needs 'reference'"))?,
-                "reference",
-            )?,
-        ))
-    };
-
-    let field = |name: &str| -> Result<Option<usize>, WireError> {
-        match doc.get(name) {
-            None => Ok(None),
-            Some(v) => v
-                .as_usize()
-                .map(Some)
-                .ok_or_else(|| err(format!("'{name}' must be a non-negative integer"))),
-        }
-    };
-    let seed = match doc.get("seed") {
-        None => None,
-        Some(v) => Some(
-            v.as_u64()
-                .ok_or_else(|| err("'seed' must be a non-negative integer"))?,
-        ),
-    };
-
-    let spec = match kind {
+    let r = Obj::new(doc).map_err(|_| err("a spec must be a JSON object"))?;
+    // Applies each present member through the builder setter it names.
+    macro_rules! set {
+        ($builder:ident: $($member:literal => $setter:ident),+ $(,)?) => {
+            $(if let Some(value) = r.opt($member)? {
+                $builder = $builder.$setter(value);
+            })+
+        };
+    }
+    let invalid = |spec_error: SpecError| err(format!("invalid spec: {spec_error}"));
+    let spec = match r.req::<&str>("kind")? {
         "evolution" => {
-            let (input, reference) = images()?;
-            let mut builder = JobSpec::evolution(input, reference);
-            if let Some(n) = field("offspring")? {
-                builder = builder.offspring(n);
-            }
-            if let Some(n) = field("mutation_rate")? {
-                builder = builder.mutation_rate(n);
-            }
-            if let Some(n) = field("generations")? {
-                builder = builder.generations(n);
-            }
-            if let Some(n) = field("num_arrays")? {
-                builder = builder.num_arrays(n);
-            }
-            if let Some(n) = field("target_fitness")? {
-                builder = builder.target_fitness(n as u64);
-            }
-            if let Some(warm) = doc.get("warm_start") {
-                let warm = warm
-                    .as_bool()
-                    .ok_or_else(|| err("'warm_start' must be a boolean"))?;
-                builder = builder.warm_start(warm);
-            }
-            if let Some(s) = seed {
-                builder = builder.seed(s);
-            }
-            builder.build()
+            let mut b = JobSpec::evolution(r.req("input")?, r.req("reference")?);
+            set!(b: "offspring" => offspring, "mutation_rate" => mutation_rate,
+                "generations" => generations, "num_arrays" => num_arrays,
+                "target_fitness" => target_fitness, "warm_start" => warm_start, "seed" => seed);
+            b.build()
         }
         "cascade" => {
-            let (input, reference) = images()?;
-            let mut builder = JobSpec::cascade(input, reference);
-            if let Some(n) = field("stages")? {
-                builder = builder.stages(n);
-            }
-            if let Some(n) = field("generations")? {
-                builder = builder.generations(n);
-            }
-            if let Some(n) = field("offspring")? {
-                builder = builder.offspring(n);
-            }
-            if let Some(n) = field("mutation_rate")? {
-                builder = builder.mutation_rate(n);
-            }
-            if let Some(s) = seed {
-                builder = builder.seed(s);
-            }
-            builder.build()
+            let mut b = JobSpec::cascade(r.req("input")?, r.req("reference")?);
+            set!(b: "stages" => stages, "generations" => generations, "offspring" => offspring,
+                "mutation_rate" => mutation_rate, "seed" => seed);
+            b.build()
         }
         "fault_campaign" => {
-            let (input, reference) = images()?;
-            let mut builder = JobSpec::fault_campaign(input, reference);
-            if let Some(bytes) = doc.get("baseline") {
-                let bytes = decode_bytes(bytes, "baseline")?;
-                let baseline = Genotype::decode(&bytes)
-                    .ok_or_else(|| err("'baseline' is too short to decode as a genotype"))?;
-                builder = builder.baseline(baseline);
+            let mut b = JobSpec::fault_campaign(r.req("input")?, r.req("reference")?);
+            set!(b: "baseline" => baseline, "arrays" => arrays, "num_arrays" => platform_arrays,
+                "recovery_generations" => recovery_generations,
+                "recovery_mutation_rate" => recovery_mutation_rate,
+                "recovery_offspring" => recovery_offspring,
+                "recovery_target" => recovery_target, "seed" => seed);
+            if let Some(name) = r.opt::<&str>("scenario")? {
+                b = b.scenario(registry.scenario(name).map_err(invalid)?.clone());
             }
-            if let Some(arrays) = doc.get("arrays") {
-                let arrays = arrays
-                    .as_array()
-                    .ok_or_else(|| err("'arrays' must be an array of indices"))?
-                    .iter()
-                    .map(|v| {
-                        v.as_usize()
-                            .ok_or_else(|| err("'arrays' entries must be non-negative integers"))
-                    })
-                    .collect::<Result<Vec<usize>, WireError>>()?;
-                builder = builder.arrays(arrays);
+            if let Some(name) = r.opt::<&str>("policy")? {
+                b = b.policy(registry.policy(name).map_err(invalid)?.clone());
             }
-            if let Some(n) = field("num_arrays")? {
-                builder = builder.platform_arrays(n);
-            }
-            if let Some(n) = field("recovery_generations")? {
-                builder = builder.recovery_generations(n);
-            }
-            if let Some(n) = field("recovery_mutation_rate")? {
-                builder = builder.recovery_mutation_rate(n);
-            }
-            if let Some(n) = field("recovery_offspring")? {
-                builder = builder.recovery_offspring(n);
-            }
-            if let Some(n) = field("recovery_target")? {
-                builder = builder.recovery_target(n as u64);
-            }
-            if let Some(value) = doc.get("scenario") {
-                let name = value
-                    .as_str()
-                    .ok_or_else(|| err("'scenario' must be a registry name string"))?;
-                let scenario = registry
-                    .scenario(name)
-                    .map_err(|spec_error| err(format!("invalid spec: {spec_error}")))?;
-                builder = builder.scenario(scenario.clone());
-            }
-            if let Some(value) = doc.get("policy") {
-                let name = value
-                    .as_str()
-                    .ok_or_else(|| err("'policy' must be a registry name string"))?;
-                let policy = registry
-                    .policy(name)
-                    .map_err(|spec_error| err(format!("invalid spec: {spec_error}")))?;
-                builder = builder.policy(policy.clone());
-            }
-            if let Some(s) = seed {
-                builder = builder.seed(s);
-            }
-            builder.build()
+            b.build()
         }
         "stream" => {
-            let source = decode_stream_source(
-                doc.get("source")
-                    .ok_or_else(|| err("stream specs need a 'source'"))?,
-            )?;
-            let mut builder = JobSpec::stream(source);
-            if let Some(bytes) = doc.get("initial") {
-                let bytes = decode_bytes(bytes, "initial")?;
-                let initial = Genotype::decode(&bytes)
-                    .ok_or_else(|| err("'initial' is too short to decode as a genotype"))?;
-                builder = builder.initial(initial);
-            }
-            let mut drift = ehw_service::DriftConfig::default();
-            if let Some(n) = field("drift_window")? {
-                drift.window = n;
-            }
-            if let Some(n) = field("drift_threshold_pct")? {
-                drift.threshold_pct =
-                    u32::try_from(n).map_err(|_| err("'drift_threshold_pct' is out of range"))?;
-            }
-            if let Some(n) = field("drift_cooldown")? {
-                drift.cooldown = n;
-            }
-            builder = builder.drift(drift);
-            let mut adaptation = ehw_service::AdaptationConfig::default();
-            if let Some(n) = field("offspring")? {
-                adaptation.offspring = n;
-            }
-            if let Some(n) = field("mutation_rate")? {
-                adaptation.mutation_rate = n;
-            }
-            if let Some(n) = field("generations")? {
-                adaptation.generations = n;
-            }
-            if let Some(n) = field("max_millis")? {
-                adaptation.max_millis = Some(n as u64);
-            }
-            if let Some(n) = field("target_fitness")? {
-                adaptation.target_fitness = Some(n as u64);
-            }
-            builder = builder.adaptation(adaptation);
-            if let Some(warm) = doc.get("warm_start") {
-                let warm = warm
-                    .as_bool()
-                    .ok_or_else(|| err("'warm_start' must be a boolean"))?;
-                builder = builder.warm_start(warm);
-            }
-            if let Some(s) = seed {
-                builder = builder.seed(s);
-            }
-            builder.build()
+            let mut b = JobSpec::stream(r.req("source")?);
+            let (drift, adaptation) = (DriftConfig::default(), AdaptationConfig::default());
+            b = b
+                .drift(DriftConfig {
+                    window: r.opt("drift_window")?.unwrap_or(drift.window),
+                    threshold_pct: r.opt("drift_threshold_pct")?.unwrap_or(drift.threshold_pct),
+                    cooldown: r.opt("drift_cooldown")?.unwrap_or(drift.cooldown),
+                })
+                .adaptation(AdaptationConfig {
+                    offspring: r.opt("offspring")?.unwrap_or(adaptation.offspring),
+                    mutation_rate: r.opt("mutation_rate")?.unwrap_or(adaptation.mutation_rate),
+                    generations: r.opt("generations")?.unwrap_or(adaptation.generations),
+                    max_millis: r.opt("max_millis")?.or(adaptation.max_millis),
+                    target_fitness: r.opt("target_fitness")?.or(adaptation.target_fitness),
+                });
+            set!(b: "initial" => initial, "warm_start" => warm_start, "seed" => seed);
+            b.build()
         }
         other => return Err(err(format!("unknown job kind '{other}'"))),
     }
-    .map_err(|spec_error| err(format!("invalid spec: {spec_error}")))?;
-
-    let mut options = JobOptions::default();
-    if let Some(priority) = doc.get("priority") {
-        options.priority = match priority.as_str() {
-            Some("high") => Priority::High,
-            Some("normal") => Priority::Normal,
-            Some("low") => Priority::Low,
-            _ => return Err(err("'priority' must be \"high\", \"normal\" or \"low\"")),
-        };
-    }
-    if let Some(deadline) = doc.get("deadline_ms") {
-        let ms = deadline
-            .as_u64()
-            .ok_or_else(|| err("'deadline_ms' must be a non-negative integer"))?;
-        options.deadline = Some(std::time::Duration::from_millis(ms));
-    }
+    .map_err(invalid)?;
+    let options = JobOptions {
+        priority: r.opt("priority")?.unwrap_or_default(),
+        deadline: r.opt("deadline_ms")?.map(Duration::from_millis),
+    };
     Ok((spec, options))
 }
 
-fn decode_image(value: &Value, name: &str) -> Result<GrayImage, WireError> {
-    // Compact transport: a base64-encoded binary PGM (P5) body carries its
-    // own dimensions and ships raw bytes instead of a JSON number per pixel.
-    if let Some(encoded) = value.get("pgm_base64") {
-        let encoded = encoded
-            .as_str()
-            .ok_or_else(|| err(format!("'{name}.pgm_base64' must be a string")))?;
-        let bytes = base64::decode(encoded)
-            .map_err(|reason| err(format!("'{name}.pgm_base64': {reason}")))?;
-        return ehw_image::pgm::decode(&bytes)
-            .map_err(|reason| err(format!("'{name}.pgm_base64' is not a valid PGM: {reason}")));
-    }
-    let width = value
-        .get("width")
-        .and_then(Value::as_usize)
-        .ok_or_else(|| err(format!("'{name}' needs an integer 'width'")))?;
-    let height = value
-        .get("height")
-        .and_then(Value::as_usize)
-        .ok_or_else(|| err(format!("'{name}' needs an integer 'height'")))?;
-    let pixels = decode_bytes(
-        value
-            .get("pixels")
-            .ok_or_else(|| err(format!("'{name}' needs a 'pixels' array")))?,
-        name,
-    )?;
-    if pixels.len() != width.saturating_mul(height) {
-        return Err(err(format!(
-            "'{name}' has {} pixels but {width}x{height} needs {}",
-            pixels.len(),
-            width.saturating_mul(height)
-        )));
-    }
-    if width == 0 || height == 0 {
-        return Err(err(format!("'{name}' must be at least 1x1")));
-    }
-    Ok(GrayImage::from_vec(width, height, pixels))
-}
-
-fn decode_bytes(value: &Value, name: &str) -> Result<Vec<u8>, WireError> {
-    value
-        .as_array()
-        .ok_or_else(|| err(format!("'{name}' must be an array of bytes")))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .and_then(|n| u8::try_from(n).ok())
-                .ok_or_else(|| err(format!("'{name}' entries must be integers in 0..=255")))
-        })
-        .collect()
-}
-
-/// Decodes the `source` member of a stream spec.
-///
-/// ```json
-/// {"type": "synthetic", "scene": "shapes", "complexity": 4,
-///  "width": W, "height": H, "frames": N,
-///  "schedule": [{"start_frame": 0, "noise": {"model": "salt_pepper", "density": 0.2}}, ...]}
-/// {"type": "pgm_dir", "dir": "/frames", "reference": "/frames/clean.pgm"}
-/// ```
-///
-/// The `pgm_dir` variant reads **server-side** paths and loads every frame
-/// eagerly, so a missing or malformed file is a 400 at submission.
-fn decode_stream_source(value: &Value) -> Result<StreamSourceSpec, WireError> {
-    let dim = |name: &str| -> Result<usize, WireError> {
-        value
-            .get(name)
-            .and_then(Value::as_usize)
-            .ok_or_else(|| err(format!("synthetic sources need an integer '{name}'")))
-    };
-    match value.get("type").and_then(Value::as_str) {
-        Some("synthetic") => {
-            let scene = decode_scene(value)?;
-            let schedule = value
-                .get("schedule")
-                .and_then(Value::as_array)
-                .ok_or_else(|| err("synthetic sources need a 'schedule' array"))?
-                .iter()
-                .map(decode_noise_segment)
-                .collect::<Result<Vec<_>, WireError>>()?;
-            Ok(StreamSourceSpec::Synthetic {
-                scene,
-                width: dim("width")?,
-                height: dim("height")?,
-                frames: dim("frames")?,
-                schedule,
-            })
+/// Images travel as `{"width", "height", "pixels"}` or, compactly, as a
+/// base64-encoded binary PGM (P5) body that carries its own dimensions.
+impl FromJson<'_> for GrayImage {
+    fn from_value(value: &Value) -> Result<Self, WireError> {
+        let r = Obj::new(value)?;
+        if let Some(encoded) = r.opt::<&str>("pgm_base64")? {
+            let bytes =
+                base64::decode(encoded).map_err(|reason| err(format!("'pgm_base64': {reason}")))?;
+            return ehw_image::pgm::decode(&bytes)
+                .map_err(|reason| err(format!("'pgm_base64' is not a valid PGM: {reason}")));
         }
-        Some("pgm_dir") => {
-            let path = |name: &str| -> Result<&str, WireError> {
-                value
-                    .get(name)
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| err(format!("pgm_dir sources need a string '{name}'")))
-            };
-            let source = PgmDirSource::new(path("dir")?, path("reference")?)
-                .map_err(|reason| err(format!("invalid pgm_dir source: {reason}")))?;
-            Ok(StreamSourceSpec::PgmDir(source))
+        let (width, height): (usize, usize) = (r.req("width")?, r.req("height")?);
+        let pixels: Vec<u8> = r.req("pixels")?;
+        let needed = width.saturating_mul(height);
+        if pixels.len() != needed {
+            let found = pixels.len();
+            return Err(err(format!(
+                "has {found} pixels but {width}x{height} needs {needed}"
+            )));
         }
-        _ => Err(err("source 'type' must be \"synthetic\" or \"pgm_dir\"")),
+        if needed == 0 {
+            return Err(err("must be at least 1x1"));
+        }
+        Ok(GrayImage::from_vec(width, height, pixels))
     }
 }
 
-fn decode_scene(value: &Value) -> Result<SceneKind, WireError> {
-    let param = |name: &str| -> Result<usize, WireError> {
-        value
-            .get(name)
-            .and_then(Value::as_usize)
-            .ok_or_else(|| err(format!("this scene needs an integer '{name}'")))
-    };
-    match value.get("scene").and_then(Value::as_str) {
-        Some("shapes") => Ok(SceneKind::Shapes {
-            complexity: param("complexity")?,
-        }),
-        Some("gradient") => Ok(SceneKind::Gradient),
-        Some("diagonal_gradient") => Ok(SceneKind::DiagonalGradient),
-        Some("checkerboard") => Ok(SceneKind::Checkerboard {
-            cell: param("cell")?,
-        }),
-        Some("step_edge") => Ok(SceneKind::StepEdge),
-        Some("rings") => Ok(SceneKind::Rings {
-            period: param("period")?,
-        }),
-        _ => Err(err(
-            "'scene' must be \"shapes\", \"gradient\", \"diagonal_gradient\", \
-             \"checkerboard\", \"step_edge\" or \"rings\"",
-        )),
-    }
-}
-
-fn decode_noise_segment(value: &Value) -> Result<NoiseSegment, WireError> {
-    let start_frame = value
-        .get("start_frame")
-        .and_then(Value::as_usize)
-        .ok_or_else(|| err("schedule segments need an integer 'start_frame'"))?;
-    let noise = value
-        .get("noise")
-        .ok_or_else(|| err("schedule segments need a 'noise' object"))?;
-    let density = |name: &str| -> Result<f64, WireError> {
-        noise
-            .get(name)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| err(format!("this noise model needs a number '{name}'")))
-    };
-    let count = |name: &str| -> Result<usize, WireError> {
-        noise
-            .get(name)
-            .and_then(Value::as_usize)
-            .ok_or_else(|| err(format!("this noise model needs an integer '{name}'")))
-    };
-    let noise = match noise.get("model").and_then(Value::as_str) {
-        Some("salt_pepper") => NoiseModel::SaltPepper {
-            density: density("density")?,
-        },
-        Some("gaussian") => NoiseModel::Gaussian {
-            sigma: density("sigma")?,
-        },
-        Some("uniform_impulse") => NoiseModel::UniformImpulse {
-            density: density("density")?,
-        },
-        Some("burst") => NoiseModel::Burst {
-            bursts: count("bursts")?,
-            size: count("size")?,
-        },
-        _ => {
-            return Err(err("noise 'model' must be \"salt_pepper\", \"gaussian\", \
-                 \"uniform_impulse\" or \"burst\""))
-        }
-    };
-    Ok(NoiseSegment { start_frame, noise })
-}
-
-// ---------------------------------------------------------------------------
-// Encoding: JobResult / JobProgress -> JSON
-// ---------------------------------------------------------------------------
-
-/// Encodes a settled result as the `result` member of a status document.
-///
 /// Genotypes travel as their compact [`Genotype::encode`] byte strings — the
 /// same 13 bytes the MicroBlaze would hold — so clients can
 /// [`Genotype::decode`] them and byte-compare against local runs.
-pub fn encode_result(result: &JobResult) -> Value {
-    let mut pairs = vec![
-        ("job_id", u64v(result.job_id)),
-        ("seed", u64v(result.seed)),
-        ("evaluations", u64v(result.evaluations)),
-        (
-            "stats",
-            Value::object(vec![
-                ("plans_evaluated", u64v(result.stats.plans_evaluated)),
-                ("memo_hits", u64v(result.stats.memo_hits)),
-                ("early_exits", u64v(result.stats.early_exits)),
-            ]),
-        ),
-        ("warm_started", Value::Bool(result.warm_started)),
-        (
-            "warm_start_key",
-            match &result.warm_start_key {
-                Some(key) => Value::object(vec![
-                    // A full-range u64: as a raw JSON number it would be
-                    // rounded above 2^53 by double-based parsers (JS et al.),
-                    // so it travels as a fixed-width hex string instead.
-                    ("image_hash", strv(format!("{:016x}", key.image_hash))),
-                    ("noise_class", u64v(u64::from(key.noise_class))),
-                    ("arrays", usizev(key.arrays)),
-                ]),
-                None => Value::Null,
-            },
-        ),
-    ];
-    let output = match &result.output {
-        JobOutput::Evolution { result, time } => Value::object(vec![
-            ("type", strv("evolution")),
-            ("best_genotype", bytesv(&result.best_genotype.encode())),
-            ("best_fitness", u64v(result.best_fitness)),
-            ("initial_fitness", u64v(result.initial_fitness)),
-            (
-                "history",
-                Value::Array(result.history.iter().map(|&f| u64v(f)).collect()),
-            ),
-            ("generations_run", usizev(result.generations_run)),
-            (
-                "total_pe_reconfigurations",
-                u64v(result.total_pe_reconfigurations),
-            ),
-            ("time", encode_time(time)),
-        ]),
-        JobOutput::Cascade(cascade) => Value::object(vec![
-            ("type", strv("cascade")),
-            (
-                "stage_genotypes",
-                Value::Array(
-                    cascade
-                        .stage_genotypes
-                        .iter()
-                        .map(|g| bytesv(&g.encode()))
-                        .collect(),
-                ),
-            ),
-            (
-                "stage_fitness",
-                Value::Array(cascade.stage_fitness.iter().map(|&f| u64v(f)).collect()),
-            ),
-        ]),
-        JobOutput::FaultCampaign(report) => encode_campaign_report(report),
-        JobOutput::Stream(report) => encode_stream_report(report),
-        JobOutput::Failed(message) => Value::object(vec![
-            ("type", strv("failed")),
-            ("message", strv(message.as_str())),
-        ]),
-        JobOutput::Cancelled(kind) => Value::object(vec![
-            ("type", strv("cancelled")),
-            (
-                "reason",
-                strv(match kind {
-                    CancelKind::Requested => "requested",
-                    CancelKind::DeadlineExpired => "deadline_expired",
-                }),
-            ),
-        ]),
-    };
-    pairs.push(("output", output));
-    Value::object(pairs)
+impl ToJson for Genotype {
+    fn to_value(&self) -> Value {
+        self.encode().to_value()
+    }
 }
 
-/// Encodes a stream report as the `output` member of a result document.
+impl FromJson<'_> for Genotype {
+    fn from_value(value: &Value) -> Result<Self, WireError> {
+        Genotype::decode(&Vec::<u8>::from_value(value)?)
+            .ok_or_else(|| err("is too short to decode as a genotype"))
+    }
+}
+
+impl FromJson<'_> for StreamSourceSpec {
+    fn from_value(value: &Value) -> Result<Self, WireError> {
+        let r = Obj::new(value)?;
+        Ok(tagged!(r, "type" {
+            "synthetic" => StreamSourceSpec::Synthetic {
+                scene: decode_scene(&r)?,
+                width: r.req("width")?,
+                height: r.req("height")?,
+                frames: r.req("frames")?,
+                schedule: r.req("schedule")?,
+            },
+            "pgm_dir" => PgmDirSource::new(r.req::<&str>("dir")?, r.req::<&str>("reference")?)
+                .map(StreamSourceSpec::PgmDir)
+                .map_err(|reason| err(format!("invalid pgm_dir source: {reason}")))?,
+        }))
+    }
+}
+
+/// The scene of a synthetic source: its tag and parameters sit flat in the
+/// source object.
+fn decode_scene(r: &Obj) -> Result<SceneKind, WireError> {
+    Ok(tagged!(r, "scene" {
+        "shapes" => SceneKind::Shapes { complexity: r.req("complexity")? },
+        "gradient" => SceneKind::Gradient,
+        "diagonal_gradient" => SceneKind::DiagonalGradient,
+        "checkerboard" => SceneKind::Checkerboard { cell: r.req("cell")? },
+        "step_edge" => SceneKind::StepEdge,
+        "rings" => SceneKind::Rings { period: r.req("period")? },
+    }))
+}
+
+impl FromJson<'_> for NoiseSegment {
+    fn from_value(value: &Value) -> Result<Self, WireError> {
+        let r = Obj::new(value)?;
+        Ok(NoiseSegment {
+            start_frame: r.req("start_frame")?,
+            noise: r.req("noise")?,
+        })
+    }
+}
+
+impl FromJson<'_> for NoiseModel {
+    fn from_value(value: &Value) -> Result<Self, WireError> {
+        let r = Obj::new(value)?;
+        Ok(tagged!(r, "model" {
+            "salt_pepper" => NoiseModel::SaltPepper { density: r.req("density")? },
+            "gaussian" => NoiseModel::Gaussian { sigma: r.req("sigma")? },
+            "uniform_impulse" => NoiseModel::UniformImpulse { density: r.req("density")? },
+            "burst" => NoiseModel::Burst { bursts: r.req("bursts")?, size: r.req("size")? },
+        }))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Results
+// ---------------------------------------------------------------------------
+
+/// Encodes a settled result as the `result` member of a status document.
+pub fn encode_result(result: &JobResult) -> Value {
+    result.to_value()
+}
+
+impl ToJson for JobResult {
+    fn to_value(&self) -> Value {
+        obj(&[
+            ("job_id", &self.job_id),
+            ("seed", &self.seed),
+            ("evaluations", &self.evaluations),
+            ("stats", &self.stats),
+            ("warm_started", &self.warm_started),
+            ("warm_start_key", &self.warm_start_key),
+            ("output", &self.output),
+        ])
+    }
+}
+
+impl ToJson for ChampionKey {
+    fn to_value(&self) -> Value {
+        obj(&[
+            ("image_hash", &Hex(self.image_hash)),
+            ("noise_class", &self.noise_class),
+            ("arrays", &self.arrays),
+        ])
+    }
+}
+
+impl ToJson for JobOutput {
+    fn to_value(&self) -> Value {
+        match self {
+            JobOutput::Evolution { result, time } => obj(&[
+                ("type", &"evolution"),
+                ("best_genotype", &result.best_genotype),
+                ("best_fitness", &result.best_fitness),
+                ("initial_fitness", &result.initial_fitness),
+                ("history", &result.history),
+                ("generations_run", &result.generations_run),
+                (
+                    "total_pe_reconfigurations",
+                    &result.total_pe_reconfigurations,
+                ),
+                ("time", time),
+            ]),
+            JobOutput::Cascade(cascade) => obj(&[
+                ("type", &"cascade"),
+                ("stage_genotypes", &cascade.stage_genotypes),
+                ("stage_fitness", &cascade.stage_fitness),
+            ]),
+            JobOutput::FaultCampaign(report) => report.to_value(),
+            JobOutput::Stream(report) => report.to_value(),
+            JobOutput::Failed(message) => obj(&[("type", &"failed"), ("message", message)]),
+            JobOutput::Cancelled(kind) => obj(&[("type", &"cancelled"), ("reason", kind)]),
+        }
+    }
+}
+
 /// `output_hash` is a full-range u64, so like `image_hash` it travels as a
 /// fixed-width hex string rather than a JSON number.
-pub fn encode_stream_report(report: &StreamReport) -> Value {
-    Value::object(vec![
-        ("type", strv("stream")),
-        ("frames", usizev(report.frames)),
-        ("drift_events", usizev(report.drift_events)),
-        (
-            "adaptations_attempted",
-            usizev(report.adaptations_attempted),
-        ),
-        ("adaptations_applied", usizev(report.adaptations_applied)),
-        (
-            "initial_fitness",
-            match report.initial_fitness {
-                Some(f) => u64v(f),
-                None => Value::Null,
-            },
-        ),
-        (
-            "final_fitness",
-            match report.final_fitness {
-                Some(f) => u64v(f),
-                None => Value::Null,
-            },
-        ),
-        (
-            "segments",
-            Value::Array(
-                report
-                    .segments
-                    .iter()
-                    .map(|s| {
-                        Value::object(vec![
-                            ("start_frame", usizev(s.start_frame)),
-                            ("frames", usizev(s.frames)),
-                            ("fitness_sum", u64v(s.fitness_sum)),
-                            ("mean_fitness", f64v(s.mean_fitness())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("final_genotype", bytesv(&report.final_genotype)),
-        ("output_hash", strv(format!("{:016x}", report.output_hash))),
-    ])
+impl ToJson for StreamReport {
+    fn to_value(&self) -> Value {
+        obj(&[
+            ("type", &"stream"),
+            ("frames", &self.frames),
+            ("drift_events", &self.drift_events),
+            ("adaptations_attempted", &self.adaptations_attempted),
+            ("adaptations_applied", &self.adaptations_applied),
+            ("initial_fitness", &self.initial_fitness),
+            ("final_fitness", &self.final_fitness),
+            ("segments", &self.segments),
+            ("final_genotype", &self.final_genotype),
+            ("output_hash", &Hex(self.output_hash)),
+        ])
+    }
 }
 
-fn encode_time(time: &EvolutionTimeEstimate) -> Value {
-    Value::object(vec![
-        ("total_s", f64v(time.total_s)),
-        ("reconfiguration_s", f64v(time.reconfiguration_s)),
-        ("evaluation_s", f64v(time.evaluation_s)),
-        ("generations", usizev(time.generations)),
-        ("candidates", u64v(time.candidates)),
-        ("pe_reconfigurations", u64v(time.pe_reconfigurations)),
-    ])
+impl ToJson for SegmentReport {
+    fn to_value(&self) -> Value {
+        obj(&[
+            ("start_frame", &self.start_frame),
+            ("frames", &self.frames),
+            ("fitness_sum", &self.fitness_sum),
+            ("mean_fitness", &self.mean_fitness()),
+        ])
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Campaign reports
 // ---------------------------------------------------------------------------
-
-fn encode_stats(stats: &EngineStats) -> Value {
-    Value::object(vec![
-        ("plans_evaluated", u64v(stats.plans_evaluated)),
-        ("memo_hits", u64v(stats.memo_hits)),
-        ("early_exits", u64v(stats.early_exits)),
-    ])
-}
-
-fn decode_stats(value: &Value, name: &str) -> Result<EngineStats, WireError> {
-    let counter = |field: &str| -> Result<u64, WireError> {
-        value
-            .get(field)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| err(format!("'{name}' needs an integer '{field}'")))
-    };
-    Ok(EngineStats {
-        plans_evaluated: counter("plans_evaluated")?,
-        memo_hits: counter("memo_hits")?,
-        early_exits: counter("early_exits")?,
-    })
-}
-
-fn encode_planned_fault(fault: &PlannedFault) -> Value {
-    let mut pairs = vec![
-        ("row", usizev(fault.row)),
-        ("col", usizev(fault.col)),
-        (
-            "kind",
-            strv(match fault.kind {
-                FaultKind::Seu => "seu",
-                FaultKind::Lpd => "lpd",
-            }),
-        ),
-    ];
-    match fault.behaviour {
-        FaultBehaviour::RandomOutput { seed } => {
-            pairs.push(("behaviour", strv("random_output")));
-            pairs.push(("behaviour_seed", u64v(seed)));
-        }
-        FaultBehaviour::StuckAt { value } => {
-            pairs.push(("behaviour", strv("stuck_at")));
-            pairs.push(("behaviour_value", u64v(u64::from(value))));
-        }
-        FaultBehaviour::InvertedOutput => pairs.push(("behaviour", strv("inverted_output"))),
-    }
-    Value::object(pairs)
-}
-
-fn decode_planned_fault(value: &Value) -> Result<PlannedFault, WireError> {
-    let row = value
-        .get("row")
-        .and_then(Value::as_usize)
-        .ok_or_else(|| err("fault needs an integer 'row'"))?;
-    let col = value
-        .get("col")
-        .and_then(Value::as_usize)
-        .ok_or_else(|| err("fault needs an integer 'col'"))?;
-    let kind = match value.get("kind").and_then(Value::as_str) {
-        Some("seu") => FaultKind::Seu,
-        Some("lpd") => FaultKind::Lpd,
-        _ => return Err(err("fault 'kind' must be \"seu\" or \"lpd\"")),
-    };
-    let behaviour = match value.get("behaviour").and_then(Value::as_str) {
-        Some("random_output") => FaultBehaviour::RandomOutput {
-            seed: value
-                .get("behaviour_seed")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| err("random_output faults need a 'behaviour_seed'"))?,
-        },
-        Some("stuck_at") => FaultBehaviour::StuckAt {
-            value: value
-                .get("behaviour_value")
-                .and_then(Value::as_u64)
-                .and_then(|n| u8::try_from(n).ok())
-                .ok_or_else(|| err("stuck_at faults need a byte 'behaviour_value'"))?,
-        },
-        Some("inverted_output") => FaultBehaviour::InvertedOutput,
-        _ => return Err(err("unknown fault 'behaviour'")),
-    };
-    Ok(PlannedFault {
-        row,
-        col,
-        behaviour,
-        kind,
-    })
-}
 
 /// Encodes a campaign report as the `output` member of a result document:
 /// the legacy `positions` view (single-PE sweeps), the generalised `events`
@@ -738,62 +398,7 @@ fn decode_planned_fault(value: &Value) -> Result<PlannedFault, WireError> {
 /// aggregates a [`ResilienceReport`](ehw_platform::scenario::ResilienceReport)
 /// row is built from.
 pub fn encode_campaign_report(report: &CampaignReport) -> Value {
-    Value::object(vec![
-        ("type", strv("fault_campaign")),
-        ("scenario", strv(report.scenario.as_str())),
-        ("policy", strv(report.policy.as_str())),
-        (
-            "positions",
-            Value::Array(
-                report
-                    .positions
-                    .iter()
-                    .map(|p| {
-                        Value::object(vec![
-                            ("array", usizev(p.array)),
-                            ("row", usizev(p.row)),
-                            ("col", usizev(p.col)),
-                            ("fitness_clean", u64v(p.fitness_clean)),
-                            ("fitness_faulty", u64v(p.fitness_faulty)),
-                            ("fitness_recovered", u64v(p.fitness_recovered)),
-                            ("evaluations", u64v(p.evaluations)),
-                            ("stats", encode_stats(&p.stats)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "events",
-            Value::Array(
-                report
-                    .events
-                    .iter()
-                    .map(|e| {
-                        Value::object(vec![
-                            ("tick", usizev(e.tick)),
-                            ("array", usizev(e.array)),
-                            (
-                                "faults",
-                                Value::Array(e.faults.iter().map(encode_planned_fault).collect()),
-                            ),
-                            ("fitness_clean", u64v(e.fitness_clean)),
-                            ("fitness_faulty", u64v(e.fitness_faulty)),
-                            ("fitness_recovered", u64v(e.fitness_recovered)),
-                            ("evaluations", u64v(e.evaluations)),
-                            ("stats", encode_stats(&e.stats)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("critical_positions", usizev(report.critical_positions())),
-        (
-            "fully_recovered_positions",
-            usizev(report.fully_recovered_positions()),
-        ),
-        ("mean_recovery_ratio", f64v(report.mean_recovery_ratio())),
-    ])
+    report.to_value()
 }
 
 /// Decodes a `fault_campaign` output document back into a [`CampaignReport`]
@@ -802,391 +407,235 @@ pub fn encode_campaign_report(report: &CampaignReport) -> Value {
 /// Lossless against [`encode_campaign_report`]: the round trip is
 /// byte-identical (`PartialEq` on the report).
 pub fn decode_campaign_report(value: &Value) -> Result<CampaignReport, WireError> {
-    if value.get("type").and_then(Value::as_str) != Some("fault_campaign") {
-        return Err(err("not a fault_campaign output"));
+    CampaignReport::from_value(value)
+}
+
+impl ToJson for CampaignReport {
+    fn to_value(&self) -> Value {
+        obj(&[
+            ("type", &"fault_campaign"),
+            ("scenario", &self.scenario),
+            ("policy", &self.policy),
+            ("positions", &self.positions),
+            ("events", &self.events),
+            ("critical_positions", &self.critical_positions()),
+            (
+                "fully_recovered_positions",
+                &self.fully_recovered_positions(),
+            ),
+            ("mean_recovery_ratio", &self.mean_recovery_ratio()),
+        ])
     }
-    let label = |field: &str| -> Result<String, WireError> {
-        value
-            .get(field)
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| err(format!("campaign output needs a string '{field}'")))
-    };
-    let positions = value
-        .get("positions")
-        .and_then(Value::as_array)
-        .ok_or_else(|| err("campaign output needs a 'positions' array"))?
-        .iter()
-        .map(|p| {
-            let number = |field: &str| -> Result<u64, WireError> {
-                p.get(field)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| err(format!("position needs an integer '{field}'")))
-            };
-            Ok(PositionResult {
-                array: number("array")? as usize,
-                row: number("row")? as usize,
-                col: number("col")? as usize,
-                fitness_clean: number("fitness_clean")?,
-                fitness_faulty: number("fitness_faulty")?,
-                fitness_recovered: number("fitness_recovered")?,
-                evaluations: number("evaluations")?,
-                stats: decode_stats(
-                    p.get("stats")
-                        .ok_or_else(|| err("position needs 'stats'"))?,
-                    "stats",
-                )?,
-            })
+}
+
+impl FromJson<'_> for CampaignReport {
+    fn from_value(value: &Value) -> Result<Self, WireError> {
+        let r = Obj::new(value)?;
+        if !matches!(r.opt("type"), Ok(Some("fault_campaign"))) {
+            return Err(err("not a fault_campaign output"));
+        }
+        Ok(CampaignReport {
+            scenario: r.req("scenario")?,
+            policy: r.req("policy")?,
+            positions: r.req("positions")?,
+            events: r.req("events")?,
         })
-        .collect::<Result<Vec<_>, WireError>>()?;
-    let events = value
-        .get("events")
-        .and_then(Value::as_array)
-        .ok_or_else(|| err("campaign output needs an 'events' array"))?
-        .iter()
-        .map(|e| {
-            let number = |field: &str| -> Result<u64, WireError> {
-                e.get(field)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| err(format!("event needs an integer '{field}'")))
-            };
-            Ok(EventResult {
-                tick: number("tick")? as usize,
-                array: number("array")? as usize,
-                faults: e
-                    .get("faults")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| err("event needs a 'faults' array"))?
-                    .iter()
-                    .map(decode_planned_fault)
-                    .collect::<Result<Vec<_>, WireError>>()?,
-                fitness_clean: number("fitness_clean")?,
-                fitness_faulty: number("fitness_faulty")?,
-                fitness_recovered: number("fitness_recovered")?,
-                evaluations: number("evaluations")?,
-                stats: decode_stats(
-                    e.get("stats").ok_or_else(|| err("event needs 'stats'"))?,
-                    "stats",
-                )?,
-            })
+    }
+}
+
+/// The fault's behaviour sits flat in the fault object: a `behaviour` tag
+/// plus `behaviour_seed` or `behaviour_value` where the variant has one.
+impl ToJson for PlannedFault {
+    fn to_value(&self) -> Value {
+        let mut members: Vec<(&str, &dyn ToJson)> =
+            vec![("row", &self.row), ("col", &self.col), ("kind", &self.kind)];
+        match &self.behaviour {
+            FaultBehaviour::RandomOutput { seed } => {
+                members.push(("behaviour", &"random_output"));
+                members.push(("behaviour_seed", seed));
+            }
+            FaultBehaviour::StuckAt { value } => {
+                members.push(("behaviour", &"stuck_at"));
+                members.push(("behaviour_value", value));
+            }
+            FaultBehaviour::InvertedOutput => members.push(("behaviour", &"inverted_output")),
+        }
+        obj(&members)
+    }
+}
+
+impl FromJson<'_> for PlannedFault {
+    fn from_value(value: &Value) -> Result<Self, WireError> {
+        let r = Obj::new(value)?;
+        let behaviour = tagged!(r, "behaviour" {
+            "random_output" => FaultBehaviour::RandomOutput { seed: r.req("behaviour_seed")? },
+            "stuck_at" => FaultBehaviour::StuckAt { value: r.req("behaviour_value")? },
+            "inverted_output" => FaultBehaviour::InvertedOutput,
+        });
+        Ok(PlannedFault {
+            row: r.req("row")?,
+            col: r.req("col")?,
+            behaviour,
+            kind: r.req("kind")?,
         })
-        .collect::<Result<Vec<_>, WireError>>()?;
-    Ok(CampaignReport {
-        scenario: label("scenario")?,
-        policy: label("policy")?,
-        positions,
-        events,
-    })
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Scenario / policy registry
 // ---------------------------------------------------------------------------
 
-fn encode_filter(filter: &TargetFilter) -> Value {
-    match filter {
-        TargetFilter::All => Value::object(vec![("type", strv("all"))]),
-        TargetFilter::Rows(rows) => Value::object(vec![
-            ("type", strv("rows")),
-            (
-                "rows",
-                Value::Array(rows.iter().map(|&r| usizev(r)).collect()),
-            ),
-        ]),
-        TargetFilter::Cols(cols) => Value::object(vec![
-            ("type", strv("cols")),
-            (
-                "cols",
-                Value::Array(cols.iter().map(|&c| usizev(c)).collect()),
-            ),
-        ]),
-        TargetFilter::Positions(positions) => Value::object(vec![
-            ("type", strv("positions")),
-            (
-                "positions",
-                Value::Array(
-                    positions
-                        .iter()
-                        .map(|&(r, c)| Value::Array(vec![usizev(r), usizev(c)]))
-                        .collect(),
-                ),
-            ),
-        ]),
+/// A `(row, col)` position travels as a two-element array.
+impl ToJson for (usize, usize) {
+    fn to_value(&self) -> Value {
+        [self.0, self.1].to_value()
     }
 }
 
-fn decode_filter(value: &Value) -> Result<TargetFilter, WireError> {
-    let indices = |field: &str| -> Result<Vec<usize>, WireError> {
-        value
-            .get(field)
-            .and_then(Value::as_array)
-            .ok_or_else(|| err(format!("filter needs a '{field}' array")))?
-            .iter()
-            .map(|v| {
-                v.as_usize()
-                    .ok_or_else(|| err(format!("'{field}' entries must be non-negative integers")))
-            })
-            .collect()
-    };
-    match value.get("type").and_then(Value::as_str) {
-        Some("all") => Ok(TargetFilter::All),
-        Some("rows") => Ok(TargetFilter::Rows(indices("rows")?)),
-        Some("cols") => Ok(TargetFilter::Cols(indices("cols")?)),
-        Some("positions") => Ok(TargetFilter::Positions(
-            value
-                .get("positions")
-                .and_then(Value::as_array)
-                .ok_or_else(|| err("filter needs a 'positions' array"))?
-                .iter()
-                .map(|pair| {
-                    let pair = pair
-                        .as_array()
-                        .filter(|p| p.len() == 2)
-                        .ok_or_else(|| err("'positions' entries must be [row, col] pairs"))?;
-                    let row = pair[0]
-                        .as_usize()
-                        .ok_or_else(|| err("'positions' rows must be non-negative integers"))?;
-                    let col = pair[1]
-                        .as_usize()
-                        .ok_or_else(|| err("'positions' cols must be non-negative integers"))?;
-                    Ok((row, col))
-                })
-                .collect::<Result<Vec<_>, WireError>>()?,
-        )),
-        _ => Err(err(
-            "filter 'type' must be \"all\", \"rows\", \"cols\" or \"positions\"",
-        )),
-    }
-}
-
-fn encode_scenario(scenario: &FaultScenario) -> Value {
-    let mut pairs = vec![
-        ("name", strv(scenario.name.as_str())),
-        ("kind", strv(scenario.kind.tag())),
-    ];
-    match &scenario.kind {
-        ScenarioKind::SingleSweep | ScenarioKind::PermanentLpd => {}
-        ScenarioKind::MultiPe { k } => pairs.push(("k", usizev(*k))),
-        ScenarioKind::Correlated { shape } => pairs.push(("shape", strv(shape.tag()))),
-        ScenarioKind::Burst { rate, width } => {
-            pairs.push(("rate", f64v(*rate)));
-            pairs.push(("width", usizev(*width)));
+impl FromJson<'_> for (usize, usize) {
+    fn from_value(value: &Value) -> Result<Self, WireError> {
+        match Vec::<usize>::from_value(value)?.as_slice() {
+            &[row, col] => Ok((row, col)),
+            _ => Err(expected("a [row, col] pair")),
         }
-        ScenarioKind::RateSweep { rates } => pairs.push((
-            "rates",
-            Value::Array(rates.iter().map(|&r| f64v(r)).collect()),
-        )),
-        ScenarioKind::Storm { schedule } => pairs.push((
-            "schedule",
-            Value::Array(
-                schedule
-                    .iter()
-                    .map(|phase| {
-                        Value::object(vec![
-                            ("ticks", usizev(phase.ticks)),
-                            ("rate", f64v(phase.rate)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )),
     }
-    pairs.push(("filter", encode_filter(&scenario.filter)));
-    pairs.push(("stream", u64v(scenario.stream)));
-    Value::object(pairs)
 }
 
-fn decode_scenario(value: &Value) -> Result<FaultScenario, WireError> {
-    let name = value
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or_else(|| err("scenario needs a string 'name'"))?;
-    let rate = |field: &str| -> Result<f64, WireError> {
-        value
-            .get(field)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| err(format!("scenario '{name}' needs a number '{field}'")))
-    };
-    let kind = match value.get("kind").and_then(Value::as_str) {
-        Some("single_sweep") => ScenarioKind::SingleSweep,
-        Some("permanent_lpd") => ScenarioKind::PermanentLpd,
-        Some("multi_pe") => ScenarioKind::MultiPe {
-            k: value
-                .get("k")
-                .and_then(Value::as_usize)
-                .ok_or_else(|| err(format!("scenario '{name}' needs an integer 'k'")))?,
-        },
-        Some("correlated") => ScenarioKind::Correlated {
-            shape: match value.get("shape").and_then(Value::as_str) {
-                Some("row") => CorrelationShape::Row,
-                Some("col") => CorrelationShape::Col,
-                Some("neighborhood") => CorrelationShape::Neighborhood,
-                _ => {
-                    return Err(err(format!(
-                        "scenario '{name}' 'shape' must be \"row\", \"col\" or \"neighborhood\""
-                    )))
-                }
+impl ToJson for TargetFilter {
+    fn to_value(&self) -> Value {
+        match self {
+            TargetFilter::All => obj(&[("type", &"all")]),
+            TargetFilter::Rows(rows) => obj(&[("type", &"rows"), ("rows", rows)]),
+            TargetFilter::Cols(cols) => obj(&[("type", &"cols"), ("cols", cols)]),
+            TargetFilter::Positions(positions) => {
+                obj(&[("type", &"positions"), ("positions", positions)])
+            }
+        }
+    }
+}
+
+impl FromJson<'_> for TargetFilter {
+    fn from_value(value: &Value) -> Result<Self, WireError> {
+        let r = Obj::new(value)?;
+        Ok(tagged!(r, "type" {
+            "all" => TargetFilter::All,
+            "rows" => TargetFilter::Rows(r.req("rows")?),
+            "cols" => TargetFilter::Cols(r.req("cols")?),
+            "positions" => TargetFilter::Positions(r.req("positions")?),
+        }))
+    }
+}
+
+/// The scenario kind sits flat in the scenario object: a `kind` tag plus
+/// the kind's parameters.  Decoding validates the whole scenario.
+impl ToJson for FaultScenario {
+    fn to_value(&self) -> Value {
+        let tag = self.kind.tag();
+        let mut members: Vec<(&str, &dyn ToJson)> = vec![("name", &self.name), ("kind", &tag)];
+        match &self.kind {
+            ScenarioKind::SingleSweep | ScenarioKind::PermanentLpd => {}
+            ScenarioKind::MultiPe { k } => members.push(("k", k)),
+            ScenarioKind::Correlated { shape } => members.push(("shape", shape)),
+            ScenarioKind::Burst { rate, width } => {
+                members.push(("rate", rate));
+                members.push(("width", width));
+            }
+            ScenarioKind::RateSweep { rates } => members.push(("rates", rates)),
+            ScenarioKind::Storm { schedule } => members.push(("schedule", schedule)),
+        }
+        members.push(("filter", &self.filter));
+        members.push(("stream", &self.stream));
+        obj(&members)
+    }
+}
+
+impl FromJson<'_> for FaultScenario {
+    fn from_value(value: &Value) -> Result<Self, WireError> {
+        let r = Obj::new(value)?;
+        let name: &str = r.req("name")?;
+        let kind = tagged!(r, "kind" {
+            "single_sweep" => ScenarioKind::SingleSweep,
+            "multi_pe" => ScenarioKind::MultiPe { k: r.req("k")? },
+            "correlated" => ScenarioKind::Correlated { shape: r.req("shape")? },
+            "burst" => ScenarioKind::Burst { rate: r.req("rate")?, width: r.req("width")? },
+            "permanent_lpd" => ScenarioKind::PermanentLpd,
+            "rate_sweep" => ScenarioKind::RateSweep { rates: r.req("rates")? },
+            "storm" => ScenarioKind::Storm { schedule: r.req("schedule")? },
+        });
+        let mut scenario = FaultScenario::new(name, kind);
+        if let Some(filter) = r.opt("filter")? {
+            scenario = scenario.with_filter(filter);
+        }
+        if let Some(stream) = r.opt("stream")? {
+            scenario = scenario.with_stream(stream);
+        }
+        scenario
+            .validate()
+            .map_err(|reason| err(format!("scenario '{name}': {reason}")))?;
+        Ok(scenario)
+    }
+}
+
+impl ToJson for RecoveryStep {
+    fn to_value(&self) -> Value {
+        match self {
+            RecoveryStep::Scrub { attempts } => obj(&[("step", &"scrub"), ("attempts", attempts)]),
+            RecoveryStep::TmrRemap => obj(&[("step", &"tmr_remap")]),
+            RecoveryStep::Reevolve {
+                generations,
+                max_millis,
+            } => obj(&[
+                ("step", &"reevolve"),
+                ("generations", generations),
+                ("max_millis", max_millis),
+            ]),
+        }
+    }
+}
+
+impl FromJson<'_> for RecoveryStep {
+    fn from_value(value: &Value) -> Result<Self, WireError> {
+        let r = Obj::new(value)?;
+        Ok(tagged!(r, "step" {
+            // An absent attempt count means one pass; a present one must be
+            // an integer.
+            "scrub" => RecoveryStep::Scrub { attempts: r.opt("attempts")?.unwrap_or(1) },
+            "tmr_remap" => RecoveryStep::TmrRemap,
+            "reevolve" => RecoveryStep::Reevolve {
+                generations: r.opt("generations")?.flatten(),
+                max_millis: r.opt("max_millis")?.flatten(),
             },
-        },
-        Some("burst") => ScenarioKind::Burst {
-            rate: rate("rate")?,
-            width: value
-                .get("width")
-                .and_then(Value::as_usize)
-                .ok_or_else(|| err(format!("scenario '{name}' needs an integer 'width'")))?,
-        },
-        Some("rate_sweep") => ScenarioKind::RateSweep {
-            rates: value
-                .get("rates")
-                .and_then(Value::as_array)
-                .ok_or_else(|| err(format!("scenario '{name}' needs a 'rates' array")))?
-                .iter()
-                .map(|v| {
-                    v.as_f64()
-                        .ok_or_else(|| err(format!("scenario '{name}' rates must be numbers")))
-                })
-                .collect::<Result<Vec<_>, WireError>>()?,
-        },
-        Some("storm") => ScenarioKind::Storm {
-            schedule: value
-                .get("schedule")
-                .and_then(Value::as_array)
-                .ok_or_else(|| err(format!("scenario '{name}' needs a 'schedule' array")))?
-                .iter()
-                .map(|phase| {
-                    Ok(StormPhase {
-                        ticks: phase
-                            .get("ticks")
-                            .and_then(Value::as_usize)
-                            .ok_or_else(|| err("storm phases need an integer 'ticks'"))?,
-                        rate: phase
-                            .get("rate")
-                            .and_then(Value::as_f64)
-                            .ok_or_else(|| err("storm phases need a number 'rate'"))?,
-                    })
-                })
-                .collect::<Result<Vec<_>, WireError>>()?,
-        },
-        _ => return Err(err(format!("scenario '{name}' has an unknown 'kind'"))),
-    };
-    let mut scenario = FaultScenario::new(name, kind);
-    if let Some(filter) = value.get("filter") {
-        scenario = scenario.with_filter(decode_filter(filter)?);
+        }))
     }
-    if let Some(stream) = value.get("stream") {
-        scenario = scenario.with_stream(
-            stream
-                .as_u64()
-                .ok_or_else(|| err(format!("scenario '{name}' 'stream' must be an integer")))?,
-        );
-    }
-    scenario
-        .validate()
-        .map_err(|reason| err(format!("scenario '{name}': {reason}")))?;
-    Ok(scenario)
 }
 
-fn encode_policy(name: &str, policy: &RecoveryPolicy) -> Value {
-    Value::object(vec![
-        ("name", strv(name)),
-        ("label", strv(policy.describe())),
-        (
-            "steps",
-            Value::Array(
-                policy
-                    .steps
-                    .iter()
-                    .map(|step| match step {
-                        RecoveryStep::Scrub { attempts } => Value::object(vec![
-                            ("step", strv("scrub")),
-                            ("attempts", usizev(*attempts)),
-                        ]),
-                        RecoveryStep::TmrRemap => Value::object(vec![("step", strv("tmr_remap"))]),
-                        RecoveryStep::Reevolve {
-                            generations,
-                            max_millis,
-                        } => Value::object(vec![
-                            ("step", strv("reevolve")),
-                            (
-                                "generations",
-                                match generations {
-                                    Some(g) => usizev(*g),
-                                    None => Value::Null,
-                                },
-                            ),
-                            (
-                                "max_millis",
-                                match max_millis {
-                                    Some(ms) => u64v(*ms),
-                                    None => Value::Null,
-                                },
-                            ),
-                        ]),
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "stop_margin",
-            match policy.stop_margin {
-                Some(margin) => u64v(margin),
-                None => Value::Null,
-            },
-        ),
-    ])
+/// A registry entry: the policy's name, its ladder and, on the way out, its
+/// [`RecoveryPolicy::describe`] label.  Decoding validates the ladder.
+impl ToJson for (String, RecoveryPolicy) {
+    fn to_value(&self) -> Value {
+        let (name, policy) = self;
+        obj(&[
+            ("name", name),
+            ("label", &policy.describe()),
+            ("steps", &policy.steps),
+            ("stop_margin", &policy.stop_margin),
+        ])
+    }
 }
 
-fn decode_policy(value: &Value) -> Result<(String, RecoveryPolicy), WireError> {
-    let name = value
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or_else(|| err("policy needs a string 'name'"))?;
-    let steps = value
-        .get("steps")
-        .and_then(Value::as_array)
-        .ok_or_else(|| err(format!("policy '{name}' needs a 'steps' array")))?
-        .iter()
-        .map(|step| match step.get("step").and_then(Value::as_str) {
-            Some("scrub") => Ok(RecoveryStep::Scrub {
-                attempts: step.get("attempts").and_then(Value::as_usize).unwrap_or(1),
-            }),
-            Some("tmr_remap") => Ok(RecoveryStep::TmrRemap),
-            Some("reevolve") => Ok(RecoveryStep::Reevolve {
-                generations: match step.get("generations") {
-                    None | Some(Value::Null) => None,
-                    Some(v) => Some(v.as_usize().ok_or_else(|| {
-                        err(format!(
-                            "policy '{name}' reevolve 'generations' must be an integer or null"
-                        ))
-                    })?),
-                },
-                max_millis: match step.get("max_millis") {
-                    None | Some(Value::Null) => None,
-                    Some(v) => Some(v.as_u64().ok_or_else(|| {
-                        err(format!(
-                            "policy '{name}' reevolve 'max_millis' must be an integer or null"
-                        ))
-                    })?),
-                },
-            }),
-            _ => Err(err(format!(
-                "policy '{name}' steps must be \"scrub\", \"tmr_remap\" or \"reevolve\""
-            ))),
-        })
-        .collect::<Result<Vec<_>, WireError>>()?;
-    let stop_margin = match value.get("stop_margin") {
-        None | Some(Value::Null) => None,
-        Some(v) => Some(v.as_u64().ok_or_else(|| {
-            err(format!(
-                "policy '{name}' 'stop_margin' must be an integer or null"
-            ))
-        })?),
-    };
-    let policy = RecoveryPolicy { steps, stop_margin };
-    policy
-        .validate()
-        .map_err(|reason| err(format!("policy '{name}': {reason}")))?;
-    Ok((name.to_string(), policy))
+impl FromJson<'_> for (String, RecoveryPolicy) {
+    fn from_value(value: &Value) -> Result<Self, WireError> {
+        let r = Obj::new(value)?;
+        let name: String = r.req("name")?;
+        let policy = RecoveryPolicy {
+            steps: r.req("steps")?,
+            stop_margin: r.opt("stop_margin")?.flatten(),
+        };
+        policy
+            .validate()
+            .map_err(|reason| err(format!("policy '{name}': {reason}")))?;
+        Ok((name, policy))
+    }
 }
 
 /// Encodes the full registry as the `GET /registry` document:
@@ -1194,47 +643,30 @@ fn decode_policy(value: &Value) -> Result<(String, RecoveryPolicy), WireError> {
 /// name plus enough structure for a client to reproduce the schedule
 /// locally.
 pub fn encode_registry(registry: &ScenarioRegistry) -> Value {
-    Value::object(vec![
-        (
-            "scenarios",
-            Value::Array(registry.scenarios().iter().map(encode_scenario).collect()),
-        ),
-        (
-            "policies",
-            Value::Array(
-                registry
-                    .policies()
-                    .iter()
-                    .map(|(name, policy)| encode_policy(name, policy))
-                    .collect(),
-            ),
-        ),
+    obj(&[
+        ("scenarios", &registry.scenarios()),
+        ("policies", &registry.policies()),
     ])
 }
 
 /// Parses a registry document (same shape [`encode_registry`] emits) as an
 /// overlay on the built-in entries: named scenarios/policies are added, or
 /// replace builtins of the same name.  Every entry is validated — a
-/// malformed scenario or ladder rejects the whole document, so a server
-/// never starts with a half-usable registry.
+/// malformed scenario or ladder, or a document that is not an object,
+/// rejects the whole document, so a server never starts with a half-usable
+/// registry.
 pub fn parse_registry(doc: &Value) -> Result<ScenarioRegistry, WireError> {
+    let r = Obj::new(doc).map_err(|_| err("a registry document must be a JSON object"))?;
     let mut registry = ScenarioRegistry::builtin();
-    if let Some(scenarios) = doc.get("scenarios") {
-        for value in scenarios
-            .as_array()
-            .ok_or_else(|| err("'scenarios' must be an array"))?
-        {
-            registry.insert_scenario(decode_scenario(value)?);
-        }
+    for scenario in r
+        .opt::<Vec<FaultScenario>>("scenarios")?
+        .unwrap_or_default()
+    {
+        registry.insert_scenario(scenario);
     }
-    if let Some(policies) = doc.get("policies") {
-        for value in policies
-            .as_array()
-            .ok_or_else(|| err("'policies' must be an array"))?
-        {
-            let (name, policy) = decode_policy(value)?;
-            registry.insert_policy(name, policy);
-        }
+    let policies = r.opt::<Vec<(String, RecoveryPolicy)>>("policies")?;
+    for (name, policy) in policies.unwrap_or_default() {
+        registry.insert_policy(name, policy);
     }
     Ok(registry)
 }
@@ -1260,26 +692,7 @@ pub const CHAMPIONS_VERSION: u64 = 1;
 /// `image_hash` travels as a fixed-width hex string because it is a
 /// full-range u64 (same reasoning as the result envelope's `image_hash`).
 pub fn encode_champions(entries: &[(ChampionKey, Champion)]) -> Value {
-    Value::object(vec![
-        ("version", u64v(CHAMPIONS_VERSION)),
-        (
-            "champions",
-            Value::Array(
-                entries
-                    .iter()
-                    .map(|(key, champion)| {
-                        Value::object(vec![
-                            ("image_hash", strv(format!("{:016x}", key.image_hash))),
-                            ("noise_class", u64v(u64::from(key.noise_class))),
-                            ("arrays", usizev(key.arrays)),
-                            ("genotype", bytesv(&champion.genotype)),
-                            ("fitness", u64v(champion.fitness)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    obj(&[("version", &CHAMPIONS_VERSION), ("champions", &entries)])
 }
 
 /// Parses a champions document (same shape [`encode_champions`] emits) back
@@ -1287,123 +700,117 @@ pub fn encode_champions(entries: &[(ChampionKey, Champion)]) -> Value {
 /// champion rejects the whole document, so a server never starts with a
 /// half-restored library.
 pub fn parse_champions(doc: &Value) -> Result<Vec<(ChampionKey, Champion)>, WireError> {
-    let version = doc
-        .get("version")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| err("champions file needs an integer 'version'"))?;
+    let r = Obj::new(doc).map_err(|_| err("a champions file must be a JSON object"))?;
+    let version: u64 = r.req("version")?;
     if version != CHAMPIONS_VERSION {
         return Err(err(format!(
             "champions file version {version} is not the supported version {CHAMPIONS_VERSION}"
         )));
     }
-    doc.get("champions")
-        .and_then(Value::as_array)
-        .ok_or_else(|| err("champions file needs a 'champions' array"))?
-        .iter()
+    r.req::<Vec<&Value>>("champions")?
+        .into_iter()
         .enumerate()
         .map(|(index, entry)| {
-            let fail = |what: &str| err(format!("champion #{index}: {what}"));
-            let image_hash = entry
-                .get("image_hash")
-                .and_then(Value::as_str)
-                .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-                .ok_or_else(|| fail("'image_hash' must be a u64 hex string"))?;
-            let noise_class = entry
-                .get("noise_class")
-                .and_then(Value::as_u64)
-                .and_then(|n| u8::try_from(n).ok())
-                .ok_or_else(|| fail("'noise_class' must be an integer in 0..=255"))?;
-            let arrays = entry
-                .get("arrays")
-                .and_then(Value::as_usize)
-                .filter(|&n| n > 0)
-                .ok_or_else(|| fail("'arrays' must be a positive integer"))?;
-            let genotype = decode_bytes(
-                entry
-                    .get("genotype")
-                    .ok_or_else(|| fail("missing 'genotype'"))?,
-                "genotype",
-            )
-            .map_err(|e| fail(&e.0))?;
-            if genotype.is_empty() {
-                return Err(fail("'genotype' must not be empty"));
-            }
-            let fitness = entry
-                .get("fitness")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| fail("'fitness' must be an integer"))?;
-            Ok((
-                ChampionKey {
-                    image_hash,
-                    noise_class,
-                    arrays,
-                },
-                Champion { genotype, fitness },
-            ))
+            FromJson::from_value(entry).map_err(|e| err(format!("champion #{index}: {e}")))
         })
         .collect()
 }
+
+/// One champions-file entry: the key's members and the champion's, flat.
+impl ToJson for (ChampionKey, Champion) {
+    fn to_value(&self) -> Value {
+        let (key, champion) = self;
+        obj(&[
+            ("image_hash", &Hex(key.image_hash)),
+            ("noise_class", &key.noise_class),
+            ("arrays", &key.arrays),
+            ("genotype", &champion.genotype),
+            ("fitness", &champion.fitness),
+        ])
+    }
+}
+
+impl FromJson<'_> for (ChampionKey, Champion) {
+    fn from_value(value: &Value) -> Result<Self, WireError> {
+        let r = Obj::new(value)?;
+        let key = ChampionKey {
+            image_hash: r.req::<Hex>("image_hash")?.0,
+            noise_class: r.req("noise_class")?,
+            arrays: r.req("arrays")?,
+        };
+        if key.arrays == 0 {
+            return Err(err("'arrays' must be a positive integer"));
+        }
+        let champion = Champion {
+            genotype: r.req("genotype")?,
+            fitness: r.req("fitness")?,
+        };
+        if champion.genotype.is_empty() {
+            return Err(err("'genotype' must not be empty"));
+        }
+        Ok((key, champion))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Progress events and errors
+// ---------------------------------------------------------------------------
 
 /// Encodes one progress event as a single NDJSON line (no trailing newline).
 /// Stream jobs additionally carry a `stream` member tagging the phase
 /// (`frame`, `drift` or `adaptation`) with its per-phase fields.
 pub fn encode_event(sequence: usize, event: &JobProgress) -> Value {
-    let mut pairs = vec![
-        ("sequence", usizev(sequence)),
-        ("generation", usizev(event.generation)),
-        (
-            "best_fitness",
-            match event.best_fitness {
-                Some(f) => u64v(f),
-                None => Value::Null,
-            },
-        ),
+    let mut members: Vec<(&str, &dyn ToJson)> = vec![
+        ("sequence", &sequence),
+        ("generation", &event.generation),
+        ("best_fitness", &event.best_fitness),
     ];
     if let Some(stream) = &event.stream {
-        pairs.push(("stream", encode_stream_event(stream)));
+        members.push(("stream", stream));
     }
-    Value::object(pairs)
+    obj(&members)
 }
 
-fn encode_stream_event(event: &StreamEvent) -> Value {
-    match *event {
-        StreamEvent::Frame { index, fitness } => Value::object(vec![
-            ("phase", strv("frame")),
-            ("frame", usizev(index)),
-            ("fitness", u64v(fitness)),
-        ]),
-        StreamEvent::Drift {
-            frame,
-            window_fitness,
-            baseline_fitness,
-        } => Value::object(vec![
-            ("phase", strv("drift")),
-            ("frame", usizev(frame)),
-            ("window_fitness", u64v(window_fitness)),
-            ("baseline_fitness", u64v(baseline_fitness)),
-        ]),
-        StreamEvent::Adaptation {
-            frame,
-            index,
-            accepted,
-            incumbent_fitness,
-            candidate_fitness,
-            generations_run,
-        } => Value::object(vec![
-            ("phase", strv("adaptation")),
-            ("frame", usizev(frame)),
-            ("adaptation", usizev(index)),
-            ("accepted", Value::Bool(accepted)),
-            ("incumbent_fitness", u64v(incumbent_fitness)),
-            ("candidate_fitness", u64v(candidate_fitness)),
-            ("generations_run", usizev(generations_run)),
-        ]),
+impl ToJson for StreamEvent {
+    fn to_value(&self) -> Value {
+        match self {
+            StreamEvent::Frame { index, fitness } => {
+                obj(&[("phase", &"frame"), ("frame", index), ("fitness", fitness)])
+            }
+            StreamEvent::Drift {
+                frame,
+                window_fitness,
+                baseline_fitness,
+            } => obj(&[
+                ("phase", &"drift"),
+                ("frame", frame),
+                ("window_fitness", window_fitness),
+                ("baseline_fitness", baseline_fitness),
+            ]),
+            StreamEvent::Adaptation {
+                frame,
+                index,
+                accepted,
+                incumbent_fitness,
+                candidate_fitness,
+                generations_run,
+            } => obj(&[
+                ("phase", &"adaptation"),
+                ("frame", frame),
+                ("adaptation", index),
+                ("accepted", accepted),
+                ("incumbent_fitness", incumbent_fitness),
+                ("candidate_fitness", candidate_fitness),
+                ("generations_run", generations_run),
+            ]),
+        }
     }
 }
 
 /// Encodes an error payload (`{"error": ...}`).
 pub fn encode_error(message: impl Into<String>) -> Value {
-    Value::object(vec![("error", strv(message))])
+    let message: String = message.into();
+    obj(&[("error", &message)])
 }
 
 #[cfg(test)]
@@ -1491,11 +898,9 @@ mod tests {
         let mut platform = EhwPlatform::new(spec.arrays_needed());
         let result = execute(&mut platform, &spec, 7);
         let encoded = encode_result(&result);
-        let bytes = decode_bytes(
-            encoded.get("output").unwrap().get("best_genotype").unwrap(),
-            "best_genotype",
-        )
-        .unwrap();
+        let bytes =
+            Vec::<u8>::from_value(encoded.get("output").unwrap().get("best_genotype").unwrap())
+                .unwrap();
         let decoded = Genotype::decode(&bytes).unwrap();
         assert_eq!(&decoded, result.best_genotype().unwrap());
     }
@@ -1840,5 +1245,32 @@ mod tests {
         assert_eq!(member.get("phase").and_then(Value::as_str), Some("frame"));
         assert_eq!(member.get("frame").and_then(Value::as_u64), Some(4));
         assert_eq!(member.get("fitness").and_then(Value::as_u64), Some(123));
+    }
+
+    #[test]
+    fn scrub_attempts_must_be_integers_when_present() {
+        let registry = |attempts: &str| {
+            parse_registry(
+                &parse(&format!(
+                    "{{\"policies\":[{{\"name\":\"p\",\"steps\":[{{\"step\":\"scrub\"{attempts}}}]}}]}}"
+                ))
+                .unwrap(),
+            )
+        };
+        for bad in ["\"three\"", "-2", "2.5", "null"] {
+            let error = registry(&format!(",\"attempts\":{bad}")).unwrap_err();
+            assert!(error.0.contains("attempts"), "{bad} -> {error}");
+        }
+        // An absent count still means one pass.
+        let steps = registry("").unwrap().policy("p").unwrap().steps.clone();
+        assert_eq!(steps, vec![RecoveryStep::Scrub { attempts: 1 }]);
+    }
+
+    #[test]
+    fn registry_documents_must_be_objects() {
+        for text in ["[]", "42", "\"x\"", "null"] {
+            let error = parse_registry(&parse(text).unwrap()).unwrap_err();
+            assert!(error.0.contains("object"), "{text} -> {error}");
+        }
     }
 }

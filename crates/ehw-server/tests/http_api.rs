@@ -523,9 +523,17 @@ fn events_for_unknown_jobs_are_404() {
 
 #[test]
 fn settled_jobs_are_evicted_after_the_ttl() {
+    use ehw_service::ScenarioRegistry;
+
     let service = EhwService::new(ServiceConfig::new(1).seed(11)).expect("service starts");
-    let server = EhwServer::serve_with_ttl(service, "127.0.0.1:0", Duration::from_millis(50))
-        .expect("server binds");
+    let server = EhwServer::serve_with_persistence(
+        service,
+        "127.0.0.1:0",
+        Duration::from_millis(50),
+        ScenarioRegistry::builtin(),
+        None,
+    )
+    .expect("server binds");
     let addr = server.local_addr();
 
     let job_id = submit(addr, &evolution_body(8, 3, 21, ""));
@@ -1150,4 +1158,32 @@ fn unknown_scenario_and_policy_names_get_structured_400s() {
 
     // The server is still healthy afterwards.
     assert_eq!(get(addr, "/metrics").status, 200);
+}
+
+#[test]
+fn ehw_serve_refuses_to_boot_on_a_registry_that_is_not_an_object() {
+    let path = std::env::temp_dir().join(format!("ehw-registry-array-{}.json", std::process::id()));
+    std::fs::write(&path, b"[]").unwrap();
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_ehw-serve"))
+        .arg("127.0.0.1:0")
+        .arg(format!("--registry={}", path.display()))
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("ehw-serve starts");
+    // A server that accepted the file would serve until killed.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll ehw-serve") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("ehw-serve booted on a registry document that is not an object");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(status.code(), Some(2));
 }

@@ -14,8 +14,9 @@
 //! * the bypass switch used by the self-healing strategies (a bypassed ACB
 //!   forwards its input unchanged to the next stage, while its array keeps
 //!   receiving the data stream so it can be re-evolved online),
-//! * its fitness unit with its selectable comparison source,
-//! * the calibration fitness recorded by the self-healing supervisor.
+//!
+//! The fitness unit's MAE is computed by the `ehw-evolution` evaluators,
+//! which score every candidate against the training pair.
 
 use ehw_array::array::ProcessingArray;
 use ehw_array::genotype::Genotype;
@@ -23,44 +24,25 @@ use ehw_array::latency::ArrayLatency;
 use ehw_array::pe::FaultBehaviour;
 use ehw_image::image::GrayImage;
 
-use crate::fitness_unit::{FitnessSource, FitnessUnit};
-
-/// One Array Control Block: array + controller state + fitness unit.
+/// One Array Control Block: array + controller state.
 #[derive(Debug, Clone)]
 pub struct ArrayControlBlock {
-    index: usize,
     array: ProcessingArray,
-    fitness_unit: FitnessUnit,
     bypass: bool,
-    calibration_fitness: Option<u64>,
 }
 
 impl ArrayControlBlock {
-    /// Creates ACB number `index` with an identity-configured array.
-    pub fn new(index: usize) -> Self {
+    /// Creates an ACB with an identity-configured array.
+    pub(crate) fn new() -> Self {
         Self {
-            index,
             array: ProcessingArray::identity(),
-            fitness_unit: FitnessUnit::new(),
             bypass: false,
-            calibration_fitness: None,
         }
     }
 
-    /// Position of this ACB in the vertical stack.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
     /// The functional array model.
-    pub fn array(&self) -> &ProcessingArray {
+    pub(crate) fn array(&self) -> &ProcessingArray {
         &self.array
-    }
-
-    /// Mutable access to the functional array model (fault injection,
-    /// direct genotype manipulation in tests).
-    pub fn array_mut(&mut self) -> &mut ProcessingArray {
-        &mut self.array
     }
 
     /// The genotype currently configured in the array.
@@ -71,12 +53,12 @@ impl ArrayControlBlock {
     /// Updates the functional model after the reconfiguration engine has
     /// written a new candidate (called by the platform, which also performs
     /// the frame writes and register updates).
-    pub fn set_genotype(&mut self, genotype: Genotype) {
+    pub(crate) fn set_genotype(&mut self, genotype: Genotype) {
         self.array.set_genotype(genotype);
     }
 
     /// Enables or disables bypass mode.
-    pub fn set_bypass(&mut self, bypass: bool) {
+    pub(crate) fn set_bypass(&mut self, bypass: bool) {
         self.bypass = bypass;
     }
 
@@ -87,7 +69,7 @@ impl ArrayControlBlock {
 
     /// The stream this ACB forwards to the next stage: the array output, or
     /// the unmodified input while bypassed.
-    pub fn process(&self, input: &GrayImage) -> GrayImage {
+    pub(crate) fn process(&self, input: &GrayImage) -> GrayImage {
         if self.bypass {
             input.clone()
         } else {
@@ -108,70 +90,14 @@ impl ArrayControlBlock {
         ArrayLatency::of(self.array.genotype())
     }
 
-    /// The ACB's fitness unit.
-    pub fn fitness_unit(&self) -> &FitnessUnit {
-        &self.fitness_unit
-    }
-
-    /// Selects what the fitness unit compares against.
-    pub fn set_fitness_source(&mut self, source: FitnessSource) {
-        self.fitness_unit.set_source(source);
-    }
-
-    /// Runs one image through the array (raw output, even when bypassed) and
-    /// the fitness unit.  Returns `None` if the configured comparison stream
-    /// is unavailable.
-    pub fn measure_fitness(
-        &mut self,
-        input: &GrayImage,
-        reference: Option<&GrayImage>,
-        neighbour: Option<&GrayImage>,
-    ) -> Option<u64> {
-        let output = self.raw_output(input);
-        self.fitness_unit
-            .compute(&output, input, reference, neighbour)
-    }
-
     /// Injects a PE-level fault into the array.
-    pub fn inject_fault(&mut self, row: usize, col: usize, behaviour: FaultBehaviour) {
+    pub(crate) fn inject_fault(&mut self, row: usize, col: usize, behaviour: FaultBehaviour) {
         self.array.inject_fault(row, col, behaviour);
     }
 
     /// Clears one injected fault.
-    pub fn clear_fault(&mut self, row: usize, col: usize) {
+    pub(crate) fn clear_fault(&mut self, row: usize, col: usize) {
         self.array.clear_fault(row, col);
-    }
-
-    /// Clears every injected fault.
-    pub fn clear_all_faults(&mut self) {
-        self.array.clear_all_faults();
-    }
-
-    /// `true` if the array currently has injected faults.
-    pub fn has_faults(&self) -> bool {
-        self.array.has_faults()
-    }
-
-    /// Records the calibration fitness measured right after evolution (§V.A
-    /// step b).
-    pub fn set_calibration_fitness(&mut self, fitness: u64) {
-        self.calibration_fitness = Some(fitness);
-    }
-
-    /// The recorded calibration fitness, if any.
-    pub fn calibration_fitness(&self) -> Option<u64> {
-        self.calibration_fitness
-    }
-
-    /// Clears the monitoring state — the fitness unit (source, counters,
-    /// last measurement) and the recorded calibration fitness — back to
-    /// bring-up values.  Part of [`EhwPlatform::reset`]'s
-    /// functionally-fresh guarantee.
-    ///
-    /// [`EhwPlatform::reset`]: crate::platform::EhwPlatform::reset
-    pub fn reset_monitoring(&mut self) {
-        self.fitness_unit = FitnessUnit::new();
-        self.calibration_fitness = None;
     }
 }
 
@@ -182,17 +108,16 @@ mod tests {
 
     #[test]
     fn new_acb_is_identity_and_not_bypassed() {
-        let acb = ArrayControlBlock::new(2);
-        assert_eq!(acb.index(), 2);
+        let acb = ArrayControlBlock::new();
         assert!(!acb.is_bypassed());
-        assert!(!acb.has_faults());
+        assert!(!acb.array().has_faults());
         let img = synth::shapes(16, 16, 2);
         assert_eq!(acb.process(&img), img);
     }
 
     #[test]
     fn bypass_forwards_input_but_array_still_computes() {
-        let mut acb = ArrayControlBlock::new(0);
+        let mut acb = ArrayControlBlock::new();
         // Configure something that visibly changes the image.
         let mut g = Genotype::identity();
         g.pe_genes[3] = ehw_array::pe::PeFunction::InvertW.gene();
@@ -213,43 +138,8 @@ mod tests {
     }
 
     #[test]
-    fn measure_fitness_honours_source_selection() {
-        let mut acb = ArrayControlBlock::new(0);
-        let img = synth::shapes(24, 24, 3);
-        // Reference source against the identity output: zero.
-        assert_eq!(acb.measure_fitness(&img, Some(&img), None), Some(0));
-        // Missing reference: no measurement.
-        assert_eq!(acb.measure_fitness(&img, None, None), None);
-        // Neighbour (imitation) source.
-        acb.set_fitness_source(FitnessSource::NeighbourOutput);
-        assert_eq!(acb.measure_fitness(&img, None, Some(&img)), Some(0));
-        assert_eq!(acb.fitness_unit().images_processed(), 2);
-    }
-
-    #[test]
-    fn faults_affect_fitness_and_are_clearable() {
-        let mut acb = ArrayControlBlock::new(1);
-        let img = synth::shapes(24, 24, 3);
-        assert_eq!(acb.measure_fitness(&img, Some(&img), None), Some(0));
-        acb.inject_fault(0, 3, FaultBehaviour::dummy());
-        assert!(acb.has_faults());
-        let degraded = acb.measure_fitness(&img, Some(&img), None).unwrap();
-        assert!(degraded > 0);
-        acb.clear_all_faults();
-        assert_eq!(acb.measure_fitness(&img, Some(&img), None), Some(0));
-    }
-
-    #[test]
-    fn calibration_fitness_round_trips() {
-        let mut acb = ArrayControlBlock::new(0);
-        assert_eq!(acb.calibration_fitness(), None);
-        acb.set_calibration_fitness(1234);
-        assert_eq!(acb.calibration_fitness(), Some(1234));
-    }
-
-    #[test]
     fn latency_tracks_output_gene() {
-        let mut acb = ArrayControlBlock::new(0);
+        let mut acb = ArrayControlBlock::new();
         let base = acb.latency().total_cycles();
         let mut g = Genotype::identity();
         g.output_gene = 3;

@@ -166,7 +166,7 @@ impl CrossJobCache {
     ///
     /// A lock-poisoning panic on another shard falls back to a fresh private
     /// extraction — the cache degrades to a per-job build, never to an error.
-    pub fn windows_for(&self, image: &GrayImage) -> Arc<SharedWindows> {
+    pub(crate) fn windows_for(&self, image: &GrayImage) -> Arc<SharedWindows> {
         let hash = image.content_hash();
         let Ok(mut windows) = self.windows.lock() else {
             return Arc::new(SharedWindows::new(image));
@@ -186,20 +186,20 @@ impl CrossJobCache {
     /// caller reports success via [`record_warm_start`](Self::record_warm_start)
     /// once the parent is actually seeded, so the counter never exceeds the
     /// jobs whose results say `warm_started: true`.
-    pub fn lookup_champion(&self, key: &ChampionKey) -> Option<Champion> {
+    pub(crate) fn lookup_champion(&self, key: &ChampionKey) -> Option<Champion> {
         self.champions.lock().ok()?.lookup(key).cloned()
     }
 
     /// Counts one evolution job whose initial parent was seeded from the
     /// library.  Called after [`lookup_champion`](Self::lookup_champion)'s
     /// genotype decoded successfully — not before.
-    pub fn record_warm_start(&self) {
+    pub(crate) fn record_warm_start(&self) {
         self.warm_starts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Deposits an evolved champion under its workload fingerprint (kept only
     /// when it is new or beats the incumbent's fitness).
-    pub fn deposit_champion(&self, key: ChampionKey, genotype: Vec<u8>, fitness: u64) {
+    pub(crate) fn deposit_champion(&self, key: ChampionKey, genotype: Vec<u8>, fitness: u64) {
         let Ok(mut champions) = self.champions.lock() else {
             return;
         };

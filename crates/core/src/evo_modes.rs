@@ -68,7 +68,7 @@ impl EvolutionTask {
 /// compiled against that array's fault overlay, so the fault corrupts the
 /// *plan*, never a per-pixel lookup.
 ///
-/// When constructed [`with_windows`](Self::with_windows), the window
+/// When constructed `with_windows`, the window
 /// extraction is shared with every other job training on the same image
 /// (the service-scope [`CrossJobCache`](crate::cache::CrossJobCache) hands it
 /// out); scoring is identical either way.
@@ -91,7 +91,7 @@ impl PlatformEvaluator {
 
     /// [`new`](Self::new) over an already extracted, possibly shared, window
     /// set of `task.input`.
-    pub fn with_windows(
+    pub(crate) fn with_windows(
         platform: &EhwPlatform,
         task: &EvolutionTask,
         windows: std::sync::Arc<ehw_image::window::SharedWindows>,
@@ -110,7 +110,7 @@ impl PlatformEvaluator {
     }
 
     /// Work-saved counters of the engine paths (memo hits, early exits).
-    pub fn engine_stats(&self) -> ehw_evolution::fitness::EngineStats {
+    pub(crate) fn engine_stats(&self) -> ehw_evolution::fitness::EngineStats {
         self.stats
     }
 }
@@ -316,7 +316,7 @@ impl CascadeConfig {
     /// A reasonable default mirroring the paper's EA parameters (nine
     /// offspring, separate fitness, sequential stages, pass-through
     /// initialisation, compiled engine).
-    pub fn paper(generations: usize, mutation_rate: usize, seed: u64) -> Self {
+    pub(crate) fn paper(generations: usize, mutation_rate: usize, seed: u64) -> Self {
         Self {
             generations,
             offspring: 9,

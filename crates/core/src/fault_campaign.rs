@@ -103,7 +103,7 @@ impl PositionResult {
     }
 
     /// `true` if recovery restored (at least) the original quality.
-    pub fn fully_recovered(&self) -> bool {
+    pub(crate) fn fully_recovered(&self) -> bool {
         self.fitness_recovered <= self.fitness_clean
     }
 
@@ -146,17 +146,17 @@ pub struct EventResult {
 
 impl EventResult {
     /// `true` if the event degraded the output at all.
-    pub fn is_critical(&self) -> bool {
+    pub(crate) fn is_critical(&self) -> bool {
         self.fitness_faulty > self.fitness_clean
     }
 
     /// `true` if recovery restored (at least) the original quality.
-    pub fn fully_recovered(&self) -> bool {
+    pub(crate) fn fully_recovered(&self) -> bool {
         self.fitness_recovered <= self.fitness_clean
     }
 
     /// Fraction of the fault-induced degradation removed, in `[0, 1]`.
-    pub fn recovery_ratio(&self) -> f64 {
+    pub(crate) fn recovery_ratio(&self) -> f64 {
         degradation_recovered(
             self.fitness_clean,
             self.fitness_faulty,
@@ -242,7 +242,7 @@ impl CampaignReport {
     /// Aggregate engine counters across every recovery evolution — the
     /// campaign-level analogue of a single evolution's [`EngineStats`],
     /// reported through the job layer.
-    pub fn total_stats(&self) -> EngineStats {
+    pub(crate) fn total_stats(&self) -> EngineStats {
         let mut total = EngineStats::default();
         for p in &self.positions {
             total.accumulate(p.stats);
@@ -661,8 +661,7 @@ mod tests {
 
     #[test]
     fn campaign_spanning_multiple_arrays_keeps_injection_order() {
-        let mut platform = EhwPlatform::new(2);
-        platform.set_parallel_config(ParallelConfig::with_workers(4));
+        let mut platform = EhwPlatform::with_parallel(2, ParallelConfig::with_workers(4));
         let report = run(
             &mut platform,
             small_campaign(6).recovery_generations(2).arrays(vec![1, 0]),

@@ -36,8 +36,7 @@ use std::time::Instant;
 use ehw_array::genotype::Genotype;
 use ehw_evolution::fitness::EngineStats;
 use ehw_evolution::strategy::{
-    run_evolution_with_parent, EsConfig, EvalEngine, EvolutionResult, GenerationObserver,
-    MutationStrategy,
+    run_evolution_with_parent, EsConfig, EvolutionResult, GenerationObserver, MutationStrategy,
 };
 use ehw_image::image::GrayImage;
 use ehw_stream::source::MIN_FRAME_EDGE;
@@ -216,19 +215,6 @@ impl EvolutionSpec {
     pub fn task(&self) -> &EvolutionTask {
         &self.task
     }
-
-    /// The evolution-strategy parameters (the `seed`/`parallel` fields are
-    /// placeholders — the effective seed and host parallelism are supplied at
-    /// execution time).
-    pub fn config(&self) -> &EsConfig {
-        &self.config
-    }
-
-    /// Whether the job opted into champion-library warm starting (see
-    /// [`EvolutionBuilder::warm_start`]).
-    pub fn warm_start(&self) -> bool {
-        self.warm_start
-    }
 }
 
 /// Builder for [`JobSpec::Evolution`]; see [`JobSpec::evolution`].
@@ -275,13 +261,6 @@ impl EvolutionBuilder {
     /// Stop early once a candidate reaches this fitness.
     pub fn target_fitness(mut self, target: u64) -> Self {
         self.config.target_fitness = Some(target);
-        self
-    }
-
-    /// Candidate-evaluation engine (default bounded; results are
-    /// byte-identical in either mode).
-    pub fn engine(mut self, engine: EvalEngine) -> Self {
-        self.config.engine = engine;
         self
     }
 
@@ -347,24 +326,6 @@ pub struct CascadeSpec {
     stages: usize,
     config: CascadeConfig,
     seed: Option<u64>,
-}
-
-impl CascadeSpec {
-    /// The training pair.
-    pub fn task(&self) -> &EvolutionTask {
-        &self.task
-    }
-
-    /// Number of cascade stages (one array per stage).
-    pub fn stages(&self) -> usize {
-        self.stages
-    }
-
-    /// The cascade parameters (the `seed` field is a placeholder — the
-    /// effective seed is supplied at execution time).
-    pub fn config(&self) -> &CascadeConfig {
-        &self.config
-    }
 }
 
 /// Builder for [`JobSpec::Cascade`]; see [`JobSpec::cascade`].
@@ -470,12 +431,12 @@ pub struct FaultCampaignSpec {
 
 impl FaultCampaignSpec {
     /// The training pair the degradation/recovery is measured on.
-    pub fn task(&self) -> &EvolutionTask {
+    pub(crate) fn task(&self) -> &EvolutionTask {
         &self.task
     }
 
     /// The known-good genotype restored before each injection.
-    pub fn baseline(&self) -> &Genotype {
+    pub(crate) fn baseline(&self) -> &Genotype {
         &self.baseline
     }
 
@@ -485,7 +446,7 @@ impl FaultCampaignSpec {
     }
 
     /// The recovery-evolution parameters.
-    pub fn recovery(&self) -> &EsConfig {
+    pub(crate) fn recovery(&self) -> &EsConfig {
         &self.recovery
     }
 
@@ -533,13 +494,6 @@ impl FaultCampaignBuilder {
     /// highest targeted index).
     pub fn platform_arrays(mut self, platform_arrays: usize) -> Self {
         self.platform_arrays = platform_arrays;
-        self
-    }
-
-    /// Replaces the whole recovery-evolution configuration (the granular
-    /// setters below tweak individual fields of it).
-    pub fn recovery_config(mut self, recovery: EsConfig) -> Self {
-        self.recovery = recovery;
         self
     }
 
@@ -747,13 +701,6 @@ impl StreamBuilder {
     /// Generation budget per adaptation (and for the bootstrap).
     pub fn adaptation_generations(mut self, generations: usize) -> Self {
         self.adaptation.generations = generations;
-        self
-    }
-
-    /// Optional wall-clock budget per adaptation in milliseconds, checked at
-    /// generation boundaries like job deadlines (opt-in nondeterminism).
-    pub fn adaptation_max_millis(mut self, max_millis: u64) -> Self {
-        self.adaptation.max_millis = Some(max_millis);
         self
     }
 
@@ -1098,9 +1045,7 @@ pub struct JobResult {
     pub evaluations: u64,
     /// Work-saved counters of the evaluation engine.  For fault-campaign
     /// jobs this aggregates the counters of every position's recovery
-    /// evolution ([`CampaignReport::total_stats`]).
-    ///
-    /// [`CampaignReport::total_stats`]: crate::fault_campaign::CampaignReport::total_stats
+    /// evolution (`CampaignReport::total_stats`).
     pub stats: EngineStats,
     /// `true` when this evolution job's initial parent was seeded from the
     /// champion library (requires [`EvolutionBuilder::warm_start`] *and* a
@@ -1812,7 +1757,10 @@ mod tests {
         );
         assert!(matches!(
             JobSpec::stream(stream_source(4))
-                .adaptation_max_millis(0)
+                .adaptation(AdaptationConfig {
+                    max_millis: Some(0),
+                    ..AdaptationConfig::default()
+                })
                 .build()
                 .unwrap_err(),
             SpecError::InvalidStream { .. }

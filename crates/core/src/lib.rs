@@ -41,7 +41,6 @@ pub mod acb;
 pub mod cache;
 pub mod evo_modes;
 pub mod fault_campaign;
-pub mod fitness_unit;
 pub mod jobs;
 pub mod modes;
 pub mod platform;

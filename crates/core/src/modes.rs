@@ -21,17 +21,6 @@ pub enum ProcessingMode {
     Cascaded,
 }
 
-/// How the stages of a cascade are specialised (§IV.A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CascadeStyle {
-    /// All stages pursue the same reference (e.g. progressive noise removal);
-    /// each stage is specialised for the output of the previous one.
-    Collaborative,
-    /// Each stage performs a different task (e.g. denoise → smooth → edge
-    /// detect), evolved against different references.
-    Independent,
-}
-
 /// Adaptation-time strategy (§IV.B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EvolutionMode {
@@ -77,46 +66,9 @@ pub enum CascadeSchedule {
     Interleaved,
 }
 
-impl EvolutionMode {
-    /// The cascaded mode with separate fitness units and sequential stages —
-    /// the "adapted filters (random)" configuration of Figs. 16–17.
-    pub fn cascaded_sequential() -> Self {
-        EvolutionMode::Cascaded {
-            fitness: CascadeFitness::Separate,
-            schedule: CascadeSchedule::Sequential,
-        }
-    }
-
-    /// The cascaded mode with separate fitness units and interleaved stages —
-    /// the "adapted filters (interleaved)" configuration of Figs. 16–17.
-    pub fn cascaded_interleaved() -> Self {
-        EvolutionMode::Cascaded {
-            fitness: CascadeFitness::Separate,
-            schedule: CascadeSchedule::Interleaved,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cascaded_constructors_select_expected_variants() {
-        match EvolutionMode::cascaded_sequential() {
-            EvolutionMode::Cascaded { fitness, schedule } => {
-                assert_eq!(fitness, CascadeFitness::Separate);
-                assert_eq!(schedule, CascadeSchedule::Sequential);
-            }
-            other => panic!("unexpected mode {other:?}"),
-        }
-        match EvolutionMode::cascaded_interleaved() {
-            EvolutionMode::Cascaded { schedule, .. } => {
-                assert_eq!(schedule, CascadeSchedule::Interleaved)
-            }
-            other => panic!("unexpected mode {other:?}"),
-        }
-    }
 
     #[test]
     fn modes_are_serializable() {

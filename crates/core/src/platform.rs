@@ -70,7 +70,7 @@ impl EhwPlatform {
     }
 
     /// Creates a platform with a custom timing model (for ablation benches).
-    pub fn with_timing(num_arrays: usize, timing: TimingModel) -> Self {
+    pub(crate) fn with_timing(num_arrays: usize, timing: TimingModel) -> Self {
         assert!(
             num_arrays > 0 && num_arrays <= MAX_ARRAYS,
             "num_arrays must be within 1..={MAX_ARRAYS}"
@@ -82,7 +82,7 @@ impl EhwPlatform {
             ehw_array::genotype::ARRAY_COLS,
         );
         let mut platform = Self {
-            acbs: (0..num_arrays).map(ArrayControlBlock::new).collect(),
+            acbs: (0..num_arrays).map(|_| ArrayControlBlock::new()).collect(),
             engine: ReconfigEngine::with_timing(timing),
             floorplan,
             registers: RegisterFile::new(),
@@ -116,13 +116,8 @@ impl EhwPlatform {
         &self.acbs[index]
     }
 
-    /// Mutable access to one ACB.
-    pub fn acb_mut(&mut self, index: usize) -> &mut ArrayControlBlock {
-        &mut self.acbs[index]
-    }
-
     /// All ACBs in stack order.
-    pub fn acbs(&self) -> &[ArrayControlBlock] {
+    pub(crate) fn acbs(&self) -> &[ArrayControlBlock] {
         &self.acbs
     }
 
@@ -147,7 +142,7 @@ impl EhwPlatform {
     }
 
     /// The timing model used by the platform.
-    pub fn timing(&self) -> TimingModel {
+    pub(crate) fn timing(&self) -> TimingModel {
         *self.engine.timing()
     }
 
@@ -157,16 +152,8 @@ impl EhwPlatform {
         self.parallel
     }
 
-    /// Replaces the host-parallelism configuration.  Scheduling only — every
-    /// processing mode and campaign merges its results in deterministic
-    /// order, so outputs are identical at any worker count.
-    pub fn set_parallel_config(&mut self, parallel: ParallelConfig) {
-        self.parallel = parallel;
-    }
-
     /// Restores the platform to its bring-up functional state: every injected
-    /// fault cleared, bypass disabled everywhere, per-ACB monitoring state
-    /// (fitness units, calibration fitness) wiped and the identity filter
+    /// fault cleared, bypass disabled everywhere and the identity filter
     /// configured into every array.
     ///
     /// This is how the service layer recycles a pooled platform between jobs:
@@ -181,7 +168,6 @@ impl EhwPlatform {
         }
         for index in 0..self.num_arrays() {
             self.set_bypass(index, false);
-            self.acbs[index].reset_monitoring();
         }
         self.configure_all_arrays(&Genotype::identity());
     }
@@ -347,7 +333,7 @@ impl EhwPlatform {
 
     /// Removes an injected fault outright (test helper; real permanent faults
     /// can only be worked around, not removed).
-    pub fn clear_injected_fault(&mut self, array: usize, row: usize, col: usize) {
+    pub(crate) fn clear_injected_fault(&mut self, array: usize, row: usize, col: usize) {
         if self.faults.remove(&(array, row, col)).is_some() {
             self.acbs[array].clear_fault(row, col);
             let region = self.region(array, row, col);
@@ -587,13 +573,11 @@ mod tests {
         platform.configure_all_arrays(&Genotype::random(&mut rng));
         platform.inject_pe_fault(1, 0, 2, FaultKind::Lpd);
         platform.set_bypass(2, true);
-        platform.acb_mut(0).set_calibration_fitness(1234);
 
         platform.reset();
 
         assert!(platform.injected_faults().is_empty());
         assert!(!platform.array_has_permanent_fault(1));
-        assert_eq!(platform.acb(0).calibration_fitness(), None);
         let img = synth::shapes(16, 16, 3);
         for out in platform.process_cascaded(&img) {
             assert_eq!(out, img, "reset platform must be an identity chain");

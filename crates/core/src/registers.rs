@@ -7,8 +7,9 @@
 //!
 //! The register file models that interface: every ACB owns a small bank of
 //! registers at a fixed stride, and the static control logic decodes the ACB
-//! index from the upper address bits.  The evolutionary algorithm (software)
-//! writes mode / mux / bypass settings and reads back fitness and latency.
+//! index from the upper address bits.  The platform writes the mux
+//! selections, the bypass switch and the measured latency of every ACB into
+//! its bank, where [`RegisterFile::peek`] reads them back.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -44,13 +45,11 @@ pub enum AcbRegister {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RegisterFile {
     values: BTreeMap<u32, u32>,
-    reads: u64,
-    writes: u64,
 }
 
 impl RegisterFile {
     /// Creates an empty register file (all registers read as zero).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -66,62 +65,19 @@ impl RegisterFile {
         acb as u32 * ACB_REGISTER_STRIDE + AcbRegister::InputSelectBase as u32 + input as u32
     }
 
-    /// Decodes an absolute address back into `(acb, offset)`.
-    pub fn decode(address: u32) -> (usize, u32) {
-        (
-            (address / ACB_REGISTER_STRIDE) as usize,
-            address % ACB_REGISTER_STRIDE,
-        )
-    }
-
     /// Writes a register by absolute address.
-    pub fn write(&mut self, address: u32, value: u32) {
-        self.writes += 1;
+    pub(crate) fn write(&mut self, address: u32, value: u32) {
         self.values.insert(address, value);
     }
 
     /// Reads a register by absolute address (unwritten registers read zero).
-    pub fn read(&mut self, address: u32) -> u32 {
-        self.reads += 1;
-        self.values.get(&address).copied().unwrap_or(0)
-    }
-
-    /// Peeks a register without counting a bus access.
     pub fn peek(&self, address: u32) -> u32 {
         self.values.get(&address).copied().unwrap_or(0)
     }
 
     /// Convenience: write an ACB register by `(acb, register)`.
-    pub fn write_acb(&mut self, acb: usize, register: AcbRegister, value: u32) {
+    pub(crate) fn write_acb(&mut self, acb: usize, register: AcbRegister, value: u32) {
         self.write(Self::address(acb, register), value);
-    }
-
-    /// Convenience: read an ACB register by `(acb, register)`.
-    pub fn read_acb(&mut self, acb: usize, register: AcbRegister) -> u32 {
-        self.read(Self::address(acb, register))
-    }
-
-    /// Stores a 64-bit fitness value in the two fitness registers of an ACB.
-    pub fn store_fitness(&mut self, acb: usize, fitness: u64) {
-        self.write_acb(acb, AcbRegister::FitnessLow, (fitness & 0xFFFF_FFFF) as u32);
-        self.write_acb(acb, AcbRegister::FitnessHigh, (fitness >> 32) as u32);
-    }
-
-    /// Reads back a 64-bit fitness value from the two fitness registers.
-    pub fn load_fitness(&mut self, acb: usize) -> u64 {
-        let low = self.read_acb(acb, AcbRegister::FitnessLow) as u64;
-        let high = self.read_acb(acb, AcbRegister::FitnessHigh) as u64;
-        (high << 32) | low
-    }
-
-    /// Number of bus reads performed.
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Number of bus writes performed.
-    pub fn write_count(&self) -> u64 {
-        self.writes
     }
 }
 
@@ -152,20 +108,8 @@ mod tests {
     }
 
     #[test]
-    fn decode_inverts_address() {
-        for acb in 0..5 {
-            let addr = RegisterFile::address(acb, AcbRegister::Latency);
-            assert_eq!(
-                RegisterFile::decode(addr),
-                (acb, AcbRegister::Latency as u32)
-            );
-        }
-    }
-
-    #[test]
     fn unwritten_registers_read_zero() {
-        let mut rf = RegisterFile::new();
-        assert_eq!(rf.read(1234), 0);
+        let rf = RegisterFile::new();
         assert_eq!(rf.peek(99), 0);
     }
 
@@ -173,20 +117,8 @@ mod tests {
     fn write_then_read_round_trips() {
         let mut rf = RegisterFile::new();
         rf.write_acb(2, AcbRegister::Mode, 3);
-        assert_eq!(rf.read_acb(2, AcbRegister::Mode), 3);
-        assert_eq!(rf.read_acb(1, AcbRegister::Mode), 0);
-        assert_eq!(rf.write_count(), 1);
-        assert_eq!(rf.read_count(), 2);
-    }
-
-    #[test]
-    fn fitness_round_trips_64_bits() {
-        let mut rf = RegisterFile::new();
-        let value = 0x1234_5678_9ABC_DEF0u64;
-        rf.store_fitness(1, value);
-        assert_eq!(rf.load_fitness(1), value);
-        // Other ACBs are unaffected.
-        assert_eq!(rf.load_fitness(0), 0);
+        assert_eq!(rf.peek(RegisterFile::address(2, AcbRegister::Mode)), 3);
+        assert_eq!(rf.peek(RegisterFile::address(1, AcbRegister::Mode)), 0);
     }
 
     #[test]

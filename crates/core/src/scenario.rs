@@ -56,7 +56,7 @@ pub enum TargetFilter {
 
 impl TargetFilter {
     /// `true` if the filter admits the position.
-    pub fn admits(&self, row: usize, col: usize) -> bool {
+    pub(crate) fn admits(&self, row: usize, col: usize) -> bool {
         match self {
             TargetFilter::All => true,
             TargetFilter::Rows(rows) => rows.contains(&row),
@@ -379,7 +379,7 @@ pub struct PlannedFault {
 impl PlannedFault {
     /// The paper's permanent dummy-PE fault at one position — what the
     /// legacy systematic sweep injects.
-    pub fn dummy_lpd(row: usize, col: usize) -> Self {
+    pub(crate) fn dummy_lpd(row: usize, col: usize) -> Self {
         PlannedFault {
             row,
             col,
@@ -419,11 +419,6 @@ impl InjectionSchedule {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Total planned faults across all events.
-    pub fn total_faults(&self) -> usize {
-        self.events.iter().map(|e| e.faults.len()).sum()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -444,7 +439,7 @@ pub struct ScenarioRegistry {
 
 impl ScenarioRegistry {
     /// A registry with no entries.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         ScenarioRegistry::default()
     }
 

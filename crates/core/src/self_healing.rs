@@ -121,21 +121,10 @@ pub enum RecoveryStep {
 impl RecoveryStep {
     /// A re-evolve step inheriting the campaign's generation budget with no
     /// wall-clock bound — the historic behaviour.
-    pub fn reevolve() -> Self {
+    pub(crate) fn reevolve() -> Self {
         RecoveryStep::Reevolve {
             generations: None,
             max_millis: None,
-        }
-    }
-}
-
-impl RecoveryStep {
-    /// Short tag used on the wire and in reports.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            RecoveryStep::Scrub { .. } => "scrub",
-            RecoveryStep::TmrRemap => "tmr_remap",
-            RecoveryStep::Reevolve { .. } => "reevolve",
         }
     }
 }
@@ -177,7 +166,7 @@ impl RecoveryPolicy {
 
     /// Scrub first (free for transient faults), then re-evolve only if the
     /// damage persists beyond the clean baseline.
-    pub fn scrub_then_reevolve() -> Self {
+    pub(crate) fn scrub_then_reevolve() -> Self {
         RecoveryPolicy {
             steps: vec![
                 RecoveryStep::Scrub { attempts: 1 },
@@ -189,7 +178,7 @@ impl RecoveryPolicy {
 
     /// The full escalation ladder: scrub → spatial remap → re-evolve, each
     /// rung only reached while the damage persists.
-    pub fn full_ladder() -> Self {
+    pub(crate) fn full_ladder() -> Self {
         RecoveryPolicy {
             steps: vec![
                 RecoveryStep::Scrub { attempts: 1 },
@@ -337,11 +326,6 @@ impl CascadedSelfHealing {
             calibration_windows,
             golden_outputs,
         }
-    }
-
-    /// The calibration image used for fault detection.
-    pub fn calibration_input(&self) -> &GrayImage {
-        &self.calibration_input
     }
 
     /// Current deviation of every array from its calibration baseline
@@ -545,7 +529,7 @@ impl TmrSupervisor {
     /// a healthy sibling.  If the imitation does not reach an exact copy, the
     /// recovered configuration is pasted into every array so the voter stays
     /// valid.
-    pub fn heal(
+    pub(crate) fn heal(
         &self,
         platform: &mut EhwPlatform,
         faulty: usize,

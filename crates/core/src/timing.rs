@@ -88,11 +88,6 @@ impl PipelineTimer {
         self.estimate
     }
 
-    /// Resets the accumulated estimate.
-    pub fn reset(&mut self) {
-        self.estimate = EvolutionTimeEstimate::default();
-    }
-
     /// Simulates one generation of the pipeline in Fig. 11 and returns the
     /// time it takes.  `candidate_pe_reconfigs[i]` is the number of PEs that
     /// must be rewritten to configure candidate `i` into its array
@@ -295,8 +290,6 @@ mod tests {
         assert_eq!(est.pe_reconfigurations, 180);
         assert!(est.total_s > 0.0);
         assert!((est.per_generation_s() - est.total_s / 10.0).abs() < 1e-12);
-        t.reset();
-        assert_eq!(t.estimate(), EvolutionTimeEstimate::default());
     }
 
     #[test]

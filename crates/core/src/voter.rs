@@ -45,7 +45,7 @@ impl FitnessVoter {
     }
 
     /// A strict voter (threshold 0): any difference is a divergence.
-    pub fn strict() -> Self {
+    pub(crate) fn strict() -> Self {
         Self::new(0)
     }
 
@@ -90,24 +90,6 @@ pub struct PixelVoteResult {
     pub disagreeing_pixels: usize,
     /// Per-array count of pixels in which that array was outvoted.
     pub outvoted: [usize; 3],
-}
-
-impl PixelVoteResult {
-    /// Index of the array most often outvoted — the prime suspect for a
-    /// fault — provided it was outvoted at all.
-    pub fn most_suspicious(&self) -> Option<usize> {
-        let (idx, &count) = self
-            .outvoted
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .expect("three arrays");
-        if count > 0 {
-            Some(idx)
-        } else {
-            None
-        }
-    }
 }
 
 /// The pixel voter: bit-exact 2-out-of-3 majority per pixel.  When all three
@@ -166,6 +148,25 @@ impl PixelVoter {
             image: GrayImage::from_vec(w, h, voted),
             disagreeing_pixels: disagreeing,
             outvoted,
+        }
+    }
+}
+
+#[cfg(test)]
+impl PixelVoteResult {
+    /// Index of the array most often outvoted — the prime suspect for a
+    /// fault — provided it was outvoted at all.
+    pub(crate) fn most_suspicious(&self) -> Option<usize> {
+        let (idx, &count) = self
+            .outvoted
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, &c)| c)
+            .expect("three arrays");
+        if count > 0 {
+            Some(idx)
+        } else {
+            None
         }
     }
 }

@@ -19,7 +19,6 @@
 use std::collections::BTreeMap;
 
 use ehw_image::image::GrayImage;
-use ehw_image::metrics::mae;
 use ehw_image::window::{for_each_window_in_rows, Window3x3};
 
 use crate::compiled::CompiledArray;
@@ -34,8 +33,8 @@ use crate::pe::FaultBehaviour;
 /// are rewritten, the software mirror of the paper's Dynamic Partial
 /// Reconfiguration where only changed PE bitstreams are shipped to the
 /// fabric.  The array remembers the plan it was configured with before the
-/// last reconfiguration ([`parent_plan`](Self::parent_plan)) and the gene
-/// diff that produced the current one ([`last_gene_diff`](Self::last_gene_diff)).
+/// last reconfiguration (`parent_plan`) and the gene
+/// diff that produced the current one (`last_gene_diff`).
 #[derive(Debug, Clone)]
 pub struct ProcessingArray {
     genotype: Genotype,
@@ -75,19 +74,6 @@ impl ProcessingArray {
     /// The execution plan currently configured (genotype + fault overlay).
     pub fn plan(&self) -> &CompiledArray {
         &self.plan
-    }
-
-    /// The plan that was configured before the most recent genotype change
-    /// (kept in sync with overlay edits), i.e. the parent of
-    /// [`plan`](Self::plan) under [`last_gene_diff`](Self::last_gene_diff).
-    pub fn parent_plan(&self) -> &CompiledArray {
-        &self.parent_plan
-    }
-
-    /// The gene diff applied by the most recent genotype change (empty until
-    /// the first [`set_genotype`](Self::set_genotype)).
-    pub fn last_gene_diff(&self) -> &GeneDiff {
-        &self.last_diff
     }
 
     /// Creates an array configured with the identity genotype.
@@ -144,11 +130,6 @@ impl ProcessingArray {
             self.plan = self.plan.patch_fault(row, col, None);
             self.parent_plan = self.parent_plan.patch_fault(row, col, None);
         }
-    }
-
-    /// Positions currently marked as faulty.
-    pub fn faulty_positions(&self) -> Vec<(usize, usize)> {
-        self.faults.keys().copied().collect()
     }
 
     /// `true` if at least one PE is damaged.
@@ -215,11 +196,27 @@ impl ProcessingArray {
 
         GrayImage::from_vec(width, height, out)
     }
+}
 
-    /// Convenience: filter `input` and return the aggregated MAE against
-    /// `reference` — the fitness the hardware fitness unit would report.
-    pub fn fitness(&self, input: &GrayImage, reference: &GrayImage) -> u64 {
-        mae(&self.filter_image(input), reference)
+/// Test-only views of the patching state and the fault overlay.
+#[cfg(test)]
+impl ProcessingArray {
+    /// The plan that was configured before the most recent genotype change
+    /// (kept in sync with overlay edits), i.e. the parent of
+    /// [`plan`](Self::plan) under [`last_gene_diff`](Self::last_gene_diff).
+    pub(crate) fn parent_plan(&self) -> &CompiledArray {
+        &self.parent_plan
+    }
+
+    /// The gene diff applied by the most recent genotype change (empty until
+    /// the first [`set_genotype`](Self::set_genotype)).
+    pub(crate) fn last_gene_diff(&self) -> &GeneDiff {
+        &self.last_diff
+    }
+
+    /// Positions currently marked as faulty.
+    pub(crate) fn faulty_positions(&self) -> Vec<(usize, usize)> {
+        self.faults.keys().copied().collect()
     }
 }
 
@@ -227,6 +224,7 @@ impl ProcessingArray {
 mod tests {
     use super::*;
     use crate::pe::PeFunction;
+    use ehw_image::metrics::mae;
     use ehw_image::synth;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -409,7 +407,7 @@ mod tests {
         let array = ProcessingArray::new(Genotype::random(&mut rng));
         let img = synth::shapes(32, 32, 4);
         let out = array.filter_image(&img);
-        assert_eq!(array.fitness(&img, &out), 0);
+        assert_eq!(mae(&array.filter_image(&img), &out), 0);
     }
 
     #[test]

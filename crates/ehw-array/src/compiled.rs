@@ -167,11 +167,6 @@ impl CompiledArray {
         plan
     }
 
-    /// `true` if the plan carries at least one faulty PE.
-    pub fn has_faults(&self) -> bool {
-        self.faults.iter().any(Option::is_some)
-    }
-
     /// Windows per block of the lane-parallel evaluation path.  Each PE
     /// opcode (and fault behaviour) is dispatched once per block and applied
     /// across the whole lane buffer, which the compiler vectorises on `u8`
@@ -462,6 +457,14 @@ pub fn interpret_filter_image(
     GrayImage::from_fn(img.width(), img.height(), |x, y| {
         interpret_window(genotype, faults, &Window3x3::from_image(img, x, y))
     })
+}
+
+#[cfg(test)]
+impl CompiledArray {
+    /// `true` if the plan carries at least one faulty PE.
+    pub(crate) fn has_faults(&self) -> bool {
+        self.faults.iter().any(Option::is_some)
+    }
 }
 
 #[cfg(test)]

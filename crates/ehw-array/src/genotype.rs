@@ -80,19 +80,19 @@ impl Genotype {
 
     /// The PE function at array position `(row, col)`.
     #[inline]
-    pub fn pe_function(&self, row: usize, col: usize) -> PeFunction {
+    pub(crate) fn pe_function(&self, row: usize, col: usize) -> PeFunction {
         PeFunction::from_gene(self.pe_genes[row * ARRAY_COLS + col])
     }
 
     /// The window-selector gene feeding the north input of `col`.
     #[inline]
-    pub fn north_selector(&self, col: usize) -> u8 {
+    pub(crate) fn north_selector(&self, col: usize) -> u8 {
         self.input_genes[col]
     }
 
     /// The window-selector gene feeding the west input of `row`.
     #[inline]
-    pub fn west_selector(&self, row: usize) -> u8 {
+    pub(crate) fn west_selector(&self, row: usize) -> u8 {
         self.input_genes[ARRAY_COLS + row]
     }
 
@@ -113,20 +113,6 @@ impl Genotype {
             }
         }
         child
-    }
-
-    /// The value of the flat gene `index` (0..[`TOTAL_GENES`]): PE genes
-    /// first (row-major), then input genes (4 north, 4 west), then the output
-    /// gene — the ordering [`GeneDiff`] entries use.
-    #[inline]
-    pub fn flat_gene(&self, index: usize) -> u8 {
-        if index < PE_GENES {
-            self.pe_genes[index]
-        } else if index < PE_GENES + INPUT_GENES {
-            self.input_genes[index - PE_GENES]
-        } else {
-            self.output_gene
-        }
     }
 
     /// The gene-level diff turning `parent` into `self`: one entry per flat
@@ -277,17 +263,37 @@ impl GeneDiff {
     /// patched plan a pure diff replay — no genotype lookups on the return
     /// trip.
     #[inline]
-    pub fn entries(&self) -> &[(u8, u8, u8)] {
+    pub(crate) fn entries(&self) -> &[(u8, u8, u8)] {
         &self.entries[..self.len]
     }
+}
 
+#[cfg(test)]
+impl Genotype {
+    /// The value of the flat gene `index` (0..[`TOTAL_GENES`]): PE genes
+    /// first (row-major), then input genes (4 north, 4 west), then the output
+    /// gene — the ordering [`GeneDiff`] entries use.
+    #[inline]
+    pub(crate) fn flat_gene(&self, index: usize) -> u8 {
+        if index < PE_GENES {
+            self.pe_genes[index]
+        } else if index < PE_GENES + INPUT_GENES {
+            self.input_genes[index - PE_GENES]
+        } else {
+            self.output_gene
+        }
+    }
+}
+
+#[cfg(test)]
+impl GeneDiff {
     /// Number of genes that differ.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// `true` if the two genotypes were identical.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 }

@@ -48,13 +48,6 @@ impl ArrayLatency {
     pub fn total_cycles(&self) -> u64 {
         self.pipeline_cycles + self.window_cycles
     }
-
-    /// Difference in total latency against another array — the number of
-    /// alignment-FIFO slots the ACB must insert so two streams line up (e.g.
-    /// for the pixel voter in TMR mode or the imitation fitness comparison).
-    pub fn alignment_against(&self, other: &ArrayLatency) -> i64 {
-        self.total_cycles() as i64 - other.total_cycles() as i64
-    }
 }
 
 #[cfg(test)]
@@ -83,18 +76,5 @@ mod tests {
             lat.total_cycles(),
             ARRAY_COLS as u64 + WINDOW_FORMATION_CYCLES
         );
-    }
-
-    #[test]
-    fn alignment_is_antisymmetric() {
-        let mut g0 = Genotype::identity();
-        g0.output_gene = 0;
-        let mut g3 = Genotype::identity();
-        g3.output_gene = 3;
-        let a = ArrayLatency::of(&g0);
-        let b = ArrayLatency::of(&g3);
-        assert_eq!(a.alignment_against(&b), -3);
-        assert_eq!(b.alignment_against(&a), 3);
-        assert_eq!(a.alignment_against(&a), 0);
     }
 }

@@ -81,7 +81,7 @@ impl PeFunction {
 
     /// Decodes a 4-bit gene into a function.  Values ≥ 16 wrap around, which
     /// mirrors the hardware decoding of the 4-bit register field.
-    pub fn from_gene(gene: u8) -> Self {
+    pub(crate) fn from_gene(gene: u8) -> Self {
         Self::ALL[(gene as usize) % PE_FUNCTION_COUNT]
     }
 
@@ -111,25 +111,6 @@ impl PeFunction {
             PeFunction::Min => w.min(n),
             PeFunction::ShiftRightN => n >> 1,
         }
-    }
-
-    /// `true` if the function uses only its west input (the north input is a
-    /// don't-care).  Used by the latency and criticality analyses.
-    pub fn uses_only_west(self) -> bool {
-        matches!(
-            self,
-            PeFunction::IdentityW | PeFunction::InvertW | PeFunction::ShiftRightW
-        )
-    }
-
-    /// `true` if the function uses only its north input.
-    pub fn uses_only_north(self) -> bool {
-        matches!(self, PeFunction::IdentityN | PeFunction::ShiftRightN)
-    }
-
-    /// `true` if the function ignores both inputs (constant output).
-    pub fn is_constant(self) -> bool {
-        matches!(self, PeFunction::ConstMax)
     }
 }
 
@@ -166,7 +147,7 @@ impl FaultBehaviour {
 
     /// Output of the damaged PE given the correct result and the inputs.
     #[inline]
-    pub fn corrupt(&self, correct: u8, w: u8, n: u8) -> u8 {
+    pub(crate) fn corrupt(&self, correct: u8, w: u8, n: u8) -> u8 {
         match *self {
             FaultBehaviour::RandomOutput { seed } => {
                 // SplitMix-style hash of (inputs, seed): uniformly distributed,
@@ -245,15 +226,6 @@ mod tests {
         assert_eq!(PeFunction::InvertW.apply(0, 99), 255);
         assert_eq!(PeFunction::ShiftRightW.apply(128, 0), 64);
         assert_eq!(PeFunction::ShiftRightN.apply(0, 128), 64);
-    }
-
-    #[test]
-    fn input_usage_classification() {
-        assert!(PeFunction::IdentityW.uses_only_west());
-        assert!(PeFunction::IdentityN.uses_only_north());
-        assert!(PeFunction::ConstMax.is_constant());
-        assert!(!PeFunction::AddSat.uses_only_west());
-        assert!(!PeFunction::AddSat.uses_only_north());
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! (to drive the reconfiguration engine) and the timing model (to cost a
 //! generation) consume.
 
-use ehw_fabric::region::PeSlot;
 use serde::{Deserialize, Serialize};
 
 use crate::genotype::{Genotype, ARRAY_COLS, ARRAY_ROWS};
@@ -33,13 +32,6 @@ pub struct PeWrite {
     pub gene: u8,
 }
 
-impl PeWrite {
-    /// The fabric slot this write targets.
-    pub fn slot(&self) -> PeSlot {
-        PeSlot::new(self.array_index, self.row, self.col)
-    }
-}
-
 /// The reconfiguration plan for moving an array from `current` to `candidate`.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ReconfigPlan {
@@ -55,11 +47,6 @@ impl ReconfigPlan {
     /// 67.53 µs each).
     pub fn pe_count(&self) -> usize {
         self.pe_writes.len()
-    }
-
-    /// `true` if nothing at all needs to change.
-    pub fn is_empty(&self) -> bool {
-        self.pe_writes.is_empty() && self.register_writes == 0
     }
 }
 
@@ -110,6 +97,14 @@ pub fn full_configuration_plan(array_index: usize, candidate: &Genotype) -> Reco
     ReconfigPlan {
         pe_writes,
         register_writes: candidate.input_genes.len() + 1,
+    }
+}
+
+#[cfg(test)]
+impl ReconfigPlan {
+    /// `true` if nothing at all needs to change.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pe_writes.is_empty() && self.register_writes == 0
     }
 }
 
@@ -181,16 +176,5 @@ mod tests {
         slots.sort_unstable();
         slots.dedup();
         assert_eq!(slots.len(), 16);
-    }
-
-    #[test]
-    fn pe_write_slot_mapping() {
-        let w = PeWrite {
-            array_index: 2,
-            row: 1,
-            col: 3,
-            gene: 7,
-        };
-        assert_eq!(w.slot(), PeSlot::new(2, 1, 3));
     }
 }

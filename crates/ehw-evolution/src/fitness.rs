@@ -39,7 +39,6 @@ use std::collections::HashMap;
 use ehw_array::array::ProcessingArray;
 use ehw_array::compiled::CompiledArray;
 use ehw_array::genotype::Genotype;
-use ehw_array::pe::FaultBehaviour;
 use ehw_image::image::GrayImage;
 use ehw_image::metrics::sad;
 use ehw_image::window::SharedWindows;
@@ -395,9 +394,8 @@ pub fn scatter_results(
 #[derive(Debug, Clone)]
 pub struct SoftwareEvaluator {
     array: ProcessingArray,
-    input: GrayImage,
     /// The input's 3×3 windows, extracted once and shared by every candidate
-    /// of every batch (rebuilt only when the input changes).
+    /// of every batch.
     windows: SharedWindows,
     reference: GrayImage,
     evaluations: u64,
@@ -425,7 +423,6 @@ impl SoftwareEvaluator {
         let windows = SharedWindows::new(&input);
         Self {
             array,
-            input,
             windows,
             reference,
             evaluations: 0,
@@ -433,71 +430,9 @@ impl SoftwareEvaluator {
         }
     }
 
-    /// Injects a PE-level fault into the evaluator's array (the fault stays
-    /// for all subsequent evaluations).
-    pub fn inject_fault(&mut self, row: usize, col: usize, behaviour: FaultBehaviour) {
-        self.array.inject_fault(row, col, behaviour);
-    }
-
-    /// Clears all injected faults.
-    pub fn clear_faults(&mut self) {
-        self.array.clear_all_faults();
-    }
-
-    /// Replaces the reference image (e.g. to retarget evolution to a new
-    /// task, or to imitate a neighbouring array's output).
-    pub fn set_reference(&mut self, reference: GrayImage) {
-        assert_eq!(
-            self.input.width(),
-            reference.width(),
-            "image width mismatch"
-        );
-        assert_eq!(
-            self.input.height(),
-            reference.height(),
-            "image height mismatch"
-        );
-        self.reference = reference;
-    }
-
-    /// Replaces the training input image.
-    pub fn set_input(&mut self, input: GrayImage) {
-        assert_eq!(
-            input.width(),
-            self.reference.width(),
-            "image width mismatch"
-        );
-        assert_eq!(
-            input.height(),
-            self.reference.height(),
-            "image height mismatch"
-        );
-        self.windows = SharedWindows::new(&input);
-        self.input = input;
-    }
-
     /// Work-saved counters of the engine paths (memo hits, early exits).
     pub fn engine_stats(&self) -> EngineStats {
         self.stats
-    }
-
-    /// The training input image.
-    pub fn input(&self) -> &GrayImage {
-        &self.input
-    }
-
-    /// The reference image.
-    pub fn reference(&self) -> &GrayImage {
-        &self.reference
-    }
-
-    /// Filters the training input with an arbitrary genotype (without
-    /// counting it as a fitness evaluation) — used to produce the output
-    /// image of an evolved filter for inspection or for cascading.
-    pub fn filter_with(&self, genotype: &Genotype) -> GrayImage {
-        let mut array = self.array.clone();
-        array.set_genotype(genotype.clone());
-        array.filter_image(&self.input)
     }
 }
 
@@ -622,39 +557,6 @@ mod tests {
         let sequential: Vec<u64> = batch.iter().map(|g| eval.evaluate(g)).collect();
         assert_eq!(parallel, sequential);
         assert_eq!(eval.evaluations(), 9 + 9);
-    }
-
-    #[test]
-    fn faults_persist_across_candidates() {
-        let img = synth::shapes(32, 32, 3);
-        let mut eval = SoftwareEvaluator::new(img.clone(), img);
-        assert_eq!(eval.evaluate(&Genotype::identity()), 0);
-        eval.inject_fault(0, 3, FaultBehaviour::dummy());
-        let damaged = eval.evaluate(&Genotype::identity());
-        assert!(damaged > 0, "fault on the output path must hurt fitness");
-        eval.clear_faults();
-        assert_eq!(eval.evaluate(&Genotype::identity()), 0);
-    }
-
-    #[test]
-    fn set_reference_redefines_the_task() {
-        let img = synth::shapes(32, 32, 3);
-        let edges = ehw_image::filters::sobel_edge(&img);
-        let mut eval = SoftwareEvaluator::new(img.clone(), img.clone());
-        assert_eq!(eval.evaluate(&Genotype::identity()), 0);
-        eval.set_reference(edges.clone());
-        let vs_edges = eval.evaluate(&Genotype::identity());
-        assert_eq!(vs_edges, mae(&img, &edges));
-        assert!(vs_edges > 0);
-    }
-
-    #[test]
-    fn filter_with_does_not_count_as_evaluation() {
-        let img = synth::shapes(16, 16, 2);
-        let eval = SoftwareEvaluator::new(img.clone(), img.clone());
-        let out = eval.filter_with(&Genotype::identity());
-        assert_eq!(out, img);
-        assert_eq!(eval.evaluations(), 0);
     }
 
     #[test]

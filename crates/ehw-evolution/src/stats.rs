@@ -54,57 +54,6 @@ impl Summary {
     }
 }
 
-/// Accumulates best-fitness-per-generation curves across runs and produces
-/// the averaged convergence curve (the kind of data behind Fig. 20).
-#[derive(Debug, Clone, Default)]
-pub struct ConvergenceAccumulator {
-    sums: Vec<f64>,
-    runs: usize,
-}
-
-impl ConvergenceAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one run's history (best fitness after each generation).  Histories
-    /// of different lengths are allowed: shorter ones are padded with their
-    /// final value, matching how an early-terminated run would keep reporting
-    /// its converged fitness.
-    pub fn add_run(&mut self, history: &[u64]) {
-        if history.is_empty() {
-            return;
-        }
-        if history.len() > self.sums.len() {
-            // Previous runs were shorter: extend the accumulated sums by
-            // carrying their final cumulative value forward, which is the sum
-            // of each prior run's converged fitness.
-            let pad_value = self.sums.last().copied().unwrap_or(0.0);
-            self.sums.resize(history.len(), pad_value);
-        }
-        let last = *history.last().expect("non-empty") as f64;
-        for (i, slot) in self.sums.iter_mut().enumerate() {
-            let value = history.get(i).map(|&v| v as f64).unwrap_or(last);
-            *slot += value;
-        }
-        self.runs += 1;
-    }
-
-    /// Number of runs accumulated.
-    pub fn runs(&self) -> usize {
-        self.runs
-    }
-
-    /// The averaged convergence curve.
-    pub fn mean_curve(&self) -> Vec<f64> {
-        if self.runs == 0 {
-            return Vec::new();
-        }
-        self.sums.iter().map(|s| s / self.runs as f64).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,35 +88,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn empty_summary_panics() {
         let _ = Summary::of(&[]);
-    }
-
-    #[test]
-    fn convergence_accumulator_averages_runs() {
-        let mut acc = ConvergenceAccumulator::new();
-        acc.add_run(&[10, 8, 6]);
-        acc.add_run(&[20, 10, 4]);
-        assert_eq!(acc.runs(), 2);
-        let curve = acc.mean_curve();
-        assert_eq!(curve, vec![15.0, 9.0, 5.0]);
-    }
-
-    #[test]
-    fn convergence_accumulator_pads_short_runs_with_final_value() {
-        let mut acc = ConvergenceAccumulator::new();
-        acc.add_run(&[10, 5]); // converged early, keeps reporting 5
-        acc.add_run(&[8, 6, 4, 2]);
-        let curve = acc.mean_curve();
-        assert_eq!(curve.len(), 4);
-        assert_eq!(curve[0], 9.0);
-        assert_eq!(curve[1], 5.5);
-        assert_eq!(curve[2], (5.0 + 4.0) / 2.0);
-        assert_eq!(curve[3], (5.0 + 2.0) / 2.0);
-    }
-
-    #[test]
-    fn empty_accumulator_gives_empty_curve() {
-        let acc = ConvergenceAccumulator::new();
-        assert!(acc.mean_curve().is_empty());
-        assert_eq!(acc.runs(), 0);
     }
 }

@@ -120,19 +120,6 @@ impl EsConfig {
         }
     }
 
-    /// Same as [`paper`](Self::paper) but with the new two-level EA.
-    pub fn paper_two_level(
-        mutation_rate: usize,
-        num_arrays: usize,
-        generations: usize,
-        seed: u64,
-    ) -> Self {
-        EsConfig {
-            strategy: MutationStrategy::two_level(),
-            ..Self::paper(mutation_rate, num_arrays, generations, seed)
-        }
-    }
-
     fn validate(&self) {
         assert!(self.offspring > 0, "offspring must be positive");
         assert!(self.num_arrays > 0, "num_arrays must be positive");
@@ -564,7 +551,10 @@ mod tests {
             run_evolution(&config, &mut eval, &mut NullObserver).total_pe_reconfigurations
         };
         let two_level = {
-            let config = EsConfig::paper_two_level(5, 3, 300, 11);
+            let config = EsConfig {
+                strategy: MutationStrategy::two_level(),
+                ..EsConfig::paper(5, 3, 300, 11)
+            };
             let mut eval = ToyEvaluator::new(3);
             run_evolution(&config, &mut eval, &mut NullObserver).total_pe_reconfigurations
         };

@@ -74,11 +74,6 @@ impl PartialBitstream {
         }
     }
 
-    /// Number of frames in the bitstream.
-    pub fn frame_count(&self) -> usize {
-        self.frames.len()
-    }
-
     /// Size of the bitstream payload in bytes.
     pub fn byte_len(&self) -> usize {
         self.frames.len() * crate::frame::FRAME_BYTES
@@ -116,28 +111,6 @@ impl PartialBitstream {
         }
         Bytes::from(buf)
     }
-
-    /// Rebuilds a bitstream from a payload previously produced by
-    /// [`payload_bytes`](Self::payload_bytes).
-    ///
-    /// # Panics
-    /// Panics if the payload length is not a multiple of the frame size or is
-    /// empty.
-    pub fn from_payload(name: impl Into<String>, base: FrameAddress, payload: &[u8]) -> Self {
-        assert!(
-            !payload.is_empty() && payload.len().is_multiple_of(crate::frame::FRAME_BYTES),
-            "payload must be a non-empty multiple of the frame size"
-        );
-        let frames = payload
-            .chunks(crate::frame::FRAME_BYTES)
-            .map(Frame::from_bytes)
-            .collect();
-        Self {
-            name: name.into(),
-            base,
-            frames,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -162,7 +135,7 @@ mod tests {
         let c = PartialBitstream::synthesize("pe", base(), 3, 8);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(a.frame_count(), 3);
+        assert_eq!(a.addressed_frames().count(), 3);
         assert_eq!(a.byte_len(), 3 * FRAME_BYTES);
     }
 
@@ -185,20 +158,6 @@ mod tests {
         assert_eq!(rel.base, FrameAddress::new(6, 9, 0));
         assert_eq!(rel.payload_bytes(), pbs.payload_bytes());
         assert_eq!(rel.name, pbs.name);
-    }
-
-    #[test]
-    fn payload_round_trip() {
-        let pbs = PartialBitstream::synthesize("pe3", base(), 5, 42);
-        let payload = pbs.payload_bytes();
-        let back = PartialBitstream::from_payload("pe3", base(), &payload);
-        assert_eq!(back, pbs);
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of the frame size")]
-    fn bad_payload_length_panics() {
-        let _ = PartialBitstream::from_payload("x", base(), &[0u8; 10]);
     }
 
     #[test]

@@ -52,17 +52,8 @@ impl DeviceGeometry {
         }
     }
 
-    /// A small synthetic device for tests.
-    pub fn small() -> Self {
-        DeviceGeometry {
-            clock_regions: 2,
-            clb_columns: 16,
-            clbs_per_region_height: CLBS_PER_REGION_HEIGHT,
-        }
-    }
-
     /// Total number of CLBs on the device.
-    pub fn total_clbs(&self) -> usize {
+    pub(crate) fn total_clbs(&self) -> usize {
         self.clock_regions * self.clb_columns * self.clbs_per_region_height
     }
 
@@ -74,7 +65,7 @@ impl DeviceGeometry {
     }
 
     /// CLBs consumed by `n` arrays.
-    pub fn clbs_for_arrays(&self, n: usize) -> usize {
+    pub(crate) fn clbs_for_arrays(&self, n: usize) -> usize {
         n * ARRAY_CLBS
     }
 
@@ -84,31 +75,14 @@ impl DeviceGeometry {
     }
 }
 
-/// A device: geometry plus an identifier.  The configuration memory itself is
-/// modelled separately in [`crate::frame::ConfigMemory`]; `Device` ties the
-/// two together for floorplanning.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Device {
-    /// Human-readable device name.
-    pub name: String,
-    /// Geometric description.
-    pub geometry: DeviceGeometry,
-}
-
-impl Device {
-    /// The paper's target device.
-    pub fn virtex5_lx110t() -> Self {
-        Device {
-            name: "xc5vlx110t".to_string(),
-            geometry: DeviceGeometry::virtex5_lx110t(),
-        }
-    }
-
-    /// Small synthetic device for tests.
-    pub fn small() -> Self {
-        Device {
-            name: "test-device".to_string(),
-            geometry: DeviceGeometry::small(),
+/// A small synthetic device for tests.
+#[cfg(test)]
+impl DeviceGeometry {
+    pub(crate) fn small() -> Self {
+        DeviceGeometry {
+            clock_regions: 2,
+            clb_columns: 16,
+            clbs_per_region_height: CLBS_PER_REGION_HEIGHT,
         }
     }
 }
@@ -146,11 +120,5 @@ mod tests {
     fn total_clbs_is_product_of_dimensions() {
         let g = DeviceGeometry::small();
         assert_eq!(g.total_clbs(), 2 * 16 * 20);
-    }
-
-    #[test]
-    fn device_constructors() {
-        assert_eq!(Device::virtex5_lx110t().name, "xc5vlx110t");
-        assert_eq!(Device::small().geometry, DeviceGeometry::small());
     }
 }

@@ -55,7 +55,7 @@ impl FrameAddress {
     /// Returns the same address relocated to another clock region and major
     /// column, keeping the minor index — the transformation applied by the
     /// reconfiguration engine's relocation feature.
-    pub fn relocated(self, region: u16, major: u16) -> Self {
+    pub(crate) fn relocated(self, region: u16, major: u16) -> Self {
         Self {
             region,
             major,
@@ -78,7 +78,7 @@ pub struct Frame {
 
 impl Frame {
     /// A frame with all bits cleared.
-    pub fn zeroed() -> Self {
+    pub(crate) fn zeroed() -> Self {
         Frame {
             data: vec![0; FRAME_BYTES],
         }
@@ -93,7 +93,7 @@ impl Frame {
     }
 
     /// The frame contents.
-    pub fn as_bytes(&self) -> &[u8] {
+    pub(crate) fn as_bytes(&self) -> &[u8] {
         &self.data
     }
 
@@ -101,24 +101,18 @@ impl Frame {
     ///
     /// # Panics
     /// Panics if `bit >= FRAME_BYTES * 8`.
-    pub fn flip_bit(&mut self, bit: usize) {
+    pub(crate) fn flip_bit(&mut self, bit: usize) {
         assert!(bit < FRAME_BYTES * 8, "bit index out of range");
         self.data[bit / 8] ^= 1 << (bit % 8);
     }
 
-    /// Returns the value of a single bit.
-    pub fn bit(&self, bit: usize) -> bool {
-        assert!(bit < FRAME_BYTES * 8, "bit index out of range");
-        (self.data[bit / 8] >> (bit % 8)) & 1 == 1
-    }
-
     /// Number of bits set in the frame.
-    pub fn popcount(&self) -> u32 {
+    pub(crate) fn popcount(&self) -> u32 {
         self.data.iter().map(|b| b.count_ones()).sum()
     }
 
     /// XOR of two frames — used by scrubbing to locate corrupted bits.
-    pub fn xor(&self, other: &Frame) -> Frame {
+    pub(crate) fn xor(&self, other: &Frame) -> Frame {
         Frame {
             data: self
                 .data
@@ -149,7 +143,6 @@ pub struct ConfigMemory {
     frames: BTreeMap<FrameAddress, Frame>,
     stuck: BTreeMap<FrameAddress, Frame>,
     writes: u64,
-    reads: u64,
 }
 
 impl ConfigMemory {
@@ -168,25 +161,12 @@ impl ConfigMemory {
     /// Reads a frame as the device would observe it: the last written value
     /// with any permanently-stuck bits flipped.  Unwritten frames read as
     /// zero (plus stuck bits).
-    pub fn read_frame(&mut self, addr: FrameAddress) -> Frame {
-        self.reads += 1;
-        self.observed(addr)
-    }
-
-    /// Same as [`read_frame`](Self::read_frame) but without bumping the read
-    /// counter (used internally and by assertions in tests).
     pub fn observed(&self, addr: FrameAddress) -> Frame {
         let base = self.frames.get(&addr).cloned().unwrap_or_default();
         match self.stuck.get(&addr) {
             Some(mask) => base.xor(mask),
             None => base,
         }
-    }
-
-    /// The value last *written* to a frame, ignoring permanent damage.  This
-    /// is what a golden-copy store would hold.
-    pub fn written(&self, addr: FrameAddress) -> Frame {
-        self.frames.get(&addr).cloned().unwrap_or_default()
     }
 
     /// Injects a fault into the configuration memory and returns a record of
@@ -218,32 +198,30 @@ impl ConfigMemory {
         self.stuck.remove(&addr);
     }
 
-    /// `true` if the frame currently has at least one permanently stuck bit.
-    pub fn has_permanent_damage(&self, addr: FrameAddress) -> bool {
-        self.stuck
-            .get(&addr)
-            .map(|m| m.popcount() > 0)
-            .unwrap_or(false)
-    }
-
-    /// Addresses of every frame written so far.
-    pub fn written_addresses(&self) -> impl Iterator<Item = FrameAddress> + '_ {
-        self.frames.keys().copied()
-    }
-
     /// Number of frame writes performed.
     pub fn write_count(&self) -> u64 {
         self.writes
     }
+}
 
-    /// Number of frame reads performed.
-    pub fn read_count(&self) -> u64 {
-        self.reads
+/// Test-only inspection of frames and damage.
+#[cfg(test)]
+impl Frame {
+    /// Returns the value of a single bit.
+    pub(crate) fn bit(&self, bit: usize) -> bool {
+        assert!(bit < FRAME_BYTES * 8, "bit index out of range");
+        (self.data[bit / 8] >> (bit % 8)) & 1 == 1
     }
+}
 
-    /// Number of distinct frames holding data.
-    pub fn frame_count(&self) -> usize {
-        self.frames.len()
+#[cfg(test)]
+impl ConfigMemory {
+    /// `true` if the frame currently has at least one permanently stuck bit.
+    pub(crate) fn has_permanent_damage(&self, addr: FrameAddress) -> bool {
+        self.stuck
+            .get(&addr)
+            .map(|m| m.popcount() > 0)
+            .unwrap_or(false)
     }
 }
 
@@ -299,8 +277,8 @@ mod tests {
 
     #[test]
     fn unwritten_frames_read_zero() {
-        let mut mem = ConfigMemory::new();
-        assert_eq!(mem.read_frame(addr(0, 0, 0)), Frame::zeroed());
+        let mem = ConfigMemory::new();
+        assert_eq!(mem.observed(addr(0, 0, 0)), Frame::zeroed());
     }
 
     #[test]
@@ -308,10 +286,8 @@ mod tests {
         let mut mem = ConfigMemory::new();
         let f = Frame::from_bytes(&[1, 2, 3, 4]);
         mem.write_frame(addr(1, 2, 3), f.clone());
-        assert_eq!(mem.read_frame(addr(1, 2, 3)), f);
+        assert_eq!(mem.observed(addr(1, 2, 3)), f);
         assert_eq!(mem.write_count(), 1);
-        assert_eq!(mem.read_count(), 1);
-        assert_eq!(mem.frame_count(), 1);
     }
 
     #[test]
@@ -342,17 +318,6 @@ mod tests {
         // Only explicit clearing (device replacement) does.
         mem.clear_permanent_damage(a);
         assert_eq!(mem.observed(a), golden);
-    }
-
-    #[test]
-    fn written_ignores_damage_observed_does_not() {
-        let mut mem = ConfigMemory::new();
-        let golden = Frame::from_bytes(&[0x0F; 8]);
-        let a = addr(0, 0, 2);
-        mem.write_frame(a, golden.clone());
-        mem.inject_fault(a, 3, FaultKind::Lpd);
-        assert_eq!(mem.written(a), golden);
-        assert_ne!(mem.observed(a), golden);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! * [`frame`] — configuration frames and the configuration memory,
 //! * [`bitstream`] — partial bitstreams (PBS) addressed to a frame range,
 //! * [`region`] — reconfigurable regions (one per PE slot) and the floorplan,
-//! * [`fault`] — SEU and LPD injection into configuration cells,
+//! * [`fault`] — the SEU and LPD fault classes of configuration cells,
 //! * [`scenario`] — declarative fault-scenario kinds (sweeps, multi-PE,
 //!   correlated, bursts, storms) compiled into injection schedules by the
 //!   platform layer,
@@ -43,7 +43,7 @@ pub mod scenario;
 pub mod scrub;
 
 pub use bitstream::PartialBitstream;
-pub use device::{Device, DeviceGeometry};
+pub use device::DeviceGeometry;
 pub use fault::{FaultKind, FaultRecord};
 pub use frame::{ConfigMemory, Frame, FrameAddress, FRAME_BYTES};
 pub use region::{Floorplan, ReconfigurableRegion};

@@ -62,14 +62,6 @@ impl ReconfigurableRegion {
             )
         })
     }
-
-    /// `true` if the given frame address falls inside this region.
-    pub fn contains(&self, addr: FrameAddress) -> bool {
-        addr.region == self.base.region
-            && addr.major == self.base.major
-            && addr.minor >= self.base.minor
-            && (addr.minor as usize) < self.base.minor as usize + self.frames
-    }
 }
 
 /// Floorplan of a multi-array platform: a grid of PE regions per array, laid
@@ -136,34 +128,9 @@ impl Floorplan {
         }
     }
 
-    /// The paper's demonstrator: three 4×4 arrays on a Virtex-5 LX110T.
-    pub fn paper_three_arrays() -> Self {
-        Floorplan::new(DeviceGeometry::virtex5_lx110t(), 3, 4, 4)
-    }
-
     /// Number of arrays in the floorplan.
     pub fn arrays(&self) -> usize {
         self.arrays
-    }
-
-    /// PE rows per array.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// PE columns per array.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Device geometry the floorplan was built for.
-    pub fn geometry(&self) -> &DeviceGeometry {
-        &self.geometry
-    }
-
-    /// All reconfigurable regions.
-    pub fn regions(&self) -> &[ReconfigurableRegion] {
-        &self.regions
     }
 
     /// The region hosting a specific PE slot, if it exists.
@@ -179,60 +146,32 @@ impl Floorplan {
     pub fn array_regions(&self, array: usize) -> impl Iterator<Item = &ReconfigurableRegion> + '_ {
         self.regions.iter().filter(move |r| r.slot.array == array)
     }
-
-    /// Finds which PE slot (if any) owns a frame address — used to map an
-    /// injected configuration fault back to the PE it damages.
-    pub fn slot_of_frame(&self, addr: FrameAddress) -> Option<PeSlot> {
-        self.regions
-            .iter()
-            .find(|r| r.contains(addr))
-            .map(|r| r.slot)
-    }
-
-    /// Total CLBs occupied by the evolvable arrays (the reconfigurable part of
-    /// the design).
-    pub fn reconfigurable_clbs(&self) -> usize {
-        // Each PE: 2 columns × 5 CLB rows; array area follows from rows×cols.
-        self.arrays * self.rows * self.cols * PE_CLB_COLS * crate::device::PE_CLB_ROWS
-    }
-
-    /// Fraction of CLB columns of a clock region used by one array.
-    pub fn array_column_utilization(&self) -> f64 {
-        (self.cols * PE_CLB_COLS) as f64 / self.geometry.clb_columns as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::ARRAY_CLB_COLS;
+
+    /// The paper's demonstrator: three 4×4 arrays on a Virtex-5 LX110T.
+    fn paper_floorplan() -> Floorplan {
+        Floorplan::new(DeviceGeometry::virtex5_lx110t(), 3, 4, 4)
+    }
 
     #[test]
     fn paper_floorplan_dimensions() {
-        let fp = Floorplan::paper_three_arrays();
+        let fp = paper_floorplan();
         assert_eq!(fp.arrays(), 3);
-        assert_eq!(fp.rows(), 4);
-        assert_eq!(fp.cols(), 4);
-        assert_eq!(fp.regions().len(), 48);
-        // 3 arrays × 16 PEs × (2 cols × 5 rows) = 480 CLBs of reconfigurable
-        // fabric; the full array footprint (160 CLBs each, Fig. 10) also
-        // includes the pass-through routing rows.
-        assert_eq!(fp.reconfigurable_clbs(), 480);
-        assert_eq!(fp.cols() * PE_CLB_COLS, ARRAY_CLB_COLS);
     }
 
     #[test]
     fn region_lookup_round_trips() {
-        let fp = Floorplan::paper_three_arrays();
+        let fp = paper_floorplan();
         for a in 0..3 {
             for r in 0..4 {
                 for c in 0..4 {
                     let slot = PeSlot::new(a, r, c);
                     let region = fp.region(slot).expect("region exists");
                     assert_eq!(region.slot, slot);
-                    for addr in region.frame_addresses() {
-                        assert_eq!(fp.slot_of_frame(addr), Some(slot));
-                    }
                 }
             }
         }
@@ -240,7 +179,7 @@ mod tests {
 
     #[test]
     fn out_of_range_slot_returns_none() {
-        let fp = Floorplan::paper_three_arrays();
+        let fp = paper_floorplan();
         assert!(fp.region(PeSlot::new(3, 0, 0)).is_none());
         assert!(fp.region(PeSlot::new(0, 4, 0)).is_none());
         assert!(fp.region(PeSlot::new(0, 0, 4)).is_none());
@@ -248,9 +187,9 @@ mod tests {
 
     #[test]
     fn regions_do_not_overlap() {
-        let fp = Floorplan::paper_three_arrays();
+        let fp = paper_floorplan();
         let mut seen = std::collections::HashSet::new();
-        for region in fp.regions() {
+        for region in (0..fp.arrays()).flat_map(|a| fp.array_regions(a)) {
             for addr in region.frame_addresses() {
                 assert!(seen.insert(addr), "frame {addr} owned by two regions");
             }
@@ -260,28 +199,15 @@ mod tests {
 
     #[test]
     fn array_regions_filters_by_array() {
-        let fp = Floorplan::paper_three_arrays();
+        let fp = paper_floorplan();
         let a1: Vec<_> = fp.array_regions(1).collect();
         assert_eq!(a1.len(), 16);
         assert!(a1.iter().all(|r| r.slot.array == 1));
     }
 
     #[test]
-    fn unknown_frame_has_no_slot() {
-        let fp = Floorplan::paper_three_arrays();
-        assert_eq!(fp.slot_of_frame(FrameAddress::new(7, 50, 99)), None);
-    }
-
-    #[test]
     #[should_panic(expected = "not enough clock regions")]
     fn too_many_arrays_panics() {
         let _ = Floorplan::new(DeviceGeometry::small(), 3, 4, 4);
-    }
-
-    #[test]
-    fn column_utilization_matches_paper_ratio() {
-        let fp = Floorplan::paper_three_arrays();
-        // 8 of 54 CLB columns per clock region.
-        assert!((fp.array_column_utilization() - 8.0 / 54.0).abs() < 1e-12);
     }
 }

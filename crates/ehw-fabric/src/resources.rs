@@ -46,20 +46,6 @@ impl ResourceUsage {
         Self::new(754, 1642, 1528)
     }
 
-    /// Approximate resources of one reconfigurable 4×4 PE array expressed in
-    /// slice-equivalents: 160 CLBs × 4 slices per Virtex-5 CLB.  The paper
-    /// reports the array footprint in CLBs; this helper converts it so that
-    /// totals can be summed in one unit.
-    pub const fn paper_array_fabric() -> Self {
-        // 160 CLBs × 4 slices; each slice has 4 LUTs and 4 FFs on Virtex-5.
-        Self::new(640, 2560, 2560)
-    }
-
-    /// `true` if all counters are zero.
-    pub fn is_zero(&self) -> bool {
-        self.slices == 0 && self.ffs == 0 && self.luts == 0
-    }
-
     /// Scales the record by an integer factor (e.g. number of ACBs).
     pub fn scaled(&self, factor: u32) -> Self {
         Self {
@@ -135,23 +121,5 @@ mod tests {
         assert_eq!(total.slices, 3 * 754);
         assert_eq!(total.ffs, 3 * 1642);
         assert_eq!(total.luts, 3 * 1528);
-    }
-
-    #[test]
-    fn zero_detection() {
-        assert!(ResourceUsage::default().is_zero());
-        assert!(!ResourceUsage::paper_acb().is_zero());
-    }
-
-    #[test]
-    fn three_array_platform_total() {
-        // The value the `resources` experiment binary reports for the
-        // three-stage platform of Fig. 10.
-        let total = ResourceUsage::paper_static_control()
-            + ResourceUsage::paper_acb().scaled(3)
-            + ResourceUsage::paper_array_fabric().scaled(3);
-        assert_eq!(total.slices, 733 + 3 * 754 + 3 * 640);
-        assert_eq!(total.ffs, 1365 + 3 * 1642 + 3 * 2560);
-        assert_eq!(total.luts, 1817 + 3 * 1528 + 3 * 2560);
     }
 }

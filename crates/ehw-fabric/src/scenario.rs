@@ -28,17 +28,6 @@ pub enum CorrelationShape {
     Neighborhood,
 }
 
-impl CorrelationShape {
-    /// Short tag used on the wire and in reports.
-    pub fn tag(self) -> &'static str {
-        match self {
-            CorrelationShape::Row => "row",
-            CorrelationShape::Col => "col",
-            CorrelationShape::Neighborhood => "neighborhood",
-        }
-    }
-}
-
 /// One phase of a [`ScenarioKind::Storm`]: `ticks` time steps during which
 /// each targeted PE fails independently with probability `rate` per tick.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -309,7 +298,6 @@ mod tests {
     fn tags_are_stable_wire_identifiers() {
         assert_eq!(ScenarioKind::SingleSweep.tag(), "single_sweep");
         assert_eq!(ScenarioKind::MultiPe { k: 2 }.tag(), "multi_pe");
-        assert_eq!(CorrelationShape::Neighborhood.tag(), "neighborhood");
     }
 
     #[test]

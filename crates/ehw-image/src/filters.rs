@@ -9,7 +9,10 @@
 //!    filter by evolving against a Gaussian-blurred reference, and so on.
 //!
 //! All filters operate on 3×3 windows with replicated borders, matching the
-//! hardware window generator.
+//! hardware window generator.  Each one is a [`ReferenceFilter`] variant run
+//! through [`ReferenceFilter::apply`]; the three the experiments name directly
+//! — [`median`], [`gaussian_blur`] and [`sobel_edge`] — also have free
+//! functions.
 
 use crate::image::GrayImage;
 use crate::window::{Window3x3, WindowPlanes};
@@ -106,11 +109,6 @@ pub fn median(img: &GrayImage) -> GrayImage {
     ReferenceFilter::Median.apply(img)
 }
 
-/// 3×3 box (mean) filter.
-pub fn mean(img: &GrayImage) -> GrayImage {
-    ReferenceFilter::Mean.apply(img)
-}
-
 fn gaussian_kernel(w: &Window3x3) -> u8 {
     // 1 2 1 / 2 4 2 / 1 2 1, normalised by 16.
     const K: [u32; 9] = [1, 2, 1, 2, 4, 2, 1, 2, 1];
@@ -143,30 +141,10 @@ fn laplacian_kernel(w: &Window3x3) -> u8 {
     lap.unsigned_abs().min(255) as u8
 }
 
-/// Laplacian (4-neighbour) edge detector, absolute response saturated at 255.
-pub fn laplacian(img: &GrayImage) -> GrayImage {
-    ReferenceFilter::Laplacian.apply(img)
-}
-
-/// Morphological erosion: each pixel becomes the window minimum.
-pub fn erode(img: &GrayImage) -> GrayImage {
-    ReferenceFilter::Erode.apply(img)
-}
-
-/// Morphological dilation: each pixel becomes the window maximum.
-pub fn dilate(img: &GrayImage) -> GrayImage {
-    ReferenceFilter::Dilate.apply(img)
-}
-
 fn sharpen_kernel(w: &Window3x3) -> u8 {
     let c = w.center() as i32;
     let g = gaussian_kernel(w) as i32;
     (c + (c - g)).clamp(0, 255) as u8
-}
-
-/// Unsharp-mask sharpening filter.
-pub fn sharpen(img: &GrayImage) -> GrayImage {
-    ReferenceFilter::Sharpen.apply(img)
 }
 
 // ---------------------------------------------------------------------------
@@ -326,7 +304,7 @@ mod tests {
     #[test]
     fn mean_of_constant_image_is_constant() {
         let img = GrayImage::new(8, 8, 200);
-        assert_eq!(mean(&img), img);
+        assert_eq!(ReferenceFilter::Mean.apply(&img), img);
     }
 
     #[test]
@@ -350,14 +328,17 @@ mod tests {
     #[test]
     fn laplacian_zero_on_flat() {
         let flat = GrayImage::new(8, 8, 123);
-        assert!(laplacian(&flat).pixels().all(|p| p == 0));
+        assert!(ReferenceFilter::Laplacian
+            .apply(&flat)
+            .pixels()
+            .all(|p| p == 0));
     }
 
     #[test]
     fn erode_dilate_order_relation() {
         let img = synth::checkerboard(16, 16, 4);
-        let er = erode(&img);
-        let di = dilate(&img);
+        let er = ReferenceFilter::Erode.apply(&img);
+        let di = ReferenceFilter::Dilate.apply(&img);
         for ((e, o), d) in er.pixels().zip(img.pixels()).zip(di.pixels()) {
             assert!(e <= o && o <= d);
         }
@@ -366,7 +347,7 @@ mod tests {
     #[test]
     fn sharpen_keeps_constant_image() {
         let img = GrayImage::new(8, 8, 128);
-        assert_eq!(sharpen(&img), img);
+        assert_eq!(ReferenceFilter::Sharpen.apply(&img), img);
     }
 
     #[test]

@@ -12,8 +12,7 @@ use std::fmt;
 /// An 8-bit grayscale image stored in row-major order.
 ///
 /// The image dimensions are fixed at construction time.  All accessors are
-/// bounds-checked in debug builds; [`GrayImage::get`] additionally offers a
-/// checked access that returns `None` outside the image.
+/// bounds-checked in debug builds.
 #[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GrayImage {
     width: usize,
@@ -42,8 +41,8 @@ impl GrayImage {
     pub fn from_vec(width: usize, height: usize, data: Vec<u8>) -> Self {
         assert!(width > 0 && height > 0, "image dimensions must be non-zero");
         assert_eq!(
-            data.len(),
-            width * height,
+            Some(data.len()),
+            width.checked_mul(height),
             "pixel buffer length does not match dimensions"
         );
         Self {
@@ -104,23 +103,13 @@ impl GrayImage {
         self.data[y * self.width + x]
     }
 
-    /// Returns the pixel at `(x, y)`, or `None` if outside the image.
-    #[inline]
-    pub fn get(&self, x: usize, y: usize) -> Option<u8> {
-        if x < self.width && y < self.height {
-            Some(self.data[y * self.width + x])
-        } else {
-            None
-        }
-    }
-
     /// Returns the pixel at `(x, y)` with *replicated* (clamped) borders.
     ///
     /// Coordinates may be negative or beyond the image; they are clamped to
     /// the nearest valid pixel.  This matches the line-buffer behaviour of the
     /// hardware window generator at image borders.
     #[inline]
-    pub fn pixel_clamped(&self, x: isize, y: isize) -> u8 {
+    pub(crate) fn pixel_clamped(&self, x: isize, y: isize) -> u8 {
         let cx = x.clamp(0, self.width as isize - 1) as usize;
         let cy = y.clamp(0, self.height as isize - 1) as usize;
         self.data[cy * self.width + cx]
@@ -131,7 +120,7 @@ impl GrayImage {
     /// # Panics
     /// Panics if the coordinates are out of bounds.
     #[inline]
-    pub fn set_pixel(&mut self, x: usize, y: usize, value: u8) {
+    pub(crate) fn set_pixel(&mut self, x: usize, y: usize, value: u8) {
         assert!(x < self.width && y < self.height, "pixel out of bounds");
         self.data[y * self.width + x] = value;
     }
@@ -144,13 +133,8 @@ impl GrayImage {
 
     /// Mutable view of the raw row-major pixel buffer.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [u8] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [u8] {
         &mut self.data
-    }
-
-    /// Consumes the image and returns the raw pixel buffer.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.data
     }
 
     /// Returns one row of pixels as a slice.
@@ -168,22 +152,6 @@ impl GrayImage {
         self.data.iter().copied()
     }
 
-    /// Iterator over `(x, y, value)` triples in row-major order.
-    pub fn enumerate_pixels(&self) -> impl Iterator<Item = (usize, usize, u8)> + '_ {
-        let width = self.width;
-        self.data
-            .iter()
-            .enumerate()
-            .map(move |(i, &v)| (i % width, i / width, v))
-    }
-
-    /// Applies `f` to every pixel in place.
-    pub fn map_in_place(&mut self, mut f: impl FnMut(u8) -> u8) {
-        for p in &mut self.data {
-            *p = f(*p);
-        }
-    }
-
     /// Returns a new image whose pixels are `f(pixel)`.
     pub fn map(&self, mut f: impl FnMut(u8) -> u8) -> GrayImage {
         GrayImage {
@@ -193,53 +161,12 @@ impl GrayImage {
         }
     }
 
-    /// Extracts the sub-image `[x, x+w) × [y, y+h)`.
-    ///
-    /// # Panics
-    /// Panics if the requested rectangle does not fit inside the image.
-    pub fn crop(&self, x: usize, y: usize, w: usize, h: usize) -> GrayImage {
-        assert!(w > 0 && h > 0, "crop dimensions must be non-zero");
-        assert!(
-            x + w <= self.width && y + h <= self.height,
-            "crop rectangle out of bounds"
-        );
-        let mut data = Vec::with_capacity(w * h);
-        for yy in y..y + h {
-            data.extend_from_slice(&self.data[yy * self.width + x..yy * self.width + x + w]);
-        }
-        GrayImage {
-            width: w,
-            height: h,
-            data,
-        }
-    }
-
     /// Mean pixel value as a floating-point number.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.data.is_empty() {
             return 0.0;
         }
         self.data.iter().map(|&p| p as u64).sum::<u64>() as f64 / self.data.len() as f64
-    }
-
-    /// Minimum and maximum pixel values.
-    pub fn min_max(&self) -> (u8, u8) {
-        let mut min = u8::MAX;
-        let mut max = u8::MIN;
-        for &p in &self.data {
-            min = min.min(p);
-            max = max.max(p);
-        }
-        (min, max)
-    }
-
-    /// 256-bin histogram of pixel values.
-    pub fn histogram(&self) -> [u64; 256] {
-        let mut h = [0u64; 256];
-        for &p in &self.data {
-            h[p as usize] += 1;
-        }
-        h
     }
 
     /// Content hash over dimensions and pixels (64-bit FNV-1a).
@@ -268,20 +195,6 @@ impl GrayImage {
         }
         h
     }
-
-    /// Number of pixels that differ between `self` and `other`.
-    ///
-    /// # Panics
-    /// Panics if the dimensions differ.
-    pub fn diff_count(&self, other: &GrayImage) -> usize {
-        assert_eq!(self.width, other.width, "width mismatch");
-        assert_eq!(self.height, other.height, "height mismatch");
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .filter(|(a, b)| a != b)
-            .count()
-    }
 }
 
 impl fmt::Debug for GrayImage {
@@ -291,6 +204,41 @@ impl fmt::Debug for GrayImage {
             .field("height", &self.height)
             .field("mean", &self.mean())
             .finish()
+    }
+}
+
+/// Test-only pixel statistics the unit tests of this crate assert with.
+#[cfg(test)]
+impl GrayImage {
+    /// Minimum and maximum pixel values.
+    pub(crate) fn min_max(&self) -> (u8, u8) {
+        let mut min = u8::MAX;
+        let mut max = u8::MIN;
+        for &p in &self.data {
+            min = min.min(p);
+            max = max.max(p);
+        }
+        (min, max)
+    }
+
+    /// 256-bin histogram of pixel values.
+    pub(crate) fn histogram(&self) -> [u64; 256] {
+        let mut h = [0u64; 256];
+        for &p in &self.data {
+            h[p as usize] += 1;
+        }
+        h
+    }
+
+    /// Number of pixels that differ between `self` and `other`.
+    pub(crate) fn diff_count(&self, other: &GrayImage) -> usize {
+        assert_eq!(self.width, other.width, "width mismatch");
+        assert_eq!(self.height, other.height, "height mismatch");
+        self.data
+            .iter()
+            .zip(other.data.iter())
+            .filter(|(a, b)| a != b)
+            .count()
     }
 }
 
@@ -317,7 +265,7 @@ mod tests {
     fn from_vec_round_trip() {
         let data: Vec<u8> = (0..12).collect();
         let img = GrayImage::from_vec(4, 3, data.clone());
-        assert_eq!(img.into_vec(), data);
+        assert_eq!(img.as_slice(), &data[..]);
     }
 
     #[test]
@@ -327,20 +275,20 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "does not match")]
+    fn from_vec_rejects_dimensions_whose_product_overflows() {
+        // 2^32 × 2^32 wraps to 0 pixels on 64-bit targets.
+        let _ = GrayImage::from_vec(1 << 32, 1 << 32, Vec::new());
+    }
+
+    #[test]
     fn from_fn_indexes_row_major() {
         let img = GrayImage::from_fn(3, 2, |x, y| (y * 10 + x) as u8);
         assert_eq!(img.pixel(0, 0), 0);
         assert_eq!(img.pixel(2, 0), 2);
         assert_eq!(img.pixel(0, 1), 10);
         assert_eq!(img.pixel(2, 1), 12);
-    }
-
-    #[test]
-    fn get_checked_access() {
-        let img = GrayImage::new(2, 2, 1);
-        assert_eq!(img.get(1, 1), Some(1));
-        assert_eq!(img.get(2, 1), None);
-        assert_eq!(img.get(1, 2), None);
     }
 
     #[test]
@@ -359,43 +307,6 @@ mod tests {
         img.set_pixel(2, 1, 9);
         assert_eq!(img.pixel(2, 1), 9);
         assert_eq!(img.row(1), &[0, 0, 9]);
-    }
-
-    #[test]
-    fn enumerate_pixels_covers_all() {
-        let img = GrayImage::from_fn(4, 4, |x, y| (x ^ y) as u8);
-        let mut count = 0;
-        for (x, y, v) in img.enumerate_pixels() {
-            assert_eq!(v, (x ^ y) as u8);
-            count += 1;
-        }
-        assert_eq!(count, 16);
-    }
-
-    #[test]
-    fn map_and_map_in_place_agree() {
-        let img = GrayImage::from_fn(5, 5, |x, y| (x * y) as u8);
-        let mapped = img.map(|p| p.saturating_add(10));
-        let mut in_place = img.clone();
-        in_place.map_in_place(|p| p.saturating_add(10));
-        assert_eq!(mapped, in_place);
-    }
-
-    #[test]
-    fn crop_extracts_rectangle() {
-        let img = GrayImage::from_fn(4, 4, |x, y| (y * 4 + x) as u8);
-        let c = img.crop(1, 2, 2, 2);
-        assert_eq!(c.width(), 2);
-        assert_eq!(c.height(), 2);
-        assert_eq!(c.pixel(0, 0), 9);
-        assert_eq!(c.pixel(1, 1), 14);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn crop_out_of_bounds_panics() {
-        let img = GrayImage::new(4, 4, 0);
-        let _ = img.crop(3, 3, 2, 2);
     }
 
     #[test]

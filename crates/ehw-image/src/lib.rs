@@ -35,6 +35,6 @@ pub mod synth;
 pub mod window;
 
 pub use image::GrayImage;
-pub use metrics::{mae, mse, psnr};
+pub use metrics::{mae, psnr};
 pub use noise::NoiseClass;
 pub use window::Window3x3;

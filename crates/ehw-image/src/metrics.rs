@@ -5,7 +5,7 @@
 //! output, or the outputs of two adjacent arrays).  The aggregated — i.e. not
 //! normalised — sum is what the paper reports as "fitness" (e.g. MAE ≈ 8000 for
 //! a 128×128 image in Fig. 18), so [`mae`] returns the raw sum of absolute
-//! differences, and [`mae_per_pixel`] the normalised value.
+//! differences.
 
 use crate::image::GrayImage;
 
@@ -48,16 +48,11 @@ pub fn sad(a: &[u8], b: &[u8]) -> u64 {
         .sum()
 }
 
-/// Mean Absolute Error normalised by the number of pixels.
-pub fn mae_per_pixel(a: &GrayImage, b: &GrayImage) -> f64 {
-    mae(a, b) as f64 / a.len() as f64
-}
-
 /// Mean Squared Error between two images.
 ///
 /// # Panics
 /// Panics if the images have different dimensions.
-pub fn mse(a: &GrayImage, b: &GrayImage) -> f64 {
+pub(crate) fn mse(a: &GrayImage, b: &GrayImage) -> f64 {
     assert_eq!(a.width(), b.width(), "width mismatch");
     assert_eq!(a.height(), b.height(), "height mismatch");
     let sum: u64 = a
@@ -106,7 +101,6 @@ mod tests {
     fn mae_identical_images_is_zero() {
         let a = GrayImage::new(8, 8, 42);
         assert_eq!(mae(&a, &a), 0);
-        assert_eq!(mae_per_pixel(&a, &a), 0.0);
     }
 
     #[test]
@@ -121,7 +115,6 @@ mod tests {
         let a = GrayImage::new(4, 4, 10);
         let b = GrayImage::new(4, 4, 13);
         assert_eq!(mae(&a, &b), 16 * 3);
-        assert!((mae_per_pixel(&a, &b) - 3.0).abs() < 1e-12);
     }
 
     #[test]

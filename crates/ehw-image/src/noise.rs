@@ -79,7 +79,7 @@ pub fn salt_pepper<R: Rng + ?Sized>(img: &GrayImage, density: f64, rng: &mut R) 
 /// Additive Gaussian noise with standard deviation `sigma`, clamped to
 /// `[0, 255]`.  Uses the Box–Muller transform so only `rand`'s uniform
 /// sampling is required.
-pub fn gaussian<R: Rng + ?Sized>(img: &GrayImage, sigma: f64, rng: &mut R) -> GrayImage {
+pub(crate) fn gaussian<R: Rng + ?Sized>(img: &GrayImage, sigma: f64, rng: &mut R) -> GrayImage {
     let mut out = img.clone();
     for p in out.as_mut_slice() {
         let n = sample_standard_normal(rng) * sigma;
@@ -90,7 +90,11 @@ pub fn gaussian<R: Rng + ?Sized>(img: &GrayImage, sigma: f64, rng: &mut R) -> Gr
 }
 
 /// Uniform impulse noise: corrupted pixels take a uniformly random grey level.
-pub fn uniform_impulse<R: Rng + ?Sized>(img: &GrayImage, density: f64, rng: &mut R) -> GrayImage {
+pub(crate) fn uniform_impulse<R: Rng + ?Sized>(
+    img: &GrayImage,
+    density: f64,
+    rng: &mut R,
+) -> GrayImage {
     let density = density.clamp(0.0, 1.0);
     let mut out = img.clone();
     for p in out.as_mut_slice() {
@@ -103,7 +107,7 @@ pub fn uniform_impulse<R: Rng + ?Sized>(img: &GrayImage, density: f64, rng: &mut
 
 /// Burst noise: overwrites `bursts` random `size × size` blocks with random
 /// pixel values.
-pub fn burst<R: Rng + ?Sized>(
+pub(crate) fn burst<R: Rng + ?Sized>(
     img: &GrayImage,
     bursts: usize,
     size: usize,
@@ -136,12 +140,6 @@ fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen::<f64>();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
-/// Fraction of pixels that differ between the clean and noisy images.  Useful
-/// for validating that a noise generator hits the requested density.
-pub fn corruption_ratio(clean: &GrayImage, noisy: &GrayImage) -> f64 {
-    clean.diff_count(noisy) as f64 / clean.len() as f64
 }
 
 /// Coarse noise class of a (noisy input, clean reference) training pair.
@@ -204,6 +202,13 @@ impl NoiseClass {
             NoiseClass::Other => 2,
         }
     }
+}
+
+/// Fraction of pixels that differ between the clean and noisy images — how
+/// the tests check that a noise generator hits the requested density.
+#[cfg(test)]
+fn corruption_ratio(clean: &GrayImage, noisy: &GrayImage) -> f64 {
+    clean.diff_count(noisy) as f64 / clean.len() as f64
 }
 
 #[cfg(test)]

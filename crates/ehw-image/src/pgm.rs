@@ -85,18 +85,36 @@ pub fn decode(bytes: &[u8]) -> Result<GrayImage, PgmError> {
         return Err(PgmError::Format(format!("unsupported maxval {maxval}")));
     }
 
-    let npix = width * height;
+    // The header comes from outside the program: size everything with
+    // checked arithmetic and never reserve more than the input could fill.
+    let npix = width
+        .checked_mul(height)
+        .ok_or_else(|| PgmError::Format(format!("{width}x{height} pixels overflow")))?;
+    let above_maxval =
+        |sample| PgmError::Format(format!("sample {sample} exceeds maxval {maxval}"));
     let data = if binary {
         // A single whitespace byte separates the header from the raster.
         let start = cursor + 1;
-        if bytes.len() < start + npix {
-            return Err(PgmError::Format("truncated raster".into()));
+        let end = start
+            .checked_add(npix)
+            .filter(|&end| end <= bytes.len())
+            .ok_or_else(|| PgmError::Format("truncated raster".into()))?;
+        let raster = &bytes[start..end];
+        if maxval < 255 {
+            if let Some(&sample) = raster.iter().find(|&&s| usize::from(s) > maxval) {
+                return Err(above_maxval(usize::from(sample)));
+            }
         }
-        bytes[start..start + npix].to_vec()
+        raster.to_vec()
     } else {
-        let mut data = Vec::with_capacity(npix);
+        let mut data = Vec::with_capacity(npix.min(bytes.len() - cursor));
         for _ in 0..npix {
-            data.push(read_number(bytes, &mut cursor)? as u8);
+            let sample = read_number(bytes, &mut cursor)?;
+            if sample > maxval {
+                return Err(above_maxval(sample));
+            }
+            // maxval <= 255, so the sample fits.
+            data.push(sample as u8);
         }
         data
     };
@@ -181,6 +199,46 @@ mod tests {
         let mut bytes = b"P5\n4 4\n255\n".to_vec();
         bytes.extend_from_slice(&[0u8; 7]); // needs 16
         assert!(matches!(decode(&bytes), Err(PgmError::Format(_))));
+    }
+
+    #[test]
+    fn ascii_dimensions_beyond_the_body_are_an_error_not_an_abort() {
+        // 10^12 pixels announced, three present: the decoder must not try to
+        // reserve the announced raster up front.
+        assert!(matches!(
+            decode(b"P2 1000000 1000000 255\n1 2 3"),
+            Err(PgmError::Format(_))
+        ));
+    }
+
+    #[test]
+    fn dimensions_whose_product_overflows_are_rejected() {
+        assert!(matches!(
+            decode(b"P5 4294967296 4294967296 255\n"),
+            Err(PgmError::Format(_))
+        ));
+        assert!(matches!(
+            decode(b"P2 4294967296 4294967296 255\n0"),
+            Err(PgmError::Format(_))
+        ));
+    }
+
+    #[test]
+    fn samples_above_maxval_are_rejected() {
+        assert!(matches!(
+            decode(b"P2 2 1 255\n300 1"),
+            Err(PgmError::Format(_))
+        ));
+        assert!(matches!(
+            decode(b"P2 2 1 100\n101 0"),
+            Err(PgmError::Format(_))
+        ));
+        assert!(matches!(
+            decode(b"P5 2 1 100\n\x00\x65"),
+            Err(PgmError::Format(_))
+        ));
+        let at_maxval = decode(b"P5 2 1 100\n\x00\x64").expect("decode");
+        assert_eq!(at_maxval.as_slice(), &[0, 100]);
     }
 
     #[test]

@@ -100,26 +100,6 @@ pub fn shapes(width: usize, height: usize, complexity: usize) -> GrayImage {
     img
 }
 
-/// Textured image built from a deterministic value-noise pattern with the
-/// given feature `scale` (larger scale → smoother texture).
-pub fn texture(width: usize, height: usize, scale: usize, seed: u64) -> GrayImage {
-    let scale = scale.max(1);
-    GrayImage::from_fn(width, height, |x, y| {
-        // Bilinear interpolation between hashed lattice points.
-        let gx = x / scale;
-        let gy = y / scale;
-        let fx = (x % scale) as f64 / scale as f64;
-        let fy = (y % scale) as f64 / scale as f64;
-        let v00 = lattice(gx, gy, seed);
-        let v10 = lattice(gx + 1, gy, seed);
-        let v01 = lattice(gx, gy + 1, seed);
-        let v11 = lattice(gx + 1, gy + 1, seed);
-        let top = v00 * (1.0 - fx) + v10 * fx;
-        let bottom = v01 * (1.0 - fx) + v11 * fx;
-        ((top * (1.0 - fy) + bottom * fy) * 255.0) as u8
-    })
-}
-
 /// The default 128×128 training scene used throughout the experiment harness
 /// (stand-in for the paper's 128×128 camera image).
 pub fn paper_scene_128() -> GrayImage {
@@ -129,11 +109,6 @@ pub fn paper_scene_128() -> GrayImage {
 /// The 256×256 variant used for the large-image speed-up experiment (Fig. 13).
 pub fn paper_scene_256() -> GrayImage {
     shapes(256, 256, 10)
-}
-
-fn lattice(x: usize, y: usize, seed: u64) -> f64 {
-    let h = hash64(seed ^ ((x as u64) << 32) ^ y as u64);
-    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// SplitMix64 hash used for deterministic procedural content.
@@ -197,12 +172,6 @@ mod tests {
         assert_eq!(shapes(64, 64, 4), shapes(64, 64, 4));
         // Different complexity gives a different image.
         assert_ne!(shapes(64, 64, 4), shapes(64, 64, 5));
-    }
-
-    #[test]
-    fn texture_is_deterministic_and_seed_sensitive() {
-        assert_eq!(texture(32, 32, 4, 7), texture(32, 32, 4, 7));
-        assert_ne!(texture(32, 32, 4, 7), texture(32, 32, 4, 8));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! of the corresponding input pixel.  In hardware the neighbourhood is built
 //! by three image-line FIFOs in front of the array (§III.A and §IV.A of the
 //! paper); at the borders the line buffers replicate the nearest valid pixel.
-//! [`Window3x3`] is the software equivalent, and [`windows`] iterates the
-//! window for every pixel position of an image in raster order — the same
-//! order in which the hardware streams pixels through the array.
+//! [`Window3x3`] is the software equivalent, and [`for_each_window_in_rows`]
+//! streams the window of every pixel position of an image in raster order —
+//! the same order in which the hardware streams pixels through the array.
 
 use crate::image::GrayImage;
 
@@ -45,7 +45,7 @@ impl Window3x3 {
 
     /// The centre pixel of the window.
     #[inline]
-    pub fn center(&self) -> u8 {
+    pub(crate) fn center(&self) -> u8 {
         self.0[Self::CENTER]
     }
 
@@ -64,7 +64,7 @@ impl Window3x3 {
 
     /// Returns the window pixels sorted ascending (used by the median
     /// reference filter).
-    pub fn sorted(&self) -> [u8; 9] {
+    pub(crate) fn sorted(&self) -> [u8; 9] {
         let mut s = self.0;
         s.sort_unstable();
         s
@@ -85,22 +85,15 @@ impl Window3x3 {
 
     /// Minimum of the nine window pixels.
     #[inline]
-    pub fn min(&self) -> u8 {
+    pub(crate) fn min(&self) -> u8 {
         *self.0.iter().min().expect("window is non-empty")
     }
 
     /// Maximum of the nine window pixels.
     #[inline]
-    pub fn max(&self) -> u8 {
+    pub(crate) fn max(&self) -> u8 {
         *self.0.iter().max().expect("window is non-empty")
     }
-}
-
-/// Iterates the 3×3 window for every pixel of `img` in raster order,
-/// yielding `(x, y, window)`.
-pub fn windows(img: &GrayImage) -> impl Iterator<Item = (usize, usize, Window3x3)> + '_ {
-    let (w, h) = (img.width(), img.height());
-    (0..h).flat_map(move |y| (0..w).map(move |x| (x, y, Window3x3::from_image(img, x, y))))
 }
 
 /// Streams the 3×3 window of every pixel in rows `y0..y1` (raster order) to
@@ -174,7 +167,7 @@ pub fn for_each_window_in_rows(
 
 /// Streams the 3×3 window of every pixel of the image in raster order —
 /// the whole-image form of [`for_each_window_in_rows`].
-pub fn for_each_window(img: &GrayImage, f: impl FnMut(usize, usize, &Window3x3)) {
+pub(crate) fn for_each_window(img: &GrayImage, f: impl FnMut(usize, usize, &Window3x3)) {
     for_each_window_in_rows(img, 0, img.height(), f);
 }
 
@@ -187,7 +180,7 @@ pub fn for_each_window(img: &GrayImage, f: impl FnMut(usize, usize, &Window3x3))
 /// mux, so a block evaluator reading this layout fills each lane buffer with
 /// one contiguous `memcpy` from the selected plane instead of a stride-9
 /// gather across AoS windows.  Built in one streaming pass of
-/// [`for_each_window`]; bit-identical to gathering [`Window3x3::from_image`]
+/// `for_each_window`; bit-identical to gathering [`Window3x3::from_image`]
 /// per pixel.
 #[derive(Debug, Clone)]
 pub struct WindowPlanes {
@@ -218,12 +211,12 @@ impl WindowPlanes {
     }
 
     /// Width of the source image.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.width
     }
 
     /// Height of the source image.
-    pub fn height(&self) -> usize {
+    pub(crate) fn height(&self) -> usize {
         self.height
     }
 
@@ -308,23 +301,25 @@ impl SharedWindows {
     pub fn window(&self, i: usize) -> Window3x3 {
         self.planes.window(i)
     }
-
-    /// Maps a per-window kernel over the shared buffer, producing an image of
-    /// the source dimensions.
-    pub fn map(&self, mut f: impl FnMut(&Window3x3) -> u8) -> GrayImage {
-        let data: Vec<u8> = (0..self.len()).map(|i| f(&self.planes.window(i))).collect();
-        GrayImage::from_vec(self.width(), self.height(), data)
-    }
 }
 
 /// Applies a per-window function over the whole image, producing a new image
 /// of the same dimensions.  This is the generic "window filter" driver used by
 /// the reference filters and by the software model of the evolvable array;
-/// both consume the same streaming extraction pass of [`for_each_window`].
+/// both consume the same streaming extraction pass of `for_each_window`.
 pub fn map_windows(img: &GrayImage, mut f: impl FnMut(&Window3x3) -> u8) -> GrayImage {
     let mut data = Vec::with_capacity(img.len());
     for_each_window(img, |_, _, w| data.push(f(w)));
     GrayImage::from_vec(img.width(), img.height(), data)
+}
+
+/// Iterates the 3×3 window for every pixel of `img` in raster order,
+/// yielding `(x, y, window)` — the per-pixel reference the streaming and
+/// plane extractors are tested against.
+#[cfg(test)]
+fn windows(img: &GrayImage) -> impl Iterator<Item = (usize, usize, Window3x3)> + '_ {
+    let (w, h) = (img.width(), img.height());
+    (0..h).flat_map(move |y| (0..w).map(move |x| (x, y, Window3x3::from_image(img, x, y))))
 }
 
 #[cfg(test)]
@@ -455,11 +450,6 @@ mod tests {
         for (i, (x, y, w)) in windows(&img).enumerate() {
             assert_eq!(shared.window(i), w, "window ({x},{y})");
         }
-        // Mapping the shared buffer equals mapping the image directly.
-        assert_eq!(
-            shared.map(|w| w.median()),
-            map_windows(&img, |w| w.median())
-        );
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub const CHUNK_ENV: &str = "EHW_CHUNK";
 /// A malformed `EHW_WORKERS` / `EHW_CHUNK` value, with enough context to tell
 /// the operator exactly what to fix.
 ///
-/// The legacy [`ParallelConfig::parse`] / [`ParallelConfig::from_env`] pair
+/// The legacy `ParallelConfig::parse` / [`ParallelConfig::from_env`] pair
 /// silently falls back to defaults on malformed input (figure binaries should
 /// keep running); service front-ends validate through
 /// [`ParallelConfig::try_from_env`] instead, so a typo in a deployment
@@ -120,7 +120,7 @@ impl ParallelConfig {
     /// Malformed values fall back silently — each variable independently — so
     /// experiment binaries keep running on a typo; validating callers use
     /// [`try_parse`](Self::try_parse) instead.
-    pub fn parse(workers: Option<&str>, chunk: Option<&str>) -> Self {
+    pub(crate) fn parse(workers: Option<&str>, chunk: Option<&str>) -> Self {
         ParallelConfig {
             workers: Self::parse_workers(workers).unwrap_or_else(|_| Self::host_workers()),
             chunk: Self::parse_chunk(chunk).unwrap_or(0),
@@ -131,7 +131,10 @@ impl ParallelConfig {
     /// malformed (or zero) worker count and a malformed chunk size are
     /// reported as a descriptive [`EnvConfigError`].  `None` values use the
     /// defaults (host parallelism, auto chunking).
-    pub fn try_parse(workers: Option<&str>, chunk: Option<&str>) -> Result<Self, EnvConfigError> {
+    pub(crate) fn try_parse(
+        workers: Option<&str>,
+        chunk: Option<&str>,
+    ) -> Result<Self, EnvConfigError> {
         let workers = match workers {
             Some(v) => Self::parse_workers(Some(v))?,
             None => Self::host_workers(),
@@ -190,12 +193,12 @@ impl ParallelConfig {
     }
 
     /// Worker threads actually used for a batch of `items` work items.
-    pub fn effective_workers(&self, items: usize) -> usize {
+    pub(crate) fn effective_workers(&self, items: usize) -> usize {
         self.workers.max(1).min(items.max(1))
     }
 
     /// Chunk size actually used for a batch of `items` work items.
-    pub fn effective_chunk(&self, items: usize) -> usize {
+    pub(crate) fn effective_chunk(&self, items: usize) -> usize {
         if self.chunk > 0 {
             return self.chunk;
         }
@@ -302,17 +305,6 @@ where
     chunks.into_iter().flat_map(|(_, r)| r).collect()
 }
 
-/// [`ordered_map`] over the index range `0..count` (for work that is defined
-/// by position alone).
-pub fn ordered_map_indices<R, F>(config: ParallelConfig, count: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let indices: Vec<usize> = (0..count).collect();
-    ordered_map(config, &indices, |_, &i| f(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,15 +357,6 @@ mod tests {
                 assert_eq!(serial, run(ParallelConfig { workers, chunk }));
             }
         }
-    }
-
-    #[test]
-    fn indices_variant_matches_slice_variant() {
-        let cfg = ParallelConfig::with_workers(3);
-        let via_indices = ordered_map_indices(cfg, 10, |i| i * i);
-        let items: Vec<usize> = (0..10).collect();
-        let via_slice = ordered_map(cfg, &items, |_, &i| i * i);
-        assert_eq!(via_indices, via_slice);
     }
 
     #[test]

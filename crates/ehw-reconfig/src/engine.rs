@@ -9,7 +9,8 @@
 //! * **readback** the frames of a region,
 //! * **copy** a region onto another one (readback / relocate / writeback) —
 //!   used to replicate a working filter into the three TMR arrays,
-//! * **scrub** a region or the whole protected design against golden copies.
+//! * **scrub** a region against the golden copies of its frames,
+//! * **inject** a configuration fault into a region's frames.
 //!
 //! Because a PE occupies less than a clock-region column, the engine must read
 //! back the column before rewriting it (§VI.A); that cost is already folded
@@ -22,19 +23,9 @@ use crate::timing::TimingModel;
 use ehw_fabric::bitstream::PartialBitstream;
 use ehw_fabric::fault::{FaultKind, FaultRecord};
 use ehw_fabric::frame::{ConfigMemory, FrameAddress, FRAME_BYTES};
-use ehw_fabric::region::{PeSlot, ReconfigurableRegion};
+use ehw_fabric::region::ReconfigurableRegion;
 use ehw_fabric::scrub::{ScrubReport, Scrubber};
 use serde::{Deserialize, Serialize};
-
-/// A pending reconfiguration request: configure `slot` with PE function
-/// `gene` (or with the dummy fault PE when `gene` is `None`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReconfigRequest {
-    /// Target PE slot.
-    pub slot: PeSlot,
-    /// PE function gene to configure, or `None` for the dummy/fault PE.
-    pub gene: Option<u8>,
-}
 
 /// Counters accumulated by the engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -79,11 +70,6 @@ impl ReconfigEngine {
         }
     }
 
-    /// The PE bitstream library stored in external memory.
-    pub fn library(&self) -> &PbsLibrary {
-        &self.library
-    }
-
     /// The timing model in use.
     pub fn timing(&self) -> &TimingModel {
         &self.timing
@@ -92,11 +78,6 @@ impl ReconfigEngine {
     /// Accumulated statistics.
     pub fn stats(&self) -> ReconfigStats {
         self.stats
-    }
-
-    /// Resets the statistics counters (e.g. between experiment runs).
-    pub fn reset_stats(&mut self) {
-        self.stats = ReconfigStats::default();
     }
 
     /// Immutable view of the configuration memory (for assertions and fault
@@ -119,16 +100,9 @@ impl ReconfigEngine {
         self.write_relocated(region, &pbs)
     }
 
-    /// Configures the dummy (faulty) PE into the region — the PE-level fault
-    /// emulation mechanism of §VI.D.  Returns the model time spent.
-    pub fn configure_dummy(&mut self, region: &ReconfigurableRegion) -> f64 {
-        let pbs = self.library.dummy().clone();
-        self.write_relocated(region, &pbs)
-    }
-
     /// Writes a caller-provided bitstream (e.g. one previously read back from
     /// another region) into the region.  Returns the model time spent.
-    pub fn write_bitstream(
+    pub(crate) fn write_bitstream(
         &mut self,
         region: &ReconfigurableRegion,
         pbs: &PartialBitstream,
@@ -163,12 +137,12 @@ impl ReconfigEngine {
     }
 
     /// Reads back the frames of a region as a partial bitstream.
-    pub fn readback(&mut self, region: &ReconfigurableRegion) -> PartialBitstream {
+    pub(crate) fn readback(&mut self, region: &ReconfigurableRegion) -> PartialBitstream {
         let frames: Vec<_> = region
             .frame_addresses()
             .map(|addr| {
                 self.stats.frames_read += 1;
-                self.memory.read_frame(addr)
+                self.memory.observed(addr)
             })
             .collect();
         PartialBitstream::new(
@@ -187,14 +161,6 @@ impl ReconfigEngine {
     pub fn copy_region(&mut self, from: &ReconfigurableRegion, to: &ReconfigurableRegion) -> f64 {
         let pbs = self.readback(from);
         self.write_bitstream(to, &pbs)
-    }
-
-    /// Identifies which library function is currently configured in a region,
-    /// if its frames match a presynthesized PBS exactly (they will not if the
-    /// region has permanent damage or holds the dummy PE).
-    pub fn identify(&mut self, region: &ReconfigurableRegion) -> Option<u8> {
-        let pbs = self.readback(region);
-        self.library.identify(&pbs)
     }
 
     /// Injects a fault into a bit of the region's configuration, picking the
@@ -222,16 +188,28 @@ impl ReconfigEngine {
         let addrs: Vec<_> = region.frame_addresses().collect();
         self.scrubber.scrub_frames(&mut self.memory, &addrs)
     }
+}
 
-    /// Scrubs every frame the engine has ever written.
-    pub fn scrub_all(&mut self) -> ScrubReport {
-        self.stats.scrub_passes += 1;
-        self.scrubber.scrub_all(&mut self.memory)
+impl Default for ReconfigEngine {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Test-only inspection of what a region currently holds.
+#[cfg(test)]
+impl ReconfigEngine {
+    /// Identifies which library function is currently configured in a region,
+    /// if its frames match a presynthesized PBS exactly (they will not if the
+    /// region has permanent damage).
+    pub(crate) fn identify(&mut self, region: &ReconfigurableRegion) -> Option<u8> {
+        let pbs = self.readback(region);
+        self.library.identify(&pbs)
     }
 
     /// `true` if the region's observed configuration differs from its golden
     /// copy (i.e. it is currently corrupted).
-    pub fn region_corrupted(&self, region: &ReconfigurableRegion) -> bool {
+    pub(crate) fn region_corrupted(&self, region: &ReconfigurableRegion) -> bool {
         region.frame_addresses().any(|addr| {
             self.scrubber
                 .golden(addr)
@@ -241,17 +219,11 @@ impl ReconfigEngine {
     }
 }
 
-impl Default for ReconfigEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ehw_fabric::device::DeviceGeometry;
-    use ehw_fabric::region::Floorplan;
+    use ehw_fabric::region::{Floorplan, PeSlot};
 
     fn floorplan() -> Floorplan {
         Floorplan::new(DeviceGeometry::virtex5_lx110t(), 3, 4, 4)
@@ -272,15 +244,6 @@ mod tests {
             assert_eq!(engine.identify(&slot), Some(gene));
         }
         assert_eq!(engine.stats().pe_reconfigurations, 3);
-    }
-
-    #[test]
-    fn dummy_pe_is_not_identifiable_as_a_function() {
-        let fp = floorplan();
-        let mut engine = ReconfigEngine::new();
-        let slot = region(&fp, 1, 0, 0);
-        engine.configure_dummy(&slot);
-        assert_eq!(engine.identify(&slot), None);
     }
 
     #[test]
@@ -342,32 +305,6 @@ mod tests {
         engine.configure_pe(&slot, 11);
         assert!(engine.region_corrupted(&slot));
         assert_eq!(engine.identify(&slot), None);
-    }
-
-    #[test]
-    fn scrub_all_covers_every_written_region() {
-        let fp = floorplan();
-        let mut engine = ReconfigEngine::new();
-        for a in 0..3 {
-            for r in 0..4 {
-                for c in 0..4 {
-                    engine.configure_pe(&region(&fp, a, r, c), ((a + r + c) % 16) as u8);
-                }
-            }
-        }
-        let report = engine.scrub_all();
-        assert!(report.is_clean());
-        assert_eq!(report.total(), 48 * ehw_fabric::region::FRAMES_PER_PE);
-    }
-
-    #[test]
-    fn reset_stats_clears_counters() {
-        let fp = floorplan();
-        let mut engine = ReconfigEngine::new();
-        engine.configure_pe(&region(&fp, 0, 0, 0), 1);
-        assert_ne!(engine.stats(), ReconfigStats::default());
-        engine.reset_stats();
-        assert_eq!(engine.stats(), ReconfigStats::default());
     }
 
     #[test]

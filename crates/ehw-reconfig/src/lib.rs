@@ -32,6 +32,6 @@ pub mod engine;
 pub mod library;
 pub mod timing;
 
-pub use engine::{ReconfigEngine, ReconfigRequest, ReconfigStats};
+pub use engine::{ReconfigEngine, ReconfigStats};
 pub use library::{Champion, ChampionKey, ChampionLibrary, PbsLibrary};
 pub use timing::{TimingModel, ICAP_CLOCK_HZ, PE_RECONFIG_TIME_US};

@@ -6,9 +6,7 @@
 //! DDR memory; the reconfiguration engine relocates it to whichever PE slot
 //! the evolutionary algorithm wants to change.
 //!
-//! The library is indexed by the 4-bit PE function gene; it also contains the
-//! special "dummy PE" bitstream used by the fault-injection experiments of
-//! §VI.D (a PE generating random output values).
+//! The library is indexed by the 4-bit PE function gene.
 
 use crate::timing::pe_frames;
 use ehw_fabric::bitstream::PartialBitstream;
@@ -25,15 +23,13 @@ pub const PE_VARIANTS: usize = 16;
 pub struct PbsLibrary {
     /// One PBS per PE function, indexed by the 4-bit gene value.
     variants: Vec<PartialBitstream>,
-    /// The dummy (faulty) PE used for fault emulation.
-    dummy: PartialBitstream,
 }
 
 impl PbsLibrary {
-    /// Builds the library of 16 PE bitstreams plus the dummy PE.  The payload
+    /// Builds the library of 16 PE bitstreams.  The payload
     /// of each PBS is synthesized deterministically from the function index so
     /// that different functions always have different configuration data.
-    pub fn presynthesized() -> Self {
+    pub(crate) fn presynthesized() -> Self {
         // Bitstreams are generated for a reference location (region 0,
         // column 0) and relocated on demand by the engine.
         let origin = FrameAddress::new(0, 0, 0);
@@ -47,55 +43,19 @@ impl PbsLibrary {
                 )
             })
             .collect();
-        let dummy =
-            PartialBitstream::synthesize("pe-dummy-fault", origin, pe_frames(), 0xDEAD_BEEF);
-        Self { variants, dummy }
+        Self { variants }
     }
 
     /// The PBS implementing PE function `gene` (0–15).
     ///
     /// # Panics
     /// Panics if `gene >= 16`.
-    pub fn variant(&self, gene: u8) -> &PartialBitstream {
+    pub(crate) fn variant(&self, gene: u8) -> &PartialBitstream {
         assert!(
             (gene as usize) < PE_VARIANTS,
             "PE function gene {gene} out of range (0-15)"
         );
         &self.variants[gene as usize]
-    }
-
-    /// The dummy (fault-emulation) PBS.
-    pub fn dummy(&self) -> &PartialBitstream {
-        &self.dummy
-    }
-
-    /// Number of PE variants in the library (always 16).
-    pub fn len(&self) -> usize {
-        self.variants.len()
-    }
-
-    /// `false`: the presynthesized library is never empty.
-    pub fn is_empty(&self) -> bool {
-        self.variants.is_empty()
-    }
-
-    /// Total size of the library payload in bytes, as it would occupy DDR.
-    pub fn total_bytes(&self) -> usize {
-        self.variants
-            .iter()
-            .map(PartialBitstream::byte_len)
-            .sum::<usize>()
-            + self.dummy.byte_len()
-    }
-
-    /// Finds the gene whose bitstream payload matches `pbs`, if any.  Used by
-    /// tests and by the readback path to identify what is currently
-    /// configured in a slot.
-    pub fn identify(&self, pbs: &PartialBitstream) -> Option<u8> {
-        self.variants
-            .iter()
-            .position(|v| v.payload_bytes() == pbs.payload_bytes())
-            .map(|i| i as u8)
     }
 }
 
@@ -209,11 +169,6 @@ impl ChampionLibrary {
         self.entries.is_empty()
     }
 
-    /// Maximum number of champions the library holds.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Every deposited champion in deposit order (oldest tick first) — the
     /// order that, replayed through [`deposit`](Self::deposit) into an empty
     /// library of the same capacity, reproduces both the contents and the
@@ -229,15 +184,20 @@ impl ChampionLibrary {
 }
 
 #[cfg(test)]
+impl PbsLibrary {
+    /// Finds the gene whose bitstream payload matches `pbs`, if any — how
+    /// the tests identify what is currently configured in a slot.
+    pub(crate) fn identify(&self, pbs: &PartialBitstream) -> Option<u8> {
+        self.variants
+            .iter()
+            .position(|v| v.payload_bytes() == pbs.payload_bytes())
+            .map(|i| i as u8)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn library_has_sixteen_variants() {
-        let lib = PbsLibrary::presynthesized();
-        assert_eq!(lib.len(), 16);
-        assert!(!lib.is_empty());
-    }
 
     #[test]
     fn variants_are_distinct_and_identifiable() {
@@ -248,23 +208,10 @@ mod tests {
     }
 
     #[test]
-    fn dummy_is_not_a_regular_variant() {
-        let lib = PbsLibrary::presynthesized();
-        assert_eq!(lib.identify(lib.dummy()), None);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_gene_panics() {
         let lib = PbsLibrary::presynthesized();
         let _ = lib.variant(16);
-    }
-
-    #[test]
-    fn total_bytes_accounts_for_all_bitstreams() {
-        let lib = PbsLibrary::presynthesized();
-        let per_pbs = lib.variant(0).byte_len();
-        assert_eq!(lib.total_bytes(), per_pbs * 17);
     }
 
     #[test]
@@ -274,7 +221,6 @@ mod tests {
         for gene in 0..16u8 {
             assert_eq!(a.variant(gene), b.variant(gene));
         }
-        assert_eq!(a.dummy(), b.dummy());
     }
 
     fn key(image_hash: u64) -> ChampionKey {

@@ -32,7 +32,7 @@ pub const PE_RECONFIG_TIME_US: f64 = 67.53;
 pub const ARRAY_CLOCK_HZ: f64 = 100_000_000.0;
 
 /// Number of configuration frames per PE in the fabric model.
-pub fn pe_frames() -> usize {
+pub(crate) fn pe_frames() -> usize {
     FRAMES_PER_PE
 }
 

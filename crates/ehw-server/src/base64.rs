@@ -34,7 +34,7 @@ pub fn encode(bytes: &[u8]) -> String {
 
 /// Decodes standard base64 (padding required for the final partial group;
 /// ASCII whitespace is ignored, anything else is an error).
-pub fn decode(text: &str) -> Result<Vec<u8>, String> {
+pub(crate) fn decode(text: &str) -> Result<Vec<u8>, String> {
     fn value(byte: u8) -> Result<u32, String> {
         match byte {
             b'A'..=b'Z' => Ok(u32::from(byte - b'A')),

@@ -73,7 +73,7 @@ impl From<io::Error> for RequestError {
 /// Reads one request from a (possibly reused) buffered connection.  The
 /// reader must persist across requests on the same connection: bytes of the
 /// next request may already sit in its buffer after this one's body.
-pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, RequestError> {
+pub(crate) fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, RequestError> {
     // A clean EOF before the first byte of a request is the client ending a
     // keep-alive session, not a malformed request.
     if reader.fill_buf()?.is_empty() {
@@ -205,7 +205,7 @@ fn reason(status: u16) -> &'static str {
 /// Writes a complete response with a body.  `close` announces whether the
 /// server will end the connection after this exchange; with `close` false
 /// the connection stays open for the client's next request.
-pub fn write_response(
+pub(crate) fn write_response(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
@@ -226,7 +226,7 @@ pub fn write_response(
 /// Writes the head of a streaming response (no `Content-Length`; the end of
 /// the body is signalled by closing the connection, which `Connection:
 /// close` already announces).
-pub fn write_stream_head(stream: &mut TcpStream, content_type: &str) -> io::Result<()> {
+pub(crate) fn write_stream_head(stream: &mut TcpStream, content_type: &str) -> io::Result<()> {
     let head =
         format!("HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nConnection: close\r\n\r\n");
     stream.write_all(head.as_bytes())?;

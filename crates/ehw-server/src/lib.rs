@@ -391,7 +391,7 @@ impl EhwServer {
 
     /// Stops accepting connections and joins the accept loop.  In-flight
     /// handler threads drain their connections on their own.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         self.state.shutting_down.store(true, Ordering::SeqCst);
         // The accept loop is blocked in `accept`; a throwaway connection
         // wakes it so it can observe the flag and return.

@@ -79,8 +79,8 @@ json_tags! {
 // ---------------------------------------------------------------------------
 
 /// Decodes a `POST /jobs` document into a validated spec plus its options,
-/// resolving by-name scenario/policy references against the built-in
-/// registry (see [`decode_spec_with`] for a custom one).
+/// resolving by-name scenario/policy references against `registry` — the
+/// built-in entries plus any a deployment overlays from a registry file.
 ///
 /// ```json
 /// {
@@ -121,13 +121,6 @@ json_tags! {
 /// Unknown kinds, missing images, unresolvable scenario/policy names and
 /// builder-validation failures all come back as [`WireError`]s carrying a
 /// human-readable reason.
-pub fn decode_spec(doc: &Value) -> Result<(JobSpec, JobOptions), WireError> {
-    decode_spec_with(doc, &ScenarioRegistry::builtin())
-}
-
-/// [`decode_spec`] against an explicit scenario/policy registry — what the
-/// server uses, so deployments can overlay their own named entries from a
-/// registry file.
 pub fn decode_spec_with(
     doc: &Value,
     registry: &ScenarioRegistry,
@@ -817,6 +810,11 @@ pub fn encode_error(message: impl Into<String>) -> Value {
 mod tests {
     use super::*;
     use crate::json::parse;
+
+    /// Decodes against the built-in registry.
+    fn decode_spec(doc: &Value) -> Result<(JobSpec, JobOptions), WireError> {
+        decode_spec_with(doc, &ScenarioRegistry::builtin())
+    }
 
     fn image_doc(width: usize, height: usize) -> String {
         let pixels: Vec<String> = (0..width * height)

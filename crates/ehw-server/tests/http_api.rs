@@ -388,6 +388,24 @@ fn deeply_nested_bodies_get_a_400_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn pgm_bodies_announcing_huge_rasters_get_a_400_and_the_server_keeps_serving() {
+    let server = start_server(1);
+    let addr = server.local_addr();
+
+    // A 29-byte ASCII PGM announcing 10^12 pixels: before the decoder
+    // bounded its reservation by the bytes present, this asked for a 1 TB
+    // buffer and aborted the whole process.
+    let pgm = ehw_server::base64::encode(b"P2 1000000 1000000 255\n1 2 3");
+    let image = format!("{{\"pgm_base64\":\"{pgm}\"}}");
+    let body = format!("{{\"kind\":\"evolution\",\"input\":{image},\"reference\":{image}}}");
+    let response = request(addr, "POST", "/jobs", Some(&body));
+    assert_eq!(response.status, 400, "{}", response.body);
+
+    // A fresh connection still gets answered.
+    assert_eq!(get(addr, "/metrics").status, 200);
+}
+
+#[test]
 fn oversized_bodies_get_413() {
     let server = start_server(1);
     let addr = server.local_addr();

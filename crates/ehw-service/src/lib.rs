@@ -47,8 +47,8 @@
 //! [`JobOptions::deadline`]) stops the job at the next generation boundary
 //! with [`JobOutput::Cancelled`]; work done so far still counts in the
 //! result envelope.  A job that panics resolves to [`JobOutput::Failed`] and
-//! the shard survives.  A shard that dies abnormally (see
-//! [`EhwService::kill_shard_for_test`]) no longer takes the service down:
+//! the shard survives.  A shard that dies abnormally (a panic while it holds
+//! the queue-pickup lock) no longer takes the service down:
 //! the queue-pickup lock is poison-recovered by the surviving shards, and
 //! only if **every** shard is gone do the still-queued jobs resolve to
 //! [`JobLost`] errors instead of stalling their waiters.
@@ -355,22 +355,6 @@ pub struct JobOptions {
     pub deadline: Option<Duration>,
 }
 
-impl JobOptions {
-    /// Options with the given priority and no deadline.
-    pub fn with_priority(priority: Priority) -> Self {
-        JobOptions {
-            priority,
-            ..Self::default()
-        }
-    }
-
-    /// Sets the wall-clock deadline, measured from submission.
-    pub fn deadline(mut self, budget: Duration) -> Self {
-        self.deadline = Some(budget);
-        self
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Service
 // ---------------------------------------------------------------------------
@@ -476,6 +460,7 @@ enum QueueItem {
     /// Test-only poison pill: the shard that picks this up panics **while
     /// holding the queue-pickup lock**, reproducing the abnormal-death mode
     /// the poison-recovery path exists for.
+    #[cfg(test)]
     ShardPanic,
 }
 
@@ -552,6 +537,7 @@ impl JobQueue {
 
     /// Test hook: enqueue a poison pill at the head of the high lane,
     /// bypassing capacity (it is not a job).
+    #[cfg(test)]
     fn push_pill(&self) {
         lock_recover(&self.state).lanes[0].push_front(QueueItem::ShardPanic);
         self.not_empty.notify_one();
@@ -589,6 +575,7 @@ impl JobQueue {
                     .and_then(|hint| {
                         lane.iter().position(|item| match item {
                             QueueItem::Job(job) => job.affinity == Some(hint),
+                            #[cfg(test)]
                             QueueItem::ShardPanic => true,
                         })
                     })
@@ -603,6 +590,7 @@ impl JobQueue {
                 self.not_full.notify_one();
                 match item {
                     QueueItem::Job(job) => return Some(*job),
+                    #[cfg(test)]
                     QueueItem::ShardPanic => {
                         panic!("shard killed by test poison pill")
                     }
@@ -634,9 +622,13 @@ impl JobQueue {
         state.open = false;
         for lane in &mut state.lanes {
             for item in lane.drain(..) {
-                if let QueueItem::Job(job) = item {
-                    counters.lost.fetch_add(1, Ordering::SeqCst);
-                    job.shared.close_events();
+                match item {
+                    QueueItem::Job(job) => {
+                        counters.lost.fetch_add(1, Ordering::SeqCst);
+                        job.shared.close_events();
+                    }
+                    #[cfg(test)]
+                    QueueItem::ShardPanic => {}
                 }
             }
         }
@@ -714,11 +706,6 @@ impl EhwService {
             cache,
             config,
         })
-    }
-
-    /// The configuration the service was started with.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
     }
 
     /// Lifetime counters: jobs submitted, and how each settled job settled.
@@ -827,7 +814,7 @@ impl EhwService {
     /// backpressure like [`submit`](Self::submit); the shards drain the queue
     /// concurrently, so submitting arbitrarily many jobs from one thread
     /// cannot deadlock.
-    pub fn submit_batch(
+    pub(crate) fn submit_batch(
         &self,
         specs: impl IntoIterator<Item = JobSpec>,
     ) -> Result<Vec<JobHandle>, ServiceError> {
@@ -850,10 +837,9 @@ impl EhwService {
 
     /// Test hook: make one shard die **while holding the queue-pickup
     /// lock**, poisoning it — the abnormal-death mode the recovery paths
-    /// (and their regression tests) exist for.  Hidden from docs; not for
-    /// production use.
-    #[doc(hidden)]
-    pub fn kill_shard_for_test(&self) {
+    /// (and their regression tests) exist for.
+    #[cfg(test)]
+    fn kill_shard_for_test(&self) {
         self.queue.push_pill();
     }
 }
@@ -920,11 +906,6 @@ impl JobHandle {
         }
     }
 
-    /// Requests cooperative cancellation (see [`JobMonitor::cancel`]).
-    pub fn cancel(&self) {
-        self.shared.control.cancel();
-    }
-
     /// Blocks until the job has settled and returns its result.  Dropping
     /// the service drains the queue, so an accepted job's handle stays
     /// resolvable even after the drop.  `Err(`[`JobLost`]`)` means the whole
@@ -984,23 +965,12 @@ pub struct JobMonitor {
 }
 
 impl JobMonitor {
-    /// The id of the job this monitor observes.
-    pub fn job_id(&self) -> u64 {
-        self.job_id
-    }
-
     /// Requests cooperative cancellation.  The job stops with
     /// [`JobOutput::Cancelled`] at its next generation boundary — or before
     /// it starts, if it is still queued.  Work done so far still counts in
     /// the result envelope.  Idempotent; a no-op once the job has settled.
     pub fn cancel(&self) {
         self.shared.control.cancel();
-    }
-
-    /// Whether cancellation has been requested (the job may not have
-    /// observed it yet).
-    pub fn cancel_requested(&self) -> bool {
-        self.shared.control.cancel_requested()
     }
 
     /// Whether a shard is executing the job right now.
@@ -1667,7 +1637,7 @@ mod tests {
         let (events, _) = blocker_monitor.wait_events(0, Duration::from_secs(30));
         assert!(!events.is_empty(), "the blocker never started");
         let victim = service.submit(evolution_spec(8, 50)).unwrap();
-        victim.cancel();
+        victim.monitor().cancel();
         blocker_monitor.cancel();
         assert!(blocker.wait().unwrap().is_cancelled());
         let result = victim.wait().unwrap();
@@ -1683,7 +1653,10 @@ mod tests {
         let instant = service
             .submit_with(
                 evolution_spec(8, 50),
-                JobOptions::default().deadline(Duration::ZERO),
+                JobOptions {
+                    deadline: Some(Duration::ZERO),
+                    ..JobOptions::default()
+                },
             )
             .unwrap();
         let result = instant.wait().unwrap();
@@ -1695,7 +1668,10 @@ mod tests {
         let budget = service
             .submit_with(
                 marathon_spec(8),
-                JobOptions::default().deadline(Duration::from_millis(50)),
+                JobOptions {
+                    deadline: Some(Duration::from_millis(50)),
+                    ..JobOptions::default()
+                },
             )
             .unwrap();
         let result = budget.wait().unwrap();
@@ -1732,7 +1708,13 @@ mod tests {
             let handles: Vec<JobHandle> = (0..3)
                 .map(|_| {
                     service
-                        .submit_with(evolution_spec(12, 2), JobOptions::with_priority(priority))
+                        .submit_with(
+                            evolution_spec(12, 2),
+                            JobOptions {
+                                priority,
+                                ..JobOptions::default()
+                            },
+                        )
                         .unwrap()
                 })
                 .collect();

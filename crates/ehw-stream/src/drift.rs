@@ -14,7 +14,7 @@
 //! ground, and the detector fires.  All arithmetic is integer, so detection
 //! ticks are exactly reproducible.
 //!
-//! After an adaptation the engine calls [`DriftDetector::recalibrate`]: the
+//! After an adaptation the engine calls `DriftDetector::recalibrate`: the
 //! window empties and the baseline re-latches on the next `window` frames —
 //! the post-adaptation filter is judged against its own level, not the
 //! pre-drift one.  A `cooldown` suppresses re-firing for a number of frames
@@ -49,7 +49,7 @@ impl Default for DriftConfig {
 impl DriftConfig {
     /// Panics on degenerate parameters; mirrored by the jobs-layer builder
     /// which reports them as spec errors instead.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.window > 0, "drift window must be positive");
         assert!(
             self.threshold_pct >= 100,
@@ -70,7 +70,7 @@ pub struct DriftDetector {
 
 impl DriftDetector {
     /// Creates a detector with an empty window and no baseline.
-    pub fn new(config: DriftConfig) -> Self {
+    pub(crate) fn new(config: DriftConfig) -> Self {
         config.validate();
         Self {
             config,
@@ -83,7 +83,7 @@ impl DriftDetector {
 
     /// Feeds one frame's fitness; returns `true` when drift fires at this
     /// frame.
-    pub fn observe(&mut self, fitness: u64) -> bool {
+    pub(crate) fn observe(&mut self, fitness: u64) -> bool {
         self.window.push_back(fitness);
         self.window_sum += fitness;
         if self.window.len() > self.config.window {
@@ -113,7 +113,7 @@ impl DriftDetector {
     /// Empties the window and drops the baseline, so the next `window`
     /// frames re-latch it.  Called by the engine after every adaptation
     /// attempt (applied or not) so the detector judges the current filter.
-    pub fn recalibrate(&mut self) {
+    pub(crate) fn recalibrate(&mut self) {
         self.window.clear();
         self.window_sum = 0;
         self.baseline_sum = None;
@@ -121,17 +121,20 @@ impl DriftDetector {
     }
 
     /// Sum of the fitness values currently in the window.
-    pub fn window_sum(&self) -> u64 {
+    pub(crate) fn window_sum(&self) -> u64 {
         self.window_sum
     }
 
     /// The latched baseline sum, if calibration has completed.
-    pub fn baseline_sum(&self) -> Option<u64> {
+    pub(crate) fn baseline_sum(&self) -> Option<u64> {
         self.baseline_sum
     }
+}
 
+#[cfg(test)]
+impl DriftDetector {
     /// Whether the calibration window is full.
-    pub fn calibrated(&self) -> bool {
+    pub(crate) fn calibrated(&self) -> bool {
         self.baseline_sum.is_some()
     }
 }

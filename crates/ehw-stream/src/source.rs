@@ -66,7 +66,7 @@ pub enum SceneKind {
 
 impl SceneKind {
     /// Renders the scene at the given size.
-    pub fn render(&self, width: usize, height: usize) -> GrayImage {
+    pub(crate) fn render(&self, width: usize, height: usize) -> GrayImage {
         match *self {
             SceneKind::Shapes { complexity } => synth::shapes(width, height, complexity),
             SceneKind::Gradient => synth::gradient(width, height),
@@ -74,18 +74,6 @@ impl SceneKind {
             SceneKind::Checkerboard { cell } => synth::checkerboard(width, height, cell),
             SceneKind::StepEdge => synth::step_edge(width, height),
             SceneKind::Rings { period } => synth::rings(width, height, period),
-        }
-    }
-
-    /// Stable tag used by the wire codec.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            SceneKind::Shapes { .. } => "shapes",
-            SceneKind::Gradient => "gradient",
-            SceneKind::DiagonalGradient => "diagonal_gradient",
-            SceneKind::Checkerboard { .. } => "checkerboard",
-            SceneKind::StepEdge => "step_edge",
-            SceneKind::Rings { .. } => "rings",
         }
     }
 }
@@ -218,7 +206,7 @@ impl SyntheticSource {
     }
 
     /// The noise model active at the given frame.
-    pub fn noise_at(&self, index: usize) -> NoiseModel {
+    pub(crate) fn noise_at(&self, index: usize) -> NoiseModel {
         // The schedule is sorted and starts at 0, so the active segment is
         // the last one whose start frame is not past `index`.
         self.schedule

@@ -69,7 +69,6 @@ impl ReconfigurableRegion {
 /// region each).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Floorplan {
-    geometry: DeviceGeometry,
     arrays: usize,
     rows: usize,
     cols: usize,
@@ -120,7 +119,6 @@ impl Floorplan {
             }
         }
         Self {
-            geometry,
             arrays,
             rows,
             cols,

@@ -940,7 +940,7 @@ impl JobControl {
     }
 
     /// `true` once [`cancel`](Self::cancel) has been called.
-    pub fn cancel_requested(&self) -> bool {
+    pub(crate) fn cancel_requested(&self) -> bool {
         self.cancelled.load(Ordering::SeqCst)
     }
 

@@ -122,16 +122,6 @@ impl ProcessingArray {
         }
     }
 
-    /// Removes every injected fault.
-    pub fn clear_all_faults(&mut self) {
-        let positions: Vec<(usize, usize)> = self.faults.keys().copied().collect();
-        for (row, col) in positions {
-            self.faults.remove(&(row, col));
-            self.plan = self.plan.patch_fault(row, col, None);
-            self.parent_plan = self.parent_plan.patch_fault(row, col, None);
-        }
-    }
-
     /// `true` if at least one PE is damaged.
     pub fn has_faults(&self) -> bool {
         !self.faults.is_empty()
@@ -198,9 +188,20 @@ impl ProcessingArray {
     }
 }
 
-/// Test-only views of the patching state and the fault overlay.
+/// Test-only fault clearing and views of the patching state and the fault
+/// overlay.
 #[cfg(test)]
 impl ProcessingArray {
+    /// Removes every injected fault.
+    pub(crate) fn clear_all_faults(&mut self) {
+        let positions: Vec<(usize, usize)> = self.faults.keys().copied().collect();
+        for (row, col) in positions {
+            self.faults.remove(&(row, col));
+            self.plan = self.plan.patch_fault(row, col, None);
+            self.parent_plan = self.parent_plan.patch_fault(row, col, None);
+        }
+    }
+
     /// The plan that was configured before the most recent genotype change
     /// (kept in sync with overlay edits), i.e. the parent of
     /// [`plan`](Self::plan) under [`last_gene_diff`](Self::last_gene_diff).

@@ -75,7 +75,7 @@ impl PartialBitstream {
     }
 
     /// Size of the bitstream payload in bytes.
-    pub fn byte_len(&self) -> usize {
+    pub(crate) fn byte_len(&self) -> usize {
         self.frames.len() * crate::frame::FRAME_BYTES
     }
 

@@ -36,18 +36,6 @@ pub struct ScrubReport {
     pub damaged_frames: Vec<FrameAddress>,
 }
 
-impl ScrubReport {
-    /// Total number of frames visited.
-    pub fn total(&self) -> usize {
-        self.clean + self.repaired + self.permanent
-    }
-
-    /// `true` if no corruption at all was found.
-    pub fn is_clean(&self) -> bool {
-        self.repaired == 0 && self.permanent == 0
-    }
-}
-
 /// A scrubber holding golden copies of the frames it is responsible for.
 #[derive(Debug, Clone, Default)]
 pub struct Scrubber {
@@ -89,22 +77,6 @@ impl Scrubber {
         }
     }
 
-    /// Scrubs every frame with a golden copy and returns an aggregate report.
-    pub fn scrub_all(&self, mem: &mut ConfigMemory) -> ScrubReport {
-        let mut report = ScrubReport::default();
-        for addr in self.golden.keys().copied().collect::<Vec<_>>() {
-            match self.scrub_frame(mem, addr) {
-                FrameScrubOutcome::Clean => report.clean += 1,
-                FrameScrubOutcome::Repaired => report.repaired += 1,
-                FrameScrubOutcome::PermanentDamage => {
-                    report.permanent += 1;
-                    report.damaged_frames.push(addr);
-                }
-            }
-        }
-        report
-    }
-
     /// Scrubs only the frames of the provided addresses (e.g. one PE region).
     pub fn scrub_frames(&self, mem: &mut ConfigMemory, addrs: &[FrameAddress]) -> ScrubReport {
         let mut report = ScrubReport::default();
@@ -119,6 +91,29 @@ impl Scrubber {
             }
         }
         report
+    }
+}
+
+/// Test-only whole-store scrubbing and report summaries.
+#[cfg(test)]
+impl Scrubber {
+    /// Scrubs every frame with a golden copy and returns an aggregate report.
+    pub(crate) fn scrub_all(&self, mem: &mut ConfigMemory) -> ScrubReport {
+        let addrs: Vec<FrameAddress> = self.golden.keys().copied().collect();
+        self.scrub_frames(mem, &addrs)
+    }
+}
+
+#[cfg(test)]
+impl ScrubReport {
+    /// Total number of frames visited.
+    pub(crate) fn total(&self) -> usize {
+        self.clean + self.repaired + self.permanent
+    }
+
+    /// `true` if no corruption at all was found.
+    pub(crate) fn is_clean(&self) -> bool {
+        self.repaired == 0 && self.permanent == 0
     }
 }
 

@@ -9,9 +9,9 @@
 //! beat the stage parent.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ehw_bench::CascadeEngine;
 use ehw_parallel::ParallelConfig;
-use ehw_platform::evo_modes::CascadeEngine;
-use ehw_platform::jobs::{execute, JobSpec};
+use ehw_platform::jobs::JobSpec;
 use ehw_platform::modes::{CascadeFitness, CascadeSchedule};
 use ehw_platform::platform::EhwPlatform;
 use std::hint::black_box;
@@ -21,14 +21,13 @@ fn run(engine: CascadeEngine, fitness: CascadeFitness, schedule: CascadeSchedule
     let spec = JobSpec::cascade(task.input, task.reference)
         .stages(3)
         .generations(5)
-        .engine(engine)
         .fitness(fitness)
         .schedule(schedule)
         .build()
         .expect("valid cascade spec");
     let mut platform = EhwPlatform::with_parallel(3, ParallelConfig::serial());
-    let job = execute(&mut platform, &spec, 77);
-    job.final_fitness().expect("three stages")
+    let result = engine.run(&mut platform, &spec, 77);
+    result.final_fitness().expect("three stages")
 }
 
 fn bench_cascade_evolution(c: &mut Criterion) {

@@ -8,8 +8,9 @@
 //! re-extracts clamped windows and resolves genotype/fault state per pixel.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ehw_array::compiled::{interpret_filter_image, CompiledArray};
+use ehw_array::compiled::CompiledArray;
 use ehw_array::genotype::Genotype;
+use ehw_bench::oracle::interpret_filter_image;
 use ehw_evolution::fitness::{plan_mae, plan_mae_bounded, FitnessEvaluator, SoftwareEvaluator};
 use ehw_image::metrics::mae;
 use ehw_image::window::SharedWindows;
@@ -94,7 +95,7 @@ fn bench_evaluator_batch(c: &mut Criterion) {
         let cfg = ParallelConfig::with_workers(workers);
         group.bench_function(format!("batch-{workers}w"), |b| {
             let mut eval = SoftwareEvaluator::new(task.input.clone(), task.reference.clone());
-            b.iter(|| black_box(eval.evaluate_batch_with(&batch, cfg)))
+            b.iter(|| black_box(eval.evaluate_batch_bounded(&batch, None, None, cfg)))
         });
     }
     group.finish();

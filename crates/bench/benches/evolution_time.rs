@@ -33,7 +33,7 @@ fn bench_batch_evaluation(c: &mut Criterion) {
         // see the parallel_scaling bench for the full worker sweep.
         let parallel = ParallelConfig::from_env();
         group.bench_with_input(BenchmarkId::from_parameter(size), &batch, |b, batch| {
-            b.iter(|| black_box(evaluator.evaluate_batch_with(batch, parallel)))
+            b.iter(|| black_box(evaluator.evaluate_batch_bounded(batch, None, None, parallel)))
         });
     }
     group.finish();

@@ -34,7 +34,7 @@ fn bench_batch_evaluation_scaling(c: &mut Criterion) {
     for workers in WORKER_COUNTS {
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
             let cfg = ParallelConfig::with_workers(w);
-            b.iter(|| black_box(evaluator.evaluate_batch_with(&batch, cfg)))
+            b.iter(|| black_box(evaluator.evaluate_batch_bounded(&batch, None, None, cfg)))
         });
     }
     group.finish();

@@ -38,15 +38,16 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use ehw_array::compiled::{interpret_filter_image, CompiledArray};
+use ehw_array::compiled::CompiledArray;
 use ehw_array::genotype::Genotype;
+use ehw_bench::oracle::{self, interpret_filter_image};
+use ehw_bench::CascadeEngine;
 use ehw_evolution::fitness::{plan_mae, FitnessEvaluator, SoftwareEvaluator};
-use ehw_evolution::strategy::{run_evolution, EsConfig, EvalEngine, NullObserver};
+use ehw_evolution::strategy::{run_evolution, EsConfig, NullObserver};
 use ehw_image::filters::ReferenceFilter;
 use ehw_image::metrics::mae;
 use ehw_image::window::{map_windows, SharedWindows, Window3x3, WindowPlanes};
 use ehw_parallel::ParallelConfig;
-use ehw_platform::evo_modes::CascadeEngine;
 use ehw_platform::fault_campaign::{run_campaign, CampaignReport};
 use ehw_platform::jobs::{execute, JobControl};
 use ehw_platform::platform::EhwPlatform;
@@ -131,7 +132,9 @@ fn main() {
         let mut eval = SoftwareEvaluator::new(task.input.clone(), task.reference.clone());
         let cfg = ParallelConfig::with_workers(4);
         time_batches(reps, pixels, || {
-            eval.evaluate_batch_with(&batch, cfg).into_iter().sum()
+            eval.evaluate_batch_bounded(&batch, None, None, cfg)
+                .into_iter()
+                .sum()
         })
     };
 
@@ -221,7 +224,9 @@ fn main() {
     // Same plans, same windows; only the memory layout of the shared window
     // pass differs.  The AoS path gathers nine strided bytes per window and
     // lane; the plane path memcpys contiguous selector runs.
-    let aos: Vec<Window3x3> = (0..windows.len()).map(|k| windows.window(k)).collect();
+    let aos: Vec<Window3x3> = (0..windows.len())
+        .map(|k| oracle::gather_window(windows.planes(), k))
+        .collect();
     let mut layout_out = vec![0u8; windows.len()];
     let aos_tp = time_batches(reps, pixels, || {
         let mut sum = 0u64;
@@ -253,7 +258,7 @@ fn main() {
     for f in ReferenceFilter::ALL {
         assert_eq!(
             f.apply_planes(&filter_planes),
-            map_windows(&task.input, |w| f.kernel(w)),
+            map_windows(&task.input, |w| oracle::filter_kernel(f, w)),
             "plane-routed filter {f:?} diverged from the scalar kernel"
         );
     }
@@ -270,7 +275,9 @@ fn main() {
     let filter_aos_s = time_filters(&mut || {
         let mut sum = 0u64;
         for f in ReferenceFilter::ALL {
-            let out = map_windows(std::hint::black_box(&task.input), |w| f.kernel(w));
+            let out = map_windows(std::hint::black_box(&task.input), |w| {
+                oracle::filter_kernel(f, w)
+            });
             sum = sum.wrapping_add(out.pixel(0, 0) as u64);
         }
         sum
@@ -289,7 +296,6 @@ fn main() {
     let mut evolution = Vec::new();
     for workers in [1usize, 4] {
         let config = EsConfig {
-            engine: EvalEngine::Bounded,
             parallel: ParallelConfig::with_workers(workers),
             ..EsConfig::paper(3, 1, generations, 42)
         };
@@ -322,7 +328,6 @@ fn main() {
         let spec = JobSpec::cascade(cascade_task.input.clone(), cascade_task.reference.clone())
             .stages(3)
             .generations(cascade_generations)
-            .engine(engine)
             .build()
             .expect("valid cascade spec");
         let mut best_s = f64::INFINITY;
@@ -330,9 +335,9 @@ fn main() {
         for _ in 0..cascade_reps {
             let mut platform = EhwPlatform::with_parallel(3, ParallelConfig::serial());
             let start = Instant::now();
-            let job = execute(&mut platform, &spec, 4242);
+            let cascade = engine.run(&mut platform, &spec, 4242);
             best_s = best_s.min(start.elapsed().as_secs_f64().max(1e-9));
-            result = Some(job.as_cascade().expect("cascade job").clone());
+            result = Some(cascade);
         }
         (best_s, result.expect("at least one cascade rep"))
     };
@@ -642,10 +647,7 @@ fn main() {
     let (trained, trained_fitness) = {
         let mut source = make_source(&calm, 91);
         let frame0 = source.frame(0).expect("streams have a frame 0");
-        let config = EsConfig {
-            engine: EvalEngine::Bounded,
-            ..EsConfig::paper(3, 1, stream_generations * 2, 92)
-        };
+        let config = EsConfig::paper(3, 1, stream_generations * 2, 92);
         let mut eval = SoftwareEvaluator::new(frame0, source.reference().clone());
         let result = run_evolution(&config, &mut eval, &mut NullObserver);
         (result.best_genotype, result.best_fitness)

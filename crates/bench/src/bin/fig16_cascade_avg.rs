@@ -5,30 +5,26 @@
 //! The adapted cascades are submitted as one batch of typed jobs to the
 //! [`ehw_service`] front-end (`--platforms=` / `--queue-depth=` size the
 //! pool); seeds are pinned per run, so the figure is byte-identical to the
-//! legacy single-platform path at any pool size.  The same-filter baseline
-//! stays on the legacy `evolve_same_filter_cascade` entry point — it is not a
-//! cascade job, it is the paper's non-adaptive control.
+//! legacy single-platform path at any pool size.  `--naive` runs the same
+//! cascades through `ehw_bench::oracle` instead, with the same figure.  The
+//! same-filter baseline stays on the legacy `evolve_same_filter_cascade`
+//! entry point — it is not a cascade job, it is the paper's non-adaptive
+//! control.
 //!
 //! ```text
-//! cargo run --release -p ehw-bench --bin fig16_cascade_avg -- [--runs=3] [--generations=300]
+//! cargo run --release -p ehw-bench --bin fig16_cascade_avg -- [--runs=3] [--generations=300] [--naive]
 //! ```
 
 use ehw_bench::{banner, denoise_task, print_table, ExperimentArgs};
 use ehw_evolution::stats::Summary;
 use ehw_evolution::strategy::EsConfig;
 use ehw_platform::evo_modes::evolve_same_filter_cascade;
-use ehw_service::JobResult;
 
-/// Splits a batch's worth of per-run chain-fitness histories into per-stage
-/// columns.
-fn per_stage(results: &[JobResult]) -> Vec<Vec<u64>> {
+/// Splits per-run chain-fitness histories into per-stage columns.
+fn per_stage(runs: &[Vec<u64>]) -> Vec<Vec<u64>> {
     let mut columns: Vec<Vec<u64>> = vec![Vec::new(); 3];
-    for result in results {
-        // A failed job has an empty history; averaging over the survivors
-        // would silently skew the figure, so fail loudly like the legacy
-        // path did.
-        assert!(!result.is_failed(), "cascade job {} failed", result.job_id);
-        for (stage, fitness) in result.history().iter().enumerate() {
+    for run in runs {
+        for (stage, fitness) in run.iter().enumerate() {
             columns[stage].push(*fitness);
         }
     }
@@ -65,12 +61,10 @@ fn main() {
     }
 
     // Adapted cascades: 2 schedules × runs jobs, multiplexed over the pool
-    // (same sweep builder as Fig. 17, so the two figures stay in lockstep).
-    let service = args.service(0);
-    let specs = ehw_bench::cascade_sweep_specs(&args, 5000, 300, 400);
-    let results = service.run_batch(specs).expect("service accepts the batch");
-    let sequential = per_stage(&results[..args.runs]);
-    let interleaved = per_stage(&results[args.runs..]);
+    // (same sweep as Fig. 17, so the two figures stay in lockstep).
+    let runs = ehw_bench::cascade_sweep(&args, 5000, 300, 400);
+    let sequential = per_stage(&runs[..args.runs]);
+    let interleaved = per_stage(&runs[args.runs..]);
 
     let rows: Vec<Vec<String>> = (0..3)
         .map(|stage| {

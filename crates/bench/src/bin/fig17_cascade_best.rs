@@ -4,16 +4,15 @@
 //! Like Fig. 16, the adapted cascades run as a batch of typed jobs through
 //! the [`ehw_service`] front-end with pinned per-run seeds, so the figure is
 //! byte-identical to the legacy path at any `--platforms=` / `--workers=`
-//! setting.
+//! setting, and to the `ehw_bench::oracle` run that `--naive` selects.
 //!
 //! ```text
-//! cargo run --release -p ehw-bench --bin fig17_cascade_best -- [--runs=3] [--generations=300]
+//! cargo run --release -p ehw-bench --bin fig17_cascade_best -- [--runs=3] [--generations=300] [--naive]
 //! ```
 
 use ehw_bench::{banner, denoise_task, print_table, ExperimentArgs};
 use ehw_evolution::strategy::EsConfig;
 use ehw_platform::evo_modes::evolve_same_filter_cascade;
-use ehw_service::JobResult;
 
 fn best_per_stage(all_runs: &[Vec<u64>]) -> Vec<u64> {
     // Per the paper, Fig. 17 reports the best run: select the run with the
@@ -23,18 +22,6 @@ fn best_per_stage(all_runs: &[Vec<u64>]) -> Vec<u64> {
         .min_by_key(|run| *run.last().expect("three stages"))
         .expect("at least one run");
     best_run.clone()
-}
-
-fn histories(results: &[JobResult]) -> Vec<Vec<u64>> {
-    results
-        .iter()
-        .map(|r| {
-            // A failed job has an empty history; best_per_stage would then
-            // pick among fewer runs than requested — fail loudly instead.
-            assert!(!r.is_failed(), "cascade job {} failed", r.job_id);
-            r.history().to_vec()
-        })
-        .collect()
 }
 
 fn main() {
@@ -59,17 +46,13 @@ fn main() {
         same_runs.push(evolve_same_filter_cascade(&mut platform, &task, &config).stage_fitness);
     }
 
-    // Adapted cascades as one service batch: 2 schedules × runs jobs (same
-    // sweep builder as Fig. 16, so the two figures stay in lockstep).
-    let service = args.service(0);
-    let specs = ehw_bench::cascade_sweep_specs(&args, 6000, 600, 700);
-    let results = service.run_batch(specs).expect("service accepts the batch");
-    let seq_runs = histories(&results[..args.runs]);
-    let int_runs = histories(&results[args.runs..]);
+    // Adapted cascades: 2 schedules × runs jobs (same sweep as Fig. 16, so
+    // the two figures stay in lockstep).
+    let runs = ehw_bench::cascade_sweep(&args, 6000, 600, 700);
 
     let same = best_per_stage(&same_runs);
-    let sequential = best_per_stage(&seq_runs);
-    let interleaved = best_per_stage(&int_runs);
+    let sequential = best_per_stage(&runs[..args.runs]);
+    let interleaved = best_per_stage(&runs[args.runs..]);
 
     let rows: Vec<Vec<String>> = (0..3)
         .map(|stage| {

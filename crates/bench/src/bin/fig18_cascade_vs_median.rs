@@ -6,15 +6,18 @@
 //! above this one, more than twice the value obtained for just one stage, and
 //! it is not cascadable".
 //!
+//! `--naive` evolves the cascade through `ehw_bench::oracle` instead of the
+//! cascade job, with the same circuits and fitness.
+//!
 //! ```text
-//! cargo run --release -p ehw-bench --bin fig18_cascade_vs_median -- [--generations=600] [--out=DIR]
+//! cargo run --release -p ehw-bench --bin fig18_cascade_vs_median -- [--generations=600] [--out=DIR] [--naive]
 //! ```
 
 use ehw_bench::{banner, denoise_task, print_table, ExperimentArgs};
 use ehw_image::filters;
 use ehw_image::metrics::{mae, psnr};
 use ehw_image::pgm;
-use ehw_platform::jobs::{execute, JobSpec};
+use ehw_platform::jobs::JobSpec;
 use ehw_platform::platform::EhwPlatform;
 
 fn main() {
@@ -40,11 +43,9 @@ fn main() {
     let spec = JobSpec::cascade(task.input.clone(), task.reference.clone())
         .stages(3)
         .generations(generations / 3)
-        .engine(engine)
         .build()
         .expect("valid cascade spec (--generations must be at least 3)");
-    let job = execute(&mut platform, &spec, 4242);
-    let result = job.as_cascade().expect("cascade job");
+    let result = engine.run(&mut platform, &spec, 4242);
     println!(
         "cascade engine: {engine:?} — {} evaluations, early-exit rate {:.1}%, {} memo hits",
         result.evaluations,

@@ -6,12 +6,19 @@
 //! synthetic stand-ins for the paper's 128×128 / 256×256 camera images with
 //! 40 % salt & pepper noise) and plain-text table printing so results can be
 //! diffed against EXPERIMENTS.md.
+//!
+//! [`oracle`] holds the reference implementations the production fast paths
+//! are pinned to: the equivalence suites, the benches and the figure
+//! binaries' `--naive` mode run them.
+
+pub mod oracle;
 
 use ehw_image::image::GrayImage;
 use ehw_image::noise::NoiseModel;
 use ehw_image::synth;
 use ehw_parallel::ParallelConfig;
-use ehw_platform::evo_modes::{CascadeEngine, EvolutionTask};
+use ehw_platform::evo_modes::{CascadeResult, EvolutionTask};
+use ehw_platform::jobs::{execute, JobSpec};
 use ehw_platform::platform::EhwPlatform;
 use ehw_service::{EhwService, ServiceConfig};
 use rand::rngs::StdRng;
@@ -52,10 +59,33 @@ pub fn arg_parallel() -> ParallelConfig {
     cfg
 }
 
-/// The cascade-evaluation engine knob shared by the cascade figure binaries:
-/// `--naive` selects the oracle path (per-candidate chain refiltering), the
-/// default is the compiled engine.  Results are byte-identical either way;
-/// only wall-clock time changes.
+/// Which implementation runs a figure binary's cascades.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CascadeEngine {
+    /// [`oracle::run_cascade`] on a local platform: per-candidate chain
+    /// refiltering.
+    Naive,
+    /// The platform's cascade jobs (the compiled engine).
+    Compiled,
+}
+
+impl CascadeEngine {
+    /// Runs a cascade spec on `platform` with this engine, seeded as
+    /// `ehw_platform::jobs::execute` seeds it.
+    pub fn run(self, platform: &mut EhwPlatform, spec: &JobSpec, seed: u64) -> CascadeResult {
+        match self {
+            CascadeEngine::Naive => oracle::run_cascade(platform, spec, seed),
+            CascadeEngine::Compiled => execute(platform, spec, seed)
+                .as_cascade()
+                .expect("cascade job")
+                .clone(),
+        }
+    }
+}
+
+/// The cascade-engine knob shared by the cascade figure binaries: `--naive`
+/// runs the cascades through the oracle, the default through the job path.
+/// Results are byte-identical either way; only wall-clock time changes.
 pub fn arg_cascade_engine() -> CascadeEngine {
     if arg_flag("naive") {
         CascadeEngine::Naive
@@ -131,18 +161,60 @@ impl ExperimentArgs {
     }
 }
 
-/// The Fig. 16/17 adapted-cascade sweep as one service batch: for each of
-/// the two schedules, `args.runs` three-stage cascade jobs (λ = 9, k = 2,
-/// the configured engine) with pinned seeds `schedule_seed_base + run` over
-/// the tasks `denoise_task(args.size, 0.4, task_seed_base + run)`.  Returns
-/// the specs in `[sequential runs…, interleaved runs…]` order, so both
-/// figure binaries stay in lockstep by construction.
-pub fn cascade_sweep_specs(
+/// The Fig. 16/17 adapted-cascade sweep: for each of the two schedules,
+/// `args.runs` three-stage cascade jobs (λ = 9, k = 2) with pinned seeds
+/// `schedule_seed_base + run` over the tasks
+/// `denoise_task(args.size, 0.4, task_seed_base + run)`.  Runs them as one
+/// service batch, or through the naive oracle under `--naive`, and returns
+/// each run's per-stage chain fitness in `[sequential runs…, interleaved
+/// runs…]` order, so both figure binaries stay in lockstep by construction.
+pub fn cascade_sweep(
     args: &ExperimentArgs,
     task_seed_base: u64,
     sequential_seed_base: u64,
     interleaved_seed_base: u64,
-) -> Vec<ehw_service::JobSpec> {
+) -> Vec<Vec<u64>> {
+    let specs = cascade_sweep_specs(
+        args,
+        task_seed_base,
+        sequential_seed_base,
+        interleaved_seed_base,
+    );
+    match args.engine {
+        CascadeEngine::Compiled => {
+            let results = args
+                .service(0)
+                .run_batch(specs)
+                .expect("service accepts the batch");
+            results
+                .iter()
+                .map(|result| {
+                    // A failed job has an empty history; the figures would
+                    // then silently average or rank fewer runs than
+                    // requested — fail loudly instead.
+                    assert!(!result.is_failed(), "cascade job {} failed", result.job_id);
+                    result.history().to_vec()
+                })
+                .collect()
+        }
+        CascadeEngine::Naive => specs
+            .iter()
+            .map(|spec| {
+                let seed = spec.seed().expect("sweep seeds are pinned");
+                CascadeEngine::Naive
+                    .run(&mut args.platform(3), spec, seed)
+                    .stage_fitness
+            })
+            .collect(),
+    }
+}
+
+fn cascade_sweep_specs(
+    args: &ExperimentArgs,
+    task_seed_base: u64,
+    sequential_seed_base: u64,
+    interleaved_seed_base: u64,
+) -> Vec<JobSpec> {
     use ehw_platform::modes::CascadeSchedule;
     let mut specs = Vec::new();
     for &(schedule, seed_base) in &[
@@ -152,12 +224,11 @@ pub fn cascade_sweep_specs(
         for run in 0..args.runs {
             let task = denoise_task(args.size, 0.4, task_seed_base + run as u64);
             specs.push(
-                ehw_service::JobSpec::cascade(task.input, task.reference)
+                JobSpec::cascade(task.input, task.reference)
                     .stages(3)
                     .generations(args.generations)
                     .mutation_rate(2)
                     .schedule(schedule)
-                    .engine(args.engine)
                     .seed(seed_base + run as u64)
                     .build()
                     .expect("valid cascade spec"),

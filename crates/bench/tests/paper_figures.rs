@@ -11,12 +11,34 @@
 //!
 //! `parallel_scaling`, `ablation_arrays` and `bench_summary` print wall-clock
 //! times and are not pinned.
+//!
+//! The two cascade sweeps also run with `--naive`, which evolves their
+//! cascades through `ehw_bench::oracle` instead of the cascade jobs: the
+//! oracle must reproduce the same figure, with only the engine line naming
+//! it.
 
 use std::process::Command;
 
 /// Runs `exe` with the golden experiment shape plus `extra` flags and
 /// asserts its stdout equals the committed fixture `name.txt`.
 fn check(name: &str, exe: &str, extra: &[&str]) {
+    check_with(name, exe, extra, |fixture| fixture);
+}
+
+/// Runs a cascade figure with `--naive` and asserts its stdout equals the
+/// committed fixture `name.txt` with the engine line naming the oracle.
+fn check_naive(name: &str, exe: &str) {
+    check_with(name, exe, &["--naive"], |fixture| {
+        assert!(
+            fixture.contains("cascade engine: Compiled"),
+            "{name} fixture"
+        );
+        fixture.replace("cascade engine: Compiled", "cascade engine: Naive")
+    });
+}
+
+/// [`check`] against `expected(fixture)`.
+fn check_with(name: &str, exe: &str, extra: &[&str], expected: impl FnOnce(String) -> String) {
     let output = Command::new(exe)
         .args(["--runs=1", "--generations=20"])
         .args(extra)
@@ -29,8 +51,9 @@ fn check(name: &str, exe: &str, extra: &[&str]) {
         String::from_utf8_lossy(&output.stderr)
     );
     let path = format!("{}/tests/figures/{name}.txt", env!("CARGO_MANIFEST_DIR"));
-    let expected =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    let expected = expected(
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}")),
+    );
     let actual = String::from_utf8(output.stdout).expect("figure output is UTF-8");
     assert_eq!(actual, expected, "{name}: output drifted from the fixture");
 }
@@ -91,6 +114,19 @@ fn fig17_cascade_best() {
         "fig17_cascade_best",
         env!("CARGO_BIN_EXE_fig17_cascade_best"),
         &[],
+    );
+}
+
+#[test]
+fn fig16_cascade_avg_naive() {
+    check_naive("fig16_cascade_avg", env!("CARGO_BIN_EXE_fig16_cascade_avg"));
+}
+
+#[test]
+fn fig17_cascade_best_naive() {
+    check_naive(
+        "fig17_cascade_best",
+        env!("CARGO_BIN_EXE_fig17_cascade_best"),
     );
 }
 

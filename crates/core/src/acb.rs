@@ -41,7 +41,7 @@ impl ArrayControlBlock {
     }
 
     /// The functional array model.
-    pub(crate) fn array(&self) -> &ProcessingArray {
+    pub fn array(&self) -> &ProcessingArray {
         &self.array
     }
 

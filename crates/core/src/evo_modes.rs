@@ -12,7 +12,7 @@
 //!   distributed over the arrays and evaluated simultaneously; evolution time
 //!   follows the pipeline of Fig. 11 (run as a
 //!   [`JobSpec::evolution`](crate::jobs::JobSpec::evolution) job),
-//! * the cascade engines — cascaded evolution with separate or merged
+//! * the cascade engine — cascaded evolution with separate or merged
 //!   fitness, sequential or interleaved scheduling (Figs. 6, 16, 17; run as a
 //!   [`JobSpec::cascade`](crate::jobs::JobSpec::cascade) job),
 //! * [`evolve_same_filter_cascade`] — the "same filter in every stage"
@@ -33,7 +33,6 @@ use ehw_evolution::strategy::{
     NullObserver,
 };
 use ehw_image::image::GrayImage;
-use ehw_image::metrics::mae;
 
 use crate::modes::{CascadeFitness, CascadeSchedule};
 use crate::platform::EhwPlatform;
@@ -60,26 +59,19 @@ impl EvolutionTask {
     }
 }
 
-/// Fitness evaluator that distributes candidates over the platform's arrays,
-/// evaluating them on parallel host threads — the software counterpart of the
-/// parallel evolution mode, where each array evaluates one candidate of the
-/// generation.  Array faults are honoured: a candidate assigned to a damaged
-/// array is scored on the damaged array — the candidate's genotype is
-/// compiled against that array's fault overlay, so the fault corrupts the
-/// *plan*, never a per-pixel lookup.
+/// Fitness evaluator that distributes candidates over the platform's arrays —
+/// the software counterpart of the parallel evolution mode, where each array
+/// evaluates one candidate of the generation.  A thin holder of a
+/// [`SoftwareEvaluator`] over copies of the platform's arrays: array faults
+/// are honoured, since a candidate assigned to a damaged array is compiled
+/// against that array's fault overlay.
 ///
-/// When constructed `with_windows`, the window
-/// extraction is shared with every other job training on the same image
-/// (the service-scope [`CrossJobCache`](crate::cache::CrossJobCache) hands it
-/// out); scoring is identical either way.
+/// When constructed `with_windows`, the window extraction is shared with
+/// every other job training on the same image (the service-scope
+/// [`CrossJobCache`](crate::cache::CrossJobCache) hands it out); scoring is
+/// identical either way.
 #[derive(Debug)]
-pub struct PlatformEvaluator {
-    arrays: Vec<ProcessingArray>,
-    windows: std::sync::Arc<ehw_image::window::SharedWindows>,
-    reference: GrayImage,
-    evaluations: u64,
-    stats: ehw_evolution::fitness::EngineStats,
-}
+pub struct PlatformEvaluator(SoftwareEvaluator);
 
 impl PlatformEvaluator {
     /// Creates an evaluator over the platform's current arrays and the given
@@ -96,39 +88,27 @@ impl PlatformEvaluator {
         task: &EvolutionTask,
         windows: std::sync::Arc<ehw_image::window::SharedWindows>,
     ) -> Self {
-        Self {
-            arrays: platform
-                .acbs()
-                .iter()
-                .map(|acb| acb.array().clone())
-                .collect(),
+        let arrays = platform
+            .acbs()
+            .iter()
+            .map(|acb| acb.array().clone())
+            .collect();
+        Self(SoftwareEvaluator::with_arrays(
+            arrays,
             windows,
-            reference: task.reference.clone(),
-            evaluations: 0,
-            stats: ehw_evolution::fitness::EngineStats::default(),
-        }
+            task.reference.clone(),
+        ))
     }
 
     /// Work-saved counters of the engine paths (memo hits, early exits).
     pub(crate) fn engine_stats(&self) -> ehw_evolution::fitness::EngineStats {
-        self.stats
+        self.0.engine_stats()
     }
 }
 
 impl FitnessEvaluator for PlatformEvaluator {
     fn evaluate(&mut self, genotype: &Genotype) -> u64 {
-        self.evaluations += 1;
-        self.stats.plans_evaluated += 1;
-        let plan = self.arrays[0].compile_with(genotype);
-        ehw_evolution::fitness::plan_mae(&plan, &self.windows, &self.reference)
-    }
-
-    fn evaluate_batch(&mut self, batch: &[Genotype]) -> Vec<u64> {
-        self.evaluate_batch_with(batch, ParallelConfig::from_env())
-    }
-
-    fn evaluate_batch_with(&mut self, batch: &[Genotype], parallel: ParallelConfig) -> Vec<u64> {
-        self.evaluate_batch_bounded(batch, None, None, parallel)
+        self.0.evaluate(genotype)
     }
 
     fn evaluate_batch_bounded(
@@ -138,67 +118,12 @@ impl FitnessEvaluator for PlatformEvaluator {
         incumbent: Option<(&Genotype, u64)>,
         parallel: ParallelConfig,
     ) -> Vec<u64> {
-        // Candidate i is scored on array i % num_arrays (round-robin, like
-        // the hardware's candidate distribution); the pool merges fitness
-        // values in candidate order, so results are identical at any worker
-        // count.  Two arrays may carry different faults, so the duplicate
-        // memo is keyed by (array, genotype), and the incumbent *fitness*
-        // shortcut is ignored — the incumbent's fitness belongs to whichever
-        // array scored it, which is unknowable here.  The incumbent genotype
-        // is still useful: its plan is compiled once per array and each
-        // worker keeps resident copies that candidates are patched into
-        // (≤ k gene writes each way), which is bit-identical to a fresh
-        // compile under the same overlay.  Early exit stays sound per
-        // candidate: a value is exact iff it is `<= bound` on *its* array.
-        self.evaluations += batch.len() as u64;
-        let num_arrays = self.arrays.len();
-        let arrays = &self.arrays;
-        let windows = &self.windows;
-        let reference = &self.reference;
-        match incumbent {
-            Some((pg, _)) => {
-                let parent_plans: Vec<ehw_array::compiled::CompiledArray> =
-                    arrays.iter().map(|a| a.compile_with(pg)).collect();
-                // Diffs are computed once per candidate up front (mutation
-                // bookkeeping); the workers only replay them.
-                let diffs: Vec<_> = batch.iter().map(|g| g.diff_from(pg)).collect();
-                ehw_evolution::fitness::batch_mae_bounded_init(
-                    batch,
-                    None,
-                    parallel,
-                    |i, g| (i % num_arrays, g),
-                    |_| false,
-                    || parent_plans.clone(),
-                    |plans, i| {
-                        let plan = &mut plans[i % num_arrays];
-                        let diff = &diffs[i];
-                        plan.apply(diff);
-                        let result = ehw_evolution::fitness::plan_mae_bounded(
-                            plan, windows, reference, bound,
-                        );
-                        plan.revert(diff);
-                        result
-                    },
-                    &mut self.stats,
-                )
-            }
-            None => ehw_evolution::fitness::batch_mae_bounded(
-                batch,
-                None,
-                parallel,
-                |i, g| (i % num_arrays, g),
-                |_| false,
-                |i| {
-                    let plan = arrays[i % num_arrays].compile_with(&batch[i]);
-                    ehw_evolution::fitness::plan_mae_bounded(&plan, windows, reference, bound)
-                },
-                &mut self.stats,
-            ),
-        }
+        self.0
+            .evaluate_batch_bounded(batch, bound, incumbent, parallel)
     }
 
     fn evaluations(&self) -> u64 {
-        self.evaluations
+        self.0.evaluations()
     }
 }
 
@@ -272,23 +197,6 @@ pub enum CascadeInit {
     Random,
 }
 
-/// Which execution engine scores the candidates of a cascaded evolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CascadeEngine {
-    /// The pre-engine behaviour: every candidate clones interpreter arrays
-    /// and re-filters the full chain from the source image.  Kept verbatim as
-    /// the equivalence oracle and the bench baseline, exactly like the
-    /// reference interpreter of the single-array engine.
-    Naive,
-    /// Compiled plans patched from the stage parent's plan + per-generation
-    /// shared stage windows (SoA planes) + early-exit bounds +
-    /// upstream-prefix caching + generation-level downstream-suffix sharing
-    /// for merged fitness (the default).  Byte-identical results to
-    /// [`Naive`](Self::Naive) — enforced by
-    /// `tests/property_cascade_equivalence.rs`.
-    Compiled,
-}
-
 /// Configuration of a cascaded evolution run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CascadeConfig {
@@ -305,9 +213,6 @@ pub struct CascadeConfig {
     pub schedule: CascadeSchedule,
     /// Parent initialisation of each stage.
     pub init: CascadeInit,
-    /// Candidate-evaluation engine; results are byte-identical in either
-    /// mode.
-    pub engine: CascadeEngine,
     /// RNG seed.
     pub seed: u64,
 }
@@ -315,7 +220,7 @@ pub struct CascadeConfig {
 impl CascadeConfig {
     /// A reasonable default mirroring the paper's EA parameters (nine
     /// offspring, separate fitness, sequential stages, pass-through
-    /// initialisation, compiled engine).
+    /// initialisation).
     pub(crate) fn paper(generations: usize, mutation_rate: usize, seed: u64) -> Self {
         Self {
             generations,
@@ -324,7 +229,6 @@ impl CascadeConfig {
             fitness: CascadeFitness::Separate,
             schedule: CascadeSchedule::Sequential,
             init: CascadeInit::Identity,
-            engine: CascadeEngine::Compiled,
             seed,
         }
     }
@@ -338,11 +242,11 @@ pub struct CascadeResult {
     /// MAE of the chain output after each stage against the reference (the
     /// per-stage values plotted in Figs. 16–17).
     pub stage_fitness: Vec<u64>,
-    /// Candidate evaluations performed (parent re-evaluations + offspring);
-    /// identical between the two engines.
+    /// Candidate evaluations performed (parent re-evaluations + offspring),
+    /// memoised or not.
     pub evaluations: u64,
-    /// Work-saved counters of the compiled engine (all zero for the naive
-    /// oracle, which takes no shortcuts).
+    /// Work-saved counters of the cascade engine (plans evaluated, memo
+    /// hits, early exits).
     pub stats: ehw_evolution::fitness::EngineStats,
 }
 
@@ -356,45 +260,78 @@ impl CascadeResult {
     }
 }
 
-fn filter_chain(
-    arrays: &[ProcessingArray],
-    genotypes: &[Genotype],
-    upto: usize,
-    input: &GrayImage,
-) -> GrayImage {
-    let mut stream = input.clone();
-    for s in 0..upto {
-        let mut array = arrays[s].clone();
-        array.set_genotype(genotypes[s].clone());
-        stream = array.filter_image(&stream);
-    }
-    stream
-}
-
 /// Cascaded evolution (§IV.B, Fig. 6), the engine behind
 /// [`JobSpec::cascade`](crate::jobs::JobSpec::cascade) jobs: evolves one
 /// circuit per stage so the chain progressively approaches the reference.
-/// Honours the configured fitness arrangement, schedule and engine, and
-/// configures the evolved circuits into the platform before returning.
+/// Honours the configured fitness arrangement and schedule, and configures
+/// the evolved circuits into the platform before returning.
 ///
-/// The two engines are byte-identical in everything observable
-/// (`stage_genotypes`, `stage_fitness`, `evaluations`), at any worker count;
-/// they differ only in the work performed.  See [`CascadeEngine`].
+/// Candidates run through compiled plans patched from the stage parent's
+/// plan, over per-generation shared stage windows, with the parent's fitness
+/// as the early-exit bound, upstream-prefix caching and (for merged fitness)
+/// generation-level downstream-suffix sharing.  Everything observable
+/// (`stage_genotypes`, `stage_fitness`, `evaluations`) is byte-identical to
+/// per-candidate chain refiltering at any worker count — enforced against
+/// the naive oracle in `ehw_bench::oracle` by
+/// `tests/property_cascade_equivalence.rs`.
 ///
 /// `on_step` is invoked after every scheduler step (one stage-generation)
 /// with a running step index; returning `false` stops the cascade at that
-/// boundary — the job layer's cancellation/deadline/progress seam.  Both
-/// engines call it at identical points, so a cancelled run stops after the
-/// same amount of work either way.
-pub(crate) fn evolve_cascade_with_engine(
+/// boundary — the job layer's cancellation/deadline/progress seam.
+pub(crate) fn evolve_cascade(
     platform: &mut EhwPlatform,
     task: &EvolutionTask,
     config: &CascadeConfig,
     on_step: &mut dyn FnMut(usize) -> bool,
 ) -> CascadeResult {
-    match config.engine {
-        CascadeEngine::Naive => evolve_cascade_naive(platform, task, config, on_step),
-        CascadeEngine::Compiled => evolve_cascade_compiled(platform, task, config, on_step),
+    let stages = platform.num_arrays();
+    let arrays: Vec<ProcessingArray> = platform
+        .acbs()
+        .iter()
+        .map(|acb| acb.array().clone())
+        .collect();
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let parents = initial_parents(stages, config.init, &mut rng);
+    let parent_plans = arrays
+        .iter()
+        .zip(&parents)
+        .map(|(a, g)| a.compile_with(g))
+        .collect();
+
+    let mut state = CascadeState {
+        task,
+        fitness_mode: config.fitness,
+        parallel: platform.parallel_config(),
+        parents,
+        parent_plans,
+        changed_at: vec![0; stages],
+        epoch: 0,
+        inputs: vec![None; stages],
+        windows: vec![None; stages],
+        parent_fitness: vec![None; stages],
+        suffix_memo: vec![std::collections::HashMap::new(); stages],
+        suffix_memo_order: std::collections::VecDeque::new(),
+        evaluations: 0,
+        stats: ehw_evolution::fitness::EngineStats::default(),
+    };
+
+    let mut step_index = 0usize;
+    drive_schedule(config.schedule, stages, config.generations, |stage| {
+        state.one_generation(stage, config, &mut rng);
+        let go = on_step(step_index);
+        step_index += 1;
+        go
+    });
+
+    for (stage, genotype) in state.parents.iter().enumerate() {
+        platform.configure_array(stage, genotype);
+    }
+    let stage_fitness = platform.chain_fitness(&task.input, &task.reference);
+    CascadeResult {
+        stage_genotypes: state.parents,
+        stage_fitness,
+        evaluations: state.evaluations,
+        stats: state.stats,
     }
 }
 
@@ -437,87 +374,6 @@ fn initial_parents(stages: usize, init: CascadeInit, rng: &mut StdRng) -> Vec<Ge
             CascadeInit::Random => Genotype::random(rng),
         })
         .collect()
-}
-
-/// The naive oracle: per-candidate interpreter-style chain refiltering.
-fn evolve_cascade_naive(
-    platform: &mut EhwPlatform,
-    task: &EvolutionTask,
-    config: &CascadeConfig,
-    on_step: &mut dyn FnMut(usize) -> bool,
-) -> CascadeResult {
-    let stages = platform.num_arrays();
-    let arrays: Vec<ProcessingArray> = platform
-        .acbs()
-        .iter()
-        .map(|acb| acb.array().clone())
-        .collect();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-
-    // Current parent (and its fitness) per stage.
-    let mut parents: Vec<Genotype> = initial_parents(stages, config.init, &mut rng);
-    let mut parent_fitness: Vec<u64> = vec![u64::MAX; stages];
-    let evaluations = std::cell::Cell::new(0u64);
-
-    // Evaluates the candidate for `stage`, honouring the fitness arrangement:
-    // separate fitness scores the stage's own output; merged fitness scores
-    // the output at the end of the chain (later stages use their current
-    // parents).
-    let evaluate = |stage: usize, candidate: &Genotype, parents: &[Genotype]| -> u64 {
-        evaluations.set(evaluations.get() + 1);
-        let stage_input = filter_chain(&arrays, parents, stage, &task.input);
-        let mut array = arrays[stage].clone();
-        array.set_genotype(candidate.clone());
-        let stage_output = array.filter_image(&stage_input);
-        match config.fitness {
-            CascadeFitness::Separate => mae(&stage_output, &task.reference),
-            CascadeFitness::Merged => {
-                let mut stream = stage_output;
-                for s in stage + 1..stages {
-                    let mut downstream = arrays[s].clone();
-                    downstream.set_genotype(parents[s].clone());
-                    stream = downstream.filter_image(&stream);
-                }
-                mae(&stream, &task.reference)
-            }
-        }
-    };
-
-    let mut step_index = 0usize;
-    drive_schedule(config.schedule, stages, config.generations, |stage| {
-        // Re-evaluate the parent: in interleaved scheduling the upstream
-        // stages may have changed since this stage was last visited, which
-        // changes the input (and therefore the fitness) of its parent.
-        parent_fitness[stage] = evaluate(stage, &parents[stage], &parents);
-        let mut best_child: Option<(Genotype, u64)> = None;
-        for _ in 0..config.offspring {
-            let child = parents[stage].mutated(config.mutation_rate, &mut rng);
-            let fitness = evaluate(stage, &child, &parents);
-            if best_child.as_ref().is_none_or(|(_, f)| fitness < *f) {
-                best_child = Some((child, fitness));
-            }
-        }
-        if let Some((child, fitness)) = best_child {
-            if fitness <= parent_fitness[stage] {
-                parents[stage] = child;
-                parent_fitness[stage] = fitness;
-            }
-        }
-        let go = on_step(step_index);
-        step_index += 1;
-        go
-    });
-
-    for (stage, genotype) in parents.iter().enumerate() {
-        platform.configure_array(stage, genotype);
-    }
-    let stage_fitness = platform.chain_fitness(&task.input, &task.reference);
-    CascadeResult {
-        stage_genotypes: parents,
-        stage_fitness,
-        evaluations: evaluations.get(),
-        stats: ehw_evolution::fitness::EngineStats::default(),
-    }
 }
 
 /// Mutable state of the compiled cascade engine.
@@ -631,8 +487,8 @@ impl CascadeState<'_> {
     /// The exact fitness of stage `s`'s current parent, from the cache when
     /// fresh (a memo hit — the value is a pure function of state that has not
     /// changed) or recomputed through the compiled plans.  Counts one
-    /// evaluation either way, mirroring the naive oracle's unconditional
-    /// parent re-evaluation.
+    /// evaluation either way, as the unconditional parent re-evaluation of
+    /// per-candidate refiltering would.
     fn parent_fitness(&mut self, s: usize) -> u64 {
         self.evaluations += 1;
         if let Some((fit, e)) = self.parent_fitness[s] {
@@ -706,12 +562,8 @@ impl CascadeState<'_> {
         let fitnesses = if merged && !downstream.is_empty() {
             // Shared-suffix merged path, phase 1: the stage outputs of the
             // unique candidates, in parallel over the worker pool.
-            let (slots, unique) = ehw_evolution::fitness::dedupe_batch(
-                &offspring,
-                Some((parent, bound)),
-                |_, g| g,
-                |_| true,
-            );
+            let (slots, unique) =
+                ehw_evolution::fitness::dedupe_batch(&offspring, Some((parent, bound)), |_, g| g);
             let diffs: Vec<_> = offspring.iter().map(|g| g.diff_from(parent)).collect();
             let outputs: Vec<GrayImage> = ehw_parallel::ordered_map_init(
                 self.parallel,
@@ -819,7 +671,6 @@ impl CascadeState<'_> {
                 Some((parent, bound)),
                 self.parallel,
                 |_, g| g,
-                |_| true,
                 || parent_plan,
                 |plan, i| {
                     let diff = &diffs[i];
@@ -859,64 +710,6 @@ impl CascadeState<'_> {
                 self.parent_fitness[s] = Some((fitness, self.epoch));
             }
         }
-    }
-}
-
-/// The compiled engine behind [`evolve_cascade_with_engine`].
-fn evolve_cascade_compiled(
-    platform: &mut EhwPlatform,
-    task: &EvolutionTask,
-    config: &CascadeConfig,
-    on_step: &mut dyn FnMut(usize) -> bool,
-) -> CascadeResult {
-    let stages = platform.num_arrays();
-    let arrays: Vec<ProcessingArray> = platform
-        .acbs()
-        .iter()
-        .map(|acb| acb.array().clone())
-        .collect();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let parents = initial_parents(stages, config.init, &mut rng);
-    let parent_plans = arrays
-        .iter()
-        .zip(&parents)
-        .map(|(a, g)| a.compile_with(g))
-        .collect();
-
-    let mut state = CascadeState {
-        task,
-        fitness_mode: config.fitness,
-        parallel: platform.parallel_config(),
-        parents,
-        parent_plans,
-        changed_at: vec![0; stages],
-        epoch: 0,
-        inputs: vec![None; stages],
-        windows: vec![None; stages],
-        parent_fitness: vec![None; stages],
-        suffix_memo: vec![std::collections::HashMap::new(); stages],
-        suffix_memo_order: std::collections::VecDeque::new(),
-        evaluations: 0,
-        stats: ehw_evolution::fitness::EngineStats::default(),
-    };
-
-    let mut step_index = 0usize;
-    drive_schedule(config.schedule, stages, config.generations, |stage| {
-        state.one_generation(stage, config, &mut rng);
-        let go = on_step(step_index);
-        step_index += 1;
-        go
-    });
-
-    for (stage, genotype) in state.parents.iter().enumerate() {
-        platform.configure_array(stage, genotype);
-    }
-    let stage_fitness = platform.chain_fitness(&task.input, &task.reference);
-    CascadeResult {
-        stage_genotypes: state.parents,
-        stage_fitness,
-        evaluations: state.evaluations,
-        stats: state.stats,
     }
 }
 
@@ -997,6 +790,7 @@ mod tests {
     use crate::jobs::{execute, CascadeBuilder, JobSpec};
     use ehw_fabric::fault::FaultKind;
     use ehw_image::filters;
+    use ehw_image::metrics::mae;
     use ehw_image::noise::salt_pepper;
     use ehw_image::synth;
 
@@ -1025,7 +819,7 @@ mod tests {
         let mut eval = PlatformEvaluator::new(&platform, &task);
         let mut rng = StdRng::seed_from_u64(2);
         let batch: Vec<Genotype> = (0..6).map(|_| Genotype::random(&mut rng)).collect();
-        let parallel = eval.evaluate_batch(&batch);
+        let parallel = eval.evaluate_batch_bounded(&batch, None, None, ParallelConfig::from_env());
         let sequential: Vec<u64> = batch
             .iter()
             .map(|g| {
@@ -1046,7 +840,7 @@ mod tests {
         let mut eval = PlatformEvaluator::new(&platform, &task);
         let g = Genotype::identity();
         let batch = vec![g.clone(), g.clone(), g.clone(), g.clone()];
-        let fits = eval.evaluate_batch(&batch);
+        let fits = eval.evaluate_batch_bounded(&batch, None, None, ParallelConfig::from_env());
         // Candidates 0/2 run on the healthy array, 1/3 on the damaged one.
         assert_eq!(fits[0], fits[2]);
         assert_eq!(fits[1], fits[3]);
@@ -1184,41 +978,6 @@ mod tests {
             stats: ehw_evolution::fitness::EngineStats::default(),
         };
         assert_eq!(empty.final_fitness(), None);
-    }
-
-    #[test]
-    fn compiled_and_naive_cascades_are_byte_identical() {
-        // Unit-level spot check of the engine equivalence (the root proptest
-        // suite broadens it): same config and seed ⇒ identical genotypes,
-        // stage fitness and evaluation counts, and the compiled engine must
-        // actually have saved work.
-        let task = denoise_task(20, 0.35, 71);
-        for fitness in [CascadeFitness::Separate, CascadeFitness::Merged] {
-            for schedule in [CascadeSchedule::Sequential, CascadeSchedule::Interleaved] {
-                let run = |engine: CascadeEngine| {
-                    let mut platform = EhwPlatform::paper_three_arrays();
-                    let spec = cascade_spec(&platform, &task)
-                        .generations(8)
-                        .fitness(fitness)
-                        .schedule(schedule)
-                        .engine(engine);
-                    run_cascade(&mut platform, spec, 67)
-                };
-                let naive = run(CascadeEngine::Naive);
-                let compiled = run(CascadeEngine::Compiled);
-                assert_eq!(
-                    naive.stage_genotypes, compiled.stage_genotypes,
-                    "{fitness:?}/{schedule:?}"
-                );
-                assert_eq!(naive.stage_fitness, compiled.stage_fitness);
-                assert_eq!(naive.evaluations, compiled.evaluations);
-                assert!(
-                    compiled.stats.early_exits > 0 || compiled.stats.memo_hits > 0,
-                    "engine saved nothing: {:?}",
-                    compiled.stats
-                );
-            }
-        }
     }
 
     #[test]

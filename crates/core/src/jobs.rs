@@ -39,14 +39,13 @@ use ehw_evolution::strategy::{
     run_evolution_with_parent, EsConfig, EvolutionResult, GenerationObserver, MutationStrategy,
 };
 use ehw_image::image::GrayImage;
-use ehw_stream::source::MIN_FRAME_EDGE;
 use ehw_stream::{
     AdaptationConfig, DriftConfig, FrameSource, NoiseSegment, PgmDirSource, SceneKind,
     StreamConfig, StreamEvent, StreamReport, SyntheticSource,
 };
 
 use crate::evo_modes::{
-    CascadeConfig, CascadeEngine, CascadeInit, CascadeResult, EvolutionTask, PlatformEvaluator,
+    CascadeConfig, CascadeInit, CascadeResult, EvolutionTask, PlatformEvaluator,
 };
 use crate::fault_campaign::CampaignReport;
 use crate::modes::{CascadeFitness, CascadeSchedule};
@@ -328,6 +327,19 @@ pub struct CascadeSpec {
     seed: Option<u64>,
 }
 
+impl CascadeSpec {
+    /// The training pair.
+    pub fn task(&self) -> &EvolutionTask {
+        &self.task
+    }
+
+    /// The cascade configuration (its seed is replaced by the job's seed at
+    /// execution).
+    pub fn config(&self) -> &CascadeConfig {
+        &self.config
+    }
+}
+
 /// Builder for [`JobSpec::Cascade`]; see [`JobSpec::cascade`].
 #[derive(Debug, Clone)]
 pub struct CascadeBuilder {
@@ -378,13 +390,6 @@ impl CascadeBuilder {
     /// Per-stage parent initialisation.
     pub fn init(mut self, init: CascadeInit) -> Self {
         self.config.init = init;
-        self
-    }
-
-    /// Candidate-evaluation engine (default compiled; results are
-    /// byte-identical in either mode).
-    pub fn engine(mut self, engine: CascadeEngine) -> Self {
-        self.config.engine = engine;
         self
     }
 
@@ -729,16 +734,7 @@ impl StreamBuilder {
                 schedule,
                 ..
             } => {
-                if *frames == 0 {
-                    return Err(invalid("stream must contain at least one frame".into()));
-                }
-                if *width < MIN_FRAME_EDGE || *height < MIN_FRAME_EDGE {
-                    return Err(invalid(format!(
-                        "frame {width}x{height} is below the \
-                         {MIN_FRAME_EDGE}x{MIN_FRAME_EDGE} minimum"
-                    )));
-                }
-                ehw_stream::source::validate_schedule(schedule)
+                ehw_stream::source::validate_synthetic(*width, *height, *frames, schedule)
                     .map_err(|e| invalid(e.to_string()))?;
             }
             // PgmDirSource::new already loaded and shape-checked every frame.
@@ -1302,11 +1298,8 @@ pub fn execute_controlled_cached(
         JobSpec::Cascade(s) => {
             let config = CascadeConfig { seed, ..s.config };
             let mut stopped = None;
-            let result = crate::evo_modes::evolve_cascade_with_engine(
-                platform,
-                &s.task,
-                &config,
-                &mut |step| {
+            let result =
+                crate::evo_modes::evolve_cascade(platform, &s.task, &config, &mut |step| {
                     progress(JobProgress {
                         generation: step,
                         best_fitness: None,
@@ -1314,8 +1307,7 @@ pub fn execute_controlled_cached(
                     });
                     stopped = stopped.or_else(|| control.stop_reason());
                     stopped.is_none()
-                },
-            );
+                });
             let (evaluations, stats) = (result.evaluations, result.stats);
             let output = match stopped {
                 Some(kind) => JobOutput::Cancelled(kind),
@@ -1769,6 +1761,34 @@ mod tests {
         assert_eq!(spec.kind(), "stream");
         assert_eq!(spec.arrays_needed(), 1);
         assert_eq!(spec.seed(), None);
+    }
+
+    #[test]
+    fn stream_builder_rejects_synthetic_streams_too_large_to_render() {
+        // A 10^12-pixel frame used to pass validation and abort the process
+        // when the shard allocated it; 10^9 small frames would hold a shard
+        // for hours.
+        for (width, height, frames) in [
+            (1_000_000, 1_000_000, 1_000_000_000),
+            (1_000_000, 1_000_000, 1),
+            (16, 16, 1_000_000_000),
+        ] {
+            let huge = StreamSourceSpec::Synthetic {
+                scene: SceneKind::Gradient,
+                width,
+                height,
+                frames,
+                schedule: vec![NoiseSegment {
+                    start_frame: 0,
+                    noise: ehw_image::noise::NoiseModel::SaltPepper { density: 0.1 },
+                }],
+            };
+            let err = JobSpec::stream(huge).build().unwrap_err();
+            assert!(
+                matches!(err, SpecError::InvalidStream { ref reason } if reason.contains("maximum")),
+                "{width}x{height}x{frames}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -20,13 +20,10 @@
 //! after it, lane-wise, so clean and faulty plans share one vectorised path.
 //! [`CompiledArray::evaluate_window`] is the scalar path for single windows.
 //!
-//! The original interpreter is kept verbatim in this module
-//! ([`interpret_window`] / [`interpret_filter_image`]) as the correctness
-//! oracle for the equivalence suite and as the baseline the evaluation
-//! benches measure the plan against; `CompiledArray` is bit-identical to it
-//! by construction and by test.
-
-use std::collections::BTreeMap;
+//! The original per-pixel interpreter lives in `ehw_bench::oracle` as the
+//! correctness oracle of the equivalence suite and the baseline the
+//! evaluation benches measure the plan against; `CompiledArray` is
+//! bit-identical to it by construction and by test.
 
 use ehw_image::image::GrayImage;
 use ehw_image::window::{Window3x3, WindowPlanes};
@@ -173,8 +170,8 @@ impl CompiledArray {
     /// lanes.
     pub const BLOCK: usize = 64;
 
-    /// Computes the array output for one 3×3 window — bit-identical to
-    /// [`interpret_window`] on the same genotype and overlay.  The scalar
+    /// Computes the array output for one 3×3 window — bit-identical to the
+    /// reference interpreter on the same genotype and overlay.  The scalar
     /// path for single-window callers; bulk callers go through the block
     /// path of [`evaluate_windows_into`](Self::evaluate_windows_into) and
     /// [`evaluate_planes_into`](Self::evaluate_planes_into).
@@ -404,61 +401,6 @@ fn apply_faulty_lanes(f: PeFunction, fault: FaultBehaviour, w: &[u8], n: &mut [u
     }
 }
 
-// ---------------------------------------------------------------------------
-// The reference interpreter
-// ---------------------------------------------------------------------------
-
-/// The original per-pixel interpreter: resolves the genotype's accessors and
-/// the `BTreeMap` fault overlay for every window.  Kept as the correctness
-/// oracle of the proptest equivalence suite and as the baseline of the
-/// candidate-evaluation bench; production paths go through [`CompiledArray`].
-pub fn interpret_window(
-    genotype: &Genotype,
-    faults: &BTreeMap<(usize, usize), FaultBehaviour>,
-    window: &Window3x3,
-) -> u8 {
-    // Array inputs after the 9-to-1 selection muxes.
-    let mut north = [0u8; ARRAY_COLS];
-    for (c, n) in north.iter_mut().enumerate() {
-        *n = window.select(genotype.north_selector(c));
-    }
-    let mut west = [0u8; ARRAY_ROWS];
-    for (r, w) in west.iter_mut().enumerate() {
-        *w = window.select(genotype.west_selector(r));
-    }
-
-    // Systolic propagation: each PE consumes the output of its west and
-    // north neighbours (or the corresponding array input on the first
-    // column / row) and forwards its registered result east and south.
-    let mut outputs = [[0u8; ARRAY_COLS]; ARRAY_ROWS];
-    for r in 0..ARRAY_ROWS {
-        for c in 0..ARRAY_COLS {
-            let w_in = if c == 0 { west[r] } else { outputs[r][c - 1] };
-            let n_in = if r == 0 { north[c] } else { outputs[r - 1][c] };
-            let correct = genotype.pe_function(r, c).apply(w_in, n_in);
-            outputs[r][c] = match faults.get(&(r, c)) {
-                Some(fault) => fault.corrupt(correct, w_in, n_in),
-                None => correct,
-            };
-        }
-    }
-
-    let out_row = (genotype.output_gene as usize) % ARRAY_ROWS;
-    outputs[out_row][ARRAY_COLS - 1]
-}
-
-/// Filters a whole image through the reference interpreter, extracting every
-/// window with the clamped per-pixel builder (the pre-engine hot path).
-pub fn interpret_filter_image(
-    genotype: &Genotype,
-    faults: &BTreeMap<(usize, usize), FaultBehaviour>,
-    img: &GrayImage,
-) -> GrayImage {
-    GrayImage::from_fn(img.width(), img.height(), |x, y| {
-        interpret_window(genotype, faults, &Window3x3::from_image(img, x, y))
-    })
-}
-
 #[cfg(test)]
 impl CompiledArray {
     /// `true` if the plan carries at least one faulty PE.
@@ -473,6 +415,7 @@ mod tests {
     use ehw_image::synth;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn random_overlay(rng: &mut StdRng, density: f64) -> BTreeMap<(usize, usize), FaultBehaviour> {
         let mut overlay = BTreeMap::new();
@@ -500,39 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_matches_interpreter_on_random_circuits() {
-        let mut rng = StdRng::seed_from_u64(0xC0DE);
-        for case in 0..200 {
-            let g = Genotype::random(&mut rng);
-            let overlay = random_overlay(&mut rng, 0.2);
-            let plan = CompiledArray::with_faults(&g, overlay.iter().map(|(&p, &b)| (p, b)));
-            for _ in 0..16 {
-                let w = Window3x3(std::array::from_fn(|_| rng.gen()));
-                assert_eq!(
-                    plan.evaluate_window(&w),
-                    interpret_window(&g, &overlay, &w),
-                    "case {case} diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn compiled_filter_matches_interpreter_filter() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let img = synth::shapes(33, 21, 4);
-        for _ in 0..10 {
-            let g = Genotype::random(&mut rng);
-            let overlay = random_overlay(&mut rng, 0.15);
-            let plan = CompiledArray::with_faults(&g, overlay.iter().map(|(&p, &b)| (p, b)));
-            assert_eq!(
-                plan.filter_image(&img),
-                interpret_filter_image(&g, &overlay, &img)
-            );
-        }
-    }
-
-    #[test]
     fn block_path_matches_scalar_path() {
         let mut rng = StdRng::seed_from_u64(0xB10C);
         for _ in 0..50 {
@@ -546,11 +456,6 @@ mod tests {
             plan.evaluate_windows_into(&windows, &mut block);
             for (k, w) in windows.iter().enumerate() {
                 assert_eq!(block[k], plan.evaluate_window(w), "window {k}");
-                assert_eq!(
-                    block[k],
-                    interpret_window(&g, &BTreeMap::new(), w),
-                    "window {k}"
-                );
             }
         }
     }
@@ -645,7 +550,8 @@ mod tests {
             let mut out = vec![0u8; planes.len()];
             plan.evaluate_planes_into(&planes, 0, &mut out);
             for (i, &o) in out.iter().enumerate() {
-                assert_eq!(o, plan.evaluate_window(&planes.window(i)), "window {i}");
+                let window = Window3x3(std::array::from_fn(|sel| planes.plane(sel)[i]));
+                assert_eq!(o, plan.evaluate_window(&window), "window {i}");
             }
             // Sub-range evaluation (arbitrary start, ragged length) agrees
             // with the full pass.
@@ -664,10 +570,6 @@ mod tests {
         let w = Window3x3([1, 2, 3, 4, 99, 6, 7, 8, 9]);
         // Every input mux decodes to the centre; identity PEs pass it through.
         assert_eq!(plan.evaluate_window(&w), 99);
-        assert_eq!(
-            plan.evaluate_window(&w),
-            interpret_window(&g, &BTreeMap::new(), &w)
-        );
     }
 
     #[test]

@@ -78,12 +78,6 @@ impl Genotype {
         }
     }
 
-    /// The PE function at array position `(row, col)`.
-    #[inline]
-    pub(crate) fn pe_function(&self, row: usize, col: usize) -> PeFunction {
-        PeFunction::from_gene(self.pe_genes[row * ARRAY_COLS + col])
-    }
-
     /// The window-selector gene feeding the north input of `col`.
     #[inline]
     pub(crate) fn north_selector(&self, col: usize) -> u8 {
@@ -318,11 +312,10 @@ mod tests {
         let g = Genotype::identity();
         assert!(g.input_genes.iter().all(|&s| s == 4));
         assert_eq!(g.output_gene, 0);
-        for r in 0..ARRAY_ROWS {
-            for c in 0..ARRAY_COLS {
-                assert_eq!(g.pe_function(r, c), PeFunction::IdentityW);
-            }
-        }
+        assert!(g
+            .pe_genes
+            .iter()
+            .all(|&gene| PeFunction::from_gene(gene) == PeFunction::IdentityW));
     }
 
     #[test]

@@ -26,9 +26,8 @@
 //!   mux) and its mutation/encoding operations,
 //! * [`array`](mod@array) — the functional model of the systolic array: evaluate a
 //!   window, filter whole images (serially or with row-parallel threads),
-//! * [`compiled`] — the flat execution plan the hot paths run (genotype +
-//!   fault overlay baked once per candidate), plus the reference interpreter
-//!   kept as its correctness oracle,
+//! * [`compiled`] — the flat execution plan every evaluation path runs
+//!   (genotype + fault overlay baked once per candidate),
 //! * [`latency`] — the variable-latency model the Array Control Blocks use to
 //!   align data streams,
 //! * [`reconfig_map`] — translation of genotype changes into reconfiguration

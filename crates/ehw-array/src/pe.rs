@@ -147,7 +147,7 @@ impl FaultBehaviour {
 
     /// Output of the damaged PE given the correct result and the inputs.
     #[inline]
-    pub(crate) fn corrupt(&self, correct: u8, w: u8, n: u8) -> u8 {
+    pub fn corrupt(&self, correct: u8, w: u8, n: u8) -> u8 {
         match *self {
             FaultBehaviour::RandomOutput { seed } => {
                 // SplitMix-style hash of (inputs, seed): uniformly distributed,

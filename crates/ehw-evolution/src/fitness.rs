@@ -29,12 +29,15 @@
 //!    candidates inside a batch are evaluated once (a pure-function memo) and
 //!    candidates identical to the incumbent reuse its known fitness.
 //!
-//! Every shortcut is observationally equivalent: the evolution trajectory
-//! (best genotype, fitness history, evaluation counts) is byte-identical with
-//! the engine on or off, at any worker count — enforced by the equivalence
-//! proptest suite.
+//! This is the only evaluation path.  Every shortcut is observationally
+//! equivalent: the evolution trajectory (best genotype, fitness history,
+//! evaluation counts) is byte-identical to exhaustive scoring of every
+//! candidate, at any worker count.  The equivalence proptest suite enforces
+//! it against the reference evaluators of `ehw_bench::oracle`, which live
+//! outside the production crates.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use ehw_array::array::ProcessingArray;
 use ehw_array::compiled::CompiledArray;
@@ -49,27 +52,8 @@ pub trait FitnessEvaluator {
     /// Evaluates one candidate.
     fn evaluate(&mut self, genotype: &Genotype) -> u64;
 
-    /// Evaluates a batch of candidates.  The default implementation is
-    /// sequential; implementations backed by multiple arrays (or by host
-    /// threads) override it to evaluate in parallel, which is exactly what the
-    /// parallel evolution mode of §IV.B does.
-    fn evaluate_batch(&mut self, batch: &[Genotype]) -> Vec<u64> {
-        batch.iter().map(|g| self.evaluate(g)).collect()
-    }
-
-    /// Evaluates a batch under an explicit [`ParallelConfig`].
-    ///
-    /// Results must be returned in batch order and be independent of the
-    /// worker count — candidate fitness is a pure function of the genotype,
-    /// so any two configurations must agree bit for bit.  The default ignores
-    /// the knob and defers to [`evaluate_batch`](Self::evaluate_batch);
-    /// evaluators whose batch path is parallel override this instead.
-    fn evaluate_batch_with(&mut self, batch: &[Genotype], parallel: ParallelConfig) -> Vec<u64> {
-        let _ = parallel;
-        self.evaluate_batch(batch)
-    }
-
-    /// Evaluates a batch with the engine shortcuts of the module docs.
+    /// Evaluates a batch with the engine shortcuts of the module docs, in
+    /// batch order, spread over the workers of `parallel`.
     ///
     /// * `bound` — the incumbent fitness: a returned value is the exact
     ///   fitness whenever it is `<= bound`, and some deterministic value
@@ -81,11 +65,10 @@ pub trait FitnessEvaluator {
     ///   candidate would provably score identically (same array, same
     ///   faults); when in doubt, ignore it.
     ///
-    /// Every candidate counts towards [`evaluations`](Self::evaluations),
-    /// memoised or not, so the counter is identical across the serial, batch
-    /// and bounded paths at any worker count.  The default implementation
-    /// ignores the shortcuts and defers to
-    /// [`evaluate_batch_with`](Self::evaluate_batch_with).
+    /// Results must not depend on the worker count.  Every candidate counts
+    /// towards [`evaluations`](Self::evaluations), memoised or not.  The
+    /// default scores each candidate exactly with
+    /// [`evaluate`](Self::evaluate), one after another.
     fn evaluate_batch_bounded(
         &mut self,
         batch: &[Genotype],
@@ -93,8 +76,8 @@ pub trait FitnessEvaluator {
         incumbent: Option<(&Genotype, u64)>,
         parallel: ParallelConfig,
     ) -> Vec<u64> {
-        let _ = (bound, incumbent);
-        self.evaluate_batch_with(batch, parallel)
+        let _ = (bound, incumbent, parallel);
+        batch.iter().map(|g| self.evaluate(g)).collect()
     }
 
     /// Number of single-candidate evaluations performed so far.
@@ -255,46 +238,23 @@ pub fn chain_mae_bounded(
 }
 
 /// Drives the full dedup → worker pool → scatter pipeline over a candidate
-/// batch for any caller that can score one candidate — the building block
-/// behind every [`FitnessEvaluator::evaluate_batch_bounded`] implementation
-/// and the cascade engine, which evaluates per-stage offspring batches
-/// without owning an evaluator.  `eval(i)` scores batch slot `i` (returning
-/// the [`plan_mae_bounded`]-style `(sum, early_exited)` pair) and must be a
-/// pure function of the slot so results are identical at any worker count;
-/// `key` / `incumbent_applies` are forwarded to [`dedupe_batch`].
-pub fn batch_mae_bounded<'a, K, F>(
-    batch: &'a [Genotype],
-    incumbent: Option<(&Genotype, u64)>,
-    parallel: ParallelConfig,
-    key: impl Fn(usize, &'a Genotype) -> K,
-    incumbent_applies: impl Fn(usize) -> bool,
-    eval: F,
-    stats: &mut EngineStats,
-) -> Vec<u64>
-where
-    K: std::hash::Hash + Eq,
-    F: Fn(usize) -> (u64, bool) + Sync,
-{
-    let (slots, unique) = dedupe_batch(batch, incumbent, key, incumbent_applies);
-    let results = ehw_parallel::ordered_map(parallel, &unique, |_, &i| eval(i));
-    scatter_results(slots, &results, stats)
-}
-
-/// [`batch_mae_bounded`] with a per-worker scratch state (see
-/// [`ehw_parallel::ordered_map_init`]): `init` builds each worker's state
-/// once and `eval` receives it mutably per unique candidate.  This is the
-/// driver for worker-resident plans — patch the resident plan to the
-/// candidate, evaluate, revert — so the per-candidate reconfiguration cost
-/// is ≤ k gene writes each way instead of a full plan compile or copy.
-/// `eval`'s result must not depend on scratch-state history (restore the
-/// state before returning), which keeps results worker-count-invariant.
-#[allow(clippy::too_many_arguments)]
+/// batch — the building block behind [`SoftwareEvaluator`]'s batch path and
+/// the cascade engine, which evaluates per-stage offspring batches without
+/// owning an evaluator.  Each worker builds a scratch state once with `init`
+/// (see [`ehw_parallel::ordered_map_init`]), and `eval(state, i)` scores
+/// batch slot `i`, returning the [`plan_mae_bounded`]-style
+/// `(sum, early_exited)` pair.  This is the loop behind worker-resident plans
+/// — patch the resident plan to the candidate, evaluate, revert — so the
+/// per-candidate reconfiguration cost is ≤ k gene writes each way instead of
+/// a full plan compile or copy.  `eval`'s result must be a pure function of
+/// the slot (restore the state before returning), which keeps results
+/// worker-count-invariant; `key` / `incumbent` are forwarded to
+/// [`dedupe_batch`].
 pub fn batch_mae_bounded_init<'a, K, S, IF, F>(
     batch: &'a [Genotype],
     incumbent: Option<(&Genotype, u64)>,
     parallel: ParallelConfig,
     key: impl Fn(usize, &'a Genotype) -> K,
-    incumbent_applies: impl Fn(usize) -> bool,
     init: IF,
     eval: F,
     stats: &mut EngineStats,
@@ -304,7 +264,7 @@ where
     IF: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> (u64, bool) + Sync,
 {
-    let (slots, unique) = dedupe_batch(batch, incumbent, key, incumbent_applies);
+    let (slots, unique) = dedupe_batch(batch, incumbent, key);
     let results = ehw_parallel::ordered_map_init(parallel, &unique, init, |s, _, &i| eval(s, i));
     scatter_results(slots, &results, stats)
 }
@@ -321,22 +281,20 @@ pub enum Slot {
 
 /// Resolves batch slots against an incumbent and a per-batch memo keyed by
 /// `key(i, genotype)` (evaluators whose candidates land on different arrays
-/// key by array index as well; `incumbent_applies(i)` gates the incumbent
-/// shortcut per slot).  Returns the slot list and the batch indices whose
-/// candidates must actually be evaluated, in batch order.  Building block
-/// for [`FitnessEvaluator::evaluate_batch_bounded`] implementations.
+/// key by array index as well).  Returns the slot list and the batch indices
+/// whose candidates must actually be evaluated, in batch order.  Building
+/// block for [`FitnessEvaluator::evaluate_batch_bounded`] implementations.
 pub fn dedupe_batch<'a, K: std::hash::Hash + Eq>(
     batch: &'a [Genotype],
     incumbent: Option<(&Genotype, u64)>,
     key: impl Fn(usize, &'a Genotype) -> K,
-    incumbent_applies: impl Fn(usize) -> bool,
 ) -> (Vec<Slot>, Vec<usize>) {
     let mut slots = Vec::with_capacity(batch.len());
     let mut unique: Vec<usize> = Vec::with_capacity(batch.len());
     let mut seen: HashMap<K, usize> = HashMap::with_capacity(batch.len());
     for (i, g) in batch.iter().enumerate() {
         if let Some((parent, fit)) = incumbent {
-            if incumbent_applies(i) && g == parent {
+            if g == parent {
                 slots.push(Slot::Known(fit));
                 continue;
             }
@@ -384,19 +342,23 @@ pub fn scatter_results(
         .collect()
 }
 
-/// Software fitness evaluator: one functional array model, one training
-/// image and one reference image.
+/// Software fitness evaluator: functional array models, one training image
+/// and one reference image.
 ///
-/// Faults injected into the underlying array persist across candidates — a
-/// damaged array keeps being damaged no matter what genotype is configured,
-/// which is how the self-healing experiments drive evolution *around* the
-/// fault.
+/// Candidate `i` of a batch is scored on array `i % arrays` (round-robin,
+/// like the hardware's candidate distribution over the parallel evolution
+/// mode's arrays); single candidates are scored on the first array.  Faults
+/// injected into an array persist across candidates — a damaged array keeps
+/// being damaged no matter what genotype is configured, which is how the
+/// self-healing experiments drive evolution *around* the fault.  The fault
+/// corrupts the compiled *plan*, never a per-pixel lookup.
 #[derive(Debug, Clone)]
 pub struct SoftwareEvaluator {
-    array: ProcessingArray,
+    arrays: Vec<ProcessingArray>,
     /// The input's 3×3 windows, extracted once and shared by every candidate
-    /// of every batch.
-    windows: SharedWindows,
+    /// of every batch (and, through the service's cross-job cache, by every
+    /// job training on the same image).
+    windows: Arc<SharedWindows>,
     reference: GrayImage,
     evaluations: u64,
     stats: EngineStats,
@@ -418,11 +380,30 @@ impl SoftwareEvaluator {
     /// # Panics
     /// Panics if the images have different dimensions.
     pub fn with_array(array: ProcessingArray, input: GrayImage, reference: GrayImage) -> Self {
-        assert_eq!(input.width(), reference.width(), "image width mismatch");
-        assert_eq!(input.height(), reference.height(), "image height mismatch");
-        let windows = SharedWindows::new(&input);
+        Self::with_arrays(vec![array], Arc::new(SharedWindows::new(&input)), reference)
+    }
+
+    /// Creates an evaluator that distributes batch candidates round-robin
+    /// over `arrays`, scoring against an already extracted, possibly shared,
+    /// window set of the training input.
+    ///
+    /// # Panics
+    /// Panics if `arrays` is empty or the windows and the reference have
+    /// different dimensions.
+    pub fn with_arrays(
+        arrays: Vec<ProcessingArray>,
+        windows: Arc<SharedWindows>,
+        reference: GrayImage,
+    ) -> Self {
+        assert!(!arrays.is_empty(), "an evaluator needs at least one array");
+        assert_eq!(windows.width(), reference.width(), "image width mismatch");
+        assert_eq!(
+            windows.height(),
+            reference.height(),
+            "image height mismatch"
+        );
         Self {
-            array,
+            arrays,
             windows,
             reference,
             evaluations: 0,
@@ -440,16 +421,8 @@ impl FitnessEvaluator for SoftwareEvaluator {
     fn evaluate(&mut self, genotype: &Genotype) -> u64 {
         self.evaluations += 1;
         self.stats.plans_evaluated += 1;
-        let plan = self.array.compile_with(genotype);
+        let plan = self.arrays[0].compile_with(genotype);
         plan_mae(&plan, &self.windows, &self.reference)
-    }
-
-    fn evaluate_batch(&mut self, batch: &[Genotype]) -> Vec<u64> {
-        self.evaluate_batch_with(batch, ParallelConfig::from_env())
-    }
-
-    fn evaluate_batch_with(&mut self, batch: &[Genotype], parallel: ParallelConfig) -> Vec<u64> {
-        self.evaluate_batch_bounded(batch, None, None, parallel)
     }
 
     fn evaluate_batch_bounded(
@@ -459,57 +432,54 @@ impl FitnessEvaluator for SoftwareEvaluator {
         incumbent: Option<(&Genotype, u64)>,
         parallel: ParallelConfig,
     ) -> Vec<u64> {
-        // Every candidate is scored on the same base array, so the incumbent
-        // shortcut is always sound here, and the memo keys on the genotype
-        // alone.  Unique candidates are fanned over the worker pool (sharing
-        // the window buffer); the pool merges results in candidate order, so
-        // the outcome is identical at any worker count.  When the incumbent
-        // is known its plan is compiled once per batch and each worker keeps
-        // a *resident copy* of it: a candidate is evaluated by applying its
-        // ≤ k-gene diff in place and reverting afterwards (bit-identical to
-        // a fresh compile, with no per-candidate plan copy at all).
+        // Two arrays may carry different faults, so the duplicate memo is
+        // keyed by (array, genotype).  The incumbent's fitness was scored on
+        // one array, so it may stand in for a candidate only when every
+        // candidate lands on that array — with a single array.  Unique
+        // candidates are fanned over the worker pool, which merges results
+        // in candidate order, so the outcome is identical at any worker
+        // count.  When the incumbent is known, its plan is compiled once per
+        // array and each worker keeps *resident copies* of them: a candidate
+        // is evaluated by applying its ≤ k-gene diff in place and reverting
+        // afterwards (bit-identical to a fresh compile under the same
+        // overlay, with no per-candidate plan copy at all).  Early exit stays
+        // sound per candidate: a value is exact iff it is `<= bound` on *its*
+        // array.
         self.evaluations += batch.len() as u64;
-        let base = &self.array;
+        let arrays = &self.arrays;
+        let num_arrays = arrays.len();
         let windows = &self.windows;
         let reference = &self.reference;
-        match incumbent {
-            Some((pg, _)) => {
-                let parent_plan = base.compile_with(pg);
-                // Gene diffs are mutation bookkeeping: computed once per
-                // candidate up front (the DPR "frame list"), so the
-                // per-candidate patch step inside the workers is just the
-                // ≤ k-entry apply/revert replay.
-                let diffs: Vec<_> = batch.iter().map(|g| g.diff_from(pg)).collect();
-                batch_mae_bounded_init(
-                    batch,
-                    incumbent,
-                    parallel,
-                    |_, g| g,
-                    |_| true,
-                    || parent_plan,
-                    |plan, i| {
-                        let diff = &diffs[i];
-                        plan.apply(diff);
-                        let result = plan_mae_bounded(plan, windows, reference, bound);
-                        plan.revert(diff);
-                        result
-                    },
-                    &mut self.stats,
-                )
-            }
-            None => batch_mae_bounded(
-                batch,
-                incumbent,
-                parallel,
-                |_, g| g,
-                |_| true,
-                |i| {
-                    let plan = base.compile_with(&batch[i]);
+        let parent_plans: Option<Vec<CompiledArray>> =
+            incumbent.map(|(pg, _)| arrays.iter().map(|a| a.compile_with(pg)).collect());
+        // Gene diffs are mutation bookkeeping: computed once per candidate up
+        // front (the DPR "frame list"), so the per-candidate patch step inside
+        // the workers is just the ≤ k-entry apply/revert replay.
+        let diffs: Vec<_> = match incumbent {
+            Some((pg, _)) => batch.iter().map(|g| g.diff_from(pg)).collect(),
+            None => Vec::new(),
+        };
+        batch_mae_bounded_init(
+            batch,
+            incumbent.filter(|_| num_arrays == 1),
+            parallel,
+            |i, g| (i % num_arrays, g),
+            || parent_plans.clone(),
+            |plans, i| match plans {
+                Some(plans) => {
+                    let plan = &mut plans[i % num_arrays];
+                    plan.apply(&diffs[i]);
+                    let result = plan_mae_bounded(plan, windows, reference, bound);
+                    plan.revert(&diffs[i]);
+                    result
+                }
+                None => {
+                    let plan = arrays[i % num_arrays].compile_with(&batch[i]);
                     plan_mae_bounded(&plan, windows, reference, bound)
-                },
-                &mut self.stats,
-            ),
-        }
+                }
+            },
+            &mut self.stats,
+        )
     }
 
     fn evaluations(&self) -> u64 {
@@ -553,7 +523,7 @@ mod tests {
         let noisy = salt_pepper(&clean, 0.3, &mut rng);
         let mut eval = SoftwareEvaluator::new(noisy, clean);
         let batch: Vec<Genotype> = (0..9).map(|_| Genotype::random(&mut rng)).collect();
-        let parallel = eval.evaluate_batch(&batch);
+        let parallel = eval.evaluate_batch_bounded(&batch, None, None, ParallelConfig::from_env());
         let sequential: Vec<u64> = batch.iter().map(|g| eval.evaluate(g)).collect();
         assert_eq!(parallel, sequential);
         assert_eq!(eval.evaluations(), 9 + 9);
@@ -574,27 +544,26 @@ mod tests {
 
     #[test]
     fn evaluations_counter_matches_batch_sizes_on_every_path() {
-        // Regression: the serial, batch, parallel-batch and bounded paths
-        // must all count one evaluation per *requested* candidate — memo hits
-        // and early exits included — at any worker count.
+        // Regression: the serial, exhaustive-batch and bounded paths must
+        // all count one evaluation per *requested* candidate — memo hits and
+        // early exits included — at any worker count.
         let clean = synth::shapes(24, 24, 3);
         let mut rng = StdRng::seed_from_u64(3);
         let noisy = salt_pepper(&clean, 0.3, &mut rng);
         for workers in [1usize, 2, 8] {
             let mut eval = SoftwareEvaluator::new(noisy.clone(), clean.clone());
-            let cfg = ehw_parallel::ParallelConfig::with_workers(workers);
+            let cfg = ParallelConfig::with_workers(workers);
             let mut batch = toy_batch(7, 5);
             // Duplicates (memo hits) still count.
             batch.push(batch[0].clone());
             batch.push(batch[2].clone());
 
             eval.evaluate(&batch[0]); // serial: 1
-            eval.evaluate_batch(&batch); // batch: 7
-            eval.evaluate_batch_with(&batch, cfg); // parallel batch: 7
-                                                   // Bounded with a tight bound (early exits) and the incumbent
-                                                   // shortcut: still 7.
+            eval.evaluate_batch_bounded(&batch, None, None, cfg); // exhaustive batch: 7
+                                                                  // Bounded with a tight bound (early exits) and the incumbent
+                                                                  // shortcut: still 7.
             eval.evaluate_batch_bounded(&batch, Some(0), Some((&batch[0], 123)), cfg);
-            assert_eq!(eval.evaluations(), 1 + 7 + 7 + 7, "workers = {workers}");
+            assert_eq!(eval.evaluations(), 1 + 7 + 7, "workers = {workers}");
         }
     }
 
@@ -605,14 +574,10 @@ mod tests {
         let noisy = salt_pepper(&clean, 0.3, &mut rng);
         let batch = toy_batch(11, 9);
         let mut eval = SoftwareEvaluator::new(noisy, clean);
-        let exact = eval.evaluate_batch_with(&batch, ehw_parallel::ParallelConfig::serial());
+        let exact = eval.evaluate_batch_bounded(&batch, None, None, ParallelConfig::serial());
         let max = *exact.iter().max().unwrap();
-        let bounded = eval.evaluate_batch_bounded(
-            &batch,
-            Some(max),
-            None,
-            ehw_parallel::ParallelConfig::serial(),
-        );
+        let bounded =
+            eval.evaluate_batch_bounded(&batch, Some(max), None, ParallelConfig::serial());
         assert_eq!(bounded, exact, "no candidate exceeds the bound");
     }
 
@@ -623,14 +588,10 @@ mod tests {
         let noisy = salt_pepper(&clean, 0.4, &mut rng);
         let batch = toy_batch(13, 9);
         let mut eval = SoftwareEvaluator::new(noisy, clean);
-        let exact = eval.evaluate_batch_with(&batch, ehw_parallel::ParallelConfig::serial());
+        let exact = eval.evaluate_batch_bounded(&batch, None, None, ParallelConfig::serial());
         let bound = exact.iter().copied().min().unwrap();
-        let bounded = eval.evaluate_batch_bounded(
-            &batch,
-            Some(bound),
-            None,
-            ehw_parallel::ParallelConfig::serial(),
-        );
+        let bounded =
+            eval.evaluate_batch_bounded(&batch, Some(bound), None, ParallelConfig::serial());
         for (i, (&b, &e)) in bounded.iter().zip(exact.iter()).enumerate() {
             if e <= bound {
                 assert_eq!(b, e, "candidate {i}: exact values must survive");
@@ -653,12 +614,7 @@ mod tests {
         let batch = toy_batch(17, 12);
         let reference = {
             let mut eval = SoftwareEvaluator::new(noisy.clone(), clean.clone());
-            eval.evaluate_batch_bounded(
-                &batch,
-                Some(500),
-                None,
-                ehw_parallel::ParallelConfig::serial(),
-            )
+            eval.evaluate_batch_bounded(&batch, Some(500), None, ParallelConfig::serial())
         };
         for workers in [2usize, 8] {
             let mut eval = SoftwareEvaluator::new(noisy.clone(), clean.clone());
@@ -666,7 +622,7 @@ mod tests {
                 &batch,
                 Some(500),
                 None,
-                ehw_parallel::ParallelConfig::with_workers(workers),
+                ParallelConfig::with_workers(workers),
             );
             assert_eq!(got, reference, "diverged at {workers} workers");
         }
@@ -683,7 +639,7 @@ mod tests {
         batch.push(parent.clone()); // incumbent duplicate
 
         let mut plain = SoftwareEvaluator::new(noisy.clone(), clean.clone());
-        let exact = plain.evaluate_batch_with(&batch, ehw_parallel::ParallelConfig::serial());
+        let exact = plain.evaluate_batch_bounded(&batch, None, None, ParallelConfig::serial());
         let parent_fitness = exact[1];
 
         let mut engine = SoftwareEvaluator::new(noisy, clean);
@@ -691,7 +647,7 @@ mod tests {
             &batch,
             None,
             Some((&parent, parent_fitness)),
-            ehw_parallel::ParallelConfig::serial(),
+            ParallelConfig::serial(),
         );
         assert_eq!(got, exact);
         let stats = engine.engine_stats();
@@ -700,6 +656,40 @@ mod tests {
         assert_eq!(stats.memo_hits, 3);
         assert_eq!(stats.plans_evaluated, 3);
         assert_eq!(engine.evaluations(), batch.len() as u64);
+    }
+
+    #[test]
+    fn incumbent_shortcut_is_ignored_across_arrays() {
+        // With two arrays the incumbent's fitness belongs to one of them; a
+        // copy of the incumbent landing on the other (damaged) array must be
+        // scored there, not answered from the incumbent.
+        let clean = synth::shapes(20, 20, 3);
+        let mut rng = StdRng::seed_from_u64(10);
+        let noisy = salt_pepper(&clean, 0.3, &mut rng);
+        let mut damaged = ProcessingArray::identity();
+        damaged.inject_fault(0, 3, ehw_array::pe::FaultBehaviour::StuckAt { value: 0 });
+        let arrays = vec![ProcessingArray::identity(), damaged];
+        let windows = Arc::new(SharedWindows::new(&noisy));
+        let parent = Genotype::identity();
+        let mut exact =
+            SoftwareEvaluator::with_arrays(arrays.clone(), windows.clone(), clean.clone());
+        let batch = vec![parent.clone(), parent.clone()];
+        let expected = exact.evaluate_batch_bounded(&batch, None, None, ParallelConfig::serial());
+        assert_ne!(
+            expected[0], expected[1],
+            "the fault must show in the output"
+        );
+
+        let mut engine = SoftwareEvaluator::with_arrays(arrays, windows, clean);
+        let got = engine.evaluate_batch_bounded(
+            &batch,
+            None,
+            Some((&parent, expected[0])),
+            ParallelConfig::serial(),
+        );
+        assert_eq!(got, expected);
+        assert_eq!(engine.engine_stats().memo_hits, 0);
+        assert_eq!(engine.engine_stats().plans_evaluated, 2);
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!
 //! Modules:
 //!
-//! * [`fitness`] — the [`fitness::FitnessEvaluator`] trait,
-//!   a software evaluator backed by the functional array model, and a
-//!   thread-parallel batch evaluator,
+//! * [`fitness`] — the [`fitness::FitnessEvaluator`] trait and the software
+//!   evaluator backed by the functional array model, which scores each
+//!   λ-batch over the host's worker threads and one or more arrays,
 //! * [`strategy`] — the (1+λ) ES with classic and two-level mutation, with
 //!   exact accounting of the PE reconfigurations each candidate requires,
 //! * [`stats`] — aggregation helpers for multi-run experiments (mean / best /
@@ -34,6 +34,6 @@ pub mod strategy;
 
 pub use fitness::{EngineStats, FitnessEvaluator, SoftwareEvaluator};
 pub use strategy::{
-    run_evolution, run_evolution_with_parent, EsConfig, EvalEngine, EvolutionResult,
-    GenerationObserver, MutationStrategy, NullObserver,
+    run_evolution, run_evolution_with_parent, EsConfig, EvolutionResult, GenerationObserver,
+    MutationStrategy, NullObserver,
 };

@@ -16,7 +16,11 @@
 //!   PE-function genes in which it differs from whatever is currently
 //!   configured in its array — the quantity that dominates evolution time,
 //! * selection is elitist: the best offspring replaces the parent if its
-//!   fitness is **equal or better** (neutral drift, as in CGP practice).
+//!   fitness is **equal or better** (neutral drift, as in CGP practice),
+//! * every generation is scored through the one evaluation path,
+//!   [`FitnessEvaluator::evaluate_batch_bounded`], with the parent as the
+//!   incumbent: its fitness bounds each candidate's error accumulation, which
+//!   changes the work done but never the selected candidate.
 
 use ehw_parallel::ParallelConfig;
 use rand::rngs::StdRng;
@@ -49,29 +53,6 @@ impl MutationStrategy {
     }
 }
 
-/// How each generation's offspring batch is scored.
-///
-/// The two modes are *observationally equivalent*: the best genotype, the
-/// fitness history and the evaluation counts are byte-identical either way,
-/// at any worker count (the equivalence proptest suite enforces it).  What
-/// changes is the work performed: `Bounded` threads the incumbent (parent)
-/// fitness into [`FitnessEvaluator::evaluate_batch_bounded`] so candidates
-/// that cannot win stop accumulating error early, and duplicate/neutral
-/// mutants are answered from the per-generation memo instead of being
-/// re-evaluated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EvalEngine {
-    /// No early-exit bound and no incumbent shortcut: every candidate's MAE
-    /// accumulates to the last pixel.  Kept as the equivalence oracle.  Note
-    /// that evaluators may still deduplicate identical candidates *within* a
-    /// batch (a pure work-saver); the true pre-engine wall-clock baseline is
-    /// the reference interpreter in `ehw_array::compiled`, which the
-    /// `bench_summary` binary measures against.
-    Exhaustive,
-    /// Early-exit bound + duplicate memo (the default).
-    Bounded,
-}
-
 /// Configuration of one evolution run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EsConfig {
@@ -97,9 +78,6 @@ pub struct EsConfig {
     /// stream, so the same seed produces a byte-identical best genotype and
     /// fitness trajectory at any worker count.
     pub parallel: ParallelConfig,
-    /// Candidate-evaluation engine shortcuts (early exit + memo); results
-    /// are byte-identical in either mode.
-    pub engine: EvalEngine,
 }
 
 impl EsConfig {
@@ -116,7 +94,6 @@ impl EsConfig {
             target_fitness: None,
             seed,
             parallel: ParallelConfig::from_env(),
-            engine: EvalEngine::Bounded,
         }
     }
 
@@ -292,23 +269,18 @@ where
         }
 
         // --- evaluation ----------------------------------------------------
-        // With the engine on, the incumbent (parent) fitness is the early-exit
-        // bound: elitist selection only ever accepts candidates scoring
-        // `<= parent_fitness`, and those are exactly the ones the bounded path
-        // evaluates exactly.  Early-exited candidates report deterministic
-        // values `> parent_fitness`, so selection — and therefore the whole
+        // The incumbent (parent) fitness is the early-exit bound: elitist
+        // selection only ever accepts candidates scoring `<= parent_fitness`,
+        // and those are exactly the ones the bounded path evaluates exactly.
+        // Early-exited candidates report deterministic values
+        // `> parent_fitness`, so selection — and therefore the whole
         // trajectory — is byte-identical to exhaustive evaluation.
-        let fitnesses = match config.engine {
-            EvalEngine::Exhaustive => {
-                evaluator.evaluate_batch_bounded(&offspring, None, None, config.parallel)
-            }
-            EvalEngine::Bounded => evaluator.evaluate_batch_bounded(
-                &offspring,
-                Some(parent_fitness),
-                Some((&parent, parent_fitness)),
-                config.parallel,
-            ),
-        };
+        let fitnesses = evaluator.evaluate_batch_bounded(
+            &offspring,
+            Some(parent_fitness),
+            Some((&parent, parent_fitness)),
+            config.parallel,
+        );
 
         // --- elitist selection with neutral drift ---------------------------
         let (best_idx, &gen_best) = fitnesses
@@ -454,47 +426,6 @@ mod tests {
                 reference.total_pe_reconfigurations
             );
             assert_eq!(r.evaluations, reference.evaluations);
-        }
-    }
-
-    #[test]
-    fn engine_on_and_off_produce_identical_results() {
-        // The headline contract of the compiled evaluation engine: early exit
-        // and the per-generation memo are pure work-savers.  Same seed ⇒
-        // byte-identical best genotype, history and counters, engine on or
-        // off, at any worker count.
-        let reference = {
-            let config = EsConfig {
-                engine: EvalEngine::Exhaustive,
-                parallel: ParallelConfig::serial(),
-                ..EsConfig::paper(3, 1, 60, 77)
-            };
-            let mut eval = denoise_evaluator(24, 0.3, 4);
-            run_evolution(&config, &mut eval, &mut NullObserver)
-        };
-        for workers in [1usize, 2, 8] {
-            let config = EsConfig {
-                engine: EvalEngine::Bounded,
-                parallel: ParallelConfig::with_workers(workers),
-                ..EsConfig::paper(3, 1, 60, 77)
-            };
-            let mut eval = denoise_evaluator(24, 0.3, 4);
-            let r = run_evolution(&config, &mut eval, &mut NullObserver);
-            assert_eq!(r.best_genotype.encode(), reference.best_genotype.encode());
-            assert_eq!(r.best_fitness, reference.best_fitness);
-            assert_eq!(r.initial_fitness, reference.initial_fitness);
-            assert_eq!(r.history, reference.history);
-            assert_eq!(r.evaluations, reference.evaluations);
-            assert_eq!(
-                r.total_pe_reconfigurations,
-                reference.total_pe_reconfigurations
-            );
-            // And the engine must actually have saved work.
-            let stats = eval.engine_stats();
-            assert!(
-                stats.early_exits > 0 || stats.memo_hits > 0,
-                "engine saved nothing: {stats:?}"
-            );
         }
     }
 

@@ -60,8 +60,8 @@ impl ReferenceFilter {
     /// Routed through the [`WindowPlanes`] SoA layout: the windows are
     /// extracted once and each filter runs as plane-wise passes over nine
     /// contiguous buffers instead of a stride-9 gather per pixel.  Pinned
-    /// byte-identical to the scalar [`kernel`](Self::kernel) path by
-    /// `kernel_and_apply_agree_for_all_filters`.
+    /// byte-identical to the scalar per-window kernels of
+    /// `ehw_bench::oracle` by `kernel_and_apply_agree_for_all_filters`.
     pub fn apply(&self, img: &GrayImage) -> GrayImage {
         if matches!(self, ReferenceFilter::Identity) {
             // The centre plane is the image itself; skip extraction.
@@ -87,21 +87,6 @@ impl ReferenceFilter {
         };
         GrayImage::from_vec(planes.width(), planes.height(), data)
     }
-
-    /// Applies the filter to a single window (the per-pixel kernel).
-    pub fn kernel(&self, w: &Window3x3) -> u8 {
-        match self {
-            ReferenceFilter::Median => w.median(),
-            ReferenceFilter::Mean => w.mean(),
-            ReferenceFilter::Gaussian => gaussian_kernel(w),
-            ReferenceFilter::SobelEdge => sobel_kernel(w),
-            ReferenceFilter::Laplacian => laplacian_kernel(w),
-            ReferenceFilter::Erode => w.min(),
-            ReferenceFilter::Dilate => w.max(),
-            ReferenceFilter::Sharpen => sharpen_kernel(w),
-            ReferenceFilter::Identity => w.center(),
-        }
-    }
 }
 
 /// 3×3 median filter.
@@ -109,42 +94,14 @@ pub fn median(img: &GrayImage) -> GrayImage {
     ReferenceFilter::Median.apply(img)
 }
 
-fn gaussian_kernel(w: &Window3x3) -> u8 {
-    // 1 2 1 / 2 4 2 / 1 2 1, normalised by 16.
-    const K: [u32; 9] = [1, 2, 1, 2, 4, 2, 1, 2, 1];
-    let sum: u32 = w.0.iter().zip(K.iter()).map(|(&p, &k)| p as u32 * k).sum();
-    ((sum + 8) / 16) as u8
-}
-
 /// 3×3 Gaussian smoothing filter.
 pub fn gaussian_blur(img: &GrayImage) -> GrayImage {
     ReferenceFilter::Gaussian.apply(img)
 }
 
-fn sobel_kernel(w: &Window3x3) -> u8 {
-    let p = |i: usize| w.0[i] as i32;
-    // Horizontal and vertical Sobel gradients on the 3×3 window.
-    let gx = (p(2) + 2 * p(5) + p(8)) - (p(0) + 2 * p(3) + p(6));
-    let gy = (p(6) + 2 * p(7) + p(8)) - (p(0) + 2 * p(1) + p(2));
-    let mag = gx.abs() + gy.abs();
-    mag.min(255) as u8
-}
-
 /// Sobel gradient-magnitude edge detector (|Gx| + |Gy|, saturated at 255).
 pub fn sobel_edge(img: &GrayImage) -> GrayImage {
     ReferenceFilter::SobelEdge.apply(img)
-}
-
-fn laplacian_kernel(w: &Window3x3) -> u8 {
-    let p = |i: usize| w.0[i] as i32;
-    let lap = 4 * p(4) - p(1) - p(3) - p(5) - p(7);
-    lap.unsigned_abs().min(255) as u8
-}
-
-fn sharpen_kernel(w: &Window3x3) -> u8 {
-    let c = w.center() as i32;
-    let g = gaussian_kernel(w) as i32;
-    (c + (c - g)).clamp(0, 255) as u8
 }
 
 // ---------------------------------------------------------------------------
@@ -153,9 +110,9 @@ fn sharpen_kernel(w: &Window3x3) -> u8 {
 //
 // Each filter below consumes the SoA [`WindowPlanes`] layout: nine contiguous
 // per-selector buffers, read linearly, instead of gathering a 9-byte window
-// per pixel.  Arithmetic is written to reproduce the scalar kernels bit for
-// bit (same widths, same rounding, same saturation); the equivalence test in
-// this module and the engine-equivalence property suite pin that.
+// per pixel.  Arithmetic is written to reproduce the scalar per-window
+// kernels of `ehw_bench::oracle` bit for bit (same widths, same rounding,
+// same saturation); the engine-equivalence suite pins that.
 
 /// Sorts `v[a] <= v[b]` (one compare-exchange of a sorting network).
 #[inline(always)]
@@ -283,7 +240,6 @@ mod tests {
     use crate::metrics::mae;
     use crate::noise::salt_pepper;
     use crate::synth;
-    use crate::window::map_windows;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -354,35 +310,6 @@ mod tests {
     fn identity_filter_is_identity() {
         let img = synth::gradient(16, 16);
         assert_eq!(ReferenceFilter::Identity.apply(&img), img);
-    }
-
-    #[test]
-    fn kernel_and_apply_agree_for_all_filters() {
-        // The plane-routed `apply` must be byte-identical to the scalar
-        // per-window kernel, including at borders and degenerate shapes
-        // (where every pixel is a border pixel).
-        let shapes = [
-            synth::shapes(32, 32, 3),
-            synth::shapes(1, 1, 1),
-            synth::shapes(1, 7, 1),
-            synth::shapes(2, 2, 1),
-            synth::shapes(5, 2, 1),
-        ];
-        for img in &shapes {
-            let planes = crate::window::WindowPlanes::new(img);
-            for f in ReferenceFilter::ALL {
-                let full = f.apply(img);
-                let via_kernel = map_windows(img, |w| f.kernel(w));
-                assert_eq!(
-                    full,
-                    via_kernel,
-                    "filter {f:?} disagrees at {}x{}",
-                    img.width(),
-                    img.height()
-                );
-                assert_eq!(f.apply_planes(&planes), via_kernel, "planes {f:?}");
-            }
-        }
     }
 
     #[test]

@@ -24,13 +24,12 @@ impl GrayImage {
     /// Creates an image of the given dimensions filled with `fill`.
     ///
     /// # Panics
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero or `width * height` overflows.
     pub fn new(width: usize, height: usize, fill: u8) -> Self {
-        assert!(width > 0 && height > 0, "image dimensions must be non-zero");
         Self {
             width,
             height,
-            data: vec![fill; width * height],
+            data: vec![fill; Self::pixel_count(width, height)],
         }
     }
 
@@ -53,9 +52,11 @@ impl GrayImage {
     }
 
     /// Creates an image by evaluating `f(x, y)` for every pixel.
+    ///
+    /// # Panics
+    /// Panics if either dimension is zero or `width * height` overflows.
     pub fn from_fn(width: usize, height: usize, mut f: impl FnMut(usize, usize) -> u8) -> Self {
-        assert!(width > 0 && height > 0, "image dimensions must be non-zero");
-        let mut data = Vec::with_capacity(width * height);
+        let mut data = Vec::with_capacity(Self::pixel_count(width, height));
         for y in 0..height {
             for x in 0..width {
                 data.push(f(x, y));
@@ -66,6 +67,15 @@ impl GrayImage {
             height,
             data,
         }
+    }
+
+    /// `width * height`, checked: a wrapped product would size the buffer
+    /// smaller than the dimensions the accessors index with.
+    fn pixel_count(width: usize, height: usize) -> usize {
+        assert!(width > 0 && height > 0, "image dimensions must be non-zero");
+        width
+            .checked_mul(height)
+            .expect("image dimensions overflow the address space")
     }
 
     /// Image width in pixels.
@@ -280,6 +290,18 @@ mod tests {
     fn from_vec_rejects_dimensions_whose_product_overflows() {
         // 2^32 × 2^32 wraps to 0 pixels on 64-bit targets.
         let _ = GrayImage::from_vec(1 << 32, 1 << 32, Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn new_rejects_dimensions_whose_product_overflows() {
+        let _ = GrayImage::new(usize::MAX, 2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn from_fn_rejects_dimensions_whose_product_overflows() {
+        let _ = GrayImage::from_fn(usize::MAX, 2, |_, _| 0);
     }
 
     #[test]

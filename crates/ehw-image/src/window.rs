@@ -82,18 +82,6 @@ impl Window3x3 {
     pub fn mean(&self) -> u8 {
         (self.0.iter().map(|&p| p as u32).sum::<u32>() / 9) as u8
     }
-
-    /// Minimum of the nine window pixels.
-    #[inline]
-    pub(crate) fn min(&self) -> u8 {
-        *self.0.iter().min().expect("window is non-empty")
-    }
-
-    /// Maximum of the nine window pixels.
-    #[inline]
-    pub(crate) fn max(&self) -> u8 {
-        *self.0.iter().max().expect("window is non-empty")
-    }
 }
 
 /// Streams the 3×3 window of every pixel in rows `y0..y1` (raster order) to
@@ -236,13 +224,6 @@ impl WindowPlanes {
     pub fn plane(&self, sel: usize) -> &[u8] {
         &self.planes[sel]
     }
-
-    /// Gathers window `i` back into AoS form — the view the interpreter
-    /// oracle and scalar per-window consumers need.
-    #[inline]
-    pub fn window(&self, i: usize) -> Window3x3 {
-        Window3x3(std::array::from_fn(|sel| self.planes[sel][i]))
-    }
 }
 
 /// Every 3×3 window of one image, extracted once and shared.
@@ -252,9 +233,7 @@ impl WindowPlanes {
 /// extraction cost by λ.  `SharedWindows` runs the streaming extraction
 /// exactly once and hands every consumer the same buffer; candidate
 /// evaluation then reduces to a linear scan.  The storage is the SoA
-/// [`WindowPlanes`] layout (see [`planes`](Self::planes)); an AoS
-/// [`Window3x3`] view is gathered on demand via [`window`](Self::window) for
-/// the scalar/oracle paths.
+/// [`WindowPlanes`] layout (see [`planes`](Self::planes)).
 #[derive(Debug, Clone)]
 pub struct SharedWindows {
     planes: WindowPlanes,
@@ -294,12 +273,6 @@ impl SharedWindows {
     #[inline]
     pub fn planes(&self) -> &WindowPlanes {
         &self.planes
-    }
-
-    /// Gathers the `i`-th window (raster order) into AoS form.
-    #[inline]
-    pub fn window(&self, i: usize) -> Window3x3 {
-        self.planes.window(i)
     }
 }
 
@@ -367,8 +340,6 @@ mod tests {
         let w = Window3x3([9, 1, 8, 2, 7, 3, 6, 4, 5]);
         assert_eq!(w.sorted(), [1, 2, 3, 4, 5, 6, 7, 8, 9]);
         assert_eq!(w.median(), 5);
-        assert_eq!(w.min(), 1);
-        assert_eq!(w.max(), 9);
         assert_eq!(w.mean(), 5);
     }
 
@@ -448,7 +419,9 @@ mod tests {
         assert_eq!(shared.height(), img.height());
         assert!(!shared.is_empty());
         for (i, (x, y, w)) in windows(&img).enumerate() {
-            assert_eq!(shared.window(i), w, "window ({x},{y})");
+            for sel in 0..9 {
+                assert_eq!(shared.planes().plane(sel)[i], w.0[sel], "window ({x},{y})");
+            }
         }
     }
 
@@ -471,7 +444,6 @@ mod tests {
                         "plane {sel} at ({x},{y}) of {w}x{h}"
                     );
                 }
-                assert_eq!(planes.window(i), win, "gathered window ({x},{y})");
             }
         }
     }

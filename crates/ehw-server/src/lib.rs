@@ -55,7 +55,7 @@ use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -81,6 +81,12 @@ const REAPER_POLL: Duration = Duration::from_millis(25);
 /// How long a settled job's result is retained before the background reaper
 /// evicts it from the registry.
 pub const DEFAULT_JOB_TTL: Duration = Duration::from_secs(15 * 60);
+
+/// Takes `mutex` even after a holder panicked (else every later request fails):
+/// each update under it is one insert, removal, state change or count.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One submitted job as the server tracks it.
 struct TrackedJob {
@@ -191,7 +197,7 @@ impl ServerState {
     /// Polls every pending job once, recording settle latencies — keeps the
     /// registry's view current between reaper sweeps.
     fn poll_all(&self) {
-        let mut jobs = self.jobs.lock().expect("job registry lock");
+        let mut jobs = lock(&self.jobs);
         let mut settled = Vec::new();
         for job in jobs.values_mut() {
             if let Some(latency) = job.poll() {
@@ -200,7 +206,7 @@ impl ServerState {
         }
         drop(jobs);
         if !settled.is_empty() {
-            let mut latencies = self.latencies.lock().expect("latency lock");
+            let mut latencies = lock(&self.latencies);
             for (kind, latency) in settled {
                 latencies.entry(kind).or_default().record(latency);
             }
@@ -218,7 +224,7 @@ impl ServerState {
             ("cancelled", 0),
             ("lost", 0),
         ];
-        for job in self.jobs.lock().expect("job registry lock").values() {
+        for job in lock(&self.jobs).values() {
             let status = job.status();
             if let Some(slot) = by_state.iter_mut().find(|(name, _)| *name == status) {
                 slot.1 += 1;
@@ -232,7 +238,7 @@ impl ServerState {
     /// nobody fetched, it never abandons running work.
     fn sweep_expired(&self) {
         self.poll_all();
-        let mut jobs = self.jobs.lock().expect("job registry lock");
+        let mut jobs = lock(&self.jobs);
         let before = jobs.len();
         jobs.retain(|_, job| match job.settled_at {
             Some(at) => at.elapsed() < self.job_ttl,
@@ -629,11 +635,7 @@ fn handle_submit(
         monitor: handle.monitor(),
         state: JobState::Pending(handle),
     };
-    state
-        .jobs
-        .lock()
-        .expect("job registry lock")
-        .insert(job_id, tracked);
+    lock(&state.jobs).insert(job_id, tracked);
     respond_json(
         stream,
         201,
@@ -649,7 +651,7 @@ fn handle_submit(
 
 fn handle_status(stream: &mut TcpStream, state: &ServerState, job_id: u64, close: bool) {
     state.poll_all();
-    let jobs = state.jobs.lock().expect("job registry lock");
+    let jobs = lock(&state.jobs);
     let Some(job) = jobs.get(&job_id) else {
         drop(jobs);
         respond_json(
@@ -679,7 +681,7 @@ fn handle_status(stream: &mut TcpStream, state: &ServerState, job_id: u64, close
 
 fn handle_cancel(stream: &mut TcpStream, state: &ServerState, job_id: u64, close: bool) {
     state.poll_all();
-    let jobs = state.jobs.lock().expect("job registry lock");
+    let jobs = lock(&state.jobs);
     let Some(job) = jobs.get(&job_id) else {
         drop(jobs);
         respond_json(
@@ -710,21 +712,18 @@ fn handle_cancel(stream: &mut TcpStream, state: &ServerState, job_id: u64, close
 /// successful stream always consumes the socket; the return value says
 /// whether the connection is still usable (only after the 404 short-circuit).
 fn handle_events(stream: &mut TcpStream, state: &ServerState, job_id: u64, close: bool) -> bool {
-    let monitor = {
-        let jobs = state.jobs.lock().expect("job registry lock");
-        match jobs.get(&job_id) {
-            Some(job) => job.monitor.clone(),
-            None => {
-                drop(jobs);
-                respond_json(
-                    stream,
-                    404,
-                    &encode_error(format!("no job {job_id}")),
-                    close,
-                );
-                return !close;
-            }
-        }
+    // The registry guard is a temporary, released before any socket write.
+    let monitor = lock(&state.jobs)
+        .get(&job_id)
+        .map(|job| job.monitor.clone());
+    let Some(monitor) = monitor else {
+        respond_json(
+            stream,
+            404,
+            &encode_error(format!("no job {job_id}")),
+            close,
+        );
+        return !close;
     };
     if write_stream_head(stream, "application/x-ndjson").is_err() {
         return false;
@@ -776,7 +775,7 @@ fn handle_metrics(stream: &mut TcpStream, state: &ServerState, request: &Request
     let liveness = state.service.shard_liveness();
 
     let latency = {
-        let latencies = state.latencies.lock().expect("latency lock");
+        let latencies = lock(&state.latencies);
         let mut kinds: Vec<&&'static str> = latencies.keys().collect();
         kinds.sort();
         Value::Object(
@@ -963,4 +962,52 @@ fn prometheus_metrics(state: &ServerState) -> String {
 fn respond_json(stream: &mut TcpStream, status: u16, doc: &Value, close: bool) {
     let body = doc.to_json();
     let _ = write_response(stream, status, "application/json", body.as_bytes(), close);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ehw_service::ServiceConfig;
+    use std::io::Read;
+
+    /// One `GET` on a fresh connection; returns the raw response.
+    fn get(addr: SocketAddr, path: &str) -> String {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        write!(
+            stream,
+            "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        )
+        .expect("send request");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read response");
+        response
+    }
+
+    #[test]
+    fn poisoned_locks_do_not_take_the_server_down() {
+        let service = EhwService::new(ServiceConfig::new(1)).expect("valid service config");
+        let server = EhwServer::serve(service, "127.0.0.1:0").expect("bind an ephemeral port");
+        // A thread panics while holding each lock, as a handler panicking
+        // mid-request would.
+        for poison_latencies in [false, true] {
+            let state = Arc::clone(&server.state);
+            let poisoner = thread::spawn(move || {
+                let _registry = state.jobs.lock();
+                let _latencies = poison_latencies.then(|| state.latencies.lock());
+                panic!("poisoning the server's locks");
+            });
+            assert!(poisoner.join().is_err());
+        }
+        assert!(server.state.jobs.is_poisoned());
+        assert!(server.state.latencies.is_poisoned());
+
+        let addr = server.local_addr();
+        let status = get(addr, "/jobs/7");
+        assert!(status.starts_with("HTTP/1.1 404"), "{status}");
+        let metrics = get(addr, "/metrics");
+        assert!(metrics.starts_with("HTTP/1.1 200"), "{metrics}");
+        assert!(metrics.contains("\"latency_ms\""), "{metrics}");
+        let text = get(addr, "/metrics?format=prometheus");
+        assert!(text.contains("ehw_jobs{state=\"done\"} 0"), "{text}");
+    }
 }

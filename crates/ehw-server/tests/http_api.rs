@@ -406,6 +406,27 @@ fn pgm_bodies_announcing_huge_rasters_get_a_400_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn stream_specs_announcing_huge_frames_get_a_400_and_the_server_keeps_serving() {
+    let server = start_server(1);
+    let addr = server.local_addr();
+
+    // A 10^12-pixel synthetic frame: before the stream spec was bounded,
+    // this passed validation and the shard's frame allocation aborted the
+    // whole process.
+    let body = "{\"source\":{\"type\":\"synthetic\",\"scene\":\"shapes\",\"complexity\":4,\
+                \"width\":1000000,\"height\":1000000,\"frames\":1000000000,\
+                \"schedule\":[{\"start_frame\":0,\
+                  \"noise\":{\"model\":\"salt_pepper\",\"density\":0.1}}]},\
+                \"generations\":6,\"seed\":1}";
+    let response = request(addr, "POST", "/streams", Some(body));
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(response.body.contains("maximum"), "{}", response.body);
+
+    // A fresh connection still gets answered.
+    assert_eq!(get(addr, "/metrics").status, 200);
+}
+
+#[test]
 fn oversized_bodies_get_413() {
     let server = start_server(1);
     let addr = server.local_addr();

@@ -36,7 +36,7 @@ use ehw_array::compiled::CompiledArray;
 use ehw_array::genotype::Genotype;
 use ehw_evolution::fitness::{plan_filter_windows, plan_mae, SoftwareEvaluator};
 use ehw_evolution::strategy::{
-    run_evolution_with_parent, EsConfig, EvalEngine, GenerationObserver, MutationStrategy,
+    run_evolution_with_parent, EsConfig, GenerationObserver, MutationStrategy,
 };
 use ehw_image::metrics::mae;
 use ehw_image::window::SharedWindows;
@@ -206,7 +206,6 @@ fn es_config(a: &AdaptationConfig, parallel: ParallelConfig, seed: u64) -> EsCon
         target_fitness: a.target_fitness,
         seed,
         parallel,
-        engine: EvalEngine::Bounded,
     }
 }
 

@@ -19,6 +19,16 @@ use ehw_image::synth;
 /// Smallest frame edge the 3×3 window pipeline supports.
 pub const MIN_FRAME_EDGE: usize = 3;
 
+/// Largest synthetic frame in pixels (2048 × 2048; the paper's largest image
+/// is 256 × 256).  A frame costs about a dozen bytes per pixel in flight, and
+/// an unbounded spec could ask for a buffer whose allocation aborts the
+/// process.
+pub const MAX_FRAME_PIXELS: usize = 1 << 22;
+
+/// Largest `width × height × frames` of a synthetic stream (e.g. 16,384
+/// frames of 256 × 256): bounds how long one stream job holds a shard.
+pub const MAX_STREAM_PIXELS: u64 = 1 << 30;
+
 /// A source of noisy frames measured against a single clean reference.
 pub trait FrameSource {
     /// The clean reference every frame is scored against.
@@ -100,6 +110,16 @@ pub enum SourceError {
         /// Requested height.
         height: usize,
     },
+    /// The frame exceeds [`MAX_FRAME_PIXELS`] or the whole stream
+    /// [`MAX_STREAM_PIXELS`].
+    TooLarge {
+        /// Requested width.
+        width: usize,
+        /// Requested height.
+        height: usize,
+        /// Requested frame count.
+        frames: usize,
+    },
     /// The noise-shift schedule is empty.
     EmptySchedule,
     /// The first schedule segment does not start at frame 0.
@@ -133,6 +153,15 @@ impl fmt::Display for SourceError {
             SourceError::FrameTooSmall { width, height } => write!(
                 f,
                 "frame {width}x{height} is below the {MIN_FRAME_EDGE}x{MIN_FRAME_EDGE} minimum"
+            ),
+            SourceError::TooLarge {
+                width,
+                height,
+                frames,
+            } => write!(
+                f,
+                "{frames} frames of {width}x{height} exceed the maximum of \
+                 {MAX_FRAME_PIXELS} pixels per frame and {MAX_STREAM_PIXELS} in all"
             ),
             SourceError::EmptySchedule => {
                 write!(f, "noise schedule must have at least one segment")
@@ -178,10 +207,8 @@ pub struct SyntheticSource {
 }
 
 impl SyntheticSource {
-    /// Builds a synthetic source.
-    ///
-    /// The schedule must be non-empty, start at frame 0 and be strictly
-    /// increasing by start frame.
+    /// Builds a synthetic source from a shape and schedule that pass
+    /// [`validate_synthetic`].
     pub fn new(
         scene: SceneKind,
         width: usize,
@@ -190,13 +217,7 @@ impl SyntheticSource {
         schedule: Vec<NoiseSegment>,
         seed: u64,
     ) -> Result<Self, SourceError> {
-        if frames == 0 {
-            return Err(SourceError::ZeroFrames);
-        }
-        if width < MIN_FRAME_EDGE || height < MIN_FRAME_EDGE {
-            return Err(SourceError::FrameTooSmall { width, height });
-        }
-        validate_schedule(&schedule)?;
+        validate_synthetic(width, height, frames, &schedule)?;
         Ok(Self {
             clean: scene.render(width, height),
             schedule,
@@ -218,9 +239,33 @@ impl SyntheticSource {
     }
 }
 
-/// Checks the schedule invariants shared by the source and the jobs-layer
-/// spec builder.
-pub fn validate_schedule(schedule: &[NoiseSegment]) -> Result<(), SourceError> {
+/// Checks a synthetic stream's shape and schedule, for
+/// [`SyntheticSource::new`] and the jobs-layer spec builder alike: at least
+/// one frame, edges of at least [`MIN_FRAME_EDGE`], sizes within
+/// [`MAX_FRAME_PIXELS`] and [`MAX_STREAM_PIXELS`] (computed without
+/// overflow), and a schedule that starts at frame 0 and strictly increases
+/// by start frame.
+pub fn validate_synthetic(
+    width: usize,
+    height: usize,
+    frames: usize,
+    schedule: &[NoiseSegment],
+) -> Result<(), SourceError> {
+    if frames == 0 {
+        return Err(SourceError::ZeroFrames);
+    }
+    if width < MIN_FRAME_EDGE || height < MIN_FRAME_EDGE {
+        return Err(SourceError::FrameTooSmall { width, height });
+    }
+    let pixels = width.checked_mul(height).filter(|&p| p <= MAX_FRAME_PIXELS);
+    let total = pixels.and_then(|p| (p as u64).checked_mul(frames as u64));
+    if total.is_none_or(|t| t > MAX_STREAM_PIXELS) {
+        return Err(SourceError::TooLarge {
+            width,
+            height,
+            frames,
+        });
+    }
     let first = schedule.first().ok_or(SourceError::EmptySchedule)?;
     if first.start_frame != 0 {
         return Err(SourceError::ScheduleStartsLate {
@@ -418,6 +463,35 @@ mod tests {
         assert!(matches!(
             SyntheticSource::new(SceneKind::Gradient, 16, 16, 0, schedule(), 1),
             Err(SourceError::ZeroFrames)
+        ));
+    }
+
+    #[test]
+    fn size_validation_bounds_the_frame_and_the_total_work() {
+        let check =
+            |w: usize, h: usize, frames: usize| validate_synthetic(w, h, frames, &schedule());
+        assert!(matches!(
+            check(1_000_000, 1_000_000, 1),
+            Err(SourceError::TooLarge { .. })
+        ));
+        // The pixel product overflows `usize`: rejected, not wrapped.
+        assert!(matches!(
+            check(usize::MAX, 3, 1),
+            Err(SourceError::TooLarge { .. })
+        ));
+        assert!(check(2048, 2048, 256).is_ok());
+        assert!(matches!(
+            check(2048, 2048, 257),
+            Err(SourceError::TooLarge { frames: 257, .. })
+        ));
+        assert!(matches!(
+            check(16, 16, usize::MAX),
+            Err(SourceError::TooLarge { .. })
+        ));
+        // The source runs the same validation before rendering anything.
+        assert!(matches!(
+            SyntheticSource::new(SceneKind::Gradient, 1_000_000, 1_000_000, 1, schedule(), 1),
+            Err(SourceError::TooLarge { .. })
         ));
     }
 

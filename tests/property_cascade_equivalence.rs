@@ -1,15 +1,16 @@
 //! Property suite pinning the compiled cascade engine to the naive oracle:
 //! for random fitness arrangement × schedule × initialisation × seed — on
 //! healthy and damaged platforms — a whole cascaded evolution run must be
-//! byte-identical between `CascadeEngine::Naive` and `CascadeEngine::Compiled`
-//! (stage genotypes, per-stage chain fitness and evaluation counts), and the
-//! compiled engine must be independent of the worker count (1, 2 and 8).
+//! byte-identical between `ehw_bench::oracle::run_cascade` and the cascade
+//! job (stage genotypes, per-stage chain fitness and evaluation counts), and
+//! the compiled engine must be independent of the worker count (1, 2 and 8).
 
+use ehw_bench::oracle;
 use ehw_fabric::fault::FaultKind;
 use ehw_image::noise::salt_pepper;
 use ehw_image::synth;
 use ehw_parallel::ParallelConfig;
-use ehw_platform::evo_modes::{CascadeEngine, CascadeInit, CascadeResult, EvolutionTask};
+use ehw_platform::evo_modes::{CascadeInit, CascadeResult, EvolutionTask};
 use ehw_platform::jobs::{execute, CascadeBuilder, JobSpec};
 use ehw_platform::modes::{CascadeFitness, CascadeSchedule};
 use ehw_platform::platform::EhwPlatform;
@@ -78,19 +79,15 @@ proptest! {
         faulty in any::<bool>(),
     ) {
         let task = denoise_task(14, img_seed);
-        let spec = |engine: CascadeEngine| {
-            cascade(&task)
-                .generations(4)
-                .offspring(5)
-                .fitness(fitness)
-                .schedule(schedule)
-                .init(init)
-                .engine(engine)
-                .build()
-                .expect("valid spec")
-        };
-        let naive = run(&spec(CascadeEngine::Naive), seed, 1, faulty);
-        let compiled_spec = spec(CascadeEngine::Compiled);
+        let compiled_spec = cascade(&task)
+            .generations(4)
+            .offspring(5)
+            .fitness(fitness)
+            .schedule(schedule)
+            .init(init)
+            .build()
+            .expect("valid spec");
+        let naive = oracle::run_cascade(&mut platform(1, faulty), &compiled_spec, seed);
         let reference = run(&compiled_spec, seed, 1, faulty);
         for workers in [1usize, 2, 8] {
             let compiled = run(&compiled_spec, seed, workers, faulty);
@@ -120,19 +117,16 @@ proptest! {
         // Beyond the returned result: the platform both engines leave behind
         // must hold the same circuits and report the same chain fitness.
         let task = denoise_task(12, img_seed);
-        let spec = |engine: CascadeEngine| {
-            cascade(&task)
-                .generations(3)
-                .offspring(4)
-                .schedule(schedule)
-                .engine(engine)
-                .build()
-                .expect("valid spec")
-        };
+        let spec = cascade(&task)
+            .generations(3)
+            .offspring(4)
+            .schedule(schedule)
+            .build()
+            .expect("valid spec");
         let mut naive_platform = platform(1, false);
-        let _ = run_on(&mut naive_platform, &spec(CascadeEngine::Naive), seed);
+        let _ = oracle::run_cascade(&mut naive_platform, &spec, seed);
         let mut compiled_platform = platform(1, false);
-        let _ = run_on(&mut compiled_platform, &spec(CascadeEngine::Compiled), seed);
+        let _ = run_on(&mut compiled_platform, &spec, seed);
         for i in 0..3 {
             prop_assert_eq!(
                 naive_platform.acb(i).genotype(),
@@ -144,5 +138,42 @@ proptest! {
             naive_platform.chain_fitness(&task.input, &task.reference),
             compiled_platform.chain_fitness(&task.input, &task.reference)
         );
+    }
+}
+
+#[test]
+fn compiled_and_naive_cascades_are_byte_identical() {
+    // Deterministic spot check of the engine equivalence across every
+    // fitness × schedule pair: same config and seed ⇒ identical genotypes,
+    // stage fitness and evaluation counts, and the compiled engine must
+    // actually have saved work.
+    let task = {
+        let clean = synth::shapes(20, 20, 4);
+        let mut rng = StdRng::seed_from_u64(71);
+        let noisy = salt_pepper(&clean, 0.35, &mut rng);
+        EvolutionTask::new(noisy, clean)
+    };
+    for fitness in [CascadeFitness::Separate, CascadeFitness::Merged] {
+        for schedule in [CascadeSchedule::Sequential, CascadeSchedule::Interleaved] {
+            let spec = cascade(&task)
+                .generations(8)
+                .fitness(fitness)
+                .schedule(schedule)
+                .build()
+                .expect("valid spec");
+            let naive = oracle::run_cascade(&mut EhwPlatform::paper_three_arrays(), &spec, 67);
+            let compiled = run_on(&mut EhwPlatform::paper_three_arrays(), &spec, 67);
+            assert_eq!(
+                naive.stage_genotypes, compiled.stage_genotypes,
+                "{fitness:?}/{schedule:?}"
+            );
+            assert_eq!(naive.stage_fitness, compiled.stage_fitness);
+            assert_eq!(naive.evaluations, compiled.evaluations);
+            assert!(
+                compiled.stats.early_exits > 0 || compiled.stats.memo_hits > 0,
+                "engine saved nothing: {:?}",
+                compiled.stats
+            );
+        }
     }
 }

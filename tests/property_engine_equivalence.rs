@@ -1,20 +1,27 @@
 //! Property suite pinning the compiled evaluation engine to the reference
-//! interpreter: the plan must be bit-identical to the interpreter for random
-//! genotype × fault-overlay × image triples, bounded fitness must equal
-//! unbounded fitness whenever the bound is not hit, and a whole evolution run
-//! must be byte-identical with the engine on or off, at any worker count.
+//! implementations of `ehw_bench::oracle`: the plan must be bit-identical to
+//! the interpreter for random genotype × fault-overlay × image triples, the
+//! plane-routed reference filters to their scalar kernels, bounded fitness
+//! must equal unbounded fitness whenever the bound is not hit, and a whole
+//! evolution run must be byte-identical to exhaustive scoring, at any worker
+//! count.
 
 use std::collections::BTreeMap;
 
 use ehw_array::array::ProcessingArray;
-use ehw_array::compiled::{interpret_filter_image, interpret_window, CompiledArray};
+use ehw_array::compiled::CompiledArray;
 use ehw_array::genotype::{Genotype, ARRAY_COLS, ARRAY_ROWS};
 use ehw_array::pe::FaultBehaviour;
+use ehw_bench::oracle::{
+    filter_kernel, gather_window, interpret_filter_image, interpret_window, Exhaustive,
+};
 use ehw_evolution::fitness::{plan_mae, plan_mae_bounded, SoftwareEvaluator};
-use ehw_evolution::strategy::{run_evolution, EsConfig, EvalEngine, NullObserver};
+use ehw_evolution::strategy::{run_evolution, EsConfig, NullObserver};
+use ehw_image::filters::ReferenceFilter;
 use ehw_image::image::GrayImage;
 use ehw_image::metrics::mae;
-use ehw_image::window::{SharedWindows, Window3x3};
+use ehw_image::synth;
+use ehw_image::window::{map_windows, SharedWindows, Window3x3, WindowPlanes};
 use ehw_parallel::ParallelConfig;
 use proptest::prelude::*;
 
@@ -170,7 +177,7 @@ proptest! {
         let mut block = vec![0u8; windows.len()];
         plan.evaluate_planes_into(windows.planes(), 0, &mut block);
         for (k, &lane) in block.iter().enumerate() {
-            prop_assert_eq!(lane, plan.evaluate_window(&windows.window(k)));
+            prop_assert_eq!(lane, plan.evaluate_window(&gather_window(windows.planes(), k)));
         }
     }
 
@@ -184,7 +191,8 @@ proptest! {
         // same plan, same windows, only the memory layout differs.
         let plan = compile(&g, &overlay);
         let windows = SharedWindows::new(&img);
-        let aos: Vec<Window3x3> = (0..windows.len()).map(|k| windows.window(k)).collect();
+        let aos: Vec<Window3x3> =
+            (0..windows.len()).map(|k| gather_window(windows.planes(), k)).collect();
         let mut from_aos = vec![0u8; aos.len()];
         plan.evaluate_windows_into(&aos, &mut from_aos);
         let mut from_planes = vec![0u8; aos.len()];
@@ -206,12 +214,13 @@ proptest! {
         let plan = compile(&g, &overlay);
         let windows = SharedWindows::new(&img);
         let expected: Vec<u8> = (start..start + len)
-            .map(|k| interpret_window(&g, &overlay, &windows.window(k)))
+            .map(|k| interpret_window(&g, &overlay, &gather_window(windows.planes(), k)))
             .collect();
         let mut from_planes = vec![0u8; len];
         plan.evaluate_planes_into(windows.planes(), start, &mut from_planes);
         prop_assert_eq!(&from_planes, &expected);
-        let aos: Vec<Window3x3> = (start..start + len).map(|k| windows.window(k)).collect();
+        let aos: Vec<Window3x3> =
+            (start..start + len).map(|k| gather_window(windows.planes(), k)).collect();
         let mut from_aos = vec![0u8; len];
         plan.evaluate_windows_into(&aos, &mut from_aos);
         prop_assert_eq!(&from_aos, &expected);
@@ -337,7 +346,7 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // Evolution: engine on == engine off, at any worker count
+    // Evolution: bounded == exhaustive, at any worker count
     // ------------------------------------------------------------------
 
     #[test]
@@ -348,23 +357,97 @@ proptest! {
         let clean = ehw_image::synth::shapes(16, 16, 3);
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(img_seed);
         let noisy = ehw_image::noise::salt_pepper(&clean, 0.3, &mut rng);
-        let run = |engine: EvalEngine, workers: usize| {
-            let config = EsConfig {
-                engine,
-                parallel: ParallelConfig::with_workers(workers),
-                ..EsConfig::paper(3, 1, 15, seed)
-            };
-            let mut eval = SoftwareEvaluator::new(noisy.clone(), clean.clone());
-            run_evolution(&config, &mut eval, &mut NullObserver)
+        let config = |workers: usize| EsConfig {
+            parallel: ParallelConfig::with_workers(workers),
+            ..EsConfig::paper(3, 1, 15, seed)
         };
-        let reference = run(EvalEngine::Exhaustive, 1);
+        let evaluator = || SoftwareEvaluator::new(noisy.clone(), clean.clone());
+        let reference = run_evolution(&config(1), &mut Exhaustive(evaluator()), &mut NullObserver);
         for workers in [1usize, 2, 8] {
-            let r = run(EvalEngine::Bounded, workers);
+            let r = run_evolution(&config(workers), &mut evaluator(), &mut NullObserver);
             prop_assert_eq!(r.best_genotype.encode(), reference.best_genotype.encode());
             prop_assert_eq!(r.best_fitness, reference.best_fitness);
             prop_assert_eq!(&r.history, &reference.history);
             prop_assert_eq!(r.evaluations, reference.evaluations);
             prop_assert_eq!(r.total_pe_reconfigurations, reference.total_pe_reconfigurations);
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Deterministic spot checks (non-property, fixed seeds)
+// ----------------------------------------------------------------------
+
+#[test]
+fn engine_on_and_off_produce_identical_results() {
+    // The headline contract of the compiled evaluation engine: early exit
+    // and the per-generation memo are pure work-savers.  Same seed ⇒
+    // byte-identical best genotype, history and counters as exhaustive
+    // scoring, at any worker count.
+    let denoise_evaluator = || {
+        let clean = synth::shapes(24, 24, 4);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(4);
+        let noisy = ehw_image::noise::salt_pepper(&clean, 0.3, &mut rng);
+        SoftwareEvaluator::new(noisy, clean)
+    };
+    let reference = {
+        let config = EsConfig {
+            parallel: ParallelConfig::serial(),
+            ..EsConfig::paper(3, 1, 60, 77)
+        };
+        let mut eval = Exhaustive(denoise_evaluator());
+        run_evolution(&config, &mut eval, &mut NullObserver)
+    };
+    for workers in [1usize, 2, 8] {
+        let config = EsConfig {
+            parallel: ParallelConfig::with_workers(workers),
+            ..EsConfig::paper(3, 1, 60, 77)
+        };
+        let mut eval = denoise_evaluator();
+        let r = run_evolution(&config, &mut eval, &mut NullObserver);
+        assert_eq!(r.best_genotype.encode(), reference.best_genotype.encode());
+        assert_eq!(r.best_fitness, reference.best_fitness);
+        assert_eq!(r.initial_fitness, reference.initial_fitness);
+        assert_eq!(r.history, reference.history);
+        assert_eq!(r.evaluations, reference.evaluations);
+        assert_eq!(
+            r.total_pe_reconfigurations,
+            reference.total_pe_reconfigurations
+        );
+        // And the engine must actually have saved work.
+        let stats = eval.engine_stats();
+        assert!(
+            stats.early_exits > 0 || stats.memo_hits > 0,
+            "engine saved nothing: {stats:?}"
+        );
+    }
+}
+
+#[test]
+fn kernel_and_apply_agree_for_all_filters() {
+    // The plane-routed `apply` must be byte-identical to the scalar
+    // per-window kernel, including at borders and degenerate shapes
+    // (where every pixel is a border pixel).
+    let shapes = [
+        synth::shapes(32, 32, 3),
+        synth::shapes(1, 1, 1),
+        synth::shapes(1, 7, 1),
+        synth::shapes(2, 2, 1),
+        synth::shapes(5, 2, 1),
+    ];
+    for img in &shapes {
+        let planes = WindowPlanes::new(img);
+        for f in ReferenceFilter::ALL {
+            let full = f.apply(img);
+            let via_kernel = map_windows(img, |w| filter_kernel(f, w));
+            assert_eq!(
+                full,
+                via_kernel,
+                "filter {f:?} disagrees at {}x{}",
+                img.width(),
+                img.height()
+            );
+            assert_eq!(f.apply_planes(&planes), via_kernel, "planes {f:?}");
         }
     }
 }

@@ -152,7 +152,7 @@ proptest! {
 // ----------------------------------------------------------------------
 
 #[test]
-fn evaluate_batch_with_matches_sequential_evaluation() {
+fn batch_evaluation_matches_sequential_evaluation() {
     let task = denoise_task(24, 99);
     let mut rng = StdRng::seed_from_u64(5);
     let batch: Vec<Genotype> = (0..9).map(|_| Genotype::random(&mut rng)).collect();
@@ -161,7 +161,8 @@ fn evaluate_batch_with_matches_sequential_evaluation() {
     let sequential: Vec<u64> = batch.iter().map(|g| eval.evaluate(g)).collect();
     for workers in WORKER_COUNTS {
         let mut eval = SoftwareEvaluator::new(task.input.clone(), task.reference.clone());
-        let parallel = eval.evaluate_batch_with(&batch, ParallelConfig::with_workers(workers));
+        let parallel =
+            eval.evaluate_batch_bounded(&batch, None, None, ParallelConfig::with_workers(workers));
         assert_eq!(parallel, sequential, "diverged at {workers} workers");
     }
 }

@@ -46,7 +46,7 @@ use ehw_evolution::fitness::{plan_mae, FitnessEvaluator, SoftwareEvaluator};
 use ehw_evolution::strategy::{run_evolution, EsConfig, NullObserver};
 use ehw_image::filters::ReferenceFilter;
 use ehw_image::metrics::mae;
-use ehw_image::window::{map_windows, SharedWindows, Window3x3, WindowPlanes};
+use ehw_image::window::{SharedWindows, Window3x3, WindowPlanes};
 use ehw_parallel::ParallelConfig;
 use ehw_platform::fault_campaign::{run_campaign, CampaignReport};
 use ehw_platform::jobs::{execute, JobControl};
@@ -258,7 +258,7 @@ fn main() {
     for f in ReferenceFilter::ALL {
         assert_eq!(
             f.apply_planes(&filter_planes),
-            map_windows(&task.input, |w| oracle::filter_kernel(f, w)),
+            oracle::map_windows(&task.input, |w| oracle::filter_kernel(f, w)),
             "plane-routed filter {f:?} diverged from the scalar kernel"
         );
     }
@@ -275,7 +275,7 @@ fn main() {
     let filter_aos_s = time_filters(&mut || {
         let mut sum = 0u64;
         for f in ReferenceFilter::ALL {
-            let out = map_windows(std::hint::black_box(&task.input), |w| {
+            let out = oracle::map_windows(std::hint::black_box(&task.input), |w| {
                 oracle::filter_kernel(f, w)
             });
             sum = sum.wrapping_add(out.pixel(0, 0) as u64);

@@ -11,6 +11,8 @@
 //!   replace,
 //! * [`gather_window`] — the AoS view of one window of the SoA
 //!   [`WindowPlanes`],
+//! * [`map_windows`], [`select`], [`median`], [`mean`] — whole-image and
+//!   per-window helpers over the AoS [`Window3x3`],
 //! * [`filter_kernel`] — the scalar per-window reference filters the
 //!   plane-wise `ReferenceFilter::apply` replaces,
 //! * [`Exhaustive`] — an evaluator that scores every candidate exactly,
@@ -28,7 +30,7 @@ use ehw_evolution::fitness::{EngineStats, FitnessEvaluator};
 use ehw_image::filters::ReferenceFilter;
 use ehw_image::image::GrayImage;
 use ehw_image::metrics::mae;
-use ehw_image::window::{Window3x3, WindowPlanes};
+use ehw_image::window::{for_each_window_in_rows, Window3x3, WindowPlanes};
 use ehw_parallel::ParallelConfig;
 use ehw_platform::evo_modes::{CascadeConfig, CascadeInit, CascadeResult, EvolutionTask};
 use ehw_platform::jobs::JobSpec;
@@ -52,11 +54,11 @@ pub fn interpret_window(
     // the north side, 4–7 the west side.
     let mut north = [0u8; ARRAY_COLS];
     for (c, n) in north.iter_mut().enumerate() {
-        *n = window.select(genotype.input_genes[c]);
+        *n = select(window, genotype.input_genes[c]);
     }
     let mut west = [0u8; ARRAY_ROWS];
     for (r, w) in west.iter_mut().enumerate() {
-        *w = window.select(genotype.input_genes[ARRAY_COLS + r]);
+        *w = select(window, genotype.input_genes[ARRAY_COLS + r]);
     }
 
     // Systolic propagation: each PE consumes the output of its west and
@@ -98,6 +100,41 @@ pub fn gather_window(planes: &WindowPlanes, i: usize) -> Window3x3 {
 }
 
 // ---------------------------------------------------------------------------
+// AoS window helpers
+// ---------------------------------------------------------------------------
+
+/// Applies a per-window function over the whole image, producing a new image
+/// of the same dimensions, in one streaming extraction pass.
+pub fn map_windows(img: &GrayImage, mut f: impl FnMut(&Window3x3) -> u8) -> GrayImage {
+    let mut data = Vec::with_capacity(img.len());
+    for_each_window_in_rows(img, 0, img.height(), |_, _, w| data.push(f(w)));
+    GrayImage::from_vec(img.width(), img.height(), data)
+}
+
+/// Selects one pixel of the window; `sel` is the 9-to-1 mux selector used by
+/// the array inputs (0–8, row-major).  Selector values above 8 decode to the
+/// centre pixel, mirroring the hardware's "safe" decode of out-of-range
+/// register values.
+pub fn select(w: &Window3x3, sel: u8) -> u8 {
+    w.0.get(sel as usize)
+        .copied()
+        .unwrap_or(w.0[Window3x3::CENTER])
+}
+
+/// Median of the nine window pixels.
+pub fn median(w: &Window3x3) -> u8 {
+    let mut sorted = w.0;
+    sorted.sort_unstable();
+    sorted[4]
+}
+
+/// Integer mean of the nine window pixels (rounded towards zero, as a
+/// hardware divider by 9 would after truncation).
+pub fn mean(w: &Window3x3) -> u8 {
+    (w.0.iter().map(|&p| p as u32).sum::<u32>() / 9) as u8
+}
+
+// ---------------------------------------------------------------------------
 // Scalar reference filters
 // ---------------------------------------------------------------------------
 
@@ -107,8 +144,8 @@ pub fn filter_kernel(filter: ReferenceFilter, w: &Window3x3) -> u8 {
     let p = |i: usize| w.0[i] as i32;
     let center = w.0[Window3x3::CENTER];
     match filter {
-        ReferenceFilter::Median => w.median(),
-        ReferenceFilter::Mean => w.mean(),
+        ReferenceFilter::Median => median(w),
+        ReferenceFilter::Mean => mean(w),
         ReferenceFilter::Gaussian => gaussian_kernel(w),
         ReferenceFilter::SobelEdge => {
             // Horizontal and vertical Sobel gradients on the 3×3 window.
@@ -325,4 +362,51 @@ fn initial_parents(stages: usize, init: CascadeInit, rng: &mut StdRng) -> Vec<Ge
             CascadeInit::Random => Genotype::random(rng),
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn test_image() -> GrayImage {
+        // 0  1  2  3
+        // 4  5  6  7
+        // 8  9 10 11
+        GrayImage::from_fn(4, 3, |x, y| (y * 4 + x) as u8)
+    }
+
+    #[test]
+    fn select_mux_behaviour() {
+        let img = test_image();
+        let w = Window3x3::from_image(&img, 1, 1);
+        for sel in 0..9u8 {
+            assert_eq!(select(&w, sel), w.0[sel as usize]);
+        }
+        // Out-of-range selectors decode to the centre pixel.
+        assert_eq!(select(&w, 9), w.0[Window3x3::CENTER]);
+        assert_eq!(select(&w, 255), w.0[Window3x3::CENTER]);
+    }
+
+    #[test]
+    fn window_statistics() {
+        let w = Window3x3([9, 1, 8, 2, 7, 3, 6, 4, 5]);
+        assert_eq!(median(&w), 5);
+        assert_eq!(mean(&w), 5);
+    }
+
+    #[test]
+    fn map_windows_identity_on_center() {
+        let img = test_image();
+        let out = map_windows(&img, |w| w.0[Window3x3::CENTER]);
+        assert_eq!(out, img);
+    }
+
+    #[test]
+    fn map_windows_constant() {
+        let img = test_image();
+        let out = map_windows(&img, |_| 42);
+        assert!(out.pixels().all(|p| p == 42));
+        assert_eq!(out.width(), img.width());
+        assert_eq!(out.height(), img.height());
+    }
 }

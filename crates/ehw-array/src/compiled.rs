@@ -86,8 +86,8 @@ impl CompiledArray {
     }
 
     /// Selector values above 8 decode to the window centre, exactly like
-    /// `Window3x3::select`; resolving that at compile/patch time removes the
-    /// per-pixel branch.
+    /// `ehw_bench::oracle::select`; resolving that at compile/patch time
+    /// removes the per-pixel branch.
     #[inline]
     fn clamp_selector(sel: u8) -> usize {
         if (sel as usize) < 9 {

@@ -129,7 +129,7 @@ fn median_planes(planes: &WindowPlanes) -> Vec<u8> {
             let mut v: [u8; 9] = std::array::from_fn(|sel| p[sel][i]);
             // Devillard's 19-comparator median-of-9 network: cheaper than a
             // full sort, and the median is method-independent, so the result
-            // matches `Window3x3::median` exactly.
+            // matches `ehw_bench::oracle::median` exactly.
             cmp_swap(&mut v, 1, 2);
             cmp_swap(&mut v, 4, 5);
             cmp_swap(&mut v, 7, 8);
@@ -155,7 +155,7 @@ fn median_planes(planes: &WindowPlanes) -> Vec<u8> {
 }
 
 fn mean_planes(planes: &WindowPlanes) -> Vec<u8> {
-    // 9 * 255 = 2295 fits u16; truncating division matches `Window3x3::mean`.
+    // 9 * 255 = 2295 fits u16; truncating division matches `ehw_bench::oracle::mean`.
     let mut sum = vec![0u16; planes.len()];
     for sel in 0..9 {
         for (acc, &pixel) in sum.iter_mut().zip(planes.plane(sel)) {

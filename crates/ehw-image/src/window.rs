@@ -42,46 +42,6 @@ impl Window3x3 {
         }
         Window3x3(w)
     }
-
-    /// The centre pixel of the window.
-    #[inline]
-    pub(crate) fn center(&self) -> u8 {
-        self.0[Self::CENTER]
-    }
-
-    /// Selects one pixel of the window; `sel` is the 9-to-1 mux selector used
-    /// by the array inputs (0–8, row-major).  Selector values above 8 are
-    /// clamped to the centre pixel, mirroring the hardware's "safe" decode of
-    /// out-of-range register values.
-    #[inline]
-    pub fn select(&self, sel: u8) -> u8 {
-        if (sel as usize) < 9 {
-            self.0[sel as usize]
-        } else {
-            self.center()
-        }
-    }
-
-    /// Returns the window pixels sorted ascending (used by the median
-    /// reference filter).
-    pub(crate) fn sorted(&self) -> [u8; 9] {
-        let mut s = self.0;
-        s.sort_unstable();
-        s
-    }
-
-    /// Median of the nine window pixels.
-    #[inline]
-    pub fn median(&self) -> u8 {
-        self.sorted()[4]
-    }
-
-    /// Integer mean of the nine window pixels (rounded towards zero, as a
-    /// hardware divider by 9 would after truncation).
-    #[inline]
-    pub fn mean(&self) -> u8 {
-        (self.0.iter().map(|&p| p as u32).sum::<u32>() / 9) as u8
-    }
 }
 
 /// Streams the 3×3 window of every pixel in rows `y0..y1` (raster order) to
@@ -276,16 +236,6 @@ impl SharedWindows {
     }
 }
 
-/// Applies a per-window function over the whole image, producing a new image
-/// of the same dimensions.  This is the generic "window filter" driver used by
-/// the reference filters and by the software model of the evolvable array;
-/// both consume the same streaming extraction pass of `for_each_window`.
-pub fn map_windows(img: &GrayImage, mut f: impl FnMut(&Window3x3) -> u8) -> GrayImage {
-    let mut data = Vec::with_capacity(img.len());
-    for_each_window(img, |_, _, w| data.push(f(w)));
-    GrayImage::from_vec(img.width(), img.height(), data)
-}
-
 /// Iterates the 3×3 window for every pixel of `img` in raster order,
 /// yielding `(x, y, window)` — the per-pixel reference the streaming and
 /// plane extractors are tested against.
@@ -311,7 +261,7 @@ mod tests {
         let img = test_image();
         let w = Window3x3::from_image(&img, 1, 1);
         assert_eq!(w.0, [0, 1, 2, 4, 5, 6, 8, 9, 10]);
-        assert_eq!(w.center(), 5);
+        assert_eq!(w.0[Window3x3::CENTER], 5);
     }
 
     #[test]
@@ -324,26 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn select_mux_behaviour() {
-        let img = test_image();
-        let w = Window3x3::from_image(&img, 1, 1);
-        for sel in 0..9u8 {
-            assert_eq!(w.select(sel), w.0[sel as usize]);
-        }
-        // Out-of-range selectors decode to the centre pixel.
-        assert_eq!(w.select(9), w.center());
-        assert_eq!(w.select(255), w.center());
-    }
-
-    #[test]
-    fn window_statistics() {
-        let w = Window3x3([9, 1, 8, 2, 7, 3, 6, 4, 5]);
-        assert_eq!(w.sorted(), [1, 2, 3, 4, 5, 6, 7, 8, 9]);
-        assert_eq!(w.median(), 5);
-        assert_eq!(w.mean(), 5);
-    }
-
-    #[test]
     fn windows_iterator_covers_every_pixel() {
         let img = test_image();
         let collected: Vec<_> = windows(&img).collect();
@@ -352,22 +282,6 @@ mod tests {
         assert_eq!(collected[0].1, 0);
         assert_eq!(collected[11].0, 3);
         assert_eq!(collected[11].1, 2);
-    }
-
-    #[test]
-    fn map_windows_identity_on_center() {
-        let img = test_image();
-        let out = map_windows(&img, |w| w.center());
-        assert_eq!(out, img);
-    }
-
-    #[test]
-    fn map_windows_constant() {
-        let img = test_image();
-        let out = map_windows(&img, |_| 42);
-        assert!(out.pixels().all(|p| p == 42));
-        assert_eq!(out.width(), img.width());
-        assert_eq!(out.height(), img.height());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! | `GET /jobs/:id`        | Status (`queued`/`running`/`done`/`failed`/`cancelled`/`lost`) plus the result once settled |
 //! | `DELETE /jobs/:id`     | Request cooperative cancellation                    |
 //! | `GET /jobs/:id/events` | Line-delimited JSON progress events (one per generation), streamed until the job settles |
-//! | `GET /metrics`         | Queue depth, per-state job counts, jobs/sec, per-kind latency histograms, shard liveness, cross-job cache counters |
+//! | `GET /metrics`         | Queue depth, per-state job counts, jobs/sec, per-kind submit→settle latency histograms, shard liveness, cross-job cache counters |
 //! | `GET /registry`        | Named fault scenarios and recovery policies this server resolves in `fault_campaign` specs |
 //!
 //! `/metrics` speaks JSON by default and the Prometheus text exposition
@@ -27,11 +27,21 @@
 //! honouring `Connection: close`; NDJSON event streams always end by closing
 //! the connection.
 //!
+//! ## Job state
+//!
+//! The server keeps no job state of its own: its registry maps job ids to
+//! the service's [`JobHandle`]s, which read each job's one lifecycle record.
+//! `/metrics` reads counters, never the registry: `queued` is the queue
+//! depth, `running` the service's gauge, each settled state the service's
+//! lifetime count less the reaper's evictions in that state, and
+//! `latency_ms` submit→settle as the shard stamped it.
+//!
 //! Settled jobs are retained for a TTL ([`DEFAULT_JOB_TTL`], configurable
-//! via [`EhwServer::serve_with_persistence`]) and then evicted by a background
-//! reaper thread so a long-lived server's registry cannot grow without
-//! bound; an evicted job's status reads as 404, and the eviction count is
-//! exported under `/metrics`.
+//! via [`EhwServer::serve_with_persistence`]) from their settle instant, and
+//! then evicted by a background reaper — the only walk over the registry —
+//! so a long-lived server's registry cannot grow without bound; an evicted
+//! job's status reads as 404, and the eviction count is exported under
+//! `/metrics`.
 //!
 //! ## Determinism over the wire
 //!
@@ -59,16 +69,15 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use ehw_service::{EhwService, JobHandle, JobMonitor, JobResult, ScenarioRegistry};
+use ehw_service::{
+    EhwService, JobHandle, JobMonitor, JobStatus, LatencyHistogram, ScenarioRegistry, ServiceStats,
+    LATENCY_BOUNDS_MS,
+};
 
 use codec::{obj, ToJson};
 use http::{read_request, write_response, write_stream_head, Request, RequestError};
 use json::Value;
 use wire::{encode_error, encode_event};
-
-/// Latency histogram bucket bounds, in milliseconds (log₂ spaced, the last
-/// bucket is open-ended).
-const LATENCY_BOUNDS_MS: [u64; 12] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048];
 
 /// How long one `wait_events` poll blocks before re-checking the socket.
 const EVENT_POLL: Duration = Duration::from_millis(100);
@@ -88,84 +97,8 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One submitted job as the server tracks it.
-struct TrackedJob {
-    kind: &'static str,
-    seed: u64,
-    submitted_at: Instant,
-    /// When the server first observed the job as settled — the TTL clock.
-    settled_at: Option<Instant>,
-    monitor: JobMonitor,
-    state: JobState,
-}
-
-enum JobState {
-    /// Still owned by the service; the handle is polled on every status read.
-    Pending(JobHandle),
-    /// The result arrived (or the pool died); cached for every later read.
-    Settled(Result<JobResult, String>),
-}
-
-impl TrackedJob {
-    /// Polls a pending handle and caches the outcome; returns the wall-clock
-    /// latency when this call is the one that settled the job.
-    fn poll(&mut self) -> Option<Duration> {
-        let JobState::Pending(handle) = &self.state else {
-            return None;
-        };
-        match handle.try_wait() {
-            Ok(None) => None,
-            Ok(Some(result)) => {
-                let latency = self.submitted_at.elapsed();
-                self.state = JobState::Settled(Ok(result));
-                self.settled_at = Some(Instant::now());
-                Some(latency)
-            }
-            Err(lost) => {
-                self.state = JobState::Settled(Err(lost.to_string()));
-                self.settled_at = Some(Instant::now());
-                Some(self.submitted_at.elapsed())
-            }
-        }
-    }
-
-    /// The externally visible lifecycle state.
-    fn status(&self) -> &'static str {
-        match &self.state {
-            JobState::Pending(_) => {
-                if self.monitor.is_running() {
-                    "running"
-                } else {
-                    "queued"
-                }
-            }
-            JobState::Settled(Ok(result)) if result.is_failed() => "failed",
-            JobState::Settled(Ok(result)) if result.is_cancelled() => "cancelled",
-            JobState::Settled(Ok(_)) => "done",
-            JobState::Settled(Err(_)) => "lost",
-        }
-    }
-}
-
-/// Per-kind settle-latency histogram (log₂ buckets over milliseconds).
-#[derive(Default)]
-struct LatencyHistogram {
-    counts: [u64; LATENCY_BOUNDS_MS.len() + 1],
-    total: u64,
-}
-
-impl LatencyHistogram {
-    fn record(&mut self, latency: Duration) {
-        let ms = latency.as_millis() as u64;
-        let bucket = LATENCY_BOUNDS_MS
-            .iter()
-            .position(|&bound| ms <= bound)
-            .unwrap_or(LATENCY_BOUNDS_MS.len());
-        self.counts[bucket] += 1;
-        self.total += 1;
-    }
-
-    fn encode(&self) -> Value {
+impl ToJson for LatencyHistogram {
+    fn to_value(&self) -> Value {
         obj(&[
             ("bounds_ms", &LATENCY_BOUNDS_MS.as_slice()),
             ("counts", &self.counts.as_slice()),
@@ -176,14 +109,15 @@ impl LatencyHistogram {
 
 struct ServerState {
     service: EhwService,
-    jobs: Mutex<HashMap<u64, TrackedJob>>,
-    latencies: Mutex<HashMap<&'static str, LatencyHistogram>>,
+    /// Every job submitted over the wire and not yet evicted, by id.
+    jobs: Mutex<HashMap<u64, JobHandle>>,
     started_at: Instant,
     shutting_down: AtomicBool,
     /// Retention window for settled jobs; the reaper evicts older ones.
     job_ttl: Duration,
-    /// Settled jobs evicted by the reaper since the server started.
-    evicted: AtomicU64,
+    /// Settled jobs evicted by the reaper since the server started, per
+    /// state (indexed by `JobStatus as usize`).
+    evicted: [AtomicU64; JobStatus::ALL.len()],
     /// Named fault scenarios and recovery policies resolvable in job specs.
     registry: ScenarioRegistry,
     /// Where the champion library is persisted, when persistence is on.
@@ -194,61 +128,41 @@ struct ServerState {
 }
 
 impl ServerState {
-    /// Polls every pending job once, recording settle latencies — keeps the
-    /// registry's view current between reaper sweeps.
-    fn poll_all(&self) {
-        let mut jobs = lock(&self.jobs);
-        let mut settled = Vec::new();
-        for job in jobs.values_mut() {
-            if let Some(latency) = job.poll() {
-                settled.push((job.kind, latency));
-            }
-        }
-        drop(jobs);
-        if !settled.is_empty() {
-            let mut latencies = lock(&self.latencies);
-            for (kind, latency) in settled {
-                latencies.entry(kind).or_default().record(latency);
-            }
-        }
+    /// Jobs per lifecycle state, in the order both `/metrics` forms report
+    /// them, from counters alone (see the module docs).
+    fn jobs_by_state(&self, stats: &ServiceStats) -> [(&'static str, u64); 6] {
+        JobStatus::ALL.map(|status| {
+            let count = match status {
+                JobStatus::Queued => self.service.queue_depth() as u64,
+                JobStatus::Running => stats.running,
+                JobStatus::Done => stats.completed,
+                JobStatus::Failed => stats.failed,
+                JobStatus::Cancelled => stats.cancelled,
+                JobStatus::Lost => stats.lost,
+            };
+            let evicted = self.evicted[status as usize].load(Ordering::Relaxed);
+            (status.name(), count.saturating_sub(evicted))
+        })
     }
 
-    /// Tracked jobs per lifecycle state, in the order both `/metrics` forms
-    /// report them.
-    fn jobs_by_state(&self) -> [(&'static str, u64); 6] {
-        let mut by_state = [
-            ("queued", 0),
-            ("running", 0),
-            ("done", 0),
-            ("failed", 0),
-            ("cancelled", 0),
-            ("lost", 0),
-        ];
-        for job in lock(&self.jobs).values() {
-            let status = job.status();
-            if let Some(slot) = by_state.iter_mut().find(|(name, _)| *name == status) {
-                slot.1 += 1;
-            }
-        }
-        by_state
+    fn jobs_evicted(&self) -> u64 {
+        self.evicted.iter().map(|n| n.load(Ordering::Relaxed)).sum()
     }
 
-    /// Evicts every settled job whose retention window has lapsed.  Pending
-    /// jobs are never touched, however old: eviction only forgets results
-    /// nobody fetched, it never abandons running work.
+    /// Evicts every job that settled more than a TTL ago, counting each
+    /// eviction under its state.  Unsettled jobs are never touched, however
+    /// old: eviction only forgets results nobody fetched, it never abandons
+    /// running work.
     fn sweep_expired(&self) {
-        self.poll_all();
-        let mut jobs = lock(&self.jobs);
-        let before = jobs.len();
-        jobs.retain(|_, job| match job.settled_at {
-            Some(at) => at.elapsed() < self.job_ttl,
-            None => true,
+        lock(&self.jobs).retain(|_, handle| {
+            let expired = handle
+                .settled_at()
+                .is_some_and(|at| at.elapsed() >= self.job_ttl);
+            if expired {
+                self.evicted[handle.status() as usize].fetch_add(1, Ordering::Relaxed);
+            }
+            !expired
         });
-        let evicted = (before - jobs.len()) as u64;
-        drop(jobs);
-        if evicted > 0 {
-            self.evicted.fetch_add(evicted, Ordering::Relaxed);
-        }
     }
 
     /// Writes the champion library to the configured file when (and only
@@ -363,11 +277,10 @@ impl EhwServer {
         let state = Arc::new(ServerState {
             service,
             jobs: Mutex::new(HashMap::new()),
-            latencies: Mutex::new(HashMap::new()),
             started_at: Instant::now(),
             shutting_down: AtomicBool::new(false),
             job_ttl,
-            evicted: AtomicU64::new(0),
+            evicted: Default::default(),
             registry,
             saved_champion_epoch: AtomicU64::new(loaded_epoch),
             champions_file,
@@ -394,10 +307,12 @@ impl EhwServer {
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
+}
 
-    /// Stops accepting connections and joins the accept loop.  In-flight
-    /// handler threads drain their connections on their own.
-    pub(crate) fn shutdown(&mut self) {
+impl Drop for EhwServer {
+    /// Stops accepting connections and joins the accept loop and the reaper.
+    /// In-flight handler threads drain their connections on their own.
+    fn drop(&mut self) {
         self.state.shutting_down.store(true, Ordering::SeqCst);
         // The accept loop is blocked in `accept`; a throwaway connection
         // wakes it so it can observe the flag and return.
@@ -408,12 +323,6 @@ impl EhwServer {
         if let Some(thread) = self.reaper_thread.take() {
             let _ = thread.join();
         }
-    }
-}
-
-impl Drop for EhwServer {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -521,37 +430,12 @@ fn route(stream: &mut TcpStream, state: &ServerState, request: &Request, close: 
     match (request.method.as_str(), segments.as_slice()) {
         ("POST", ["jobs"]) => handle_submit(stream, state, &request.body, None, close),
         ("POST", ["streams"]) => handle_submit(stream, state, &request.body, Some("stream"), close),
-        ("GET", ["jobs", id]) => match id.parse::<u64>() {
-            Ok(id) => handle_status(stream, state, id, close),
-            Err(_) => respond_json(
-                stream,
-                400,
-                &encode_error("job id must be an integer"),
-                close,
-            ),
-        },
-        ("DELETE", ["jobs", id]) => match id.parse::<u64>() {
-            Ok(id) => handle_cancel(stream, state, id, close),
-            Err(_) => respond_json(
-                stream,
-                400,
-                &encode_error("job id must be an integer"),
-                close,
-            ),
-        },
+        ("GET", ["jobs", id]) => return handle_job(stream, state, id, JobEndpoint::Status, close),
+        ("DELETE", ["jobs", id]) => {
+            return handle_job(stream, state, id, JobEndpoint::Cancel, close)
+        }
         ("GET", ["jobs", id, "events"]) => {
-            return match id.parse::<u64>() {
-                Ok(id) => handle_events(stream, state, id, close),
-                Err(_) => {
-                    respond_json(
-                        stream,
-                        400,
-                        &encode_error("job id must be an integer"),
-                        close,
-                    );
-                    !close
-                }
-            };
+            return handle_job(stream, state, id, JobEndpoint::Events, close)
         }
         ("GET", ["metrics"]) => handle_metrics(stream, state, request, close),
         ("GET", ["registry"]) => {
@@ -627,15 +511,7 @@ fn handle_submit(
     };
     let job_id = handle.job_id();
     let seed = handle.seed();
-    let tracked = TrackedJob {
-        kind,
-        seed,
-        submitted_at: Instant::now(),
-        settled_at: None,
-        monitor: handle.monitor(),
-        state: JobState::Pending(handle),
-    };
-    lock(&state.jobs).insert(job_id, tracked);
+    lock(&state.jobs).insert(job_id, handle);
     respond_json(
         stream,
         201,
@@ -649,74 +525,36 @@ fn handle_submit(
     );
 }
 
-fn handle_status(stream: &mut TcpStream, state: &ServerState, job_id: u64, close: bool) {
-    state.poll_all();
-    let jobs = lock(&state.jobs);
-    let Some(job) = jobs.get(&job_id) else {
-        drop(jobs);
-        respond_json(
-            stream,
-            404,
-            &encode_error(format!("no job {job_id}")),
-            close,
-        );
-        return;
-    };
-    let status = job.status();
-    let mut members: Vec<(&str, &dyn ToJson)> = vec![
-        ("job_id", &job_id),
-        ("kind", &job.kind),
-        ("seed", &job.seed),
-        ("status", &status),
-    ];
-    match &job.state {
-        JobState::Settled(Ok(result)) => members.push(("result", result)),
-        JobState::Settled(Err(lost)) => members.push(("error", lost)),
-        JobState::Pending(_) => {}
-    }
-    let doc = obj(&members);
-    drop(jobs);
-    respond_json(stream, 200, &doc, close);
+/// What a request under `/jobs/:id` asks: status, cancellation or events.
+enum JobEndpoint {
+    Status,
+    Cancel,
+    Events,
 }
 
-fn handle_cancel(stream: &mut TcpStream, state: &ServerState, job_id: u64, close: bool) {
-    state.poll_all();
-    let jobs = lock(&state.jobs);
-    let Some(job) = jobs.get(&job_id) else {
-        drop(jobs);
+/// Serves a request under `/jobs/:id`: the one place a non-integer id gets
+/// its 400 and an unknown (or evicted) id its 404.  Socket writes happen
+/// after the registry lock is released.  Returns whether the connection is
+/// still usable.
+fn handle_job(
+    stream: &mut TcpStream,
+    state: &ServerState,
+    id: &str,
+    endpoint: JobEndpoint,
+    close: bool,
+) -> bool {
+    let Ok(job_id) = id.parse::<u64>() else {
         respond_json(
             stream,
-            404,
-            &encode_error(format!("no job {job_id}")),
+            400,
+            &encode_error("job id must be an integer"),
             close,
         );
-        return;
+        return !close;
     };
-    let already_settled = matches!(job.state, JobState::Settled(_));
-    let status = if already_settled {
-        job.status()
-    } else {
-        job.monitor.cancel();
-        "cancelling"
-    };
-    let doc = obj(&[("job_id", &job_id), ("status", &status)]);
-    drop(jobs);
-    // Cancellation is cooperative: 202 says "requested", the job settles at
-    // its next generation boundary.  An already settled job reports its
-    // final state with a plain 200.
-    respond_json(stream, if already_settled { 200 } else { 202 }, &doc, close);
-}
-
-/// Streams a job's NDJSON progress events.  A streaming body has no
-/// `Content-Length` — its end is signalled by closing the connection — so a
-/// successful stream always consumes the socket; the return value says
-/// whether the connection is still usable (only after the 404 short-circuit).
-fn handle_events(stream: &mut TcpStream, state: &ServerState, job_id: u64, close: bool) -> bool {
-    // The registry guard is a temporary, released before any socket write.
-    let monitor = lock(&state.jobs)
-        .get(&job_id)
-        .map(|job| job.monitor.clone());
-    let Some(monitor) = monitor else {
+    let jobs = lock(&state.jobs);
+    let Some(handle) = jobs.get(&job_id) else {
+        drop(jobs);
         respond_json(
             stream,
             404,
@@ -725,8 +563,61 @@ fn handle_events(stream: &mut TcpStream, state: &ServerState, job_id: u64, close
         );
         return !close;
     };
+    let (code, doc) = match endpoint {
+        JobEndpoint::Status => (200, status_doc(job_id, handle)),
+        JobEndpoint::Cancel => {
+            // Cancellation is cooperative: 202 says "requested", the job
+            // settles at its next generation boundary.  An already settled
+            // job reports its final state with a plain 200.
+            let status = handle.status();
+            let (code, reported) = if status.is_settled() {
+                (200, status.name())
+            } else {
+                handle.monitor().cancel();
+                (202, "cancelling")
+            };
+            (code, obj(&[("job_id", &job_id), ("status", &reported)]))
+        }
+        JobEndpoint::Events => {
+            let monitor = handle.monitor();
+            drop(jobs);
+            stream_events(stream, &monitor);
+            return false;
+        }
+    };
+    drop(jobs);
+    respond_json(stream, code, &doc, close);
+    !close
+}
+
+/// The status document: the job's status, plus its result (or why it was
+/// lost) once settled.
+fn status_doc(job_id: u64, handle: &JobHandle) -> Value {
+    let status = handle.status();
+    // Read after the status: settling is final, so a settled status always
+    // finds its outcome (one that raced a pending status is left out).
+    let outcome = handle.try_wait().map_err(|lost| lost.to_string());
+    let (kind, seed, name) = (handle.kind(), handle.seed(), status.name());
+    let mut members: Vec<(&str, &dyn ToJson)> = vec![
+        ("job_id", &job_id),
+        ("kind", &kind),
+        ("seed", &seed),
+        ("status", &name),
+    ];
+    match (status.is_settled(), &outcome) {
+        (true, Ok(Some(result))) => members.push(("result", result)),
+        (true, Err(lost)) => members.push(("error", lost)),
+        _ => {}
+    }
+    obj(&members)
+}
+
+/// Streams a job's NDJSON progress events until the job settles.  A
+/// streaming body has no `Content-Length` — its end is signalled by closing
+/// the connection — so a stream always consumes the socket.
+fn stream_events(stream: &mut TcpStream, monitor: &JobMonitor) {
     if write_stream_head(stream, "application/x-ndjson").is_err() {
-        return false;
+        return;
     }
     let mut cursor = 0usize;
     loop {
@@ -735,21 +626,16 @@ fn handle_events(stream: &mut TcpStream, state: &ServerState, job_id: u64, close
             let line = format!("{}\n", encode_event(cursor, event).to_json());
             cursor += 1;
             if stream.write_all(line.as_bytes()).is_err() {
-                return false; // client hung up mid-stream
+                return; // client hung up mid-stream
             }
         }
-        if stream.flush().is_err() {
-            return false;
-        }
-        if closed {
-            return false;
+        if stream.flush().is_err() || closed {
+            return;
         }
     }
 }
 
 fn handle_metrics(stream: &mut TcpStream, state: &ServerState, request: &Request, close: bool) {
-    state.poll_all();
-
     // Content negotiation: Prometheus text exposition when the query string
     // or the Accept header asks for plain text, JSON otherwise.
     let wants_prometheus = request
@@ -769,22 +655,19 @@ fn handle_metrics(stream: &mut TcpStream, state: &ServerState, request: &Request
         return;
     }
 
-    let by_state = state.jobs_by_state();
     let stats = state.service.stats();
+    let by_state = state.jobs_by_state(&stats);
     let elapsed = state.started_at.elapsed().as_secs_f64().max(1e-9);
     let liveness = state.service.shard_liveness();
 
-    let latency = {
-        let latencies = lock(&state.latencies);
-        let mut kinds: Vec<&&'static str> = latencies.keys().collect();
-        kinds.sort();
-        Value::Object(
-            kinds
-                .into_iter()
-                .map(|&kind| (kind.to_string(), latencies[kind].encode()))
-                .collect(),
-        )
-    };
+    let latency = Value::Object(
+        state
+            .service
+            .latencies()
+            .iter()
+            .map(|(kind, histogram)| (kind.to_string(), histogram.to_value()))
+            .collect(),
+    );
     let jobs: Vec<(&str, &dyn ToJson)> = by_state
         .iter()
         .map(|(name, count)| (*name, count as &dyn ToJson))
@@ -835,7 +718,7 @@ fn handle_metrics(stream: &mut TcpStream, state: &ServerState, request: &Request
             "retention",
             &obj(&[
                 ("job_ttl_s", &state.job_ttl.as_secs_f64()),
-                ("jobs_evicted", &state.evicted.load(Ordering::Relaxed)),
+                ("jobs_evicted", &state.jobs_evicted()),
             ]),
         ),
     ]);
@@ -862,12 +745,9 @@ fn prometheus_metrics(state: &ServerState) -> String {
         "Jobs waiting in the service queue.",
         state.service.queue_depth(),
     );
-    let _ = writeln!(
-        out,
-        "# HELP ehw_jobs Tracked jobs in the registry by lifecycle state."
-    );
+    let _ = writeln!(out, "# HELP ehw_jobs Jobs by lifecycle state.");
     let _ = writeln!(out, "# TYPE ehw_jobs gauge");
-    for (name, count) in state.jobs_by_state() {
+    for (name, count) in state.jobs_by_state(&stats) {
         let _ = writeln!(out, "ehw_jobs{{state=\"{name}\"}} {count}");
     }
 
@@ -911,7 +791,7 @@ fn prometheus_metrics(state: &ServerState) -> String {
         "ehw_jobs_evicted_total",
         "counter",
         "Settled jobs evicted from the registry by the TTL reaper.",
-        state.evicted.load(Ordering::Relaxed),
+        state.jobs_evicted(),
     );
     metric(
         &mut out,
@@ -987,19 +867,15 @@ mod tests {
     fn poisoned_locks_do_not_take_the_server_down() {
         let service = EhwService::new(ServiceConfig::new(1)).expect("valid service config");
         let server = EhwServer::serve(service, "127.0.0.1:0").expect("bind an ephemeral port");
-        // A thread panics while holding each lock, as a handler panicking
-        // mid-request would.
-        for poison_latencies in [false, true] {
-            let state = Arc::clone(&server.state);
-            let poisoner = thread::spawn(move || {
-                let _registry = state.jobs.lock();
-                let _latencies = poison_latencies.then(|| state.latencies.lock());
-                panic!("poisoning the server's locks");
-            });
-            assert!(poisoner.join().is_err());
-        }
+        // A thread panics while holding the registry lock, as a handler
+        // panicking mid-request would.
+        let state = Arc::clone(&server.state);
+        let poisoner = thread::spawn(move || {
+            let _registry = state.jobs.lock();
+            panic!("poisoning the registry lock");
+        });
+        assert!(poisoner.join().is_err());
         assert!(server.state.jobs.is_poisoned());
-        assert!(server.state.latencies.is_poisoned());
 
         let addr = server.local_addr();
         let status = get(addr, "/jobs/7");

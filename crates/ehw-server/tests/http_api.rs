@@ -604,6 +604,45 @@ fn settled_jobs_are_evicted_after_the_ttl() {
             .as_u64(),
         Some(1)
     );
+    // The per-state count is the lifetime count less the evictions, so the
+    // evicted job no longer counts as retained.
+    assert_eq!(
+        metrics.get("jobs").unwrap().get("done").unwrap().as_u64(),
+        Some(0)
+    );
+}
+
+#[test]
+fn latency_is_stamped_at_settle_not_at_the_first_read() {
+    let server = start_server(1);
+    let addr = server.local_addr();
+    let job_id = submit(addr, &evolution_body(8, 2, 41, ""));
+
+    // The event stream ends when the job settles; nothing reads its status.
+    let mut stream = TcpStream::connect(addr).expect("connect for events");
+    stream
+        .write_all(format!("GET /jobs/{job_id}/events HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
+        .unwrap();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("stream drains");
+
+    // Read the metrics long after the settle: the sample must still measure
+    // submit to settle, not submit to this read.
+    std::thread::sleep(Duration::from_millis(600));
+    let metrics = get(addr, "/metrics").json();
+    let histogram = metrics.get("latency_ms").unwrap().get("evolution").unwrap();
+    assert_eq!(histogram.get("total").unwrap().as_u64(), Some(1));
+    let bounds = histogram.get("bounds_ms").unwrap().as_array().unwrap();
+    let counts = histogram.get("counts").unwrap().as_array().unwrap();
+    let bucket = counts
+        .iter()
+        .position(|count| count.as_u64() == Some(1))
+        .expect("one sample");
+    let bound = bounds.get(bucket).and_then(Value::as_u64);
+    assert!(
+        bound.is_some_and(|ms| ms <= 256),
+        "the sample landed in bucket {bucket} (bound {bound:?} ms), after the settle"
+    );
 }
 
 #[test]

@@ -51,14 +51,26 @@
 //! the queue-pickup lock) no longer takes the service down:
 //! the queue-pickup lock is poison-recovered by the surviving shards, and
 //! only if **every** shard is gone do the still-queued jobs resolve to
-//! [`JobLost`] errors instead of stalling their waiters.
+//! [`JobLost`] errors instead of stalling their waiters.  A job a shard has
+//! already taken settles as [`JobLost`] too if that shard unwinds outside the
+//! per-job panic boundary.
+//!
+//! # One lifecycle record per job
+//!
+//! A job's [`JobHandle`], its [`JobMonitor`]s and its shard share one record:
+//! kind, submission instant, running flag, progress feed and, once settled,
+//! the outcome with its settle instant.  On every exit path the shard
+//! settles the job in one step: it counts the outcome in [`ServiceStats`],
+//! records the submit→settle latency ([`EhwService::latencies`]), stores the
+//! outcome and thereby closes the feed.  [`JobHandle::try_wait`] can be
+//! called any number of times.
 
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -101,20 +113,6 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 fn wait_recover<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
-}
-
-fn wait_timeout_recover<'a, T>(
-    condvar: &Condvar,
-    guard: MutexGuard<'a, T>,
-    timeout: Duration,
-) -> (MutexGuard<'a, T>, bool) {
-    match condvar.wait_timeout(guard, timeout) {
-        Ok((guard, result)) => (guard, result.timed_out()),
-        Err(poisoned) => {
-            let (guard, result) = poisoned.into_inner();
-            (guard, result.timed_out())
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -252,7 +250,8 @@ impl ServiceConfig {
 }
 
 /// The job this handle was waiting on can never produce a result: the shard
-/// pool died abnormally (every shard gone) before the job ran to completion.
+/// pool died abnormally (every shard gone) before the job ran, or the shard
+/// running it unwound outside the per-job panic boundary.
 ///
 /// This is a **service** failure, not a job failure — a job whose own
 /// execution panics still resolves normally with [`JobOutput::Failed`].
@@ -266,7 +265,7 @@ impl std::fmt::Display for JobLost {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "job {} was lost: the shard pool died before it could reply",
+            "job {} was lost: a shard died before the job could settle",
             self.job_id
         )
     }
@@ -359,13 +358,13 @@ pub struct JobOptions {
 // Service
 // ---------------------------------------------------------------------------
 
-/// Monotonic counters of a service's lifetime (see [`EhwService::stats`]).
+/// Counters of a service's lifetime (see [`EhwService::stats`]).
 ///
 /// Every accepted job ends in exactly one of `completed`, `failed`,
 /// `cancelled` or `lost`, so
 /// `completed + failed + cancelled + lost <= submitted`, with equality once
 /// the queue is drained — `completed` counts **successes only** and cannot
-/// lie about failures.
+/// lie about failures.  All fields but the `running` gauge only grow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStats {
     /// Jobs accepted by [`EhwService::submit`].
@@ -376,11 +375,39 @@ pub struct ServiceStats {
     pub failed: u64,
     /// Jobs stopped by cancellation or deadline ([`JobOutput::Cancelled`]).
     pub cancelled: u64,
-    /// Jobs dropped because the whole shard pool died ([`JobLost`]).
+    /// Jobs that can never produce a result ([`JobLost`]).
     pub lost: u64,
+    /// Jobs a shard is executing right now (a gauge).
+    pub running: u64,
     /// Cross-job cache counters (all zero when [`ServiceConfig::cache`] is
     /// off).
     pub cache: CacheStats,
+}
+
+/// Upper bounds of the [`LatencyHistogram`] buckets, in milliseconds.
+pub const LATENCY_BOUNDS_MS: [u64; 12] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048];
+
+/// Submit→settle latencies of one job kind, in log₂ buckets over
+/// milliseconds (see [`EhwService::latencies`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LatencyHistogram {
+    /// Samples per bucket: at most [`LATENCY_BOUNDS_MS`]`[i]` ms, and a last,
+    /// open-ended bucket.
+    pub counts: [u64; LATENCY_BOUNDS_MS.len() + 1],
+    /// Samples recorded.
+    pub total: u64,
+}
+
+impl LatencyHistogram {
+    fn record(&mut self, latency: Duration) {
+        let ms = latency.as_millis() as u64;
+        let bucket = LATENCY_BOUNDS_MS
+            .iter()
+            .position(|&bound| ms <= bound)
+            .unwrap_or(LATENCY_BOUNDS_MS.len());
+        self.counts[bucket] += 1;
+        self.total += 1;
+    }
 }
 
 #[derive(Default)]
@@ -390,20 +417,88 @@ struct Counters {
     failed: AtomicU64,
     cancelled: AtomicU64,
     lost: AtomicU64,
+    running: AtomicU64,
+    /// Submit→settle latency per job kind, recorded as each job settles.
+    latencies: Mutex<BTreeMap<&'static str, LatencyHistogram>>,
 }
 
-/// Per-generation progress feed of one job, shared between its handle, its
-/// monitors and the executing shard.
+/// Where a job is in its lifecycle (see [`JobHandle::status`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobStatus {
+    /// Waiting in the queue.
+    Queued,
+    /// A shard is executing it.
+    Running,
+    /// Settled with a successful result.
+    Done,
+    /// Settled with [`JobOutput::Failed`].
+    Failed,
+    /// Settled with [`JobOutput::Cancelled`].
+    Cancelled,
+    /// Settled as [`JobLost`]: it will never produce a result.
+    Lost,
+}
+
+impl JobStatus {
+    /// Every state, in lifecycle order.
+    pub const ALL: [JobStatus; 6] = [
+        JobStatus::Queued,
+        JobStatus::Running,
+        JobStatus::Done,
+        JobStatus::Failed,
+        JobStatus::Cancelled,
+        JobStatus::Lost,
+    ];
+
+    /// The state's lower-case name (`"queued"`, `"running"`, `"done"`,
+    /// `"failed"`, `"cancelled"` or `"lost"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            JobStatus::Queued => "queued",
+            JobStatus::Running => "running",
+            JobStatus::Done => "done",
+            JobStatus::Failed => "failed",
+            JobStatus::Cancelled => "cancelled",
+            JobStatus::Lost => "lost",
+        }
+    }
+
+    /// Whether the job has settled: its outcome is final.
+    pub fn is_settled(self) -> bool {
+        !matches!(self, JobStatus::Queued | JobStatus::Running)
+    }
+}
+
+/// A job's final outcome and when the shard settled it.
+#[derive(Debug)]
+struct Settled {
+    status: JobStatus,
+    outcome: Result<JobResult, JobLost>,
+    at: Instant,
+}
+
+/// The per-generation progress feed of one job and, once the job has
+/// settled, its outcome — whose presence is what closes the feed.
 #[derive(Debug)]
 struct EventLog {
     events: Vec<JobProgress>,
-    /// No more events will ever arrive (the job finished, was cancelled
-    /// before starting, or was lost).
-    closed: bool,
+    settled: Option<Settled>,
 }
 
+impl EventLog {
+    fn since(&self, from: usize) -> (Vec<JobProgress>, bool) {
+        let events = self.events.get(from..).unwrap_or(&[]).to_vec();
+        (events, self.settled.is_some())
+    }
+}
+
+/// The one record of a job's lifecycle, shared by its handle, its monitors
+/// and the shard that runs it.
 #[derive(Debug)]
 struct JobShared {
+    kind: &'static str,
+    /// When the job was submitted: the start of its latency sample.
+    submitted_at: Instant,
     control: jobs::JobControl,
     running: AtomicBool,
     events: Mutex<EventLog>,
@@ -411,13 +506,15 @@ struct JobShared {
 }
 
 impl JobShared {
-    fn new(deadline: Option<Instant>) -> Self {
+    fn new(kind: &'static str, deadline: Option<Instant>) -> Self {
         JobShared {
+            kind,
+            submitted_at: Instant::now(),
             control: jobs::JobControl::with_deadline(deadline),
             running: AtomicBool::new(false),
             events: Mutex::new(EventLog {
                 events: Vec::new(),
-                closed: false,
+                settled: None,
             }),
             events_cv: Condvar::new(),
         }
@@ -428,8 +525,35 @@ impl JobShared {
         self.events_cv.notify_all();
     }
 
-    fn close_events(&self) {
-        lock_recover(&self.events).closed = true;
+    /// The one step every exit path takes (see the crate docs).  The counters
+    /// move before the outcome becomes readable, so a waiter that sees the
+    /// outcome also sees it counted.  Later calls are no-ops.
+    fn settle(&self, outcome: Result<JobResult, JobLost>, counters: &Counters) {
+        let mut log = lock_recover(&self.events);
+        if log.settled.is_some() {
+            return;
+        }
+        if self.running.swap(false, Ordering::SeqCst) {
+            counters.running.fetch_sub(1, Ordering::SeqCst);
+        }
+        let (status, counter) = match &outcome {
+            Ok(result) if result.is_failed() => (JobStatus::Failed, &counters.failed),
+            Ok(result) if result.is_cancelled() => (JobStatus::Cancelled, &counters.cancelled),
+            Ok(_) => (JobStatus::Done, &counters.completed),
+            Err(_) => (JobStatus::Lost, &counters.lost),
+        };
+        counter.fetch_add(1, Ordering::SeqCst);
+        let at = Instant::now();
+        lock_recover(&counters.latencies)
+            .entry(self.kind)
+            .or_default()
+            .record(at - self.submitted_at);
+        log.settled = Some(Settled {
+            status,
+            outcome,
+            at,
+        });
+        drop(log);
         self.events_cv.notify_all();
     }
 }
@@ -449,7 +573,6 @@ struct QueuedJob {
     /// [`AFFINITY_BYPASS_LIMIT`] so a sustained same-image stream can never
     /// starve a non-matching job.
     bypassed: u32,
-    reply: mpsc::Sender<JobResult>,
     shared: Arc<JobShared>,
 }
 
@@ -611,12 +734,9 @@ impl JobQueue {
         self.not_full.notify_all();
     }
 
-    /// Closes the queue **and** drops every queued job (their reply senders
-    /// drop, resolving their handles to [`JobLost`]).  Only the last dying
-    /// shard calls this — with live shards, queued jobs must keep their
-    /// execution guarantee.  Each job is counted in `counters.lost` *before*
-    /// its reply sender drops, so a waiter that observes `JobLost` also
-    /// observes the matching stats.
+    /// Closes the queue **and** settles every queued job as [`JobLost`].
+    /// Only the last dying shard calls this — with live shards, queued jobs
+    /// must keep their execution guarantee.
     fn close_and_drain(&self, counters: &Counters) {
         let mut state = lock_recover(&self.state);
         state.open = false;
@@ -624,8 +744,8 @@ impl JobQueue {
             for item in lane.drain(..) {
                 match item {
                     QueueItem::Job(job) => {
-                        counters.lost.fetch_add(1, Ordering::SeqCst);
-                        job.shared.close_events();
+                        let lost = JobLost { job_id: job.job_id };
+                        job.shared.settle(Err(lost), counters);
                     }
                     #[cfg(test)]
                     QueueItem::ShardPanic => {}
@@ -652,9 +772,9 @@ impl JobQueue {
 /// governed by [`ServiceConfig::workers_per_platform`].  Dropping the
 /// service is a **graceful drain**, not a cancel: the queue stops accepting
 /// new jobs, every job already accepted still executes, the shards are
-/// joined, and every issued [`JobHandle`] remains resolvable (results are
-/// buffered in the handle's channel).  To stop a job early, cancel it through its
-/// [`JobMonitor`] or give it a [`JobOptions::deadline`].
+/// joined, and every issued [`JobHandle`] remains resolvable (the outcome
+/// lives in the job's shared lifecycle record).  To stop a job early, cancel
+/// it through its [`JobMonitor`] or give it a [`JobOptions::deadline`].
 pub struct EhwService {
     queue: Arc<JobQueue>,
     shards: Vec<JoinHandle<()>>,
@@ -716,12 +836,20 @@ impl EhwService {
             failed: self.counters.failed.load(Ordering::SeqCst),
             cancelled: self.counters.cancelled.load(Ordering::SeqCst),
             lost: self.counters.lost.load(Ordering::SeqCst),
+            running: self.counters.running.load(Ordering::SeqCst),
             cache: self
                 .cache
                 .as_deref()
                 .map(CrossJobCache::stats)
                 .unwrap_or_default(),
         }
+    }
+
+    /// Submit→settle latency histograms per job kind (keyed by
+    /// [`JobSpec::kind`]), recorded by the shard as it settles each job.
+    /// The clock starts at submission, so a wait for queue space counts.
+    pub fn latencies(&self) -> BTreeMap<&'static str, LatencyHistogram> {
+        lock_recover(&self.counters.latencies).clone()
     }
 
     /// The shared cross-job cache, when [`ServiceConfig::cache`] is on —
@@ -776,8 +904,8 @@ impl EhwService {
     ) -> Result<JobHandle, ServiceError> {
         let job_id = self.next_job_id.fetch_add(1, Ordering::SeqCst);
         let seed = spec.seed().unwrap_or_else(|| self.root.fork(job_id).seed());
-        let (reply, receiver) = mpsc::channel();
         let shared = Arc::new(JobShared::new(
+            spec.kind(),
             options.deadline.map(|budget| Instant::now() + budget),
         ));
         // Count the submission before the push: a shard can pick the job up
@@ -794,7 +922,6 @@ impl EhwService {
             spec,
             affinity,
             bypassed: 0,
-            reply,
             shared: Arc::clone(&shared),
         };
         if self.queue.push(queued, options.priority).is_err() {
@@ -804,31 +931,24 @@ impl EhwService {
         Ok(JobHandle {
             job_id,
             seed,
-            receiver,
-            received: std::cell::Cell::new(false),
             shared,
         })
     }
 
-    /// Submits a batch in order, returning one handle per spec.  Blocks for
-    /// backpressure like [`submit`](Self::submit); the shards drain the queue
-    /// concurrently, so submitting arbitrarily many jobs from one thread
-    /// cannot deadlock.
-    pub(crate) fn submit_batch(
-        &self,
-        specs: impl IntoIterator<Item = JobSpec>,
-    ) -> Result<Vec<JobHandle>, ServiceError> {
-        specs.into_iter().map(|spec| self.submit(spec)).collect()
-    }
-
-    /// Convenience: submits a batch and waits for every result, in
-    /// submission order.  A job lost to an abnormal pool death surfaces as
+    /// Convenience: submits a batch in order and waits for every result, in
+    /// submission order.  Blocks for backpressure like
+    /// [`submit`](Self::submit); the shards drain the queue concurrently, so
+    /// submitting arbitrarily many jobs from one thread cannot deadlock.  A
+    /// job lost to an abnormal pool death surfaces as
     /// [`ServiceError::JobLost`].
     pub fn run_batch(
         &self,
         specs: impl IntoIterator<Item = JobSpec>,
     ) -> Result<Vec<JobResult>, ServiceError> {
-        let handles = self.submit_batch(specs)?;
+        let handles: Vec<JobHandle> = specs
+            .into_iter()
+            .map(|spec| self.submit(spec))
+            .collect::<Result<_, _>>()?;
         handles
             .into_iter()
             .map(|handle| handle.wait().map_err(ServiceError::from))
@@ -870,16 +990,12 @@ impl std::fmt::Debug for EhwService {
 // Handles and monitors
 // ---------------------------------------------------------------------------
 
-/// A pending job: resolves to its [`JobResult`] via [`wait`](Self::wait).
+/// A submitted job: resolves to its [`JobResult`] via [`wait`](Self::wait).
+/// It reads the job's shared lifecycle record (see the crate docs).
 #[derive(Debug)]
 pub struct JobHandle {
     job_id: u64,
     seed: u64,
-    receiver: mpsc::Receiver<JobResult>,
-    /// Whether [`try_wait`](Self::try_wait) already took the result — lets a
-    /// later disconnect be reported as "already taken" instead of being
-    /// misdiagnosed as a lost job.
-    received: std::cell::Cell<bool>,
     shared: Arc<JobShared>,
 }
 
@@ -896,71 +1012,72 @@ impl JobHandle {
         self.seed
     }
 
+    /// The job's kind, as [`JobSpec::kind`] names it.
+    pub fn kind(&self) -> &'static str {
+        self.shared.kind
+    }
+
+    /// Where the job is in its lifecycle.  Once this reports a settled
+    /// state, [`try_wait`](Self::try_wait) returns the outcome.
+    pub fn status(&self) -> JobStatus {
+        match &lock_recover(&self.shared.events).settled {
+            Some(settled) => settled.status,
+            None if self.shared.running.load(Ordering::SeqCst) => JobStatus::Running,
+            None => JobStatus::Queued,
+        }
+    }
+
+    /// When the shard settled the job, once it has.
+    pub fn settled_at(&self) -> Option<Instant> {
+        lock_recover(&self.shared.events)
+            .settled
+            .as_ref()
+            .map(|settled| settled.at)
+    }
+
     /// A cloneable observer for this job: cancellation, liveness and the
     /// per-generation progress feed.  Outlives the handle, so a caller can
     /// keep watching (or cancel) after moving the handle into `wait`.
     pub fn monitor(&self) -> JobMonitor {
         JobMonitor {
-            job_id: self.job_id,
             shared: Arc::clone(&self.shared),
         }
     }
 
     /// Blocks until the job has settled and returns its result.  Dropping
     /// the service drains the queue, so an accepted job's handle stays
-    /// resolvable even after the drop.  `Err(`[`JobLost`]`)` means the whole
-    /// shard pool died abnormally before the job could reply — per-job
-    /// failure (a panicking job) is still an `Ok` result carrying
-    /// [`JobOutput::Failed`].
-    ///
-    /// # Panics
-    /// Panics only on caller error: a previous [`try_wait`](Self::try_wait)
-    /// already took the result.
+    /// resolvable even after the drop.  `Err(`[`JobLost`]`)` means the job
+    /// can never produce a result (see [`JobLost`]) — per-job failure (a
+    /// panicking job) is still an `Ok` result carrying [`JobOutput::Failed`].
     pub fn wait(self) -> Result<JobResult, JobLost> {
-        match self.receiver.recv() {
-            Ok(result) => Ok(result),
-            Err(_) if self.received.get() => {
-                panic!("job result was already taken by a previous try_wait")
+        let mut log = lock_recover(&self.shared.events);
+        loop {
+            if let Some(settled) = &log.settled {
+                return settled.outcome.clone();
             }
-            Err(_) => Err(JobLost {
-                job_id: self.job_id,
-            }),
+            log = wait_recover(&self.shared.events_cv, log);
         }
     }
 
     /// Returns the result if the job has already settled, without blocking.
     /// `Ok(None)` means "still queued or running"; `Err(`[`JobLost`]`)`
     /// means the result can never arrive (see [`wait`](Self::wait)) — a
-    /// poller must stop instead of spinning forever.
-    ///
-    /// # Panics
-    /// Panics only on caller error: a previous `try_wait` already took the
-    /// result.
+    /// poller must stop instead of spinning forever.  Each call after the
+    /// job settled returns a copy of the same outcome.
     pub fn try_wait(&self) -> Result<Option<JobResult>, JobLost> {
-        match self.receiver.try_recv() {
-            Ok(result) => {
-                self.received.set(true);
-                Ok(Some(result))
-            }
-            Err(mpsc::TryRecvError::Empty) => Ok(None),
-            Err(mpsc::TryRecvError::Disconnected) => {
-                if self.received.get() {
-                    panic!("job result was already taken by a previous try_wait")
-                }
-                Err(JobLost {
-                    job_id: self.job_id,
-                })
-            }
+        match &lock_recover(&self.shared.events).settled {
+            Some(settled) => settled.outcome.clone().map(Some),
+            None => Ok(None),
         }
     }
 }
 
-/// A cloneable observer of one job: cancel it, poll whether it is running,
+/// A cloneable observer of one job: cancel it, check whether it is running,
 /// and read its per-generation progress feed.  Obtained from
-/// [`JobHandle::monitor`]; stays valid after the handle is consumed.
-#[derive(Clone)]
+/// [`JobHandle::monitor`]; it reads the handle's shared lifecycle record and
+/// stays valid after the handle is consumed.
+#[derive(Clone, Debug)]
 pub struct JobMonitor {
-    job_id: u64,
     shared: Arc<JobShared>,
 }
 
@@ -979,41 +1096,26 @@ impl JobMonitor {
     }
 
     /// The progress events recorded so far, starting at index `from`, and
-    /// whether the feed is closed (no more events will ever arrive).
+    /// whether the feed is closed.  The feed closes when the job settles, in
+    /// the same step that stores its outcome: once this reports `true`, the
+    /// handle's [`JobHandle::try_wait`] returns the outcome.
     pub fn events_since(&self, from: usize) -> (Vec<JobProgress>, bool) {
-        let log = lock_recover(&self.shared.events);
-        (log.events.get(from..).unwrap_or(&[]).to_vec(), log.closed)
+        lock_recover(&self.shared.events).since(from)
     }
 
     /// Blocks until at least one event past `from` exists, the feed closes,
     /// or `timeout` elapses — then returns like
     /// [`events_since`](Self::events_since).
     pub fn wait_events(&self, from: usize, timeout: Duration) -> (Vec<JobProgress>, bool) {
-        let deadline = Instant::now() + timeout;
-        let mut log = lock_recover(&self.shared.events);
-        while log.events.len() <= from && !log.closed {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            if remaining.is_zero() {
-                break;
-            }
-            let (next, timed_out) = wait_timeout_recover(&self.shared.events_cv, log, remaining);
-            log = next;
-            if timed_out {
-                break;
-            }
-        }
-        (log.events.get(from..).unwrap_or(&[]).to_vec(), log.closed)
-    }
-}
-
-impl std::fmt::Debug for JobMonitor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobMonitor")
-            .field("job_id", &self.job_id)
-            .field("running", &self.is_running())
-            .finish_non_exhaustive()
+        let log = lock_recover(&self.shared.events);
+        let (log, _) = self
+            .shared
+            .events_cv
+            .wait_timeout_while(log, timeout, |log| {
+                log.events.len() <= from && log.settled.is_none()
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        log.since(from)
     }
 }
 
@@ -1039,11 +1141,26 @@ impl Drop for ShardGuard {
             .iter()
             .any(|alive| alive.load(Ordering::SeqCst));
         if std::thread::panicking() && !any_alive {
-            // Drain-time accounting is the only place `lost` is counted:
-            // handle-side counting would double-count a job observed through
-            // both `try_wait` and `wait`.
             self.queue.close_and_drain(&self.counters);
         }
+    }
+}
+
+/// A job a shard has taken off the queue.  Dropping it unsettled — the
+/// shard unwinding outside the per-job `catch_unwind` — settles it as
+/// [`JobLost`], so no waiter on a taken job can hang.
+struct TakenJob<'a> {
+    job_id: u64,
+    shared: Arc<JobShared>,
+    counters: &'a Counters,
+}
+
+impl Drop for TakenJob<'_> {
+    fn drop(&mut self) {
+        let lost = JobLost {
+            job_id: self.job_id,
+        };
+        self.shared.settle(Err(lost), self.counters);
     }
 }
 
@@ -1075,17 +1192,19 @@ fn shard_loop(
         spec,
         affinity,
         bypassed: _,
-        reply,
         shared,
     }) = queue.pop_preferring(last_affinity)
     {
         last_affinity = affinity;
+        let job = TakenJob {
+            job_id,
+            shared,
+            counters,
+        };
         // A job cancelled (or deadline-expired) while still queued settles
         // without touching a platform: zero evaluations, cancelled output.
-        if let Some(kind) = shared.control.stop_reason() {
-            counters.cancelled.fetch_add(1, Ordering::SeqCst);
-            shared.close_events();
-            let _ = reply.send(JobResult {
+        if let Some(kind) = job.shared.control.stop_reason() {
+            let cancelled = JobResult {
                 job_id,
                 seed,
                 evaluations: 0,
@@ -1093,7 +1212,8 @@ fn shard_loop(
                 warm_started: false,
                 warm_start_key: None,
                 output: JobOutput::Cancelled(kind),
-            });
+            };
+            job.shared.settle(Ok(cancelled), counters);
             continue;
         }
 
@@ -1109,18 +1229,18 @@ fn shard_loop(
         // A panicking job must not take the shard (or the queue) down with
         // it: capture the panic, report it as a failed result, and retire
         // the possibly half-mutated platform instead of pooling it.
-        shared.running.store(true, Ordering::SeqCst);
+        counters.running.fetch_add(1, Ordering::SeqCst);
+        job.shared.running.store(true, Ordering::SeqCst);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             jobs::execute_controlled_cached(
                 &mut platform,
                 &spec,
                 seed,
-                &shared.control,
-                &mut |event| shared.push_event(event),
+                &job.shared.control,
+                &mut |event| job.shared.push_event(event),
                 cache.as_ref(),
             )
         }));
-        shared.running.store(false, Ordering::SeqCst);
         let result = match outcome {
             Ok(mut result) => {
                 result.job_id = job_id;
@@ -1139,14 +1259,7 @@ fn shard_loop(
                 output: JobOutput::Failed(panic_message(&*panic)),
             },
         };
-        match &result.output {
-            JobOutput::Failed(_) => counters.failed.fetch_add(1, Ordering::SeqCst),
-            JobOutput::Cancelled(_) => counters.cancelled.fetch_add(1, Ordering::SeqCst),
-            _ => counters.completed.fetch_add(1, Ordering::SeqCst),
-        };
-        shared.close_events();
-        // The handle may have been dropped without waiting; that is fine.
-        let _ = reply.send(result);
+        job.shared.settle(Ok(result), counters);
     }
 }
 
@@ -1399,22 +1512,76 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_closed_feed_means_the_outcome_is_readable() {
+        // The feed closes in the same step that stores the outcome: a job
+        // whose feed reads closed must answer `try_wait` at once, for every
+        // job however its settle races the reader.
+        let service = EhwService::new(ServiceConfig::new(2).queue_depth(64)).unwrap();
+        let handles: Vec<JobHandle> = (0..48)
+            .map(|_| service.submit(evolution_spec(8, 1)).unwrap())
+            .collect();
+        for handle in &handles {
+            let monitor = handle.monitor();
+            while !monitor.wait_events(usize::MAX, Duration::from_secs(30)).1 {}
+            let result = handle.try_wait().unwrap();
+            assert!(result.is_some(), "feed closed before the outcome landed");
+            // The shared outcome can be read again, and `wait` still works.
+            assert!(handle.try_wait().unwrap().is_some());
+            assert_eq!(handle.status(), JobStatus::Done);
+            assert!(handle.settled_at().is_some());
+        }
+        for handle in handles {
+            assert!(!handle.wait().unwrap().is_failed());
+        }
+        let stats = service.stats();
+        assert_eq!(stats.completed, 48);
+        assert_eq!(stats.running, 0);
+        let latencies = service.latencies();
+        assert_eq!(latencies.keys().copied().collect::<Vec<_>>(), ["evolution"]);
+        assert_eq!(latencies["evolution"].total, 48);
+        assert_eq!(latencies["evolution"].counts.iter().sum::<u64>(), 48);
+    }
+
+    #[test]
+    fn a_taken_job_dropped_unsettled_settles_as_lost() {
+        // A shard unwinding outside the per-job panic boundary drops its
+        // taken job unsettled; the guard must settle it, or its waiters hang.
+        let counters = Counters::default();
+        let shared = Arc::new(JobShared::new("evolution", None));
+        let handle = JobHandle {
+            job_id: 3,
+            seed: 0,
+            shared: Arc::clone(&shared),
+        };
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let job = TakenJob {
+                job_id: 3,
+                shared,
+                counters: &counters,
+            };
+            job.counters.running.fetch_add(1, Ordering::SeqCst);
+            job.shared.running.store(true, Ordering::SeqCst);
+            panic!("shard dies between pickup and settle");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(handle.status(), JobStatus::Lost);
+        assert_eq!(handle.wait().unwrap_err(), JobLost { job_id: 3 });
+        assert_eq!(counters.lost.load(Ordering::SeqCst), 1);
+        assert_eq!(counters.running.load(Ordering::SeqCst), 0);
+    }
+
     // -- queue unit tests ---------------------------------------------------
 
-    fn dummy_queued_job(job_id: u64) -> (QueuedJob, mpsc::Receiver<JobResult>) {
-        let (reply, receiver) = mpsc::channel();
-        (
-            QueuedJob {
-                job_id,
-                seed: job_id,
-                spec: evolution_spec(8, 1),
-                affinity: None,
-                bypassed: 0,
-                reply,
-                shared: Arc::new(JobShared::new(None)),
-            },
-            receiver,
-        )
+    fn dummy_queued_job(job_id: u64) -> QueuedJob {
+        QueuedJob {
+            job_id,
+            seed: job_id,
+            spec: evolution_spec(8, 1),
+            affinity: None,
+            bypassed: 0,
+            shared: Arc::new(JobShared::new("evolution", None)),
+        }
     }
 
     #[test]
@@ -1427,11 +1594,8 @@ mod tests {
             (3, Priority::Low),
             (4, Priority::High),
         ];
-        let mut receivers = Vec::new();
         for (id, priority) in order {
-            let (job, receiver) = dummy_queued_job(id);
-            queue.push(job, priority).unwrap();
-            receivers.push(receiver);
+            queue.push(dummy_queued_job(id), priority).unwrap();
         }
         let picked: Vec<u64> = (0..order.len())
             .map(|_| queue.pop().unwrap().job_id)
@@ -1445,17 +1609,13 @@ mod tests {
     #[test]
     fn affinity_pickup_prefers_matching_jobs_but_never_crosses_lanes() {
         let queue = JobQueue::new(8);
-        let mut receivers = Vec::new();
         for (id, affinity) in [(0, Some(7)), (1, Some(9)), (2, Some(7))] {
-            let (mut job, receiver) = dummy_queued_job(id);
+            let mut job = dummy_queued_job(id);
             job.affinity = affinity;
             queue.push(job, Priority::Normal).unwrap();
-            receivers.push(receiver);
         }
         // A high-lane job outranks any affinity match in a lower lane.
-        let (high, receiver) = dummy_queued_job(3);
-        queue.push(high, Priority::High).unwrap();
-        receivers.push(receiver);
+        queue.push(dummy_queued_job(3), Priority::High).unwrap();
         assert_eq!(queue.pop_preferring(Some(9)).unwrap().job_id, 3);
         // Within the lane, the hint pulls the matching job ahead of the
         // front; with no match left for the hint, pickup falls back to FIFO.
@@ -1467,18 +1627,14 @@ mod tests {
     #[test]
     fn affinity_bypassing_is_bounded_so_the_lane_front_cannot_starve() {
         let queue = JobQueue::new(64);
-        let mut receivers = Vec::new();
         // A non-matching job at the front, then a sustained stream of
         // matching jobs behind it — the adversarial schedule that would
         // starve the front unboundedly without the bypass cap.
-        let (front, receiver) = dummy_queued_job(0);
-        queue.push(front, Priority::Normal).unwrap();
-        receivers.push(receiver);
+        queue.push(dummy_queued_job(0), Priority::Normal).unwrap();
         for id in 1..=AFFINITY_BYPASS_LIMIT as u64 + 3 {
-            let (mut job, receiver) = dummy_queued_job(id);
+            let mut job = dummy_queued_job(id);
             job.affinity = Some(7);
             queue.push(job, Priority::Normal).unwrap();
-            receivers.push(receiver);
         }
         // The first LIMIT pops honor the affinity hint...
         for pop in 0..AFFINITY_BYPASS_LIMIT as u64 {
@@ -1495,20 +1651,19 @@ mod tests {
     #[test]
     fn a_deadline_carrying_front_job_is_never_bypassed() {
         let queue = JobQueue::new(8);
-        let (reply, _receiver) = mpsc::channel();
         let deadline_front = QueuedJob {
             job_id: 0,
             seed: 0,
             spec: evolution_spec(8, 1),
             affinity: None,
             bypassed: 0,
-            reply,
-            shared: Arc::new(JobShared::new(Some(
-                Instant::now() + Duration::from_secs(3600),
-            ))),
+            shared: Arc::new(JobShared::new(
+                "evolution",
+                Some(Instant::now() + Duration::from_secs(3600)),
+            )),
         };
         queue.push(deadline_front, Priority::Normal).unwrap();
-        let (mut matching, _receiver2) = dummy_queued_job(1);
+        let mut matching = dummy_queued_job(1);
         matching.affinity = Some(7);
         queue.push(matching, Priority::Normal).unwrap();
         // The hint matches job 1, but job 0 could expire while queued — FIFO
@@ -1520,8 +1675,7 @@ mod tests {
     #[test]
     fn queue_pickup_survives_a_poisoned_lock() {
         let queue = JobQueue::new(8);
-        let (job, _receiver) = dummy_queued_job(7);
-        queue.push(job, Priority::Normal).unwrap();
+        queue.push(dummy_queued_job(7), Priority::Normal).unwrap();
         queue.push_pill();
         // The pill panics inside `pop` while the pickup lock is held,
         // poisoning it — exactly what a dying shard does to its siblings.

@@ -27,6 +27,7 @@
 //! byte-identically at any worker/pool configuration.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::SeedSequence;
@@ -34,6 +35,7 @@ use serde::{Deserialize, Serialize};
 
 use ehw_array::compiled::CompiledArray;
 use ehw_array::genotype::Genotype;
+use ehw_array::ProcessingArray;
 use ehw_evolution::fitness::{plan_filter_windows, plan_mae, SoftwareEvaluator};
 use ehw_evolution::strategy::{
     run_evolution_with_parent, EsConfig, GenerationObserver, MutationStrategy,
@@ -274,7 +276,8 @@ pub fn run_stream(
     // --- stream loop ------------------------------------------------------
     let mut detector = DriftDetector::new(config.drift);
     let adapt_lane = streams.fork(LANE_ADAPT);
-    let mut calibration: VecDeque<SharedWindows> = VecDeque::with_capacity(config.drift.window);
+    let mut calibration: VecDeque<Arc<SharedWindows>> =
+        VecDeque::with_capacity(config.drift.window);
     let mut report = StreamReport {
         frames: 0,
         drift_events: 0,
@@ -306,7 +309,7 @@ pub fn run_stream(
         let Some(input) = source.frame(index) else {
             break;
         };
-        let windows = SharedWindows::new(&input);
+        let windows = Arc::new(SharedWindows::new(&input));
         let output = plan_filter_windows(&plan, &windows);
         let fitness = mae(&output, &reference);
         report.output_hash = mix(report.output_hash, output.content_hash());
@@ -315,7 +318,7 @@ pub fn run_stream(
         report.final_fitness = Some(fitness);
         segment.frames += 1;
         segment.fitness_sum += fitness;
-        calibration.push_back(windows);
+        calibration.push_back(Arc::clone(&windows));
         if calibration.len() > config.drift.window {
             calibration.pop_front();
         }
@@ -352,7 +355,12 @@ pub fn run_stream(
             config.parallel,
             adapt_lane.fork(adaptation_index as u64).seed(),
         );
-        let mut evaluator = SoftwareEvaluator::new(input.clone(), reference.clone());
+        // The adaptation trains on this frame's windows, extracted above.
+        let mut evaluator = SoftwareEvaluator::with_arrays(
+            vec![ProcessingArray::identity()],
+            windows,
+            reference.clone(),
+        );
         let mut observer = BudgetObserver {
             deadline: adaptation_deadline(&config.adaptation),
             cancel,

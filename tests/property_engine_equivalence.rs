@@ -13,7 +13,7 @@ use ehw_array::compiled::CompiledArray;
 use ehw_array::genotype::{Genotype, ARRAY_COLS, ARRAY_ROWS};
 use ehw_array::pe::FaultBehaviour;
 use ehw_bench::oracle::{
-    filter_kernel, gather_window, interpret_filter_image, interpret_window, Exhaustive,
+    filter_kernel, gather_window, interpret_filter_image, interpret_window, map_windows, Exhaustive,
 };
 use ehw_evolution::fitness::{plan_mae, plan_mae_bounded, SoftwareEvaluator};
 use ehw_evolution::strategy::{run_evolution, EsConfig, NullObserver};
@@ -21,7 +21,7 @@ use ehw_image::filters::ReferenceFilter;
 use ehw_image::image::GrayImage;
 use ehw_image::metrics::mae;
 use ehw_image::synth;
-use ehw_image::window::{map_windows, SharedWindows, Window3x3, WindowPlanes};
+use ehw_image::window::{SharedWindows, Window3x3, WindowPlanes};
 use ehw_parallel::ParallelConfig;
 use proptest::prelude::*;
 

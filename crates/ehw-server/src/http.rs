@@ -12,7 +12,6 @@
 //! header block.
 
 use std::io::{self, BufRead, Write};
-use std::net::TcpStream;
 
 /// Largest request body the server will buffer.  Training images dominate
 /// legitimate payloads; two 256×256 images JSON-encoded as pixel arrays fit
@@ -205,31 +204,26 @@ fn reason(status: u16) -> &'static str {
 /// Writes a complete response with a body.  `close` announces whether the
 /// server will end the connection after this exchange; with `close` false
 /// the connection stays open for the client's next request.
+///
+/// Head and body go out in one `write_all`: split across two writes, the
+/// body of a keep-alive response would wait for the client's delayed ACK of
+/// the head.
 pub(crate) fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     body: &[u8],
     close: bool,
 ) -> io::Result<()> {
     let connection = if close { "close" } else { "keep-alive" };
-    let head = format!(
+    let mut response = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
         reason(status),
         body.len(),
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
-}
-
-/// Writes the head of a streaming response (no `Content-Length`; the end of
-/// the body is signalled by closing the connection, which `Connection:
-/// close` already announces).
-pub(crate) fn write_stream_head(stream: &mut TcpStream, content_type: &str) -> io::Result<()> {
-    let head =
-        format!("HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nConnection: close\r\n\r\n");
-    stream.write_all(head.as_bytes())?;
+    )
+    .into_bytes();
+    response.extend_from_slice(body);
+    stream.write_all(&response)?;
     stream.flush()
 }
 
@@ -260,6 +254,42 @@ mod tests {
             Err(RequestError::Malformed(why)) => assert!(why.contains("header lines"), "{why}"),
             other => panic!("expected Malformed, got {other:?}"),
         }
+    }
+
+    /// A writer that records each `write` call it receives.
+    #[derive(Default)]
+    struct RecordingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_goes_out_in_one_write() {
+        let mut writer = RecordingWriter::default();
+        write_response(
+            &mut writer,
+            200,
+            "application/json",
+            b"{\"ok\":true}",
+            false,
+        )
+        .expect("a recording writer cannot fail");
+        assert_eq!(writer.writes.len(), 1, "head and body in one write");
+        assert_eq!(
+            String::from_utf8(writer.writes.remove(0)).unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 11\r\n\
+             Connection: keep-alive\r\n\r\n{\"ok\":true}"
+        );
     }
 
     #[test]

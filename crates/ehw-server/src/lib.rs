@@ -14,7 +14,7 @@
 //! | `POST /streams`        | Submit a streaming spec (`kind` defaults to `stream`); same envelope as `POST /jobs` |
 //! | `GET /jobs/:id`        | Status (`queued`/`running`/`done`/`failed`/`cancelled`/`lost`) plus the result once settled |
 //! | `DELETE /jobs/:id`     | Request cooperative cancellation                    |
-//! | `GET /jobs/:id/events` | Line-delimited JSON progress events (one per generation), streamed until the job settles |
+//! | `GET /jobs/:id/events` | Line-delimited JSON progress events (one per generation), streamed until the job settles, in batches at least every ~10 ms with every event present and in order |
 //! | `GET /metrics`         | Queue depth, per-state job counts, jobs/sec, per-kind submit→settle latency histograms, shard liveness, cross-job cache counters |
 //! | `GET /registry`        | Named fault scenarios and recovery policies this server resolves in `fault_campaign` specs |
 //!
@@ -75,12 +75,20 @@ use ehw_service::{
 };
 
 use codec::{obj, ToJson};
-use http::{read_request, write_response, write_stream_head, Request, RequestError};
+use http::{read_request, write_response, Request, RequestError};
 use json::Value;
 use wire::{encode_error, encode_event};
 
-/// How long one `wait_events` poll blocks before re-checking the socket.
-const EVENT_POLL: Duration = Duration::from_millis(100);
+/// How long an event stream lets progress events gather before it writes
+/// them as one batch.  A settle ends the wait at once.
+const STREAM_FLUSH: Duration = Duration::from_millis(10);
+
+/// A batch that passes this many bytes is written at once and a new one
+/// started, so a late reader of a long job never buffers its whole feed.
+const STREAM_BATCH_BYTES: usize = 64 * 1024;
+
+/// Events an event stream copies out of the feed per lock acquisition.
+const STREAM_PAGE: usize = 128;
 
 /// How often the reaper thread wakes to check the shutdown flag.  Sweeps run
 /// less often (a quarter of the TTL, clamped), but shutdown must not wait a
@@ -365,6 +373,9 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
         if state.shutting_down.load(Ordering::SeqCst) {
             return;
         }
+        // Every response leaves in one write; without Nagle's delay it is
+        // sent at once instead of waiting on the client's delayed ACK.
+        let _ = stream.set_nodelay(true);
         let connection_state = Arc::clone(&state);
         let spawned = thread::Builder::new()
             .name("ehw-server-conn".into())
@@ -612,24 +623,44 @@ fn status_doc(job_id: u64, handle: &JobHandle) -> Value {
     obj(&members)
 }
 
-/// Streams a job's NDJSON progress events until the job settles.  A
-/// streaming body has no `Content-Length` — its end is signalled by closing
-/// the connection — so a stream always consumes the socket.
-fn stream_events(stream: &mut TcpStream, monitor: &JobMonitor) {
-    if write_stream_head(stream, "application/x-ndjson").is_err() {
-        return;
-    }
+/// Streams a job's NDJSON progress events until the job settles.  Events
+/// gather for up to [`STREAM_FLUSH`] (a settle ends the wait at once) and
+/// then go out in one write, the response head with the first batch; every
+/// event is sent exactly once, in order.  A streaming body has no
+/// `Content-Length` — its end is signalled by closing the connection — so a
+/// stream always consumes the socket.
+fn stream_events(stream: &mut impl Write, monitor: &JobMonitor) {
+    let mut batch =
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n"
+            .to_vec();
     let mut cursor = 0usize;
     loop {
-        let (events, closed) = monitor.wait_events(cursor, EVENT_POLL);
-        for event in &events {
-            let line = format!("{}\n", encode_event(cursor, event).to_json());
-            cursor += 1;
-            if stream.write_all(line.as_bytes()).is_err() {
-                return; // client hung up mid-stream
+        monitor.wait_settled(STREAM_FLUSH);
+        let closed = loop {
+            let (events, closed) = monitor.events_page(cursor, STREAM_PAGE);
+            for event in &events {
+                batch.extend_from_slice(encode_event(cursor, event).to_json().as_bytes());
+                batch.push(b'\n');
+                cursor += 1;
             }
+            if events.len() < STREAM_PAGE {
+                break closed;
+            }
+            if batch.len() >= STREAM_BATCH_BYTES {
+                if stream.write_all(&batch).is_err() {
+                    return; // client hung up mid-stream
+                }
+                batch.clear();
+            }
+        };
+        // Until the first event arrives the batch holds only the head.
+        if (cursor > 0 || closed) && !batch.is_empty() {
+            if stream.write_all(&batch).is_err() {
+                return;
+            }
+            batch.clear();
         }
-        if stream.flush().is_err() || closed {
+        if closed {
             return;
         }
     }

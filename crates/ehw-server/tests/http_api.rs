@@ -281,6 +281,39 @@ fn submit_stream_cancel_and_metrics_flow() {
 }
 
 #[test]
+fn event_streams_send_every_event_once_in_order_and_end_at_settle() {
+    let server = start_server(1);
+    let addr = server.local_addr();
+
+    // Opened while the job runs: its events arrive in batches.
+    let job_id = submit(addr, &evolution_body(16, 2_000, 5, ""));
+    let mut stream = TcpStream::connect(addr).expect("connect for events");
+    stream
+        .write_all(format!("GET /jobs/{job_id}/events HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
+        .unwrap();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("stream drains");
+    // The stream ends at the settle, so the status already reads done.
+    let doc = get(addr, &format!("/jobs/{job_id}")).json();
+    assert_eq!(doc.get("status").unwrap().as_str(), Some("done"));
+
+    let text = String::from_utf8(raw).unwrap();
+    let (head, body) = text.split_once("\r\n\r\n").expect("stream head");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert!(head.contains("application/x-ndjson"), "{head}");
+    let sequences: Vec<usize> = body
+        .lines()
+        .map(|line| {
+            let event = parse(line).expect("event line is JSON");
+            let sequence = event.get("sequence").unwrap().as_usize().unwrap();
+            assert_eq!(event.get("generation").unwrap().as_usize(), Some(sequence));
+            sequence
+        })
+        .collect();
+    assert_eq!(sequences, (0..2_000).collect::<Vec<_>>());
+}
+
+#[test]
 fn cancel_before_start_settles_with_zero_evaluations() {
     // One shard: a marathon occupies it while the victim waits in queue.
     let server = start_server(1);
@@ -998,6 +1031,31 @@ fn one_socket_serves_many_requests_until_asked_to_close() {
         std::io::Read::read(&mut reader, &mut probe).expect("clean EOF"),
         0,
         "server must close after Connection: close"
+    );
+}
+
+#[test]
+fn keep_alive_round_trips_do_not_wait_for_delayed_acks() {
+    let server = start_server(1);
+    let addr = server.local_addr();
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+    // A response whose head and body leave in separate writes waits ~40 ms
+    // for the client's delayed ACK on a reused connection, so 40 round trips
+    // would take well over a second.
+    let started = Instant::now();
+    for _ in 0..40 {
+        stream
+            .write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        let (status, _, body) = read_one_response(&mut reader);
+        assert_eq!(status, 200, "{body}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "40 keep-alive round trips took {elapsed:?}"
     );
 }
 

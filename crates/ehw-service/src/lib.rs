@@ -63,7 +63,10 @@
 //! settles the job in one step: it counts the outcome in [`ServiceStats`],
 //! records the submit→settle latency ([`EhwService::latencies`]), stores the
 //! outcome and thereby closes the feed.  [`JobHandle::try_wait`] can be
-//! called any number of times.
+//! called any number of times.  A progress event wakes only threads blocked
+//! in [`JobMonitor::wait_events`]; [`JobHandle::wait`] and
+//! [`JobMonitor::wait_settled`] wake at the settle alone, so a generation
+//! costs the shard no wakeup when nobody follows the feed.
 
 #![warn(missing_docs)]
 
@@ -483,12 +486,20 @@ struct Settled {
 struct EventLog {
     events: Vec<JobProgress>,
     settled: Option<Settled>,
+    /// Threads blocked in [`JobMonitor::wait_events`].  A pushed event
+    /// notifies the feed's condvar only while this is non-zero, so a shard
+    /// pays no wakeup per generation when nobody waits for events.
+    event_waiters: usize,
 }
 
 impl EventLog {
-    fn since(&self, from: usize) -> (Vec<JobProgress>, bool) {
-        let events = self.events.get(from..).unwrap_or(&[]).to_vec();
-        (events, self.settled.is_some())
+    /// At most `max` events from index `from`, and whether the feed is
+    /// closed with none left past them.
+    fn page(&self, from: usize, max: usize) -> (Vec<JobProgress>, bool) {
+        let rest = self.events.get(from..).unwrap_or(&[]);
+        let events = rest[..rest.len().min(max)].to_vec();
+        let drained = events.len() == rest.len();
+        (events, drained && self.settled.is_some())
     }
 }
 
@@ -502,7 +513,13 @@ struct JobShared {
     control: jobs::JobControl,
     running: AtomicBool,
     events: Mutex<EventLog>,
+    /// Wakes [`JobMonitor::wait_events`]: on an event while one waits, and
+    /// at settle.
     events_cv: Condvar,
+    /// Wakes the settle-only waits ([`JobHandle::wait`],
+    /// [`JobMonitor::wait_settled`]): notified at settle and never by an
+    /// event.
+    settled_cv: Condvar,
 }
 
 impl JobShared {
@@ -515,14 +532,21 @@ impl JobShared {
             events: Mutex::new(EventLog {
                 events: Vec::new(),
                 settled: None,
+                event_waiters: 0,
             }),
             events_cv: Condvar::new(),
+            settled_cv: Condvar::new(),
         }
     }
 
     fn push_event(&self, event: JobProgress) {
-        lock_recover(&self.events).events.push(event);
-        self.events_cv.notify_all();
+        let mut log = lock_recover(&self.events);
+        log.events.push(event);
+        let waited_on = log.event_waiters > 0;
+        drop(log);
+        if waited_on {
+            self.events_cv.notify_all();
+        }
     }
 
     /// The one step every exit path takes (see the crate docs).  The counters
@@ -555,6 +579,7 @@ impl JobShared {
         });
         drop(log);
         self.events_cv.notify_all();
+        self.settled_cv.notify_all();
     }
 }
 
@@ -1055,7 +1080,7 @@ impl JobHandle {
             if let Some(settled) = &log.settled {
                 return settled.outcome.clone();
             }
-            log = wait_recover(&self.shared.events_cv, log);
+            log = wait_recover(&self.shared.settled_cv, log);
         }
     }
 
@@ -1100,22 +1125,43 @@ impl JobMonitor {
     /// the same step that stores its outcome: once this reports `true`, the
     /// handle's [`JobHandle::try_wait`] returns the outcome.
     pub fn events_since(&self, from: usize) -> (Vec<JobProgress>, bool) {
-        lock_recover(&self.shared.events).since(from)
+        self.events_page(from, usize::MAX)
+    }
+
+    /// Like [`events_since`](Self::events_since), but at most `max` events:
+    /// the feed reads as closed only once the page reaches its end, so a
+    /// reader can drain a long feed in bounded pieces.
+    pub fn events_page(&self, from: usize, max: usize) -> (Vec<JobProgress>, bool) {
+        lock_recover(&self.shared.events).page(from, max)
     }
 
     /// Blocks until at least one event past `from` exists, the feed closes,
     /// or `timeout` elapses — then returns like
     /// [`events_since`](Self::events_since).
     pub fn wait_events(&self, from: usize, timeout: Duration) -> (Vec<JobProgress>, bool) {
-        let log = lock_recover(&self.shared.events);
-        let (log, _) = self
+        let mut log = lock_recover(&self.shared.events);
+        log.event_waiters += 1;
+        let (mut log, _) = self
             .shared
             .events_cv
             .wait_timeout_while(log, timeout, |log| {
                 log.events.len() <= from && log.settled.is_none()
             })
             .unwrap_or_else(PoisonError::into_inner);
-        log.since(from)
+        log.event_waiters -= 1;
+        log.page(from, usize::MAX)
+    }
+
+    /// Blocks until the job settles or `timeout` elapses, and returns
+    /// whether it has settled.  Progress events do not wake this wait.
+    pub fn wait_settled(&self, timeout: Duration) -> bool {
+        let log = lock_recover(&self.shared.events);
+        let (log, _) = self
+            .shared
+            .settled_cv
+            .wait_timeout_while(log, timeout, |log| log.settled.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        log.settled.is_some()
     }
 }
 
@@ -1851,6 +1897,49 @@ mod tests {
         let (tail, closed) = monitor.wait_events(3, Duration::from_secs(5));
         assert!(closed);
         assert_eq!(tail.len(), 2);
+        // A page reads as closed only once it reaches the feed's end.
+        let (page, closed) = monitor.events_page(1, 2);
+        assert_eq!(page.len(), 2);
+        assert!(!closed);
+        let (page, closed) = monitor.events_page(3, 2);
+        assert_eq!(page.len(), 2);
+        assert!(closed);
+    }
+
+    #[test]
+    fn wait_settled_times_out_while_running_and_returns_at_settle() {
+        let service = EhwService::new(ServiceConfig::new(1)).unwrap();
+        let handle = service.submit(marathon_spec(8)).unwrap();
+        let monitor = handle.monitor();
+        let (events, _) = monitor.wait_events(0, Duration::from_secs(30));
+        assert!(!events.is_empty(), "the marathon never started");
+        // Generations keep landing, but only the settle ends the wait.
+        let timeout = Duration::from_millis(30);
+        let started = Instant::now();
+        assert!(!monitor.wait_settled(timeout));
+        assert!(started.elapsed() >= timeout);
+
+        let waiter = {
+            let monitor = monitor.clone();
+            std::thread::spawn(move || {
+                (
+                    monitor.wait_settled(Duration::from_secs(30)),
+                    Instant::now(),
+                )
+            })
+        };
+        monitor.cancel();
+        let (settled, woke) = waiter.join().unwrap();
+        assert!(settled);
+        let settled_at = handle.settled_at().expect("the job settled");
+        assert!(
+            woke.saturating_duration_since(settled_at) < Duration::from_millis(50),
+            "woke {:?} after the settle",
+            woke.saturating_duration_since(settled_at)
+        );
+        assert!(handle.wait().unwrap().is_cancelled());
+        // On a settled job the wait returns at once.
+        assert!(monitor.wait_settled(Duration::ZERO));
     }
 
     #[test]

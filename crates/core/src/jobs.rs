@@ -1843,6 +1843,33 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_generation_budget_allocates_nothing_up_front() {
+        // The budget arrives over the wire: presizing the fitness history
+        // from it would abort the process before the first generation.
+        let (noisy, clean) = training_pair(8, 5);
+        let spec = JobSpec::evolution(noisy, clean)
+            .generations(1_000_000_000_000)
+            .build()
+            .unwrap();
+        let mut platform = EhwPlatform::new(spec.arrays_needed());
+        let control = JobControl::new();
+        let mut generations = Vec::new();
+        let result = execute_controlled_cached(
+            &mut platform,
+            &spec,
+            1,
+            &control,
+            &mut |p| {
+                generations.push(p.generation);
+                control.cancel();
+            },
+            None,
+        );
+        assert_eq!(result.cancel_kind(), Some(CancelKind::Requested));
+        assert_eq!(generations, [0]);
+    }
+
+    #[test]
     fn cancelled_stream_reports_cancelled() {
         let spec = JobSpec::stream(stream_source(12)).build().unwrap();
         let mut platform = EhwPlatform::new(1);

@@ -226,7 +226,7 @@ where
 
     let mut best = parent.clone();
     let mut best_fitness = parent_fitness;
-    let mut history = Vec::with_capacity(config.generations);
+    let mut history = Vec::new();
     let mut total_reconfigs: u64 = 0;
     let mut generations_run = 0;
 

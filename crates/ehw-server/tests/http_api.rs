@@ -314,6 +314,44 @@ fn event_streams_send_every_event_once_in_order_and_end_at_settle() {
 }
 
 #[test]
+fn a_late_reader_gets_the_whole_feed_and_it_agrees_with_the_result() {
+    let server = start_server(1);
+    let addr = server.local_addr();
+
+    // Opened only after the settle: the retained feed must still be whole.
+    let job_id = submit(addr, &evolution_body(16, 2_000, 5, ""));
+    let doc = wait_settled(addr, job_id);
+    assert_eq!(doc.get("status").unwrap().as_str(), Some("done"));
+    let history: Vec<u64> = doc
+        .get("result")
+        .and_then(|result| result.get("output"))
+        .and_then(|output| output.get("history"))
+        .and_then(Value::as_array)
+        .expect("an evolution result carries its history")
+        .iter()
+        .map(|fitness| fitness.as_u64().unwrap())
+        .collect();
+
+    let events = get(addr, &format!("/jobs/{job_id}/events"));
+    assert_eq!(events.status, 200, "{}", events.body);
+    let (sequences, best_fitness): (Vec<usize>, Vec<u64>) = events
+        .body
+        .lines()
+        .map(|line| {
+            let event = parse(line).expect("event line is JSON");
+            let sequence = event.get("sequence").unwrap().as_usize().unwrap();
+            assert_eq!(event.get("generation").unwrap().as_usize(), Some(sequence));
+            (
+                sequence,
+                event.get("best_fitness").unwrap().as_u64().unwrap(),
+            )
+        })
+        .unzip();
+    assert_eq!(sequences, (0..2_000).collect::<Vec<_>>());
+    assert_eq!(best_fitness, history);
+}
+
+#[test]
 fn cancel_before_start_settles_with_zero_evaluations() {
     // One shard: a marathon occupies it while the victim waits in queue.
     let server = start_server(1);

@@ -67,6 +67,15 @@
 //! in [`JobMonitor::wait_events`]; [`JobHandle::wait`] and
 //! [`JobMonitor::wait_settled`] wake at the settle alone, so a generation
 //! costs the shard no wakeup when nobody follows the feed.
+//!
+//! # What a retained feed costs
+//!
+//! A settled job keeps its whole progress feed for as long as its record
+//! lives, so a reader that comes late still gets every event, in order.  The
+//! feed is stored as runs of events that differ only in their generation:
+//! one record per run, not per generation.  An evolution's feed costs one
+//! record per best-fitness improvement, a cascade's one record in all, and a
+//! stream's one record per event, since each carries its own payload.
 
 #![warn(missing_docs)]
 
@@ -480,11 +489,37 @@ struct Settled {
     at: Instant,
 }
 
+/// Consecutive progress events that differ only in their generation: `first`
+/// at feed index `start`, then `len - 1` more at the following generations
+/// with `first`'s best fitness.  Only a run of one event carries a stream
+/// payload.
+#[derive(Debug)]
+struct EventRun {
+    first: JobProgress,
+    start: usize,
+    len: usize,
+}
+
+impl EventRun {
+    /// Whether `event` is the event that follows this run's last one.
+    fn continues_with(&self, event: &JobProgress) -> bool {
+        self.first.stream.is_none()
+            && event.stream.is_none()
+            && self.first.best_fitness == event.best_fitness
+            && self.first.generation.checked_add(self.len) == Some(event.generation)
+    }
+}
+
 /// The per-generation progress feed of one job and, once the job has
 /// settled, its outcome — whose presence is what closes the feed.
+///
+/// The feed is kept as runs ([`EventRun`]): an evolution costs one record
+/// per best-fitness improvement, a cascade (no fitness per step) one record,
+/// and only stream frames, which carry their own payload, one record each.
+/// Paging expands the runs again, so every event is still served, in order.
 #[derive(Debug)]
 struct EventLog {
-    events: Vec<JobProgress>,
+    runs: Vec<EventRun>,
     settled: Option<Settled>,
     /// Threads blocked in [`JobMonitor::wait_events`].  A pushed event
     /// notifies the feed's condvar only while this is non-zero, so a shard
@@ -493,13 +528,50 @@ struct EventLog {
 }
 
 impl EventLog {
+    /// How many events the feed holds.
+    fn len(&self) -> usize {
+        self.runs.last().map_or(0, |run| run.start + run.len)
+    }
+
+    fn push(&mut self, event: JobProgress) {
+        match self.runs.last_mut() {
+            Some(run) if run.continues_with(&event) => run.len += 1,
+            _ => {
+                let start = self.len();
+                self.runs.push(EventRun {
+                    first: event,
+                    start,
+                    len: 1,
+                });
+            }
+        }
+    }
+
     /// At most `max` events from index `from`, and whether the feed is
     /// closed with none left past them.
     fn page(&self, from: usize, max: usize) -> (Vec<JobProgress>, bool) {
-        let rest = self.events.get(from..).unwrap_or(&[]);
-        let events = rest[..rest.len().min(max)].to_vec();
-        let drained = events.len() == rest.len();
-        (events, drained && self.settled.is_some())
+        let rest = self.len().saturating_sub(from);
+        let count = rest.min(max);
+        let mut events = Vec::with_capacity(count);
+        let first_run = self.runs.partition_point(|run| run.start + run.len <= from);
+        for run in &self.runs[first_run..] {
+            if events.len() == count {
+                break;
+            }
+            let skip = from.saturating_sub(run.start);
+            let take = (run.len - skip).min(count - events.len());
+            events.extend((skip..skip + take).map(|k| JobProgress {
+                generation: run.first.generation + k,
+                ..run.first
+            }));
+        }
+        (events, count == rest && self.settled.is_some())
+    }
+
+    /// How many records the feed keeps.
+    #[cfg(test)]
+    fn run_count(&self) -> usize {
+        self.runs.len()
     }
 }
 
@@ -530,7 +602,7 @@ impl JobShared {
             control: jobs::JobControl::with_deadline(deadline),
             running: AtomicBool::new(false),
             events: Mutex::new(EventLog {
-                events: Vec::new(),
+                runs: Vec::new(),
                 settled: None,
                 event_waiters: 0,
             }),
@@ -541,7 +613,7 @@ impl JobShared {
 
     fn push_event(&self, event: JobProgress) {
         let mut log = lock_recover(&self.events);
-        log.events.push(event);
+        log.push(event);
         let waited_on = log.event_waiters > 0;
         drop(log);
         if waited_on {
@@ -1145,7 +1217,7 @@ impl JobMonitor {
             .shared
             .events_cv
             .wait_timeout_while(log, timeout, |log| {
-                log.events.len() <= from && log.settled.is_none()
+                log.len() <= from && log.settled.is_none()
             })
             .unwrap_or_else(PoisonError::into_inner);
         log.event_waiters -= 1;
@@ -1907,6 +1979,24 @@ mod tests {
     }
 
     #[test]
+    fn a_settled_evolution_keeps_one_run_per_best_fitness() {
+        let service = EhwService::new(ServiceConfig::new(1)).unwrap();
+        let handle = service.submit(evolution_spec(8, 5_000)).unwrap();
+        let shared = Arc::clone(&handle.shared);
+        let result = handle.wait().unwrap();
+        let mut distinct = result.history().to_vec();
+        distinct.dedup();
+        let log = lock_recover(&shared.events);
+        assert_eq!(log.len(), 5_000);
+        assert!(
+            log.run_count() <= distinct.len(),
+            "{} runs for {} distinct best fitnesses",
+            log.run_count(),
+            distinct.len()
+        );
+    }
+
+    #[test]
     fn wait_settled_times_out_while_running_and_returns_at_settle() {
         let service = EhwService::new(ServiceConfig::new(1)).unwrap();
         let handle = service.submit(marathon_spec(8)).unwrap();
@@ -1987,5 +2077,80 @@ mod tests {
         assert_eq!(stats.submitted, 2);
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.failed, 1);
+    }
+
+    /// Builds a feed from generated steps: each step moves the generation
+    /// (mostly by one, so runs form; sometimes not at all, or by a gap,
+    /// wrapping past `usize::MAX` when the feed starts near it) and may
+    /// change the best fitness, drop it, or carry a stream payload.
+    fn feed_from_steps(near_max: bool, steps: &[(usize, u64, u8)]) -> Vec<JobProgress> {
+        let mut generation = if near_max { usize::MAX - 6 } else { 0 };
+        let mut best_fitness = Some(9);
+        steps
+            .iter()
+            .map(|&(step, level, kind)| {
+                generation = generation.wrapping_add(match step {
+                    0..=4 => 1,
+                    5 => 0,
+                    gap => gap,
+                });
+                match kind {
+                    0 => best_fitness = None,
+                    1 => best_fitness = Some(level),
+                    _ => {}
+                }
+                let stream = (kind == 2).then_some(StreamEvent::Frame {
+                    index: generation,
+                    fitness: level,
+                });
+                JobProgress {
+                    generation,
+                    best_fitness,
+                    stream,
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn property_feed_pages_match_a_plain_vec(
+            near_max in proptest::arbitrary::any::<bool>(),
+            steps in proptest::collection::vec((0usize..8, 0u64..3, 0u8..8), 0..48),
+        ) {
+            let model = feed_from_steps(near_max, &steps);
+            let mut log = EventLog {
+                runs: Vec::new(),
+                settled: None,
+                event_waiters: 0,
+            };
+            for &event in &model {
+                log.push(event);
+            }
+            assert_eq!(log.len(), model.len());
+            for settled in [false, true] {
+                if settled {
+                    log.settled = Some(Settled {
+                        status: JobStatus::Lost,
+                        outcome: Err(JobLost { job_id: 0 }),
+                        at: Instant::now(),
+                    });
+                }
+                for from in 0..=model.len() + 1 {
+                    for max in [0, 1, 3, usize::MAX] {
+                        let rest = model.get(from..).unwrap_or(&[]);
+                        let events = &rest[..rest.len().min(max)];
+                        let closed = settled && events.len() == rest.len();
+                        assert_eq!(
+                            log.page(from, max),
+                            (events.to_vec(), closed),
+                            "page({from}, {max}), settled: {settled}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -74,7 +74,7 @@ impl DriftDetector {
         config.validate();
         Self {
             config,
-            window: VecDeque::with_capacity(config.window),
+            window: VecDeque::new(),
             window_sum: 0,
             baseline_sum: None,
             cooldown_left: 0,

@@ -276,8 +276,7 @@ pub fn run_stream(
     // --- stream loop ------------------------------------------------------
     let mut detector = DriftDetector::new(config.drift);
     let adapt_lane = streams.fork(LANE_ADAPT);
-    let mut calibration: VecDeque<Arc<SharedWindows>> =
-        VecDeque::with_capacity(config.drift.window);
+    let mut calibration: VecDeque<Arc<SharedWindows>> = VecDeque::new();
     let mut report = StreamReport {
         frames: 0,
         drift_events: 0,

@@ -94,8 +94,10 @@ fn bench_evaluator_batch(c: &mut Criterion) {
     for workers in [1usize, 4] {
         let cfg = ParallelConfig::with_workers(workers);
         group.bench_function(format!("batch-{workers}w"), |b| {
-            let mut eval = SoftwareEvaluator::new(task.input.clone(), task.reference.clone());
-            b.iter(|| black_box(eval.evaluate_batch_bounded(&batch, None, None, cfg)))
+            // A fresh copy per iteration, so the phenotype memo never
+            // answers a repeat of the batch.
+            let eval = SoftwareEvaluator::new(task.input.clone(), task.reference.clone());
+            b.iter(|| black_box(eval.clone().evaluate_batch_bounded(&batch, None, None, cfg)))
         });
     }
     group.finish();

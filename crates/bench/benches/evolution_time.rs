@@ -23,7 +23,7 @@ fn denoise_evaluator(size: usize) -> SoftwareEvaluator {
 fn bench_batch_evaluation(c: &mut Criterion) {
     let mut group = c.benchmark_group("evolution/evaluate_batch_9");
     for size in [32usize, 64] {
-        let mut evaluator = denoise_evaluator(size);
+        let evaluator = denoise_evaluator(size);
         let mut rng = StdRng::seed_from_u64(4);
         let batch: Vec<_> = (0..9)
             .map(|_| ehw_array::genotype::Genotype::random(&mut rng))
@@ -33,7 +33,15 @@ fn bench_batch_evaluation(c: &mut Criterion) {
         // see the parallel_scaling bench for the full worker sweep.
         let parallel = ParallelConfig::from_env();
         group.bench_with_input(BenchmarkId::from_parameter(size), &batch, |b, batch| {
-            b.iter(|| black_box(evaluator.evaluate_batch_bounded(batch, None, None, parallel)))
+            // A fresh copy per iteration, so the phenotype memo never
+            // answers a repeat of the batch.
+            b.iter(|| {
+                black_box(
+                    evaluator
+                        .clone()
+                        .evaluate_batch_bounded(batch, None, None, parallel),
+                )
+            })
         });
     }
     group.finish();

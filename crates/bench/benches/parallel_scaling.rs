@@ -28,13 +28,21 @@ fn denoise_evaluator(size: usize) -> SoftwareEvaluator {
 
 fn bench_batch_evaluation_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel/evaluate_batch_9_64x64");
-    let mut evaluator = denoise_evaluator(64);
+    let evaluator = denoise_evaluator(64);
     let mut rng = StdRng::seed_from_u64(4);
     let batch: Vec<Genotype> = (0..9).map(|_| Genotype::random(&mut rng)).collect();
     for workers in WORKER_COUNTS {
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
             let cfg = ParallelConfig::with_workers(w);
-            b.iter(|| black_box(evaluator.evaluate_batch_bounded(&batch, None, None, cfg)))
+            // A fresh copy per iteration, so the phenotype memo never
+            // answers a repeat of the batch.
+            b.iter(|| {
+                black_box(
+                    evaluator
+                        .clone()
+                        .evaluate_batch_bounded(&batch, None, None, cfg),
+                )
+            })
         });
     }
     group.finish();

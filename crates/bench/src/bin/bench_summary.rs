@@ -129,10 +129,13 @@ fn main() {
             .sum()
     });
     let compiled_4w = {
-        let mut eval = SoftwareEvaluator::new(task.input.clone(), task.reference.clone());
+        // A fresh copy of the evaluator per rep: re-scoring the same batch
+        // on one evaluator would time its phenotype memo, not the plans.
+        let eval = SoftwareEvaluator::new(task.input.clone(), task.reference.clone());
         let cfg = ParallelConfig::with_workers(4);
         time_batches(reps, pixels, || {
-            eval.evaluate_batch_bounded(&batch, None, None, cfg)
+            eval.clone()
+                .evaluate_batch_bounded(&batch, None, None, cfg)
                 .into_iter()
                 .sum()
         })

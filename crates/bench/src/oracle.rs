@@ -15,8 +15,8 @@
 //!   per-window helpers over the AoS [`Window3x3`],
 //! * [`filter_kernel`] — the scalar per-window reference filters the
 //!   plane-wise `ReferenceFilter::apply` replaces,
-//! * [`Exhaustive`] — an evaluator that scores every candidate exactly,
-//!   ignoring the early-exit bound and the incumbent shortcut,
+//! * [`Exhaustive`] — an evaluator that scores every candidate exactly and
+//!   on its own, bypassing early exit and the phenotype memo,
 //! * [`run_cascade`] — cascaded evolution that re-filters the whole chain
 //!   from the source image for every candidate.
 
@@ -31,7 +31,6 @@ use ehw_image::filters::ReferenceFilter;
 use ehw_image::image::GrayImage;
 use ehw_image::metrics::mae;
 use ehw_image::window::{for_each_window_in_rows, Window3x3, WindowPlanes};
-use ehw_parallel::ParallelConfig;
 use ehw_platform::evo_modes::{CascadeConfig, CascadeInit, CascadeResult, EvolutionTask};
 use ehw_platform::jobs::JobSpec;
 use ehw_platform::modes::{CascadeFitness, CascadeSchedule};
@@ -178,27 +177,18 @@ fn gaussian_kernel(w: &Window3x3) -> u8 {
 // Exhaustive candidate evaluation
 // ---------------------------------------------------------------------------
 
-/// Wraps an evaluator so every batch is scored exactly: the early-exit bound
-/// and the incumbent are dropped before the batch reaches it.  An evolution
-/// run through this wrapper is the exhaustive baseline the bounded
-/// trajectory must reproduce byte for byte.  Evaluators may still score
-/// duplicate candidates once (a pure work-saver).
+/// Wraps an evaluator so every candidate of every batch is scored exactly,
+/// one at a time, through [`FitnessEvaluator::evaluate`] (the trait's
+/// default batch path): no early-exit bound, no incumbent, no memo and none
+/// of the wrapped evaluator's batch shortcuts.  An evolution run
+/// through this wrapper is the exhaustive baseline the bounded, memoised
+/// trajectory must reproduce byte for byte.
 #[derive(Debug, Clone)]
 pub struct Exhaustive<E>(pub E);
 
 impl<E: FitnessEvaluator> FitnessEvaluator for Exhaustive<E> {
     fn evaluate(&mut self, genotype: &Genotype) -> u64 {
         self.0.evaluate(genotype)
-    }
-
-    fn evaluate_batch_bounded(
-        &mut self,
-        batch: &[Genotype],
-        _bound: Option<u64>,
-        _incumbent: Option<(&Genotype, u64)>,
-        parallel: ParallelConfig,
-    ) -> Vec<u64> {
-        self.0.evaluate_batch_bounded(batch, None, None, parallel)
     }
 
     fn evaluations(&self) -> u64 {

@@ -833,7 +833,7 @@ mod tests {
     #[test]
     fn platform_evaluator_memo_is_keyed_by_array() {
         // The same genotype lands on array 0 (healthy) and array 1 (damaged)
-        // via round-robin; the per-batch memo must NOT share their results.
+        // via round-robin; the memo must NOT share their results.
         let mut platform = EhwPlatform::new(2);
         platform.inject_pe_fault(1, 0, 3, FaultKind::Lpd);
         let task = denoise_task(24, 0.3, 2);

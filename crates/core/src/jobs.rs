@@ -33,7 +33,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use ehw_array::genotype::Genotype;
+use ehw_array::genotype::{Genotype, TOTAL_GENES};
 use ehw_evolution::fitness::EngineStats;
 use ehw_evolution::strategy::{
     run_evolution_with_parent, EsConfig, EvolutionResult, GenerationObserver, MutationStrategy,
@@ -75,6 +75,14 @@ pub enum SpecError {
     ZeroOffspring,
     /// The generation budget must be at least 1.
     ZeroGenerations,
+    /// A mutation rate exceeds the genotype's gene count: mutating draws
+    /// that many genes per offspring, so a larger rate only costs time.
+    MutationRateTooHigh {
+        /// What the spec asked for.
+        rate: usize,
+        /// The genes in a genotype ([`TOTAL_GENES`]).
+        max: usize,
+    },
     /// The requested array/stage count is outside `1..=MAX_ARRAYS`.
     BadArrayCount {
         /// What the spec asked for.
@@ -133,6 +141,10 @@ impl std::fmt::Display for SpecError {
             ),
             SpecError::ZeroOffspring => write!(f, "offspring (lambda) must be at least 1"),
             SpecError::ZeroGenerations => write!(f, "generations must be at least 1"),
+            SpecError::MutationRateTooHigh { rate, max } => write!(
+                f,
+                "mutation rate {rate} exceeds the {max} genes of a genotype"
+            ),
             SpecError::BadArrayCount { requested, max } => {
                 write!(f, "array count {requested} is outside 1..={max}")
             }
@@ -184,12 +196,26 @@ fn validate_arrays(requested: usize) -> Result<(), SpecError> {
     Ok(())
 }
 
-fn validate_budget(offspring: usize, generations: usize) -> Result<(), SpecError> {
+fn validate_budget(
+    offspring: usize,
+    mutation_rate: usize,
+    generations: usize,
+) -> Result<(), SpecError> {
     if offspring == 0 {
         return Err(SpecError::ZeroOffspring);
     }
     if generations == 0 {
         return Err(SpecError::ZeroGenerations);
+    }
+    validate_rate(mutation_rate)
+}
+
+fn validate_rate(rate: usize) -> Result<(), SpecError> {
+    if rate > TOTAL_GENES {
+        return Err(SpecError::MutationRateTooHigh {
+            rate,
+            max: TOTAL_GENES,
+        });
     }
     Ok(())
 }
@@ -284,7 +310,14 @@ impl EvolutionBuilder {
     /// Validates the request and produces the spec.
     pub fn build(self) -> Result<JobSpec, SpecError> {
         validate_shapes(&self.input, &self.reference)?;
-        validate_budget(self.config.offspring, self.config.generations)?;
+        validate_budget(
+            self.config.offspring,
+            self.config.mutation_rate,
+            self.config.generations,
+        )?;
+        if let MutationStrategy::TwoLevel { low_rate } = self.config.strategy {
+            validate_rate(low_rate)?;
+        }
         validate_arrays(self.config.num_arrays)?;
         Ok(JobSpec::Evolution(EvolutionSpec {
             task: EvolutionTask {
@@ -402,7 +435,11 @@ impl CascadeBuilder {
     /// Validates the request and produces the spec.
     pub fn build(self) -> Result<JobSpec, SpecError> {
         validate_shapes(&self.input, &self.reference)?;
-        validate_budget(self.config.offspring, self.config.generations)?;
+        validate_budget(
+            self.config.offspring,
+            self.config.mutation_rate,
+            self.config.generations,
+        )?;
         validate_arrays(self.stages)?;
         Ok(JobSpec::Cascade(CascadeSpec {
             task: EvolutionTask {
@@ -549,7 +586,11 @@ impl FaultCampaignBuilder {
     /// Validates the request and produces the spec.
     pub fn build(self) -> Result<JobSpec, SpecError> {
         validate_shapes(&self.input, &self.reference)?;
-        validate_budget(self.recovery.offspring, self.recovery.generations)?;
+        validate_budget(
+            self.recovery.offspring,
+            self.recovery.mutation_rate,
+            self.recovery.generations,
+        )?;
         self.scenario
             .validate()
             .map_err(|e| SpecError::InvalidScenario {
@@ -749,7 +790,11 @@ impl StreamBuilder {
                 self.drift.threshold_pct
             )));
         }
-        validate_budget(self.adaptation.offspring, self.adaptation.generations)?;
+        validate_budget(
+            self.adaptation.offspring,
+            self.adaptation.mutation_rate,
+            self.adaptation.generations,
+        )?;
         if self.adaptation.max_millis == Some(0) {
             return Err(invalid(
                 "an explicit adaptation wall-clock budget must be at least 1 ms".into(),
@@ -1539,6 +1584,62 @@ mod tests {
             SpecError::CampaignArrayOutOfRange {
                 array: 2,
                 arrays: 2
+            }
+        );
+    }
+
+    #[test]
+    fn builders_cap_every_mutation_rate_at_the_gene_count() {
+        // `Genotype::mutated` draws one gene per unit of rate, so an
+        // unbounded rate would hold a worker for as long as it asks.
+        let (noisy, clean) = training_pair(16, 1);
+        let too_high = SpecError::MutationRateTooHigh {
+            rate: TOTAL_GENES + 1,
+            max: TOTAL_GENES,
+        };
+        let evolution = || JobSpec::evolution(noisy.clone(), clean.clone());
+        assert!(evolution().mutation_rate(TOTAL_GENES).build().is_ok());
+        assert_eq!(
+            evolution()
+                .mutation_rate(TOTAL_GENES + 1)
+                .build()
+                .unwrap_err(),
+            too_high
+        );
+        assert_eq!(
+            evolution()
+                .strategy(MutationStrategy::TwoLevel {
+                    low_rate: TOTAL_GENES + 1
+                })
+                .build()
+                .unwrap_err(),
+            too_high
+        );
+        assert_eq!(
+            JobSpec::cascade(noisy.clone(), clean.clone())
+                .mutation_rate(TOTAL_GENES + 1)
+                .build()
+                .unwrap_err(),
+            too_high
+        );
+        assert_eq!(
+            JobSpec::fault_campaign(noisy.clone(), clean.clone())
+                .recovery_mutation_rate(TOTAL_GENES + 1)
+                .build()
+                .unwrap_err(),
+            too_high
+        );
+        assert_eq!(
+            JobSpec::stream(stream_source(4))
+                .adaptation(AdaptationConfig {
+                    mutation_rate: usize::MAX,
+                    ..AdaptationConfig::default()
+                })
+                .build()
+                .unwrap_err(),
+            SpecError::MutationRateTooHigh {
+                rate: usize::MAX,
+                max: TOTAL_GENES
             }
         );
     }

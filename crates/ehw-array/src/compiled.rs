@@ -164,6 +164,72 @@ impl CompiledArray {
         plan
     }
 
+    /// The plan's *active circuit* packed into one `u128`: two plans on the
+    /// same fault overlay with equal keys compute the same output on every
+    /// window, so a key may stand in for the plan in a fitness memo.
+    ///
+    /// Liveness is walked backwards from the output PE (`out_row`, last
+    /// column) under the overlay: a `StuckAt` PE reads nothing, a
+    /// `RandomOutput` PE reads both inputs (its hash mixes them in), and an
+    /// `InvertedOutput` or healthy PE reads what its function
+    /// [reads](PeFunction::reads).  The key holds the output row, the live
+    /// mask, each live PE's opcode (except under `StuckAt`, which ignores
+    /// it) and each array-input selector a live PE reads, with a "used" bit,
+    /// so genes no path to the output reads never change it.  The overlay
+    /// itself is not in the key: compare keys of plans on one overlay only.
+    /// The key uses the low [`PHENOTYPE_BITS`](Self::PHENOTYPE_BITS) bits.
+    pub fn phenotype(&self) -> u128 {
+        const { assert!(PE_GENES <= 16 && ARRAY_COLS + ARRAY_ROWS <= 8) };
+        let output = self.out_row * ARRAY_COLS + ARRAY_COLS - 1;
+        let mut live = 1u16 << output;
+        // Live PEs' opcodes, 4 bits each in row-major order.
+        let mut opcodes = 0u64;
+        // Input-mux bits in input-gene order: north columns, then west rows.
+        let mut used_inputs = 0u8;
+        // Data flows only east and south, so each PE's readers come after it
+        // in row-major order: one reverse pass settles liveness.
+        for idx in (0..=output).rev() {
+            if live & (1 << idx) == 0 {
+                continue;
+            }
+            let (reads_w, reads_n) = match self.faults[idx] {
+                // A stuck PE ignores its inputs and its opcode alike.
+                Some(FaultBehaviour::StuckAt { .. }) => continue,
+                Some(FaultBehaviour::RandomOutput { .. }) => (true, true),
+                Some(FaultBehaviour::InvertedOutput) | None => self.fns[idx].reads(),
+            };
+            opcodes |= (self.fns[idx].gene() as u64) << (4 * idx);
+            let (r, c) = (idx / ARRAY_COLS, idx % ARRAY_COLS);
+            if reads_w {
+                if c == 0 {
+                    used_inputs |= 1 << (ARRAY_COLS + r);
+                } else {
+                    live |= 1 << (idx - 1);
+                }
+            }
+            if reads_n {
+                if r == 0 {
+                    used_inputs |= 1 << c;
+                } else {
+                    live |= 1 << (idx - ARRAY_COLS);
+                }
+            }
+        }
+        // Layout: out_row (2 bits) | live mask (16) | 16 × opcode (4) |
+        // 8 × (selector (4) + used bit), PHENOTYPE_BITS in all.
+        let mut key = self.out_row as u128 | (live as u128) << 2 | (opcodes as u128) << 18;
+        for (i, &sel) in self.north.iter().chain(&self.west).enumerate() {
+            if used_inputs & (1 << i) != 0 {
+                key |= ((sel as u128) << 1 | 1) << (82 + 5 * i);
+            }
+        }
+        key
+    }
+
+    /// Width of a [`phenotype`](Self::phenotype) key: the bits above it are
+    /// always zero.
+    pub const PHENOTYPE_BITS: u32 = 2 + 16 + 4 * 16 + 5 * 8;
+
     /// Windows per block of the lane-parallel evaluation path.  Each PE
     /// opcode (and fault behaviour) is dispatched once per block and applied
     /// across the whole lane buffer, which the compiler vectorises on `u8`

@@ -90,6 +90,27 @@ impl PeFunction {
         self as u8
     }
 
+    /// Which inputs the function's result depends on, as `(west, north)` —
+    /// the structural reads of [`apply`](Self::apply), whatever the values.
+    #[inline]
+    pub fn reads(self) -> (bool, bool) {
+        match self {
+            PeFunction::ConstMax => (false, false),
+            PeFunction::IdentityW | PeFunction::InvertW | PeFunction::ShiftRightW => (true, false),
+            PeFunction::IdentityN | PeFunction::ShiftRightN => (false, true),
+            PeFunction::Or
+            | PeFunction::And
+            | PeFunction::Xor
+            | PeFunction::AddSat
+            | PeFunction::SubSatWN
+            | PeFunction::SubSatNW
+            | PeFunction::AbsDiff
+            | PeFunction::Average
+            | PeFunction::Max
+            | PeFunction::Min => (true, true),
+        }
+    }
+
     /// Applies the function to the west and north inputs.
     #[inline]
     pub fn apply(self, w: u8, n: u8) -> u8 {
@@ -226,6 +247,20 @@ mod tests {
         assert_eq!(PeFunction::InvertW.apply(0, 99), 255);
         assert_eq!(PeFunction::ShiftRightW.apply(128, 0), 64);
         assert_eq!(PeFunction::ShiftRightN.apply(0, 128), 64);
+    }
+
+    #[test]
+    fn reads_names_every_input_the_result_depends_on() {
+        // An input the function claims not to read must never change its
+        // result; an input it claims to read must change it for some values.
+        for f in PeFunction::ALL {
+            let (reads_w, reads_n) = f.reads();
+            let w_matters =
+                (0..=255u8).any(|n| (0..=255u8).any(|w| f.apply(w, n) != f.apply(0, n)));
+            let n_matters =
+                (0..=255u8).any(|w| (0..=255u8).any(|n| f.apply(w, n) != f.apply(w, 0)));
+            assert_eq!((reads_w, reads_n), (w_matters, n_matters), "{f:?}");
+        }
     }
 
     #[test]

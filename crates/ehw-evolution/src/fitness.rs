@@ -11,8 +11,8 @@
 //!
 //! Scoring one candidate touches every pixel of the training image; scoring a
 //! λ-batch of them is the hot loop of the whole platform.  The engine path
-//! ([`FitnessEvaluator::evaluate_batch_bounded`]) removes the three sources
-//! of redundant work the naive path pays for:
+//! ([`FitnessEvaluator::evaluate_batch_bounded`]) removes four sources of
+//! redundant work the naive path pays for:
 //!
 //! 1. **Plans, not interpreters** — each candidate is compiled once into a
 //!    [`CompiledArray`] (flat opcodes + dense fault overlay); the per-pixel
@@ -25,23 +25,31 @@
 //!    exceeds it: under elitist selection such a candidate can never be
 //!    selected, so its exact value is irrelevant.  Early-exited candidates
 //!    report their (deterministic) partial sum, which is `> bound`; complete
-//!    evaluations report the exact fitness, which is `<= bound`.  Duplicate
-//!    candidates inside a batch are evaluated once (a pure-function memo) and
-//!    candidates identical to the incumbent reuse its known fitness.
+//!    evaluations report the exact fitness, which is `<= bound`.
+//! 4. **One score per circuit** — many offspring compute a circuit already
+//!    scored: their mutations hit only genes no path to the output reads
+//!    (the wasted evaluations Goldman & Punch measured in CGP), or they
+//!    repeat a circuit an earlier generation tried under the same parent
+//!    fitness.  [`SoftwareEvaluator`] keys each candidate by its array and
+//!    its plan's [`phenotype`](CompiledArray::phenotype) and keeps a memo of
+//!    the `(sum, early_exited)` pairs [`plan_mae_bounded`] returned under
+//!    the current bound, seeded with the incumbent's known fitness; a hit is
+//!    the very pair a fresh evaluation would return.
 //!
 //! This is the only evaluation path.  Every shortcut is observationally
 //! equivalent: the evolution trajectory (best genotype, fitness history,
 //! evaluation counts) is byte-identical to exhaustive scoring of every
-//! candidate, at any worker count.  The equivalence proptest suite enforces
-//! it against the reference evaluators of `ehw_bench::oracle`, which live
-//! outside the production crates.
+//! candidate, at any worker count, and only the [`EngineStats`] counters
+//! show the work saved.  The equivalence proptest suite enforces it against
+//! the reference evaluators of `ehw_bench::oracle`, which live outside the
+//! production crates.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use ehw_array::array::ProcessingArray;
 use ehw_array::compiled::CompiledArray;
-use ehw_array::genotype::Genotype;
+use ehw_array::genotype::{GeneDiff, Genotype};
 use ehw_image::image::GrayImage;
 use ehw_image::metrics::sad;
 use ehw_image::window::SharedWindows;
@@ -59,11 +67,12 @@ pub trait FitnessEvaluator {
     ///   fitness whenever it is `<= bound`, and some deterministic value
     ///   `> bound` otherwise (the candidate was early-exited).  `None`
     ///   disables early exit and every value is exact.
-    /// * `incumbent` — the genotype the bound belongs to and its (exact)
-    ///   fitness; candidates equal to it may reuse the value without being
-    ///   re-evaluated.  Implementations must only honour this when a
-    ///   candidate would provably score identically (same array, same
-    ///   faults); when in doubt, ignore it.
+    /// * `incumbent` — the genotype the bound belongs to and its exact
+    ///   fitness on this evaluator; candidates computing the same circuit
+    ///   may reuse the value without being re-evaluated.  Implementations
+    ///   must only honour this when a candidate would provably score
+    ///   identically (same circuit, same array, same faults); when in doubt,
+    ///   ignore it.
     ///
     /// Results must not depend on the worker count.  Every candidate counts
     /// towards [`evaluations`](Self::evaluations), memoised or not.  The
@@ -88,8 +97,14 @@ pub trait FitnessEvaluator {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct EngineStats {
     /// Candidates actually run through a compiled plan (memo misses).
+    /// With [`memo_hits`](Self::memo_hits) it sums to the batch candidates
+    /// scored; single-candidate [`FitnessEvaluator::evaluate`] calls count
+    /// here too.
     pub plans_evaluated: u64,
-    /// Candidates answered from the per-batch memo or the incumbent shortcut.
+    /// Batch candidates answered without a plan evaluation: from an earlier
+    /// candidate of the same batch, from the evaluator's phenotype memo
+    /// (which holds the incumbent's fitness), or, in the cascade engine,
+    /// from its per-batch genotype memo and incumbent shortcut.
     pub memo_hits: u64,
     /// Plan evaluations that stopped before the last pixel because the
     /// running MAE sum exceeded the incumbent bound.
@@ -238,9 +253,9 @@ pub fn chain_mae_bounded(
 }
 
 /// Drives the full dedup → worker pool → scatter pipeline over a candidate
-/// batch — the building block behind [`SoftwareEvaluator`]'s batch path and
-/// the cascade engine, which evaluates per-stage offspring batches without
-/// owning an evaluator.  Each worker builds a scratch state once with `init`
+/// batch — the building block of the cascade engine, which evaluates
+/// per-stage offspring batches without owning an evaluator.  Each worker
+/// builds a scratch state once with `init`
 /// (see [`ehw_parallel::ordered_map_init`]), and `eval(state, i)` scores
 /// batch slot `i`, returning the [`plan_mae_bounded`]-style
 /// `(sum, early_exited)` pair.  This is the loop behind worker-resident plans
@@ -269,13 +284,13 @@ where
     scatter_results(slots, &results, stats)
 }
 
-/// How one batch slot is resolved by the per-batch memo: evaluated through a
-/// plan (index into the unique list) or answered from a known value.
+/// How one batch slot is resolved: evaluated through a plan (index into the
+/// unique list) or answered from a known value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Slot {
     /// The slot shares the result of the `n`-th unique evaluation.
     Unique(usize),
-    /// The slot's fitness is already known (incumbent shortcut).
+    /// The slot's fitness is already known (a memo hit or the incumbent).
     Known(u64),
 }
 
@@ -342,6 +357,59 @@ pub fn scatter_results(
         .collect()
 }
 
+/// Entries the evaluator's phenotype memo holds before it starts over.  A
+/// constant, not a setting: on e2ebench `mixed` (seed 1, 20 s) a memo this
+/// size answers 25.8% of evolution candidates, an unbounded one 26.0%.
+const MEMO_CAP: usize = 4_096;
+
+/// Arrays an evaluator may hold: the memo key carries the array index in
+/// the bits above the [`phenotype`](CompiledArray::phenotype).
+const MAX_MEMO_ARRAYS: usize = 1 << (128 - CompiledArray::PHENOTYPE_BITS);
+
+/// A memo key: a candidate's plan [`phenotype`](CompiledArray::phenotype)
+/// on its array, with the array index in the bits above it.
+fn memo_key(array: usize, phenotype: u128) -> u128 {
+    phenotype | (array as u128) << CompiledArray::PHENOTYPE_BITS
+}
+
+/// The phenotype memo of [`SoftwareEvaluator`]: each key maps to the sum
+/// [`plan_mae_bounded`] returned for it under `bound`, which also tells
+/// whether it early-exited (iff it is `> bound`).  A hit is therefore the
+/// very pair a fresh evaluation would return.  It starts empty, grows as
+/// candidates are scored, and is cleared when the bound changes or when it
+/// holds [`MEMO_CAP`] entries.
+///
+/// A B-tree rather than a hash table: it grows a few hundred bytes at a
+/// time, where a table doubles, and on e2ebench `mixed` the doubling tables
+/// of two concurrent jobs raised peak RSS by 5–12%.  A lookup costs a few
+/// dozen word compares, nothing next to one plan evaluation.
+#[derive(Debug, Clone, Default)]
+struct PhenotypeMemo {
+    bound: Option<u64>,
+    sums: BTreeMap<u128, u64>,
+}
+
+impl PhenotypeMemo {
+    /// Drops every entry computed under a bound other than `bound`.
+    fn rebind(&mut self, bound: Option<u64>) {
+        if self.bound != bound {
+            self.sums.clear();
+            self.bound = bound;
+        }
+    }
+
+    fn get(&self, key: u128) -> Option<u64> {
+        self.sums.get(&key).copied()
+    }
+
+    fn insert(&mut self, key: u128, sum: u64) {
+        if self.sums.len() >= MEMO_CAP {
+            self.sums.clear();
+        }
+        self.sums.insert(key, sum);
+    }
+}
+
 /// Software fitness evaluator: functional array models, one training image
 /// and one reference image.
 ///
@@ -352,6 +420,11 @@ pub fn scatter_results(
 /// being damaged no matter what genotype is configured, which is how the
 /// self-healing experiments drive evolution *around* the fault.  The fault
 /// corrupts the compiled *plan*, never a per-pixel lookup.
+///
+/// Batches go through the evaluator's phenotype memo (module docs, item 4):
+/// at most 4,096 entries, empty until the first batch, cleared
+/// whenever the bound changes.  [`evaluate`](FitnessEvaluator::evaluate)
+/// never touches it.
 #[derive(Debug, Clone)]
 pub struct SoftwareEvaluator {
     arrays: Vec<ProcessingArray>,
@@ -362,6 +435,7 @@ pub struct SoftwareEvaluator {
     reference: GrayImage,
     evaluations: u64,
     stats: EngineStats,
+    memo: PhenotypeMemo,
 }
 
 impl SoftwareEvaluator {
@@ -388,14 +462,18 @@ impl SoftwareEvaluator {
     /// window set of the training input.
     ///
     /// # Panics
-    /// Panics if `arrays` is empty or the windows and the reference have
-    /// different dimensions.
+    /// Panics if `arrays` is empty or holds more than 64 arrays, or if the
+    /// windows and the reference have different dimensions.
     pub fn with_arrays(
         arrays: Vec<ProcessingArray>,
         windows: Arc<SharedWindows>,
         reference: GrayImage,
     ) -> Self {
         assert!(!arrays.is_empty(), "an evaluator needs at least one array");
+        assert!(
+            arrays.len() <= MAX_MEMO_ARRAYS,
+            "an evaluator holds at most {MAX_MEMO_ARRAYS} arrays"
+        );
         assert_eq!(windows.width(), reference.width(), "image width mismatch");
         assert_eq!(
             windows.height(),
@@ -408,6 +486,7 @@ impl SoftwareEvaluator {
             reference,
             evaluations: 0,
             stats: EngineStats::default(),
+            memo: PhenotypeMemo::default(),
         }
     }
 
@@ -432,40 +511,70 @@ impl FitnessEvaluator for SoftwareEvaluator {
         incumbent: Option<(&Genotype, u64)>,
         parallel: ParallelConfig,
     ) -> Vec<u64> {
-        // Two arrays may carry different faults, so the duplicate memo is
-        // keyed by (array, genotype).  The incumbent's fitness was scored on
-        // one array, so it may stand in for a candidate only when every
-        // candidate lands on that array — with a single array.  Unique
-        // candidates are fanned over the worker pool, which merges results
-        // in candidate order, so the outcome is identical at any worker
-        // count.  When the incumbent is known, its plan is compiled once per
-        // array and each worker keeps *resident copies* of them: a candidate
-        // is evaluated by applying its ≤ k-gene diff in place and reverting
-        // afterwards (bit-identical to a fresh compile under the same
-        // overlay, with no per-candidate plan copy at all).  Early exit stays
-        // sound per candidate: a value is exact iff it is `<= bound` on *its*
-        // array.
+        // Every candidate is keyed by (array, phenotype) and resolved in
+        // batch order on this thread: a memo hit, a repeat of an earlier
+        // candidate of the batch, or a plan evaluation.  Only the
+        // evaluations are fanned over the worker pool, which merges results
+        // in candidate order, so values and stats are identical at any
+        // worker count.  When the incumbent is known, its plan is compiled
+        // once per array; keying and evaluation both apply a candidate's
+        // ≤ k-gene diff to such a resident plan and revert it afterwards
+        // (bit-identical to a fresh compile under the same overlay, with no
+        // per-candidate plan copy).  Early exit stays sound per candidate: a
+        // value is exact iff it is `<= bound` on *its* array.
         self.evaluations += batch.len() as u64;
-        let arrays = &self.arrays;
-        let num_arrays = arrays.len();
-        let windows = &self.windows;
-        let reference = &self.reference;
-        let parent_plans: Option<Vec<CompiledArray>> =
-            incumbent.map(|(pg, _)| arrays.iter().map(|a| a.compile_with(pg)).collect());
+        self.memo.rebind(bound);
+        let num_arrays = self.arrays.len();
+        let mut parent_plans: Option<Vec<CompiledArray>> =
+            incumbent.map(|(pg, _)| self.arrays.iter().map(|a| a.compile_with(pg)).collect());
         // Gene diffs are mutation bookkeeping: computed once per candidate up
-        // front (the DPR "frame list"), so the per-candidate patch step inside
-        // the workers is just the ≤ k-entry apply/revert replay.
-        let diffs: Vec<_> = match incumbent {
+        // front (the DPR "frame list"), so the per-candidate patch step is
+        // just the ≤ k-entry apply/revert replay.
+        let diffs: Vec<GeneDiff> = match incumbent {
             Some((pg, _)) => batch.iter().map(|g| g.diff_from(pg)).collect(),
             None => Vec::new(),
         };
-        batch_mae_bounded_init(
-            batch,
-            incumbent.filter(|_| num_arrays == 1),
+        // The incumbent's fitness was scored on the first array, so it is
+        // known only for candidates landing there — with a single array.
+        if let (Some((_, fitness)), Some(plans), 1) = (incumbent, &parent_plans, num_arrays) {
+            if bound.is_none_or(|b| fitness <= b) {
+                self.memo.insert(memo_key(0, plans[0].phenotype()), fitness);
+            }
+        }
+        let keys: Vec<u128> = (0..batch.len())
+            .map(|i| {
+                let array = i % num_arrays;
+                let key = match &mut parent_plans {
+                    Some(plans) => {
+                        let plan = &mut plans[array];
+                        plan.apply(&diffs[i]);
+                        let key = plan.phenotype();
+                        plan.revert(&diffs[i]);
+                        key
+                    }
+                    None => self.arrays[array].compile_with(&batch[i]).phenotype(),
+                };
+                memo_key(array, key)
+            })
+            .collect();
+        let mut slots = Vec::with_capacity(batch.len());
+        let mut todo: Vec<usize> = Vec::new();
+        let mut first: BTreeMap<u128, usize> = BTreeMap::new();
+        for (i, &key) in keys.iter().enumerate() {
+            slots.push(match self.memo.get(key) {
+                Some(sum) => Slot::Known(sum),
+                None => Slot::Unique(*first.entry(key).or_insert_with(|| {
+                    todo.push(i);
+                    todo.len() - 1
+                })),
+            });
+        }
+        let (arrays, windows, reference) = (&self.arrays, &self.windows, &self.reference);
+        let results = ehw_parallel::ordered_map_init(
             parallel,
-            |i, g| (i % num_arrays, g),
+            &todo,
             || parent_plans.clone(),
-            |plans, i| match plans {
+            |plans, _, &i| match plans {
                 Some(plans) => {
                     let plan = &mut plans[i % num_arrays];
                     plan.apply(&diffs[i]);
@@ -478,8 +587,11 @@ impl FitnessEvaluator for SoftwareEvaluator {
                     plan_mae_bounded(&plan, windows, reference, bound)
                 }
             },
-            &mut self.stats,
-        )
+        );
+        for (&i, &(sum, _)) in todo.iter().zip(&results) {
+            self.memo.insert(keys[i], sum);
+        }
+        scatter_results(slots, &results, &mut self.stats)
     }
 
     fn evaluations(&self) -> u64 {
@@ -626,6 +738,106 @@ mod tests {
             );
             assert_eq!(got, reference, "diverged at {workers} workers");
         }
+    }
+
+    #[test]
+    fn memo_answers_repeat_batches_with_the_fresh_pairs() {
+        // A repeated batch under the same bound is answered wholly from the
+        // memo, early-exited partial sums included, and matches a fresh
+        // evaluator; a new bound starts the memo over.
+        let clean = synth::shapes(24, 24, 3);
+        let mut rng = StdRng::seed_from_u64(12);
+        let noisy = salt_pepper(&clean, 0.3, &mut rng);
+        let batch = toy_batch(23, 9);
+        let fresh = |bound| {
+            let mut eval = SoftwareEvaluator::new(noisy.clone(), clean.clone());
+            eval.evaluate_batch_bounded(&batch, bound, None, ParallelConfig::serial())
+        };
+        let exact = fresh(None);
+        let min = exact.iter().copied().min().unwrap();
+        let bound = Some(min);
+        let mut eval = SoftwareEvaluator::new(noisy.clone(), clean.clone());
+        let first = eval.evaluate_batch_bounded(&batch, bound, None, ParallelConfig::serial());
+        let evaluated = eval.engine_stats().plans_evaluated;
+        let again = eval.evaluate_batch_bounded(&batch, bound, None, ParallelConfig::serial());
+        assert_eq!(first, fresh(bound));
+        assert_eq!(again, first);
+        assert_eq!(eval.engine_stats().plans_evaluated, evaluated);
+        assert!(first.iter().any(|&f| f > min), "some early exits");
+
+        let unbounded = eval.evaluate_batch_bounded(&batch, None, None, ParallelConfig::serial());
+        assert_eq!(unbounded, exact);
+        assert_eq!(eval.engine_stats().plans_evaluated, 2 * evaluated);
+        assert_eq!(eval.evaluations(), 27);
+    }
+
+    #[test]
+    fn the_memo_never_holds_more_than_its_cap() {
+        // A long evolution on a tiny image: the parent stalls early, so the
+        // bound stops changing and the memo grows until it starts over.
+        struct Watch(SoftwareEvaluator, usize);
+        impl FitnessEvaluator for Watch {
+            fn evaluate(&mut self, genotype: &Genotype) -> u64 {
+                self.0.evaluate(genotype)
+            }
+            fn evaluate_batch_bounded(
+                &mut self,
+                batch: &[Genotype],
+                bound: Option<u64>,
+                incumbent: Option<(&Genotype, u64)>,
+                parallel: ParallelConfig,
+            ) -> Vec<u64> {
+                let out = self
+                    .0
+                    .evaluate_batch_bounded(batch, bound, incumbent, parallel);
+                self.1 = self.1.max(self.0.memo.sums.len());
+                out
+            }
+            fn evaluations(&self) -> u64 {
+                self.0.evaluations()
+            }
+        }
+        let clean = synth::shapes(6, 6, 2);
+        let mut rng = StdRng::seed_from_u64(13);
+        let noisy = salt_pepper(&clean, 0.3, &mut rng);
+        let mut watch = Watch(SoftwareEvaluator::new(noisy, clean), 0);
+        let config = crate::strategy::EsConfig {
+            parallel: ParallelConfig::serial(),
+            ..crate::strategy::EsConfig::paper(5, 1, 3_000, 14)
+        };
+        crate::strategy::run_evolution(&config, &mut watch, &mut crate::strategy::NullObserver);
+        // Seen between batches, a full memo is one batch short of the cap at
+        // most: it starts over on the insert that would pass it.
+        assert!(watch.1 <= MEMO_CAP, "memo held {} entries", watch.1);
+        assert!(
+            watch.1 > MEMO_CAP - 9,
+            "the run must fill the memo: {}",
+            watch.1
+        );
+    }
+
+    #[test]
+    fn a_seeded_evolution_answers_a_sixth_of_its_candidates_from_the_memo() {
+        // The count the memo exists for: on a fixed 1,000-generation 32×32
+        // run, offspring that repeat the parent's circuit or one already
+        // scored under the same bound are at least 15% of all candidates.
+        let clean = synth::shapes(32, 32, 4);
+        let mut rng = StdRng::seed_from_u64(16);
+        let noisy = salt_pepper(&clean, 0.3, &mut rng);
+        let mut eval = SoftwareEvaluator::new(noisy, clean);
+        let config = crate::strategy::EsConfig {
+            parallel: ParallelConfig::serial(),
+            ..crate::strategy::EsConfig::paper(3, 1, 1_000, 16)
+        };
+        let result =
+            crate::strategy::run_evolution(&config, &mut eval, &mut crate::strategy::NullObserver);
+        let stats = eval.engine_stats();
+        let ratio = stats.memo_hits as f64 / (result.evaluations - 1) as f64;
+        assert!(
+            ratio >= 0.15,
+            "memo answered {ratio:.3} of candidates: {stats:?}"
+        );
+        assert_eq!(stats.memo_hits + stats.plans_evaluated, result.evaluations);
     }
 
     #[test]

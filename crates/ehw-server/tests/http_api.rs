@@ -498,6 +498,39 @@ fn stream_specs_announcing_huge_frames_get_a_400_and_the_server_keeps_serving() 
 }
 
 #[test]
+fn huge_mutation_rates_get_a_400_and_the_server_keeps_serving() {
+    let server = start_server(1);
+    let addr = server.local_addr();
+
+    // Mutation draws one gene per unit of rate: before the rate was capped
+    // at the gene count, a 10^12 rate passed validation and held the shard
+    // for good, so the job never settled.
+    for rate in ["1000000000000", "18446744073709551615"] {
+        let extra = format!(",\"mutation_rate\":{rate}");
+        let response = request(
+            addr,
+            "POST",
+            "/jobs",
+            Some(&evolution_body(8, 2, 1, &extra)),
+        );
+        assert_eq!(response.status, 400, "{}", response.body);
+        assert!(response.body.contains("mutation rate"), "{}", response.body);
+
+        let stream = format!(
+            "{},\"mutation_rate\":{rate}}}",
+            stream_body(1).strip_suffix('}').unwrap()
+        );
+        let response = request(addr, "POST", "/streams", Some(&stream));
+        assert_eq!(response.status, 400, "{}", response.body);
+    }
+
+    // The shard is still free: a well-formed job runs and settles.
+    let job_id = submit(addr, &evolution_body(8, 2, 1, ",\"mutation_rate\":25"));
+    let doc = wait_settled(addr, job_id);
+    assert_eq!(doc.get("status").unwrap().as_str(), Some("done"));
+}
+
+#[test]
 fn oversized_bodies_get_413() {
     let server = start_server(1);
     let addr = server.local_addr();

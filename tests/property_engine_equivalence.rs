@@ -2,16 +2,16 @@
 //! implementations of `ehw_bench::oracle`: the plan must be bit-identical to
 //! the interpreter for random genotype × fault-overlay × image triples, the
 //! plane-routed reference filters to their scalar kernels, bounded fitness
-//! must equal unbounded fitness whenever the bound is not hit, and a whole
-//! evolution run must be byte-identical to exhaustive scoring, at any worker
-//! count.
+//! must equal unbounded fitness whenever the bound is not hit, plans with
+//! equal phenotype keys must compute equal outputs, and a whole evolution
+//! run must be byte-identical to exhaustive scoring, at any worker count.
 
 use std::collections::BTreeMap;
 
 use ehw_array::array::ProcessingArray;
 use ehw_array::compiled::CompiledArray;
 use ehw_array::genotype::{Genotype, ARRAY_COLS, ARRAY_ROWS};
-use ehw_array::pe::FaultBehaviour;
+use ehw_array::pe::{FaultBehaviour, PeFunction};
 use ehw_bench::oracle::{
     filter_kernel, gather_window, interpret_filter_image, interpret_window, map_windows, Exhaustive,
 };
@@ -371,6 +371,93 @@ proptest! {
             prop_assert_eq!(r.evaluations, reference.evaluations);
             prop_assert_eq!(r.total_pe_reconfigurations, reference.total_pe_reconfigurations);
         }
+    }
+}
+
+/// The flat genes (PE genes, input genes, output gene) a path to the array
+/// output reads under `overlay`, found by walking the circuit forward from
+/// the output PE: the reference the phenotype key's liveness is held to.
+fn live_genes(g: &Genotype, overlay: &BTreeMap<(usize, usize), FaultBehaviour>) -> [bool; 25] {
+    fn visit(
+        g: &Genotype,
+        overlay: &BTreeMap<(usize, usize), FaultBehaviour>,
+        (r, c): (usize, usize),
+        live: &mut [bool; 25],
+    ) {
+        let (reads_w, reads_n) = match overlay.get(&(r, c)) {
+            Some(FaultBehaviour::StuckAt { .. }) => return,
+            Some(FaultBehaviour::RandomOutput { .. }) => (true, true),
+            _ => PeFunction::ALL[g.pe_genes[r * ARRAY_COLS + c] as usize % 16].reads(),
+        };
+        live[r * ARRAY_COLS + c] = true;
+        if reads_w {
+            match c {
+                0 => live[16 + ARRAY_COLS + r] = true,
+                _ => visit(g, overlay, (r, c - 1), live),
+            }
+        }
+        if reads_n {
+            match r {
+                0 => live[16 + c] = true,
+                _ => visit(g, overlay, (r - 1, c), live),
+            }
+        }
+    }
+    let mut live = [false; 25];
+    live[24] = true;
+    let out_row = g.output_gene as usize % ARRAY_ROWS;
+    visit(g, overlay, (out_row, ARRAY_COLS - 1), &mut live);
+    live
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // ------------------------------------------------------------------
+    // Phenotype keys: equal keys mean equal circuits
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn equal_phenotypes_compute_identical_outputs(
+        parent in arb_genotype(),
+        overlay in arb_overlay(),
+        edits in proptest::collection::vec((0usize..25, any::<u8>()), 0..7),
+        img in arb_image(),
+    ) {
+        let mut child = parent.clone();
+        for &(index, value) in &edits {
+            set_flat_gene(&mut child, index, value);
+        }
+        let (a, b) = (compile(&parent, &overlay), compile(&child, &overlay));
+        if a.phenotype() == b.phenotype() {
+            let planes = WindowPlanes::new(&img);
+            let mut out_a = vec![0u8; planes.len()];
+            let mut out_b = vec![0u8; planes.len()];
+            a.evaluate_planes_into(&planes, 0, &mut out_a);
+            b.evaluate_planes_into(&planes, 0, &mut out_b);
+            prop_assert_eq!(out_a, out_b);
+        }
+    }
+
+    #[test]
+    fn dead_gene_edits_never_change_the_phenotype(
+        parent in arb_genotype(),
+        overlay in arb_overlay(),
+        edits in proptest::collection::vec((0usize..25, any::<u8>()), 1..7),
+        img in arb_image(),
+    ) {
+        let live = live_genes(&parent, &overlay);
+        let mut child = parent.clone();
+        for &(index, value) in edits.iter().filter(|(index, _)| !live[*index]) {
+            set_flat_gene(&mut child, index, value);
+        }
+        let (a, b) = (compile(&parent, &overlay), compile(&child, &overlay));
+        prop_assert_eq!(a.phenotype(), b.phenotype());
+        // And the walk agrees with the interpreter: dead genes are dead.
+        prop_assert_eq!(
+            interpret_filter_image(&parent, &overlay, &img),
+            interpret_filter_image(&child, &overlay, &img)
+        );
     }
 }
 

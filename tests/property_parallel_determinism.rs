@@ -3,15 +3,21 @@
 //!
 //! Every property here drives the same seeded workload through 1, 2 and 8
 //! workers and asserts byte-identical results: the same best genotype, the
-//! same fitness trajectory, the same fault-campaign report.  This is the
+//! same fitness trajectory, the same engine counters, the same
+//! fault-campaign report.  This is the
 //! contract that makes `EHW_WORKERS` safe to sweep in benches and CI — worker
 //! count changes wall-clock time, never results.
 
+use std::sync::Arc;
+
+use ehw_array::array::ProcessingArray;
 use ehw_array::genotype::Genotype;
+use ehw_array::pe::FaultBehaviour;
 use ehw_evolution::fitness::{FitnessEvaluator, SoftwareEvaluator};
 use ehw_evolution::strategy::{run_evolution, EsConfig, MutationStrategy, NullObserver};
 use ehw_image::noise::salt_pepper;
 use ehw_image::synth;
+use ehw_image::window::SharedWindows;
 use ehw_parallel::{ordered_map, ParallelConfig};
 use ehw_platform::evo_modes::EvolutionTask;
 use ehw_platform::jobs::{execute, JobSpec};
@@ -91,6 +97,43 @@ proptest! {
             );
             prop_assert_eq!(&result.history, &results[0].0.history);
             prop_assert_eq!(configured, &results[0].1);
+        }
+    }
+
+    #[test]
+    fn engine_stats_are_worker_count_invariant(seed in any::<u64>()) {
+        // The memo is consulted and filled in batch order on the calling
+        // thread, so even its work-saved counters must not move with the
+        // worker count: on a one-array evaluator and on three arrays, two
+        // of them damaged (every fault behaviour present).
+        let task = denoise_task(16, seed ^ 0x5A5A);
+        let mut random = ProcessingArray::identity();
+        random.inject_fault(1, 2, FaultBehaviour::RandomOutput { seed });
+        let mut stuck_inverted = ProcessingArray::identity();
+        stuck_inverted.inject_fault(0, 3, FaultBehaviour::StuckAt { value: 9 });
+        stuck_inverted.inject_fault(2, 1, FaultBehaviour::InvertedOutput);
+        let windows = Arc::new(SharedWindows::new(&task.input));
+        for arrays in [
+            vec![ProcessingArray::identity()],
+            vec![ProcessingArray::identity(), random, stuck_inverted],
+        ] {
+            let runs: Vec<_> = WORKER_COUNTS
+                .iter()
+                .map(|&workers| {
+                    let mut config = EsConfig::paper(3, arrays.len(), 40, seed);
+                    config.parallel = ParallelConfig::with_workers(workers);
+                    let mut evaluator = SoftwareEvaluator::with_arrays(
+                        arrays.clone(),
+                        windows.clone(),
+                        task.reference.clone(),
+                    );
+                    let result = run_evolution(&config, &mut evaluator, &mut NullObserver);
+                    (result.history, result.evaluations, evaluator.engine_stats())
+                })
+                .collect();
+            for run in &runs[1..] {
+                prop_assert_eq!(run, &runs[0], "{} arrays", arrays.len());
+            }
         }
     }
 

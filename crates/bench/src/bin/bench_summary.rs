@@ -24,8 +24,7 @@
 //!   `ReferenceFilter::apply`, byte-identity gated,
 //! * **cross_job_cache** — the service-level cache: shared-window hits of
 //!   a replayed same-image batch (byte-identity gated against a cache-off
-//!   service) and the cold-vs-warm-start evaluations-to-target gap when
-//!   seeding from the champion library,
+//!   service),
 //! * **streaming** — the frame-stream engine: steady-state frames/sec with
 //!   a trained incumbent and no drift, frames-to-recover after a scripted
 //!   noise shift (detection to applied adaptation), and the warm-vs-cold
@@ -427,15 +426,11 @@ fn main() {
     );
     let service_scaling = service_2p / service_1p;
 
-    // --- cross-job cache: window sharing and warm-start speedup ------------
-    // Two figures for the service-level cache.  (1) Window sharing: one
-    // batch of same-image jobs submitted twice against a cache-on service —
-    // every job after the first reuses one window extraction — gated
-    // byte-identical against a cache-off service running the identical
-    // sequence.  (2) Warm start: a trainer job deposits its champion, then
-    // a cold (random-start) and a warm (champion-seeded) run chase the
-    // champion's fitness as an explicit target; the gap in evaluations-to-
-    // target is what the library saves.
+    // --- cross-job cache: window sharing ------------------------------------
+    // One batch of same-image jobs submitted twice against a cache-on
+    // service — every job after the first reuses one window extraction —
+    // gated byte-identical against a cache-off service running the
+    // identical sequence.
     let cache_jobs = ehw_bench::arg_usize("cache-jobs", 8);
     let cache_task = ehw_bench::denoise_task(service_size, 0.4, 33);
     let cache_specs = || -> Vec<JobSpec> {
@@ -481,55 +476,6 @@ fn main() {
         svc_cache_stats.windows_hits > 0,
         "same-image jobs never shared windows"
     );
-
-    let warm_service = EhwService::new(ServiceConfig::new(1)).expect("valid service config");
-    let trainer = warm_service
-        .submit(
-            JobSpec::evolution(cache_task.input.clone(), cache_task.reference.clone())
-                .generations(40)
-                .warm_start(true)
-                .seed(400)
-                .build()
-                .expect("valid evolution spec"),
-        )
-        .expect("accepted")
-        .wait()
-        .expect("shard pool is alive");
-    let (trainer_result, _) = trainer.as_evolution().expect("evolution job");
-    let target = trainer_result.best_fitness;
-    let chase_spec = || {
-        JobSpec::evolution(cache_task.input.clone(), cache_task.reference.clone())
-            .generations(300)
-            .target_fitness(target)
-            .warm_start(true)
-            .seed(401)
-            .build()
-            .expect("valid evolution spec")
-    };
-    // Cold chase: a cache-off service has no champion library, so the same
-    // spec starts from a random parent.
-    let cold_service =
-        EhwService::new(ServiceConfig::new(1).cache(false)).expect("valid service config");
-    let start = Instant::now();
-    let cold = cold_service
-        .submit(chase_spec())
-        .expect("accepted")
-        .wait()
-        .expect("shard pool is alive");
-    let cold_s = start.elapsed().as_secs_f64().max(1e-9);
-    assert!(!cold.warm_started);
-    // Warm chase: the trainer's service seeds it from the deposited
-    // champion, which already meets the target.
-    let start = Instant::now();
-    let warm = warm_service
-        .submit(chase_spec())
-        .expect("accepted")
-        .wait()
-        .expect("shard pool is alive");
-    let warm_s = start.elapsed().as_secs_f64().max(1e-9);
-    assert!(warm.warm_started, "warm chase was not champion-seeded");
-    let (cold_evals, warm_evals) = (cold.evaluations, warm.evaluations);
-    let warm_speedup = cold_evals as f64 / warm_evals.max(1) as f64;
 
     // --- resilience: schedule compile cost + scenario campaign overhead ----
     // Two figures for the declarative fault-scenario layer.  (1) Compile
@@ -613,7 +559,7 @@ fn main() {
     // first *applied* adaptation.  (3) Warm vs cold: the bootstrap evolution
     // chases the trained incumbent's frame-0 fitness as an explicit target,
     // once from a random parent and once warm-started from that incumbent —
-    // the evaluations gap is what champion seeding saves a stream.
+    // the evaluations gap is what an explicit bootstrap parent saves.
     let stream_size = ehw_bench::arg_usize("stream-size", 32);
     let stream_frames = ehw_bench::arg_usize("stream-frames", 48);
     let stream_generations = ehw_bench::arg_usize("stream-generations", 20);
@@ -828,9 +774,7 @@ fn main() {
          {service_2p:.2} jobs/s @2 platforms, scaling {service_scaling:.2}x"
     );
     println!(
-        "cross-job cache ({cache_jobs} same-image jobs x2 passes): {} window hits; \
-         warm start: cold {cold_evals} evals ({cold_s:.3}s) to target {target}, \
-         warm {warm_evals} evals ({warm_s:.3}s), speedup {warm_speedup:.1}x",
+        "cross-job cache ({cache_jobs} same-image jobs x2 passes): {} window hits",
         svc_cache_stats.windows_hits
     );
     println!(
@@ -945,20 +889,13 @@ fn main() {
     let _ = writeln!(
         json,
         "    \"workload\": \"{cache_jobs} same-image evolution jobs x2 passes, \
-         {service_size}x{service_size} salt&pepper 40%, {service_generations} generations; \
-         warm start chases a 40-generation champion's fitness\","
+         {service_size}x{service_size} salt&pepper 40%, {service_generations} generations\","
     );
     let _ = writeln!(
         json,
-        "    \"windows_hits\": {},",
+        "    \"windows_hits\": {}",
         svc_cache_stats.windows_hits
     );
-    let _ = writeln!(json, "    \"target_fitness\": {target},");
-    let _ = writeln!(json, "    \"cold_evaluations_to_target\": {cold_evals},");
-    let _ = writeln!(json, "    \"warm_evaluations_to_target\": {warm_evals},");
-    let _ = writeln!(json, "    \"cold_s\": {cold_s:.4},");
-    let _ = writeln!(json, "    \"warm_s\": {warm_s:.4},");
-    let _ = writeln!(json, "    \"warm_speedup\": {warm_speedup:.2}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"resilience\": {{");
     let _ = writeln!(

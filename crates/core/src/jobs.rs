@@ -36,7 +36,7 @@ use std::time::Instant;
 use ehw_array::genotype::{Genotype, TOTAL_GENES};
 use ehw_evolution::fitness::EngineStats;
 use ehw_evolution::strategy::{
-    run_evolution_with_parent, EsConfig, EvolutionResult, GenerationObserver, MutationStrategy,
+    run_evolution, EsConfig, EvolutionResult, GenerationObserver, MutationStrategy,
 };
 use ehw_image::image::GrayImage;
 use ehw_stream::{
@@ -232,7 +232,6 @@ pub struct EvolutionSpec {
     task: EvolutionTask,
     config: EsConfig,
     seed: Option<u64>,
-    warm_start: bool,
 }
 
 impl EvolutionSpec {
@@ -249,7 +248,6 @@ pub struct EvolutionBuilder {
     reference: GrayImage,
     config: EsConfig,
     seed: Option<u64>,
-    warm_start: bool,
 }
 
 impl EvolutionBuilder {
@@ -296,17 +294,6 @@ impl EvolutionBuilder {
         self
     }
 
-    /// Opts into warm starting (default off): when the executing service has
-    /// a champion deposited for this job's workload fingerprint (training
-    /// image hash × noise class × array shape), the initial parent is seeded
-    /// from that champion instead of being drawn at random.  Changes only the
-    /// initial parent — every later RNG draw is identical — and
-    /// [`JobResult::warm_started`] records whether a champion was found.
-    pub fn warm_start(mut self, warm_start: bool) -> Self {
-        self.warm_start = warm_start;
-        self
-    }
-
     /// Validates the request and produces the spec.
     pub fn build(self) -> Result<JobSpec, SpecError> {
         validate_shapes(&self.input, &self.reference)?;
@@ -326,7 +313,6 @@ impl EvolutionBuilder {
             },
             config: self.config,
             seed: self.seed,
-            warm_start: self.warm_start,
         }))
     }
 }
@@ -346,7 +332,6 @@ pub fn doomed_spec_for_test((input, reference): (GrayImage, GrayImage)) -> JobSp
         },
         config: builder.config,
         seed: builder.seed,
-        warm_start: false,
     })
 }
 
@@ -668,7 +653,6 @@ pub struct StreamSpec {
     initial: Option<Genotype>,
     drift: DriftConfig,
     adaptation: AdaptationConfig,
-    warm_start: bool,
     seed: Option<u64>,
 }
 
@@ -693,11 +677,6 @@ impl StreamSpec {
     pub fn adaptation(&self) -> &AdaptationConfig {
         &self.adaptation
     }
-
-    /// Whether the bootstrap opted into champion-library warm starting.
-    pub fn warm_start(&self) -> bool {
-        self.warm_start
-    }
 }
 
 /// Builder for [`JobSpec::Stream`]; see [`JobSpec::stream`].
@@ -707,7 +686,6 @@ pub struct StreamBuilder {
     initial: Option<Genotype>,
     drift: DriftConfig,
     adaptation: AdaptationConfig,
-    warm_start: bool,
     seed: Option<u64>,
 }
 
@@ -747,14 +725,6 @@ impl StreamBuilder {
     /// Generation budget per adaptation (and for the bootstrap).
     pub fn adaptation_generations(mut self, generations: usize) -> Self {
         self.adaptation.generations = generations;
-        self
-    }
-
-    /// Opts the bootstrap into champion-library warm starting (see
-    /// [`EvolutionBuilder::warm_start`]); ignored when an
-    /// [`initial`](Self::initial) genotype is supplied.
-    pub fn warm_start(mut self, warm_start: bool) -> Self {
-        self.warm_start = warm_start;
         self
     }
 
@@ -805,7 +775,6 @@ impl StreamBuilder {
             initial: self.initial,
             drift: self.drift,
             adaptation: self.adaptation,
-            warm_start: self.warm_start,
             seed: self.seed,
         }))
     }
@@ -839,7 +808,6 @@ impl JobSpec {
             reference,
             config: EsConfig::paper(3, 1, 100, 0),
             seed: None,
-            warm_start: false,
         }
     }
 
@@ -880,7 +848,6 @@ impl JobSpec {
             initial: None,
             drift: DriftConfig::default(),
             adaptation: AdaptationConfig::default(),
-            warm_start: false,
             seed: None,
         }
     }
@@ -1088,14 +1055,6 @@ pub struct JobResult {
     /// jobs this aggregates the counters of every position's recovery
     /// evolution (`CampaignReport::total_stats`).
     pub stats: EngineStats,
-    /// `true` when this evolution job's initial parent was seeded from the
-    /// champion library (requires [`EvolutionBuilder::warm_start`] *and* a
-    /// matching deposited champion); always `false` otherwise.
-    pub warm_started: bool,
-    /// The workload-fingerprint key the warm start consulted, recorded
-    /// whenever the job opted in — even on a library miss, so clients can
-    /// tell "no champion yet" from "did not ask".
-    pub warm_start_key: Option<ehw_reconfig::ChampionKey>,
     /// The kind-specific payload.
     pub output: JobOutput,
 }
@@ -1238,15 +1197,12 @@ pub fn execute(platform: &mut EhwPlatform, spec: &JobSpec, seed: u64) -> JobResu
 /// [`JobProgress`] per generation boundary (campaigns emit none).  An
 /// uncancelled run is byte-identical to plain [`execute`].
 ///
-/// For evolution jobs the cache supplies two things: a shared window
-/// extraction for the training image, and (when the spec opted in via
-/// [`EvolutionBuilder::warm_start`]) a champion-library lookup that seeds the
-/// initial parent.  Completed evolution jobs deposit their champion back.
-/// Cascade and fault-campaign jobs run uncached: their inner images change
-/// per stage/position, so the cross-job tiers would not hit (the cascade
-/// engine has its own intra/cross-generation memos).  With a cache, results
-/// are *still* byte-identical to `cache: None` unless warm starting changes
-/// the initial parent — see the determinism contract in [`crate::cache`].
+/// For evolution jobs the cache supplies a shared window extraction for the
+/// training image.  Cascade, fault-campaign and stream jobs run uncached:
+/// their inner images change per stage, position or frame, so the windows
+/// tier would not hit (the cascade engine has its own intra/cross-generation
+/// memos).  A result is byte-identical with and without a cache — see the
+/// determinism contract in [`crate::cache`].
 pub fn execute_controlled_cached(
     platform: &mut EhwPlatform,
     spec: &JobSpec,
@@ -1295,28 +1251,7 @@ pub fn execute_controlled_cached(
                 progress,
                 stopped: None,
             };
-            // Workload fingerprint: computed once when a cache is attached —
-            // consulted for warm starting (opt-in) and used to deposit the
-            // evolved champion afterwards.
-            let champion_key = cache.map(|_| ehw_reconfig::ChampionKey {
-                image_hash: s.task.input.content_hash(),
-                noise_class: ehw_image::NoiseClass::classify(&s.task.input, &s.task.reference)
-                    .tag(),
-                arrays: platform.num_arrays(),
-            });
-            let initial_parent = match (cache, champion_key, s.warm_start) {
-                (Some(cache), Some(key), true) => cache
-                    .lookup_champion(&key)
-                    // An undecodable champion is a library miss, not a warm
-                    // start: the counter only moves when a parent is seeded,
-                    // matching the result's `warm_started` flag.
-                    .and_then(|champion| Genotype::decode(&champion.genotype))
-                    .inspect(|_| cache.record_warm_start()),
-                _ => None,
-            };
-            let warm_started = initial_parent.is_some();
-            let result =
-                run_evolution_with_parent(&config, initial_parent, &mut evaluator, &mut observer);
+            let result = run_evolution(&config, &mut evaluator, &mut observer);
             platform.configure_all_arrays(&result.best_genotype);
             let output = match observer.stopped {
                 Some(kind) => JobOutput::Cancelled(kind),
@@ -1325,18 +1260,11 @@ pub fn execute_controlled_cached(
                     time: observer.inner.estimate(),
                 },
             };
-            if let (Some(cache), Some(key), JobOutput::Evolution { result, .. }) =
-                (cache, champion_key, &output)
-            {
-                cache.deposit_champion(key, result.best_genotype.encode(), result.best_fitness);
-            }
             JobResult {
                 job_id: 0,
                 seed,
                 evaluations: result.evaluations,
                 stats: evaluator.engine_stats(),
-                warm_started,
-                warm_start_key: champion_key.filter(|_| s.warm_start),
                 output,
             }
         }
@@ -1363,8 +1291,6 @@ pub fn execute_controlled_cached(
                 seed,
                 evaluations,
                 stats,
-                warm_started: false,
-                warm_start_key: None,
                 output,
             }
         }
@@ -1379,8 +1305,6 @@ pub fn execute_controlled_cached(
                 seed,
                 evaluations: report.total_evaluations(),
                 stats: report.total_stats(),
-                warm_started: false,
-                warm_start_key: None,
                 output,
             }
         }
@@ -1410,28 +1334,6 @@ pub fn execute_controlled_cached(
                 ),
                 StreamSourceSpec::PgmDir(source) => Box::new(source.clone()),
             };
-            // Workload fingerprint of the stream's *starting* distribution:
-            // reference hash × frame-0 noise class × the single plan array.
-            let champion_key = cache.map(|_| {
-                let reference = source.reference().clone();
-                let frame0 = source.frame(0).expect("validated streams have a frame 0");
-                ehw_reconfig::ChampionKey {
-                    image_hash: reference.content_hash(),
-                    noise_class: ehw_image::NoiseClass::classify(&frame0, &reference).tag(),
-                    arrays: 1,
-                }
-            });
-            // Warm starting only makes sense for the bootstrap — an explicit
-            // initial genotype IS the incumbent and is never replaced here.
-            let consulted = s.warm_start && s.initial.is_none();
-            let warm_parent = match (cache, champion_key, consulted) {
-                (Some(cache), Some(key), true) => cache
-                    .lookup_champion(&key)
-                    .and_then(|champion| Genotype::decode(&champion.genotype))
-                    .inspect(|_| cache.record_warm_start()),
-                _ => None,
-            };
-            let warm_started = warm_parent.is_some();
             let stream_config = StreamConfig {
                 seed,
                 drift: s.drift,
@@ -1466,7 +1368,7 @@ pub fn execute_controlled_cached(
             let report = ehw_stream::run_stream(
                 source.as_mut(),
                 s.initial.clone(),
-                warm_parent,
+                None,
                 &stream_config,
                 &mut sink,
                 &|| control.stop_reason().is_some(),
@@ -1477,21 +1379,11 @@ pub fn execute_controlled_cached(
             } else {
                 JobOutput::Stream(report)
             };
-            // The surviving incumbent is the champion for this workload —
-            // deposit it so later streams (and evolutions against the same
-            // reference) can warm start from it.
-            if let (Some(cache), Some(key), JobOutput::Stream(r)) = (cache, champion_key, &output) {
-                if let Some(final_fitness) = r.final_fitness {
-                    cache.deposit_champion(key, r.final_genotype.clone(), final_fitness);
-                }
-            }
             JobResult {
                 job_id: 0,
                 seed,
                 evaluations,
                 stats: EngineStats::default(),
-                warm_started,
-                warm_start_key: champion_key.filter(|_| consulted),
                 output,
             }
         }

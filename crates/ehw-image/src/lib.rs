@@ -36,5 +36,4 @@ pub mod window;
 
 pub use image::GrayImage;
 pub use metrics::{mae, psnr};
-pub use noise::NoiseClass;
 pub use window::Window3x3;

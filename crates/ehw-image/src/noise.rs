@@ -142,68 +142,6 @@ fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Coarse noise class of a (noisy input, clean reference) training pair.
-///
-/// Part of the *workload fingerprint* the cross-job champion library keys on:
-/// a champion evolved against salt & pepper noise is a useful warm start for
-/// another salt & pepper job, but not for a Gaussian one.  The class is a
-/// deterministic pure function of the two images, so equal training pairs
-/// always land in the same library bucket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum NoiseClass {
-    /// Input and reference are (nearly) identical — an identity workload.
-    Clean,
-    /// Corrupted pixels are overwhelmingly extremes (0 or 255): impulse
-    /// noise of the salt & pepper family, the paper's flagship workload.
-    SaltPepper,
-    /// Anything else: Gaussian, uniform impulse, burst, edge-detection
-    /// references, ...
-    Other,
-}
-
-impl NoiseClass {
-    /// Corruption ratio below which the pair counts as [`NoiseClass::Clean`].
-    const CLEAN_RATIO: f64 = 0.01;
-    /// Fraction of corrupted pixels that must sit at 0/255 for
-    /// [`NoiseClass::SaltPepper`].
-    const EXTREME_RATIO: f64 = 0.9;
-
-    /// Classifies a training pair.  Pairs with mismatched dimensions (the
-    /// reference is not a per-pixel target for the input) are `Other`.
-    pub fn classify(input: &GrayImage, reference: &GrayImage) -> NoiseClass {
-        if input.width() != reference.width() || input.height() != reference.height() {
-            return NoiseClass::Other;
-        }
-        let mut differing = 0u64;
-        let mut extreme = 0u64;
-        for (i, r) in input.pixels().zip(reference.pixels()) {
-            if i != r {
-                differing += 1;
-                if i == 0 || i == 255 {
-                    extreme += 1;
-                }
-            }
-        }
-        let ratio = differing as f64 / input.len() as f64;
-        if ratio < Self::CLEAN_RATIO {
-            NoiseClass::Clean
-        } else if extreme as f64 / differing as f64 >= Self::EXTREME_RATIO {
-            NoiseClass::SaltPepper
-        } else {
-            NoiseClass::Other
-        }
-    }
-
-    /// A stable small integer tag, usable in hash keys and wire formats.
-    pub fn tag(self) -> u8 {
-        match self {
-            NoiseClass::Clean => 0,
-            NoiseClass::SaltPepper => 1,
-            NoiseClass::Other => 2,
-        }
-    }
-}
-
 /// Fraction of pixels that differ between the clean and noisy images — how
 /// the tests check that a noise generator hits the requested density.
 #[cfg(test)]
@@ -328,27 +266,6 @@ mod tests {
             salt_pepper(&img, 0.3, &mut a),
             salt_pepper(&img, 0.3, &mut b)
         );
-    }
-
-    #[test]
-    fn noise_class_recognises_the_paper_workload() {
-        let clean = base();
-        let mut rng = StdRng::seed_from_u64(11);
-        let noisy = salt_pepper(&clean, 0.4, &mut rng);
-        assert_eq!(NoiseClass::classify(&noisy, &clean), NoiseClass::SaltPepper);
-        assert_eq!(NoiseClass::classify(&clean, &clean), NoiseClass::Clean);
-        let mut rng = StdRng::seed_from_u64(12);
-        let gauss = gaussian(&clean, 25.0, &mut rng);
-        assert_eq!(NoiseClass::classify(&gauss, &clean), NoiseClass::Other);
-    }
-
-    #[test]
-    fn noise_class_tags_are_distinct() {
-        let tags =
-            [NoiseClass::Clean, NoiseClass::SaltPepper, NoiseClass::Other].map(NoiseClass::tag);
-        assert_eq!(tags[0], 0);
-        assert_eq!(tags[1], 1);
-        assert_eq!(tags[2], 2);
     }
 
     #[test]

@@ -33,5 +33,5 @@ pub mod library;
 pub mod timing;
 
 pub use engine::{ReconfigEngine, ReconfigStats};
-pub use library::{Champion, ChampionKey, ChampionLibrary, PbsLibrary};
+pub use library::PbsLibrary;
 pub use timing::{TimingModel, ICAP_CLOCK_HZ, PE_RECONFIG_TIME_US};

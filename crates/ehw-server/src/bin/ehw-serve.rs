@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! EHW_PLATFORMS=2 EHW_WORKERS=4 ehw-serve 127.0.0.1:8080 \
-//!     --registry=faults.json --champions=champions.json
+//!     --registry=faults.json
 //! ```
 //!
 //! The bind address defaults to `127.0.0.1:8080`; `EHW_PLATFORMS` sizes the
@@ -10,9 +10,7 @@
 //! govern per-shard host parallelism.  `--registry=FILE` overlays a JSON
 //! scenario/policy registry (the `GET /registry` document shape) on the
 //! built-in entries; without it the server runs on the built-ins alone.
-//! `--champions=FILE` persists the warm-start champion library across
-//! restarts: loaded at startup (a missing file is a fresh start), saved
-//! atomically whenever a job deposits a new or better champion.
+//! Any other argument starting with `--` is refused with exit status 2.
 
 use ehw_server::{json, wire, EhwServer, DEFAULT_JOB_TTL};
 use ehw_service::{EhwService, ScenarioRegistry, ServiceConfig};
@@ -20,7 +18,6 @@ use ehw_service::{EhwService, ScenarioRegistry, ServiceConfig};
 fn main() {
     let mut addr = "127.0.0.1:8080".to_string();
     let mut registry = ScenarioRegistry::builtin();
-    let mut champions = None;
     for arg in std::env::args().skip(1) {
         if let Some(path) = arg.strip_prefix("--registry=") {
             registry = match load_registry(path) {
@@ -30,8 +27,9 @@ fn main() {
                     std::process::exit(2);
                 }
             };
-        } else if let Some(path) = arg.strip_prefix("--champions=") {
-            champions = Some(std::path::PathBuf::from(path));
+        } else if arg.starts_with("--") {
+            eprintln!("ehw-serve: unknown flag {arg}");
+            std::process::exit(2);
         } else {
             addr = arg;
         }
@@ -59,13 +57,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let server = match EhwServer::serve_with_persistence(
-        service,
-        &addr,
-        DEFAULT_JOB_TTL,
-        registry,
-        champions,
-    ) {
+    let server = match EhwServer::serve_with(service, &addr, DEFAULT_JOB_TTL, registry) {
         Ok(server) => server,
         Err(error) => {
             eprintln!("ehw-serve: cannot start on {addr}: {error}");

@@ -256,16 +256,6 @@ impl ToJson for Hex {
     }
 }
 
-impl FromJson<'_> for Hex {
-    fn from_value(value: &Value) -> Result<Self, WireError> {
-        value
-            .as_str()
-            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-            .map(Hex)
-            .ok_or_else(|| expected("a u64 hex string"))
-    }
-}
-
 /// Declares plain structs on the wire: one member per listed field, named
 /// after the field, in the listed order.  Both directions come from the one
 /// list, and the struct literal makes the compiler check it is complete.

@@ -37,7 +37,7 @@
 //! `latency_ms` submit→settle as the shard stamped it.
 //!
 //! Settled jobs are retained for a TTL ([`DEFAULT_JOB_TTL`], configurable
-//! via [`EhwServer::serve_with_persistence`]) from their settle instant, and
+//! via [`EhwServer::serve_with`]) from their settle instant, and
 //! then evicted by a background reaper — the only walk over the registry —
 //! so a long-lived server's registry cannot grow without bound; an evicted
 //! job's status reads as 404, and the eviction count is exported under
@@ -60,10 +60,8 @@ pub mod wire;
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::fs;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
@@ -128,11 +126,6 @@ struct ServerState {
     evicted: [AtomicU64; JobStatus::ALL.len()],
     /// Named fault scenarios and recovery policies resolvable in job specs.
     registry: ScenarioRegistry,
-    /// Where the champion library is persisted, when persistence is on.
-    champions_file: Option<PathBuf>,
-    /// The champion epoch as of the last successful save — the reaper writes
-    /// the file again only once the cache's epoch moves past this.
-    saved_champion_epoch: AtomicU64,
 }
 
 impl ServerState {
@@ -172,37 +165,6 @@ impl ServerState {
             !expired
         });
     }
-
-    /// Writes the champion library to the configured file when (and only
-    /// when) its epoch moved since the last save.  The write goes through a
-    /// sibling temp file plus rename, so a crash mid-write never leaves a
-    /// truncated champions file behind.  Deposits racing the export simply
-    /// leave the epoch ahead of the saved mark and are picked up next sweep.
-    fn save_champions_if_changed(&self) {
-        let Some(path) = &self.champions_file else {
-            return;
-        };
-        let Some(cache) = self.service.cache() else {
-            return;
-        };
-        let epoch = cache.champion_epoch();
-        if epoch == self.saved_champion_epoch.load(Ordering::Relaxed) {
-            return;
-        }
-        let doc = wire::encode_champions(&cache.export_champions());
-        let tmp = path.with_extension("json.tmp");
-        let written = fs::write(&tmp, doc.to_json().as_bytes()).and_then(|()| {
-            fs::rename(&tmp, path)?;
-            Ok(())
-        });
-        match written {
-            Ok(()) => self.saved_champion_epoch.store(epoch, Ordering::Relaxed),
-            Err(error) => eprintln!(
-                "ehw-server: cannot persist champions to {}: {error}",
-                path.display()
-            ),
-        }
-    }
 }
 
 /// A running job server: an accept loop plus one handler thread per
@@ -222,13 +184,7 @@ impl EhwServer {
     /// `service` on it, retaining settled jobs for [`DEFAULT_JOB_TTL`] and
     /// resolving scenario/policy names against the built-in registry.
     pub fn serve(service: EhwService, addr: &str) -> io::Result<EhwServer> {
-        EhwServer::serve_with_persistence(
-            service,
-            addr,
-            DEFAULT_JOB_TTL,
-            ScenarioRegistry::builtin(),
-            None,
-        )
+        EhwServer::serve_with(service, addr, DEFAULT_JOB_TTL, ScenarioRegistry::builtin())
     }
 
     /// [`EhwServer::serve`] with every knob explicit.
@@ -240,46 +196,12 @@ impl EhwServer {
     ///   `scenario`/`policy` names against.  Start from
     ///   [`wire::parse_registry`] to overlay a JSON registry file on the
     ///   built-ins.
-    /// * `champions_file` — when set, the server loads the champion library
-    ///   from it at startup (a missing file is a fresh start; a malformed one
-    ///   refuses to boot) and saves it back — atomically, via temp file +
-    ///   rename — whenever the library changed, checked on every reaper sweep
-    ///   and once more at shutdown.  Requires the service's cross-job cache to
-    ///   be on; with the cache disabled the path is rejected, because
-    ///   champions would silently neither load nor save.
-    pub fn serve_with_persistence(
+    pub fn serve_with(
         service: EhwService,
         addr: &str,
         job_ttl: Duration,
         registry: ScenarioRegistry,
-        champions_file: Option<PathBuf>,
     ) -> io::Result<EhwServer> {
-        if let Some(path) = &champions_file {
-            let Some(cache) = service.cache() else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "champion persistence needs the cross-job cache enabled",
-                ));
-            };
-            match fs::read_to_string(path) {
-                Ok(text) => {
-                    let entries = json::parse(&text)
-                        .map_err(|e| invalid_champions(path, e))
-                        .and_then(|doc| {
-                            wire::parse_champions(&doc).map_err(|e| invalid_champions(path, e))
-                        })?;
-                    cache.import_champions(entries);
-                }
-                Err(error) if error.kind() == io::ErrorKind::NotFound => {}
-                Err(error) => return Err(error),
-            }
-        }
-        // The freshly imported (or empty) library counts as already saved:
-        // the first write happens on the first post-boot change, not at boot.
-        let loaded_epoch = service
-            .cache()
-            .map(|cache| cache.champion_epoch())
-            .unwrap_or(0);
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let state = Arc::new(ServerState {
@@ -290,8 +212,6 @@ impl EhwServer {
             job_ttl,
             evicted: Default::default(),
             registry,
-            saved_champion_epoch: AtomicU64::new(loaded_epoch),
-            champions_file,
         });
         let accept_state = Arc::clone(&state);
         let accept_thread = thread::Builder::new()
@@ -334,31 +254,18 @@ impl Drop for EhwServer {
     }
 }
 
-/// A malformed champions file refuses to boot — restoring half a library (or
-/// none) while the operator believes it loaded would be worse than an error.
-fn invalid_champions(path: &std::path::Path, error: impl std::fmt::Display) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("champions file {}: {error}", path.display()),
-    )
-}
-
 /// The background reaper: sweeps expired settled jobs out of the registry at
 /// a cadence derived from the TTL, while staying responsive to shutdown.
-/// Each sweep also persists the champion library when its epoch moved, and a
-/// final save runs on the way out so shutdown never drops fresh champions.
 fn reaper_loop(state: Arc<ServerState>) {
     let sweep_every = (state.job_ttl / 4).clamp(REAPER_POLL, Duration::from_secs(5));
     let mut last_sweep = Instant::now();
     loop {
         thread::sleep(REAPER_POLL);
         if state.shutting_down.load(Ordering::SeqCst) {
-            state.save_champions_if_changed();
             return;
         }
         if last_sweep.elapsed() >= sweep_every {
             state.sweep_expired();
-            state.save_champions_if_changed();
             last_sweep = Instant::now();
         }
     }
@@ -741,8 +648,6 @@ fn handle_metrics(stream: &mut TcpStream, state: &ServerState, request: &Request
                 // No fitness tier any more; e2ebench's /metrics reader requires both keys.
                 ("fitness_hits", &0u64),
                 ("fitness_misses", &0u64),
-                ("warm_starts", &stats.cache.warm_starts),
-                ("champions_deposited", &stats.cache.champions_deposited),
             ]),
         ),
         (
@@ -852,20 +757,6 @@ fn prometheus_metrics(state: &ServerState) -> String {
         "counter",
         "Shared-window extractions computed fresh.",
         stats.cache.windows_misses,
-    );
-    metric(
-        &mut out,
-        "ehw_cache_warm_starts_total",
-        "counter",
-        "Evolution jobs seeded from the champion library.",
-        stats.cache.warm_starts,
-    );
-    metric(
-        &mut out,
-        "ehw_cache_champions_deposited_total",
-        "counter",
-        "Champion genotypes deposited into the library.",
-        stats.cache.champions_deposited,
     );
     out
 }

@@ -1,5 +1,5 @@
-//! The wire codec: JSON shapes for job specs, results, progress events, the
-//! scenario/policy registry and the champions file.
+//! The wire codec: JSON shapes for job specs, results, progress events and
+//! the scenario/policy registry.
 //!
 //! Every shape is declared once, as an impl of the crate's encode/decode
 //! trait pair (`ToJson`/`FromJson`), and both directions come from that
@@ -42,8 +42,8 @@ use ehw_platform::scenario::{
 use ehw_platform::self_healing::{RecoveryPolicy, RecoveryStep};
 use ehw_platform::timing::EvolutionTimeEstimate;
 use ehw_service::{
-    AdaptationConfig, Champion, ChampionKey, DriftConfig, JobOptions, NoiseSegment, PgmDirSource,
-    Priority, SceneKind, SegmentReport, StreamEvent, StreamReport,
+    AdaptationConfig, DriftConfig, JobOptions, NoiseSegment, PgmDirSource, Priority, SceneKind,
+    SegmentReport, StreamEvent, StreamReport,
 };
 
 use crate::base64;
@@ -93,7 +93,6 @@ json_tags! {
 ///   "recovery_generations": N?, "recovery_mutation_rate": N?,
 ///   "recovery_offspring": N?, "recovery_target": N?,
 ///   "scenario": "name"?, "policy": "name"?,
-///   "warm_start": bool?,
 ///   "priority": "high" | "normal" | "low"?, "deadline_ms": N?
 /// }
 /// ```
@@ -106,7 +105,7 @@ json_tags! {
 /// `"source"` member plus optional `"initial"` genotype bytes,
 /// `"drift_window"`, `"drift_threshold_pct"`, `"drift_cooldown"`,
 /// adaptation budgets (`"offspring"`, `"mutation_rate"`, `"generations"`,
-/// `"max_millis"`, `"target_fitness"`) and `"warm_start"`.  The source is
+/// `"max_millis"`, `"target_fitness"`).  The source is
 ///
 /// ```json
 /// {"type": "synthetic", "scene": "shapes", "complexity": 4,
@@ -140,7 +139,7 @@ pub fn decode_spec_with(
             let mut b = JobSpec::evolution(r.req("input")?, r.req("reference")?);
             set!(b: "offspring" => offspring, "mutation_rate" => mutation_rate,
                 "generations" => generations, "num_arrays" => num_arrays,
-                "target_fitness" => target_fitness, "warm_start" => warm_start, "seed" => seed);
+                "target_fitness" => target_fitness, "seed" => seed);
             b.build()
         }
         "cascade" => {
@@ -180,7 +179,7 @@ pub fn decode_spec_with(
                     max_millis: r.opt("max_millis")?.or(adaptation.max_millis),
                     target_fitness: r.opt("target_fitness")?.or(adaptation.target_fitness),
                 });
-            set!(b: "initial" => initial, "warm_start" => warm_start, "seed" => seed);
+            set!(b: "initial" => initial, "seed" => seed);
             b.build()
         }
         other => return Err(err(format!("unknown job kind '{other}'"))),
@@ -305,19 +304,7 @@ impl ToJson for JobResult {
             ("seed", &self.seed),
             ("evaluations", &self.evaluations),
             ("stats", &self.stats),
-            ("warm_started", &self.warm_started),
-            ("warm_start_key", &self.warm_start_key),
             ("output", &self.output),
-        ])
-    }
-}
-
-impl ToJson for ChampionKey {
-    fn to_value(&self) -> Value {
-        obj(&[
-            ("image_hash", &Hex(self.image_hash)),
-            ("noise_class", &self.noise_class),
-            ("arrays", &self.arrays),
         ])
     }
 }
@@ -662,87 +649,6 @@ pub fn parse_registry(doc: &Value) -> Result<ScenarioRegistry, WireError> {
         registry.insert_policy(name, policy);
     }
     Ok(registry)
-}
-
-// ---------------------------------------------------------------------------
-// Champion persistence: the `--champions=FILE` document
-// ---------------------------------------------------------------------------
-
-/// File-format version of the champions document; bumped on incompatible
-/// shape changes so an old server refuses a new file instead of misreading
-/// it.
-pub const CHAMPIONS_VERSION: u64 = 1;
-
-/// Encodes an exported champion snapshot as the `--champions=FILE` document:
-///
-/// ```json
-/// {"version": 1,
-///  "champions": [{"image_hash": "00cafe..15 more hex", "noise_class": 1,
-///                 "arrays": 1, "genotype": [..bytes..], "fitness": 1234}]}
-/// ```
-///
-/// Entries are in deposit order (see `ChampionLibrary::snapshot`), and
-/// `image_hash` travels as a fixed-width hex string because it is a
-/// full-range u64 (same reasoning as the result envelope's `image_hash`).
-pub fn encode_champions(entries: &[(ChampionKey, Champion)]) -> Value {
-    obj(&[("version", &CHAMPIONS_VERSION), ("champions", &entries)])
-}
-
-/// Parses a champions document (same shape [`encode_champions`] emits) back
-/// into deposit-ordered entries.  Every entry is validated — one malformed
-/// champion rejects the whole document, so a server never starts with a
-/// half-restored library.
-pub fn parse_champions(doc: &Value) -> Result<Vec<(ChampionKey, Champion)>, WireError> {
-    let r = Obj::new(doc).map_err(|_| err("a champions file must be a JSON object"))?;
-    let version: u64 = r.req("version")?;
-    if version != CHAMPIONS_VERSION {
-        return Err(err(format!(
-            "champions file version {version} is not the supported version {CHAMPIONS_VERSION}"
-        )));
-    }
-    r.req::<Vec<&Value>>("champions")?
-        .into_iter()
-        .enumerate()
-        .map(|(index, entry)| {
-            FromJson::from_value(entry).map_err(|e| err(format!("champion #{index}: {e}")))
-        })
-        .collect()
-}
-
-/// One champions-file entry: the key's members and the champion's, flat.
-impl ToJson for (ChampionKey, Champion) {
-    fn to_value(&self) -> Value {
-        let (key, champion) = self;
-        obj(&[
-            ("image_hash", &Hex(key.image_hash)),
-            ("noise_class", &key.noise_class),
-            ("arrays", &key.arrays),
-            ("genotype", &champion.genotype),
-            ("fitness", &champion.fitness),
-        ])
-    }
-}
-
-impl FromJson<'_> for (ChampionKey, Champion) {
-    fn from_value(value: &Value) -> Result<Self, WireError> {
-        let r = Obj::new(value)?;
-        let key = ChampionKey {
-            image_hash: r.req::<Hex>("image_hash")?.0,
-            noise_class: r.req("noise_class")?,
-            arrays: r.req("arrays")?,
-        };
-        if key.arrays == 0 {
-            return Err(err("'arrays' must be a positive integer"));
-        }
-        let champion = Champion {
-            genotype: r.req("genotype")?,
-            fitness: r.req("fitness")?,
-        };
-        if champion.genotype.is_empty() {
-            return Err(err("'genotype' must not be empty"));
-        }
-        Ok((key, champion))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1100,47 +1006,6 @@ mod tests {
         assert!(error.0.contains("huge"), "{error}");
     }
 
-    #[test]
-    fn champions_round_trip_through_their_file_document() {
-        let entries = vec![
-            (
-                ChampionKey {
-                    image_hash: u64::MAX - 3, // full-range: must survive the hex hop
-                    noise_class: 1,
-                    arrays: 2,
-                },
-                Champion {
-                    genotype: vec![1, 2, 3],
-                    fitness: 42,
-                },
-            ),
-            (
-                ChampionKey {
-                    image_hash: 7,
-                    noise_class: 0,
-                    arrays: 1,
-                },
-                Champion {
-                    genotype: vec![9],
-                    fitness: 0,
-                },
-            ),
-        ];
-        let doc = encode_champions(&entries);
-        let reparsed = parse_champions(&parse(&doc.to_json()).unwrap()).unwrap();
-        assert_eq!(reparsed, entries);
-
-        // A wrong version or one malformed entry rejects the whole file.
-        let bad = parse("{\"version\":2,\"champions\":[]}").unwrap();
-        assert!(parse_champions(&bad).unwrap_err().0.contains("version"));
-        let bad = parse(
-            "{\"version\":1,\"champions\":[{\"image_hash\":\"zz\",\
-             \"noise_class\":1,\"arrays\":1,\"genotype\":[1],\"fitness\":1}]}",
-        )
-        .unwrap();
-        assert!(parse_champions(&bad).unwrap_err().0.contains("champion #0"));
-    }
-
     fn stream_doc() -> String {
         "{\"kind\":\"stream\",\
          \"source\":{\"type\":\"synthetic\",\"scene\":\"shapes\",\"complexity\":4,\
@@ -1149,8 +1014,7 @@ mod tests {
              {\"start_frame\":0,\"noise\":{\"model\":\"salt_pepper\",\"density\":0.1}},\
              {\"start_frame\":6,\"noise\":{\"model\":\"gaussian\",\"sigma\":25.0}}]},\
          \"drift_window\":3,\"drift_threshold_pct\":140,\"drift_cooldown\":4,\
-         \"offspring\":5,\"generations\":8,\"max_millis\":2000,\
-         \"warm_start\":true,\"seed\":42}"
+         \"offspring\":5,\"generations\":8,\"max_millis\":2000,\"seed\":42}"
             .to_string()
     }
 
@@ -1169,7 +1033,6 @@ mod tests {
         assert_eq!(stream.adaptation().offspring, 5);
         assert_eq!(stream.adaptation().generations, 8);
         assert_eq!(stream.adaptation().max_millis, Some(2000));
-        assert!(stream.warm_start());
     }
 
     #[test]

@@ -661,7 +661,7 @@ fn events_for_unknown_jobs_are_404() {
 }
 
 // ---------------------------------------------------------------------------
-// TTL eviction, Prometheus exposition and warm start over the wire
+// TTL eviction and Prometheus exposition over the wire
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -669,12 +669,11 @@ fn settled_jobs_are_evicted_after_the_ttl() {
     use ehw_service::ScenarioRegistry;
 
     let service = EhwService::new(ServiceConfig::new(1).seed(11)).expect("service starts");
-    let server = EhwServer::serve_with_persistence(
+    let server = EhwServer::serve_with(
         service,
         "127.0.0.1:0",
         Duration::from_millis(50),
         ScenarioRegistry::builtin(),
-        None,
     )
     .expect("server binds");
     let addr = server.local_addr();
@@ -800,42 +799,6 @@ fn metrics_speak_prometheus_when_asked() {
     ] {
         assert!(cache.get(removed).is_none(), "{removed} is still reported");
     }
-}
-
-#[test]
-fn warm_start_provenance_travels_the_wire() {
-    let server = start_server(1);
-    let addr = server.local_addr();
-
-    // First warm-start job: the library is empty, so it runs cold — but it
-    // reports the key it looked under and deposits its champion.
-    let first = submit(addr, &evolution_body(16, 6, 41, ",\"warm_start\":true"));
-    let settled = wait_settled(addr, first);
-    let result = settled.get("result").unwrap();
-    assert_eq!(result.get("warm_started").unwrap().as_bool(), Some(false));
-    let key = result.get("warm_start_key").unwrap();
-    // The image hash is a full-range u64, so it travels as a fixed-width hex
-    // string — a raw JSON number would lose precision above 2^53.
-    let image_hash = key.get("image_hash").unwrap().as_str().unwrap();
-    assert_eq!(image_hash.len(), 16);
-    assert!(u64::from_str_radix(image_hash, 16).is_ok());
-
-    // Second job on the same image: seeded from the first job's champion.
-    let second = submit(addr, &evolution_body(16, 6, 42, ",\"warm_start\":true"));
-    let settled = wait_settled(addr, second);
-    let result = settled.get("result").unwrap();
-    assert_eq!(result.get("warm_started").unwrap().as_bool(), Some(true));
-    assert_eq!(
-        result.get("warm_start_key").unwrap().get("image_hash"),
-        key.get("image_hash")
-    );
-
-    // A job that does not opt in reports no key at all.
-    let third = submit(addr, &evolution_body(16, 6, 43, ""));
-    let settled = wait_settled(addr, third);
-    let result = settled.get("result").unwrap();
-    assert_eq!(result.get("warm_started").unwrap().as_bool(), Some(false));
-    assert!(result.get("warm_start_key").unwrap().is_null());
 }
 
 // ---------------------------------------------------------------------------
@@ -1253,92 +1216,56 @@ fn submit_stream(addr: std::net::SocketAddr, body: &str) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Champion persistence across server restarts
+// Every result is a pure function of (spec, seed)
 // ---------------------------------------------------------------------------
 
+/// A spec member that no job kind reads any more; the decoder ignores it
+/// like every other unknown member.
+const RETIRED_MEMBER: &str = ",\"warm_start\":true";
+
 #[test]
-fn champions_survive_a_server_restart_through_their_file() {
-    use ehw_service::ScenarioRegistry;
+fn resubmitted_jobs_on_a_cached_server_match_in_process_execution() {
+    use ehw_platform::jobs::execute;
+    use ehw_platform::platform::EhwPlatform;
+    use ehw_server::wire::decode_spec_with;
+    use ehw_service::{JobResult, ScenarioRegistry};
 
-    let path = std::env::temp_dir().join(format!("ehw-champions-test-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-
-    // First life: deposit a champion, wait for the reaper to persist it.
-    {
-        let service = EhwService::new(ServiceConfig::new(1).seed(11)).expect("service starts");
-        let server = EhwServer::serve_with_persistence(
-            service,
-            "127.0.0.1:0",
-            Duration::from_millis(100),
-            ScenarioRegistry::builtin(),
-            Some(path.clone()),
-        )
-        .expect("server starts");
-        let addr = server.local_addr();
-        let job_id = submit(addr, &evolution_body(16, 6, 41, ",\"warm_start\":true"));
-        let settled = wait_settled(addr, job_id);
-        assert_eq!(settled.get("status").unwrap().as_str(), Some("done"));
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !path.exists() {
-            assert!(Instant::now() < deadline, "champions file never written");
-            std::thread::sleep(Duration::from_millis(20));
+    // The cross-job cache is on by default.
+    let server = start_server(1);
+    let addr = server.local_addr();
+    let stream = format!(
+        "{{\"kind\":\"stream\",{}{RETIRED_MEMBER}}}",
+        stream_body(9)
+            .strip_prefix('{')
+            .and_then(|body| body.strip_suffix('}'))
+            .unwrap()
+    );
+    for (path, body) in [
+        ("/jobs", evolution_body(16, 6, 41, RETIRED_MEMBER)),
+        ("/streams", stream),
+    ] {
+        let (spec, _) =
+            decode_spec_with(&parse(&body).unwrap(), &ScenarioRegistry::builtin()).unwrap();
+        let seed = spec.seed().expect("the body pins a seed");
+        let local = execute(&mut EhwPlatform::new(spec.arrays_needed()), &spec, seed);
+        // Twice on one server: the second job must not see the first.
+        for _ in 0..2 {
+            let response = request(addr, "POST", path, Some(&body));
+            assert_eq!(response.status, 201, "{}", response.body);
+            let job_id = response.json().get("job_id").unwrap().as_u64().unwrap();
+            let settled = wait_settled(addr, job_id);
+            assert_eq!(settled.get("status").unwrap().as_str(), Some("done"));
+            let expected = JobResult {
+                job_id,
+                ..local.clone()
+            };
+            assert_eq!(
+                settled.get("result").unwrap().to_json(),
+                encode_result(&expected).to_json(),
+                "{path} job {job_id} is not a pure function of its spec and seed"
+            );
         }
     }
-
-    // The file is the documented shape.
-    let text = std::fs::read_to_string(&path).expect("champions file");
-    let doc = parse(&text).expect("champions file is JSON");
-    assert_eq!(doc.get("version").unwrap().as_u64(), Some(1));
-    assert_eq!(
-        doc.get("champions").unwrap().as_array().unwrap().len(),
-        1,
-        "{text}"
-    );
-
-    // Second life: the library loads at startup, so the very first
-    // warm-start job on the same image is seeded from the restored champion.
-    {
-        let service = EhwService::new(ServiceConfig::new(1).seed(11)).expect("service starts");
-        let server = EhwServer::serve_with_persistence(
-            service,
-            "127.0.0.1:0",
-            Duration::from_millis(100),
-            ScenarioRegistry::builtin(),
-            Some(path.clone()),
-        )
-        .expect("server restarts");
-        let addr = server.local_addr();
-        let job_id = submit(addr, &evolution_body(16, 6, 42, ",\"warm_start\":true"));
-        let settled = wait_settled(addr, job_id);
-        let result = settled.get("result").unwrap();
-        assert_eq!(
-            result.get("warm_started").unwrap().as_bool(),
-            Some(true),
-            "restored champion must seed the first job of the second life"
-        );
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn a_malformed_champions_file_refuses_to_boot() {
-    use ehw_service::ScenarioRegistry;
-
-    let path = std::env::temp_dir().join(format!("ehw-champions-bad-{}.json", std::process::id()));
-    std::fs::write(&path, b"{\"version\":1,\"champions\":[{\"broken\":true}]}").unwrap();
-    let service = EhwService::new(ServiceConfig::new(1).seed(11)).expect("service starts");
-    let error = match EhwServer::serve_with_persistence(
-        service,
-        "127.0.0.1:0",
-        Duration::from_millis(100),
-        ScenarioRegistry::builtin(),
-        Some(path.clone()),
-    ) {
-        Ok(_) => panic!("half-restored libraries are worse than an error"),
-        Err(error) => error,
-    };
-    assert!(error.to_string().contains("champion"), "{error}");
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -1367,30 +1294,45 @@ fn unknown_scenario_and_policy_names_get_structured_400s() {
     assert_eq!(get(addr, "/metrics").status, 200);
 }
 
+/// Runs `ehw-serve` with `args` and returns its exit code and stderr; a
+/// server that is still up after 30 s is killed and reported as booted.
+fn ehw_serve_exit(args: &[String]) -> (Option<i32>, String) {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_ehw-serve"))
+        .args(args)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("ehw-serve starts");
+    // A server that accepted its arguments would serve until killed.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().expect("poll ehw-serve").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("ehw-serve booted on {args:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let output = child.wait_with_output().expect("collect ehw-serve");
+    (
+        output.status.code(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
+}
+
 #[test]
 fn ehw_serve_refuses_to_boot_on_a_registry_that_is_not_an_object() {
     let path = std::env::temp_dir().join(format!("ehw-registry-array-{}.json", std::process::id()));
     std::fs::write(&path, b"[]").unwrap();
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_ehw-serve"))
-        .arg("127.0.0.1:0")
-        .arg(format!("--registry={}", path.display()))
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("ehw-serve starts");
-    // A server that accepted the file would serve until killed.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("poll ehw-serve") {
-            break status;
-        }
-        if Instant::now() > deadline {
-            let _ = child.kill();
-            let _ = child.wait();
-            panic!("ehw-serve booted on a registry document that is not an object");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
+    let (code, _) = ehw_serve_exit(&[
+        "127.0.0.1:0".into(),
+        format!("--registry={}", path.display()),
+    ]);
     let _ = std::fs::remove_file(&path);
-    assert_eq!(status.code(), Some(2));
+    assert_eq!(code, Some(2));
+
+    // An unknown flag is refused by name, not taken for the bind address.
+    let (code, stderr) = ehw_serve_exit(&["127.0.0.1:0".into(), "--no-such-flag=x".into()]);
+    assert_eq!(code, Some(2));
+    assert!(stderr.contains("unknown flag --no-such-flag=x"), "{stderr}");
 }

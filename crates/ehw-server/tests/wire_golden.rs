@@ -15,12 +15,10 @@ use ehw_platform::evo_modes::CascadeResult;
 use ehw_platform::fault_campaign::{CampaignReport, EventResult, PositionResult};
 use ehw_platform::scenario::PlannedFault;
 use ehw_platform::timing::EvolutionTimeEstimate;
-use ehw_server::wire::{
-    encode_champions, encode_error, encode_event, encode_registry, encode_result,
-};
+use ehw_server::wire::{encode_error, encode_event, encode_registry, encode_result};
 use ehw_service::{
-    CancelKind, Champion, ChampionKey, JobOutput, JobProgress, JobResult, ScenarioRegistry,
-    SegmentReport, StreamEvent, StreamReport,
+    CancelKind, JobOutput, JobProgress, JobResult, ScenarioRegistry, SegmentReport, StreamEvent,
+    StreamReport,
 };
 
 /// Asserts that `actual` equals the committed fixture byte for byte.
@@ -55,15 +53,13 @@ fn envelope(output: JobOutput) -> JobResult {
         seed: u64::MAX - 5,
         evaluations: 4242,
         stats: stats(4000, 200, 1234),
-        warm_started: false,
-        warm_start_key: None,
         output,
     }
 }
 
 #[test]
 fn evolution_results_match_their_fixture() {
-    let mut result = envelope(JobOutput::Evolution {
+    let result = envelope(JobOutput::Evolution {
         result: EvolutionResult {
             best_genotype: genotype(3),
             best_fitness: 812,
@@ -81,12 +77,6 @@ fn evolution_results_match_their_fixture() {
             candidates: 30,
             pe_reconfigurations: 57,
         },
-    });
-    result.warm_started = true;
-    result.warm_start_key = Some(ChampionKey {
-        image_hash: 0x00ca_fe00_0000_beef,
-        noise_class: 2,
-        arrays: 3,
     });
     check("evolution.json", &encode_result(&result).to_json());
 }
@@ -273,35 +263,6 @@ fn the_builtin_registry_matches_its_fixture() {
         "registry.json",
         &encode_registry(&ScenarioRegistry::builtin()).to_json(),
     );
-}
-
-#[test]
-fn champions_documents_match_their_fixture() {
-    let entries = vec![
-        (
-            ChampionKey {
-                image_hash: u64::MAX - 3,
-                noise_class: 1,
-                arrays: 2,
-            },
-            Champion {
-                genotype: genotype(1).encode(),
-                fitness: 42,
-            },
-        ),
-        (
-            ChampionKey {
-                image_hash: 7,
-                noise_class: 0,
-                arrays: 1,
-            },
-            Champion {
-                genotype: vec![9],
-                fitness: 0,
-            },
-        ),
-    ];
-    check("champions.json", &encode_champions(&entries).to_json());
 }
 
 #[test]

@@ -91,9 +91,7 @@ use ehw_platform::jobs;
 use ehw_platform::platform::EhwPlatform;
 use rand::SeedSequence;
 
-pub use ehw_platform::cache::{
-    CacheStats, Champion, ChampionKey, CrossJobCache, CrossJobCacheConfig,
-};
+pub use ehw_platform::cache::{CacheStats, CrossJobCache, CrossJobCacheConfig};
 pub use ehw_platform::jobs::{
     CancelKind, CascadeBuilder, CascadeSpec, EvolutionBuilder, EvolutionSpec, FaultCampaignBuilder,
     FaultCampaignSpec, JobOutput, JobProgress, JobResult, JobSpec, SpecError, StreamBuilder,
@@ -153,15 +151,12 @@ pub struct ServiceConfig {
     /// with `SeedSequence::new(seed).fork(n)`).
     pub seed: u64,
     /// Whether the shards share a service-scope [`CrossJobCache`] (shared
-    /// window extractions, champion library, image-affinity queue pickup).
-    /// Caching never changes a result byte —
-    /// `tests/property_cache_determinism.rs` pins byte-identity with this
-    /// flag on vs off — it only changes how often windows are rebuilt.
-    /// Warm starting additionally requires the per-spec
-    /// [`EvolutionBuilder::warm_start`] opt-in.
+    /// window extractions, image-affinity queue pickup).  Caching never
+    /// changes a result byte — `tests/property_cache_determinism.rs` pins
+    /// byte-identity with this flag on vs off — it only changes how often
+    /// windows are rebuilt.
     pub cache: bool,
-    /// Sizing of the two cross-job cache tiers (windows and champions);
-    /// ignored when `cache` is off.
+    /// Sizing of the cross-job cache; ignored when `cache` is off.
     pub cache_sizes: CrossJobCacheConfig,
 }
 
@@ -221,8 +216,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the cross-job cache tier capacities (distinct training images
-    /// whose windows stay resident, champions kept for warm starts).
+    /// Sets the cross-job cache capacity (distinct training images whose
+    /// windows stay resident).
     pub fn cache_sizes(mut self, sizes: CrossJobCacheConfig) -> Self {
         self.cache_sizes = sizes;
         self
@@ -250,11 +245,9 @@ impl ServiceConfig {
                 "queue_depth must be at least 1".into(),
             ));
         }
-        if self.cache
-            && (self.cache_sizes.windows_capacity == 0 || self.cache_sizes.champion_capacity == 0)
-        {
+        if self.cache && self.cache_sizes.windows_capacity == 0 {
             return Err(ServiceError::InvalidConfig(
-                "cache tier capacities must be at least 1 (or disable the cache)".into(),
+                "cache capacity must be at least 1 (or disable the cache)".into(),
             ));
         }
         Ok(())
@@ -949,9 +942,7 @@ impl EhwService {
         lock_recover(&self.counters.latencies).clone()
     }
 
-    /// The shared cross-job cache, when [`ServiceConfig::cache`] is on —
-    /// e.g. to pre-seed the champion library before submitting warm-started
-    /// jobs.
+    /// The shared cross-job cache, when [`ServiceConfig::cache`] is on.
     pub fn cache(&self) -> Option<&Arc<CrossJobCache>> {
         self.cache.as_ref()
     }
@@ -1327,8 +1318,6 @@ fn shard_loop(
                 seed,
                 evaluations: 0,
                 stats: Default::default(),
-                warm_started: false,
-                warm_start_key: None,
                 output: JobOutput::Cancelled(kind),
             };
             job.shared.settle(Ok(cancelled), counters);
@@ -1370,8 +1359,6 @@ fn shard_loop(
                 seed,
                 evaluations: 0,
                 stats: Default::default(),
-                warm_started: false,
-                warm_start_key: None,
                 // `&*panic`, not `&panic`: the latter unsize-coerces the Box
                 // itself into `dyn Any`, making every payload downcast miss.
                 output: JobOutput::Failed(panic_message(&*panic)),

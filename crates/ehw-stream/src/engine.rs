@@ -226,7 +226,7 @@ fn mix(h: u64, x: u64) -> u64 {
 ///
 /// * `initial` — incumbent genotype to start from; when `None`, a bootstrap
 ///   evolution is run on the first frame (with `warm_parent` as its starting
-///   parent when provided — the champion-library warm-start hook).
+///   parent when provided, in place of a random draw).
 /// * `on_event` — called once per [`StreamEvent`], in stream order.
 /// * `cancel` — polled at every frame boundary and at every adaptation
 ///   generation boundary; returning `true` ends the run with the partial

@@ -31,9 +31,6 @@ TRACKED = [
     # Reference filters routed through WindowPlanes over the legacy
     # per-window kernel stream (byte-identity gated in the bench itself).
     ("reference_filters", "plane_speedup"),
-    # Cross-job cache: warm-start evaluations-to-target over a cold start
-    # (champion-library seeding).
-    ("cross_job_cache", "warm_speedup"),
     # Fault-scenario layer: schedule compilation throughput (events/sec,
     # higher is better — the ns/event figure is recorded alongside for
     # readability) and the generalised campaign executor's evals/sec plus
@@ -45,7 +42,7 @@ TRACKED = [
     ("resilience", "scenario_vs_legacy_ratio"),
     # Streaming engine: steady-state filtering throughput with a trained
     # incumbent (frames/sec) and the warm-vs-cold bootstrap evaluations gap
-    # when seeding from a champion.  `frames_to_recover` is recorded in the
+    # when the bootstrap starts from an explicit parent.  `frames_to_recover` is recorded in the
     # summary but not gated here — the gate is higher-is-better and recovery
     # latency is lower-is-better.  Recorded, not yet gated — no committed
     # baseline exists until this summary lands.

@@ -1,24 +1,25 @@
 //! Cross-job cache determinism suite.
 //!
-//! The cross-job cache (shared windows, champion library) is an
-//! *accelerator*, never an oracle: every hit returns exactly the bytes the
-//! miss path would have computed.  These properties pin that contract:
+//! The cross-job cache (shared windows) is an *accelerator*, never an
+//! oracle: every hit returns exactly the bytes the miss path would have
+//! computed.  These properties pin that contract:
 //!
-//! 1. **Cache transparency** — mixed batches (same-image and distinct-image
-//!    jobs, including an identical-spec replay) produce byte-identical
-//!    [`JobResult`]s with the cache on and off, across 1/2 platforms ×
-//!    1/2/8 workers, while the cache-on run observably hits.
-//! 2. **Eviction under pressure** — a cache squeezed to toy capacities
+//! 1. **Cache transparency** — mixed batches of all four job kinds
+//!    (same-image and distinct-image jobs, including an identical-spec
+//!    replay) produce byte-identical [`JobResult`]s with the cache on and
+//!    off, across 1/2 platforms × 1/2/8 workers, while the cache-on run
+//!    observably hits.
+//! 2. **Eviction under pressure** — a cache squeezed to a toy capacity
 //!    evicts (observably) and still changes nothing about the results.
-//! 3. **Warm-start provenance** — opting in is recorded honestly: the first
-//!    job under a key runs cold but deposits its champion; the next one is
-//!    seeded from it (its initial fitness *is* the champion's fitness); jobs
-//!    that never opted in carry no key.
 
-use ehw_image::noise::salt_pepper;
+use ehw_image::noise::{salt_pepper, NoiseModel};
 use ehw_image::synth;
 use ehw_platform::evo_modes::EvolutionTask;
-use ehw_service::{CrossJobCacheConfig, EhwService, JobResult, JobSpec, ServiceConfig};
+use ehw_server::wire::encode_result;
+use ehw_service::{
+    CrossJobCacheConfig, EhwService, JobResult, JobSpec, NoiseSegment, SceneKind, ServiceConfig,
+    StreamSourceSpec,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,9 +32,11 @@ fn denoise_task(size: usize, seed: u64) -> EvolutionTask {
 }
 
 /// Everything observable about a job result, in comparable form — including
-/// the engine stats, which the cache must also leave untouched.
+/// the engine stats, which the cache must also leave untouched, and the
+/// output as it travels the wire (with the job id, which depends on the
+/// submission count, zeroed), which covers the stream and campaign payloads.
 #[allow(clippy::type_complexity)]
-fn fingerprint(result: &JobResult) -> (u64, u64, Vec<Vec<u8>>, Vec<u64>, (u64, u64, u64), bool) {
+fn fingerprint(result: &JobResult) -> (u64, u64, Vec<Vec<u8>>, Vec<u64>, (u64, u64, u64), String) {
     (
         result.seed,
         result.evaluations,
@@ -44,14 +47,19 @@ fn fingerprint(result: &JobResult) -> (u64, u64, Vec<Vec<u8>>, Vec<u64>, (u64, u
             result.stats.memo_hits,
             result.stats.early_exits,
         ),
-        result.warm_started,
+        encode_result(&JobResult {
+            job_id: 0,
+            ..result.clone()
+        })
+        .to_json(),
     )
 }
 
 /// A batch that exercises every sharing pattern: two identical specs (an
 /// exact resubmit), a same-image sibling with a different seed, a
-/// distinct-image job, a wider platform shape on the shared image, and a
-/// cascade job (which bypasses the cache entirely).
+/// distinct-image job, a wider platform shape on the shared image, and one
+/// job of each other kind: a cascade, a fault campaign and a stream (which
+/// bypass the cache entirely).
 fn mixed_specs(shared: &EvolutionTask, distinct: &EvolutionTask) -> Vec<JobSpec> {
     vec![
         JobSpec::evolution(shared.input.clone(), shared.reference.clone())
@@ -86,6 +94,33 @@ fn mixed_specs(shared: &EvolutionTask, distinct: &EvolutionTask) -> Vec<JobSpec>
             .seed(15)
             .build()
             .unwrap(),
+        JobSpec::fault_campaign(shared.input.clone(), shared.reference.clone())
+            .recovery_generations(2)
+            .seed(16)
+            .build()
+            .unwrap(),
+        JobSpec::stream(StreamSourceSpec::Synthetic {
+            scene: SceneKind::Shapes { complexity: 4 },
+            width: 12,
+            height: 12,
+            frames: 8,
+            schedule: vec![
+                NoiseSegment {
+                    start_frame: 0,
+                    noise: NoiseModel::SaltPepper { density: 0.1 },
+                },
+                NoiseSegment {
+                    start_frame: 4,
+                    noise: NoiseModel::SaltPepper { density: 0.5 },
+                },
+            ],
+        })
+        .drift_window(2)
+        .drift_threshold_pct(130)
+        .adaptation_generations(4)
+        .seed(17)
+        .build()
+        .unwrap(),
     ]
 }
 
@@ -129,16 +164,10 @@ fn mixed_batches_are_byte_identical_with_the_cache_on_and_off() {
     }
 
     // The transparency above is not vacuous: a sequential cache-on run
-    // actually hits — every same-image sibling shares one window extraction
-    // and completed jobs deposit their champions.
+    // actually hits — every same-image sibling shares one window extraction.
     let (got, on_stats) = run(true, 1, 1);
     assert_eq!(got, reference);
     assert!(on_stats.cache.windows_hits > 0, "{:?}", on_stats.cache);
-    assert!(
-        on_stats.cache.champions_deposited > 0,
-        "{:?}",
-        on_stats.cache
-    );
 }
 
 // ----------------------------------------------------------------------
@@ -162,7 +191,6 @@ fn a_cache_squeezed_to_toy_capacities_evicts_but_stays_transparent() {
     let squeezed = EhwService::new(ServiceConfig::new(1).seed(7).cache_sizes(
         CrossJobCacheConfig {
             windows_capacity: 1,
-            champion_capacity: 1,
         },
     ))
     .unwrap();
@@ -189,68 +217,7 @@ fn a_cache_squeezed_to_toy_capacities_evicts_but_stays_transparent() {
 }
 
 // ----------------------------------------------------------------------
-// 3. Warm-start provenance
-// ----------------------------------------------------------------------
-
-#[test]
-fn warm_start_seeds_from_the_champion_library_and_records_provenance() {
-    let task = denoise_task(14, 0x5EED);
-    let service = EhwService::new(ServiceConfig::new(1).seed(5)).unwrap();
-    let warm_spec = |seed: u64| {
-        JobSpec::evolution(task.input.clone(), task.reference.clone())
-            .generations(5)
-            .warm_start(true)
-            .seed(seed)
-            .build()
-            .unwrap()
-    };
-
-    // First job under the key: the library is empty, so it runs cold — but
-    // it records the key it looked under and deposits its champion.
-    let first = service
-        .submit(warm_spec(21))
-        .unwrap()
-        .wait()
-        .expect("shard pool is alive");
-    assert!(!first.warm_started);
-    let key = first.warm_start_key.expect("opt-in records the key");
-    let cache = service.cache().expect("cache on by default");
-    assert!(cache.champion_len() >= 1);
-
-    // Second job, same workload fingerprint: its starting parent *is* the
-    // deposited champion, so its initial fitness equals the first job's
-    // best fitness.
-    let second = service
-        .submit(warm_spec(22))
-        .unwrap()
-        .wait()
-        .expect("shard pool is alive");
-    assert!(second.warm_started);
-    assert_eq!(second.warm_start_key, Some(key));
-    let (first_evo, _) = first.as_evolution().expect("evolution job");
-    let (second_evo, _) = second.as_evolution().expect("evolution job");
-    assert_eq!(second_evo.initial_fitness, first_evo.best_fitness);
-    // Elitist selection from a champion start can never end up worse.
-    assert!(second_evo.best_fitness <= first_evo.best_fitness);
-
-    // A job that never opted in carries no provenance.
-    let cold = service
-        .submit(
-            JobSpec::evolution(task.input.clone(), task.reference.clone())
-                .generations(5)
-                .seed(23)
-                .build()
-                .unwrap(),
-        )
-        .unwrap()
-        .wait()
-        .expect("shard pool is alive");
-    assert!(!cold.warm_started);
-    assert!(cold.warm_start_key.is_none());
-}
-
-// ----------------------------------------------------------------------
-// 4. Randomised transparency (proptest)
+// 3. Randomised transparency (proptest)
 // ----------------------------------------------------------------------
 
 proptest! {

@@ -3,9 +3,9 @@
 //!
 //! Two properties pin `ehw_server::wire`:
 //!
-//! * **Round trips.**  Random campaign reports, registries of random valid
-//!   scenarios and policy ladders, and random champion lists survive
-//!   encode → JSON text → parse → decode unchanged.
+//! * **Round trips.**  Random campaign reports and registries of random
+//!   valid scenarios and policy ladders survive encode → JSON text → parse →
+//!   decode unchanged.
 //! * **No panics.**  Valid documents mutated at random — members dropped,
 //!   values swapped for another JSON type, numbers made negative,
 //!   fractional, 2^64 or 1e300, arrays and strings emptied or blown up —
@@ -22,10 +22,9 @@ use ehw_platform::scenario::{
 use ehw_platform::self_healing::{RecoveryPolicy, RecoveryStep};
 use ehw_server::json::{parse, Number, Value};
 use ehw_server::wire::{
-    decode_campaign_report, decode_spec_with, encode_campaign_report, encode_champions,
-    encode_registry, parse_champions, parse_registry,
+    decode_campaign_report, decode_spec_with, encode_campaign_report, encode_registry,
+    parse_registry,
 };
-use ehw_service::{Champion, ChampionKey};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -202,24 +201,6 @@ fn registry(rng: &mut StdRng) -> ScenarioRegistry {
     registry
 }
 
-fn champions(rng: &mut StdRng) -> Vec<(ChampionKey, Champion)> {
-    (0..rng.gen_range(0..5))
-        .map(|_| {
-            (
-                ChampionKey {
-                    image_hash: rng.gen(),
-                    noise_class: rng.gen(),
-                    arrays: rng.gen_range(1..9),
-                },
-                Champion {
-                    genotype: (0..rng.gen_range(1..20)).map(|_| rng.gen()).collect(),
-                    fitness: rng.gen(),
-                },
-            )
-        })
-        .collect()
-}
-
 /// Encodes, prints and re-parses: the trip a document takes over the wire.
 fn over_the_wire(value: &Value) -> Value {
     parse(&value.to_json()).expect("the writer emits valid JSON")
@@ -246,7 +227,7 @@ fn spec_docs(rng: &mut StdRng) -> Vec<Value> {
         format!(
             "{{\"kind\":\"evolution\",{pair},\"generations\":5,\"offspring\":4,\
              \"mutation_rate\":2,\"num_arrays\":2,\"target_fitness\":10,\
-             \"warm_start\":true,\"seed\":{seed},\"priority\":\"low\",\"deadline_ms\":900}}"
+             \"seed\":{seed},\"priority\":\"low\",\"deadline_ms\":900}}"
         ),
         format!(
             "{{\"kind\":\"cascade\",{pair},\"stages\":2,\"generations\":3,\
@@ -331,7 +312,6 @@ fn mutate(value: &mut Value, rng: &mut StdRng) {
 fn decode_everything(doc: &Value, registry: &ScenarioRegistry) {
     let _ = decode_spec_with(doc, registry);
     let _ = parse_registry(doc);
-    let _ = parse_champions(doc);
     let _ = decode_campaign_report(doc);
 }
 
@@ -357,14 +337,6 @@ proptest! {
     }
 
     #[test]
-    fn champion_lists_round_trip(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let entries = champions(&mut rng);
-        let parsed = parse_champions(&over_the_wire(&encode_champions(&entries)));
-        prop_assert_eq!(parsed, Ok(entries));
-    }
-
-    #[test]
     fn mutated_documents_decode_or_fail_without_panicking(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let registry = registry(&mut rng);
@@ -374,7 +346,6 @@ proptest! {
             prop_assert!(decoded.is_ok(), "unmutated spec rejected: {:?}", decoded.err());
         }
         docs.push(encode_registry(&registry));
-        docs.push(encode_champions(&champions(&mut rng)));
         docs.push(encode_campaign_report(&campaign_report(&mut rng)));
         for mut doc in docs {
             for _ in 0..rng.gen_range(1..4) {

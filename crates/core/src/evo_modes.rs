@@ -20,19 +20,25 @@
 //! * [`evolve_imitation`] — evolution by imitation (Fig. 7): a bypassed array
 //!   learns to reproduce a neighbour's output without any reference image.
 
+use std::sync::Arc;
+
 use ehw_parallel::ParallelConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use ehw_array::array::ProcessingArray;
+use ehw_array::compiled::CompiledArray;
 use ehw_array::genotype::Genotype;
-use ehw_evolution::fitness::{FitnessEvaluator, SoftwareEvaluator};
+use ehw_evolution::fitness::{
+    plan_filter_windows, EngineStats, FitnessEvaluator, SoftwareEvaluator,
+};
 use ehw_evolution::strategy::{
     run_evolution, run_evolution_with_parent, EsConfig, EvolutionResult, GenerationObserver,
     NullObserver,
 };
 use ehw_image::image::GrayImage;
+use ehw_image::window::SharedWindows;
 
 use crate::modes::{CascadeFitness, CascadeSchedule};
 use crate::platform::EhwPlatform;
@@ -77,8 +83,7 @@ impl PlatformEvaluator {
     /// Creates an evaluator over the platform's current arrays and the given
     /// training pair.
     pub fn new(platform: &EhwPlatform, task: &EvolutionTask) -> Self {
-        let windows = ehw_image::window::SharedWindows::new(&task.input);
-        Self::with_windows(platform, task, std::sync::Arc::new(windows))
+        Self::with_windows(platform, task, Arc::new(SharedWindows::new(&task.input)))
     }
 
     /// [`new`](Self::new) over an already extracted, possibly shared, window
@@ -86,7 +91,7 @@ impl PlatformEvaluator {
     pub(crate) fn with_windows(
         platform: &EhwPlatform,
         task: &EvolutionTask,
-        windows: std::sync::Arc<ehw_image::window::SharedWindows>,
+        windows: Arc<SharedWindows>,
     ) -> Self {
         let arrays = platform
             .acbs()
@@ -101,7 +106,7 @@ impl PlatformEvaluator {
     }
 
     /// Work-saved counters of the engine paths (memo hits, early exits).
-    pub(crate) fn engine_stats(&self) -> ehw_evolution::fitness::EngineStats {
+    pub(crate) fn engine_stats(&self) -> EngineStats {
         self.0.engine_stats()
     }
 }
@@ -247,7 +252,7 @@ pub struct CascadeResult {
     pub evaluations: u64,
     /// Work-saved counters of the cascade engine (plans evaluated, memo
     /// hits, early exits).
-    pub stats: ehw_evolution::fitness::EngineStats,
+    pub stats: EngineStats,
 }
 
 impl CascadeResult {
@@ -266,10 +271,11 @@ impl CascadeResult {
 /// Honours the configured fitness arrangement and schedule, and configures
 /// the evolved circuits into the platform before returning.
 ///
-/// Candidates run through compiled plans patched from the stage parent's
-/// plan, over per-generation shared stage windows, with the parent's fitness
-/// as the early-exit bound, upstream-prefix caching and (for merged fitness)
-/// generation-level downstream-suffix sharing.  Everything observable
+/// Each stage is scored by one [`SoftwareEvaluator`] over the cached windows
+/// of its input (for merged fitness, chained through the downstream
+/// parents), so candidates are patched from the parent's plan, early-exit at
+/// the parent's fitness and are answered from the evaluator's phenotype memo
+/// when they repeat a circuit already scored.  Everything observable
 /// (`stage_genotypes`, `stage_fitness`, `evaluations`) is byte-identical to
 /// per-candidate chain refiltering at any worker count — enforced against
 /// the naive oracle in `ehw_bench::oracle` by
@@ -298,21 +304,21 @@ pub(crate) fn evolve_cascade(
         .map(|(a, g)| a.compile_with(g))
         .collect();
 
+    let mut windows = vec![None; stages];
+    windows[0] = Some((Arc::new(SharedWindows::new(&task.input)), 0));
     let mut state = CascadeState {
         task,
         fitness_mode: config.fitness,
         parallel: platform.parallel_config(),
+        arrays,
         parents,
         parent_plans,
         changed_at: vec![0; stages],
         epoch: 0,
-        inputs: vec![None; stages],
-        windows: vec![None; stages],
-        parent_fitness: vec![None; stages],
-        suffix_memo: vec![std::collections::HashMap::new(); stages],
-        suffix_memo_order: std::collections::VecDeque::new(),
+        windows,
+        scorers: (0..stages).map(|_| None).collect(),
         evaluations: 0,
-        stats: ehw_evolution::fitness::EngineStats::default(),
+        stats: EngineStats::default(),
     };
 
     let mut step_index = 0usize;
@@ -328,10 +334,10 @@ pub(crate) fn evolve_cascade(
     }
     let stage_fitness = platform.chain_fitness(&task.input, &task.reference);
     CascadeResult {
+        stats: state.total_stats(),
         stage_genotypes: state.parents,
         stage_fitness,
         evaluations: state.evaluations,
-        stats: state.stats,
     }
 }
 
@@ -378,53 +384,47 @@ fn initial_parents(stages: usize, init: CascadeInit, rng: &mut StdRng) -> Vec<Ge
 
 /// Mutable state of the compiled cascade engine.
 ///
-/// Everything a candidate's fitness depends on besides its own genotype —
-/// upstream parents (via the stage input) and, for merged fitness, downstream
-/// parents — is cached and tagged with the *epoch* (a counter bumped on every
-/// parent replacement) at which it was computed.  A cached item is fresh iff
-/// none of the stages it depends on changed after its epoch, so sequential
-/// scheduling reuses one stage-input extraction across the stage's whole
-/// generation budget, and interleaved scheduling reuses every prefix that the
+/// Each stage is scored by one [`SoftwareEvaluator`] over the windows of its
+/// input — under merged fitness, chained through the downstream parents'
+/// plans — so the evaluator's phenotype memo answers every candidate that
+/// repeats a circuit already scored under the same parent fitness.  What a
+/// stage's evaluator depends on besides the candidate is the upstream
+/// parents (via the stage input) and, for merged fitness, the downstream
+/// parents.  Evaluators and stage windows are tagged with the *epoch* (a
+/// counter bumped on every parent replacement) at which they were built, and
+/// stay current while none of the stages they depend on changed after it:
+/// sequential scheduling keeps one evaluator per stage for the stage's whole
+/// generation budget, and interleaved scheduling keeps every one the
 /// intervening rounds left untouched.
 struct CascadeState<'a> {
     task: &'a EvolutionTask,
     fitness_mode: CascadeFitness,
     parallel: ParallelConfig,
+    /// Each stage's array, its fault overlay included.
+    arrays: Vec<ProcessingArray>,
     parents: Vec<Genotype>,
-    /// Compiled plan of each stage's current parent (each stage's fault
-    /// overlay baked in).
-    parent_plans: Vec<ehw_array::compiled::CompiledArray>,
+    /// Compiled plan of each stage's current parent.
+    parent_plans: Vec<CompiledArray>,
     /// Epoch at which each stage's parent was last replaced.
     changed_at: Vec<u64>,
     epoch: u64,
-    /// `inputs[s]`: the chain input of stage `s` (the task input filtered
-    /// through parents `0..s`), tagged with its epoch.  Index 0 is unused —
-    /// stage 0's input is the task input itself, which never changes.
-    inputs: Vec<Option<(GrayImage, u64)>>,
-    /// The 3×3 windows of each stage's input, extracted once per (stage,
-    /// prefix-epoch) and shared by the parent re-evaluation and the whole
-    /// offspring batch of every generation the prefix survives.
-    windows: Vec<Option<(ehw_image::window::SharedWindows, u64)>>,
-    /// Exact parent fitness per stage, tagged with its epoch.
-    parent_fitness: Vec<Option<(u64, u64)>>,
-    /// Cross-generation downstream-suffix memo (merged fitness): per stage,
-    /// exact suffix sums keyed by stage-output bytes and tagged with the
-    /// *downstream epoch* (`max(changed_at[s+1..])`) they were computed
-    /// under.  Neutral parent drift and inactive-gene mutations reproduce
-    /// stage outputs across generations; as long as no downstream parent has
-    /// changed since, the whole suffix pipeline for such an output is a
-    /// replay and its exact sum can be served instead.
-    suffix_memo: Vec<std::collections::HashMap<Vec<u8>, (u64, u64)>>,
-    /// Insertion order of `suffix_memo` keys, for bounded FIFO eviction.
-    suffix_memo_order: std::collections::VecDeque<(usize, Vec<u8>)>,
+    /// `windows[s]`: the 3×3 windows of stage `s`'s input (the task input
+    /// filtered through parents `0..s`), tagged with their epoch.
+    windows: Vec<Option<(Arc<SharedWindows>, u64)>>,
+    /// Each stage's evaluator, once built.
+    scorers: Vec<Option<StageScorer>>,
     evaluations: u64,
-    stats: ehw_evolution::fitness::EngineStats,
+    stats: EngineStats,
 }
 
-/// Total entries the cross-generation suffix memo may hold (across stages).
-/// Stage outputs are whole images, so the bound keeps the memo at a few
-/// dozen MiB worst-case for the paper's 128×128 workload.
-const SUFFIX_MEMO_CAP: usize = 256;
+/// The evaluator of one cascade stage.
+struct StageScorer {
+    evaluator: SoftwareEvaluator,
+    /// Epoch at which the evaluator was built.
+    built_at: u64,
+    /// Exact fitness of the stage's current parent on this evaluator.
+    parent_fitness: u64,
+}
 
 impl CascadeState<'_> {
     /// `true` if a value computed at `epoch` that depends on the parents of
@@ -433,260 +433,90 @@ impl CascadeState<'_> {
         self.changed_at[..s].iter().all(|&c| c <= epoch)
     }
 
-    /// `true` if stage `s`'s cached parent fitness from `epoch` is still
-    /// current: the upstream prefix is fresh, the parent itself has not been
-    /// replaced since, and — for merged fitness — neither has any downstream
-    /// parent.
-    fn fitness_fresh(&self, s: usize, epoch: u64) -> bool {
+    /// `true` if stage `s`'s evaluator built at `epoch` is still current: the
+    /// upstream prefix is fresh and — for merged fitness — no downstream
+    /// parent has been replaced since.  The stage's own parent does not
+    /// matter: the memo is keyed by circuit and rebinds to each new bound.
+    fn scorer_fresh(&self, s: usize, epoch: u64) -> bool {
         self.prefix_fresh(s, epoch)
-            && self.changed_at[s] <= epoch
             && (self.fitness_mode == CascadeFitness::Separate
                 || self.changed_at[s + 1..].iter().all(|&c| c <= epoch))
     }
 
-    /// Makes `inputs[s]` and `windows[s]` current, refiltering forward from
-    /// the deepest still-fresh cached prefix (never from the source image
-    /// unless everything upstream changed) and caching every intermediate
-    /// prefix on the way.
-    fn ensure_stage_windows(&mut self, s: usize) {
-        // Deepest t <= s whose cached input is fresh; t == 0 is the task
-        // input, which is always fresh.
+    /// The current windows of stage `s`'s input, refiltered forward from the
+    /// deepest stage whose windows are still fresh (stage 0's input is the
+    /// task input, which never changes), caching every stage on the way.
+    fn stage_windows(&mut self, s: usize) -> Arc<SharedWindows> {
         let mut t = s;
-        while t > 0 {
-            if let Some((_, e)) = self.inputs[t].as_ref() {
-                if self.prefix_fresh(t, *e) {
-                    break;
-                }
-            }
+        while !self.windows[t]
+            .as_ref()
+            .is_some_and(|(_, e)| self.prefix_fresh(t, *e))
+        {
             t -= 1;
         }
-        while t < s {
-            let next = {
-                let prev: &GrayImage = match t {
-                    0 => &self.task.input,
-                    _ => &self.inputs[t].as_ref().expect("prefix is cached").0,
-                };
-                self.parent_plans[t].filter_image(prev)
-            };
-            self.inputs[t + 1] = Some((next, self.epoch));
-            t += 1;
+        for u in t..s {
+            let upstream = &self.windows[u].as_ref().expect("fresh windows").0;
+            let input = plan_filter_windows(&self.parent_plans[u], upstream);
+            self.windows[u + 1] = Some((Arc::new(SharedWindows::new(&input)), self.epoch));
         }
-        let windows_fresh = match self.windows[s].as_ref() {
-            Some((_, e)) => self.prefix_fresh(s, *e),
-            None => false,
-        };
-        if !windows_fresh {
-            let img: &GrayImage = match s {
-                0 => &self.task.input,
-                _ => &self.inputs[s].as_ref().expect("input was ensured").0,
-            };
-            self.windows[s] = Some((ehw_image::window::SharedWindows::new(img), self.epoch));
-        }
+        Arc::clone(&self.windows[s].as_ref().expect("fresh windows").0)
     }
 
-    /// The exact fitness of stage `s`'s current parent, from the cache when
-    /// fresh (a memo hit — the value is a pure function of state that has not
-    /// changed) or recomputed through the compiled plans.  Counts one
-    /// evaluation either way, as the unconditional parent re-evaluation of
+    /// The exact fitness of stage `s`'s current parent.  A current evaluator
+    /// already holds it (a memo hit); otherwise the stage gets a new
+    /// evaluator and the parent is scored on it.  Counts one evaluation
+    /// either way, as the unconditional parent re-evaluation of
     /// per-candidate refiltering would.
     fn parent_fitness(&mut self, s: usize) -> u64 {
         self.evaluations += 1;
-        if let Some((fit, e)) = self.parent_fitness[s] {
-            if self.fitness_fresh(s, e) {
+        if let Some(scorer) = &self.scorers[s] {
+            if self.scorer_fresh(s, scorer.built_at) {
                 self.stats.memo_hits += 1;
-                return fit;
+                return scorer.parent_fitness;
             }
         }
-        self.stats.plans_evaluated += 1;
-        let windows = &self.windows[s].as_ref().expect("windows were ensured").0;
-        let fit = match self.fitness_mode {
-            CascadeFitness::Separate => ehw_evolution::fitness::plan_mae(
-                &self.parent_plans[s],
-                windows,
-                &self.task.reference,
-            ),
-            CascadeFitness::Merged => {
-                ehw_evolution::fitness::chain_mae_bounded(
-                    &self.parent_plans[s],
-                    windows,
-                    &self.parent_plans[s + 1..],
-                    &self.task.reference,
-                    None,
-                )
-                .0
-            }
+        let downstream = match self.fitness_mode {
+            CascadeFitness::Separate => Vec::new(),
+            CascadeFitness::Merged => self.parent_plans[s + 1..].to_vec(),
         };
-        self.parent_fitness[s] = Some((fit, self.epoch));
-        fit
+        let mut evaluator = SoftwareEvaluator::chained(
+            self.arrays[s].clone(),
+            self.stage_windows(s),
+            downstream,
+            self.task.reference.clone(),
+        );
+        let parent_fitness = evaluator.evaluate(&self.parents[s]);
+        let scorer = StageScorer {
+            evaluator,
+            built_at: self.epoch,
+            parent_fitness,
+        };
+        if let Some(old) = self.scorers[s].replace(scorer) {
+            self.stats.accumulate(old.evaluator.engine_stats());
+        }
+        parent_fitness
     }
 
-    /// One (1+λ) generation of stage `s`: compute the stage input once,
-    /// evaluate the offspring batch against it through plans *patched* from
-    /// the parent's plan (≤ k gene rewrites per candidate instead of a fresh
-    /// compile) over the worker pool with the parent's fitness as the
-    /// early-exit bound, and apply elitist selection with neutral drift.
-    ///
-    /// Merged fitness additionally shares the downstream suffix at generation
-    /// level: the downstream parent plans are fixed across the λ candidates,
-    /// so the suffix pipeline (mid-stage refiltering + bounded final
-    /// comparison) runs once per *distinct stage output* — memoised on the
-    /// output bytes — instead of once per candidate, and exact suffix sums
-    /// are remembered *across* generations (see [`CascadeState::suffix_memo`])
-    /// so re-derived outputs skip the pipeline entirely.  Fitness values are
-    /// bit-identical to running
-    /// [`chain_mae_bounded`](ehw_evolution::fitness::chain_mae_bounded) per
-    /// candidate at any worker count; the `EngineStats` accounting matches
-    /// the unshared path too, except that cross-generation suffix reuse adds
-    /// `memo_hits` (deterministically — the memo state is a pure function of
-    /// the generation history, never of the worker count).
+    /// One (1+λ) generation of stage `s`: score the offspring batch on the
+    /// stage's evaluator with the parent's fitness as the early-exit bound,
+    /// and apply elitist selection with neutral drift.
     fn one_generation(&mut self, s: usize, config: &CascadeConfig, rng: &mut StdRng) {
-        self.ensure_stage_windows(s);
         let bound = self.parent_fitness(s);
         let offspring: Vec<Genotype> = (0..config.offspring)
             .map(|_| self.parents[s].mutated(config.mutation_rate, rng))
             .collect();
         self.evaluations += offspring.len() as u64;
-
-        let windows = &self.windows[s].as_ref().expect("windows were ensured").0;
-        let parent_plan = self.parent_plans[s];
-        let downstream = &self.parent_plans[s + 1..];
-        let merged = self.fitness_mode == CascadeFitness::Merged;
-        let reference = &self.task.reference;
-        let parent = &self.parents[s];
+        let scorer = self.scorers[s].as_mut().expect("the parent was scored");
         // Early exit is sound under elitist selection: a candidate whose
         // running sum exceeds the parent's fitness can never be selected, so
         // its deterministic partial sum (> bound) stands in for the exact
-        // value without changing the argmin below.  Offspring identical to
-        // the parent reuse its exact fitness; duplicates inside the batch are
-        // evaluated once.
-        let fitnesses = if merged && !downstream.is_empty() {
-            // Shared-suffix merged path, phase 1: the stage outputs of the
-            // unique candidates, in parallel over the worker pool.
-            let (slots, unique) =
-                ehw_evolution::fitness::dedupe_batch(&offspring, Some((parent, bound)), |_, g| g);
-            let diffs: Vec<_> = offspring.iter().map(|g| g.diff_from(parent)).collect();
-            let outputs: Vec<GrayImage> = ehw_parallel::ordered_map_init(
-                self.parallel,
-                &unique,
-                || parent_plan,
-                |plan, _, &i| {
-                    let diff = &diffs[i];
-                    plan.apply(diff);
-                    let img = ehw_evolution::fitness::plan_filter_windows(plan, windows);
-                    plan.revert(diff);
-                    img
-                },
-            );
-            // Group unique candidates by stage-output bytes (first-occurrence
-            // order, so the grouping — and everything after it — is
-            // independent of the worker count).
-            let mut suffix_of: Vec<usize> = Vec::with_capacity(outputs.len());
-            let mut suffix_inputs: Vec<usize> = Vec::new();
-            {
-                let mut seen: std::collections::HashMap<&[u8], usize> =
-                    std::collections::HashMap::with_capacity(outputs.len());
-                for (u, img) in outputs.iter().enumerate() {
-                    let slot = *seen.entry(img.as_slice()).or_insert_with(|| {
-                        suffix_inputs.push(u);
-                        suffix_inputs.len() - 1
-                    });
-                    suffix_of.push(slot);
-                }
-            }
-            // Phase 2: one suffix pipeline per distinct stage output — the
-            // exact computation `chain_mae_bounded` performs after the stage
-            // filter, so shared results are bit-identical to per-candidate
-            // evaluation.  Outputs already seen in an earlier generation
-            // under the same downstream parents are served from the
-            // cross-generation suffix memo: only *exact* sums are stored, and
-            // a stored sum is served only when `<= bound` — exactly the case
-            // where the bounded suffix pipeline would return `(sum, false)`,
-            // so fitness values (and therefore selection) are unchanged.
-            // Both the memo state and the hit/miss partition are pure
-            // functions of the generation history, so results and stats stay
-            // independent of the worker count.
-            let downstream_epoch = self.changed_at[s + 1..].iter().copied().max().unwrap_or(0);
-            let mut suffix_results: Vec<Option<(u64, bool)>> = Vec::new();
-            let mut to_compute: Vec<(usize, usize)> = Vec::new();
-            for &u in &suffix_inputs {
-                let hit = self.suffix_memo[s]
-                    .get(outputs[u].as_slice())
-                    .filter(|&&(_, e)| e == downstream_epoch)
-                    .map(|&(sum, _)| sum)
-                    .filter(|&sum| sum <= bound);
-                match hit {
-                    Some(sum) => {
-                        self.stats.memo_hits += 1;
-                        suffix_results.push(Some((sum, false)));
-                    }
-                    None => {
-                        to_compute.push((suffix_results.len(), u));
-                        suffix_results.push(None);
-                    }
-                }
-            }
-            let computed = ehw_parallel::ordered_map(self.parallel, &to_compute, |_, &(_, u)| {
-                let (last, mid) = downstream.split_last().expect("downstream is non-empty");
-                let mut stream = std::borrow::Cow::Borrowed(&outputs[u]);
-                for p in mid {
-                    stream = std::borrow::Cow::Owned(p.filter_image(&stream));
-                }
-                ehw_evolution::fitness::plan_image_mae_bounded(
-                    last,
-                    &stream,
-                    reference,
-                    Some(bound),
-                )
-            });
-            for (&(slot, u), &result) in to_compute.iter().zip(&computed) {
-                suffix_results[slot] = Some(result);
-                if !result.1 {
-                    // Exact sum: record it for the generations ahead.
-                    let key = outputs[u].as_slice().to_vec();
-                    let is_new = !self.suffix_memo[s].contains_key(&key);
-                    if is_new && self.suffix_memo_order.len() >= SUFFIX_MEMO_CAP {
-                        if let Some((qs, qb)) = self.suffix_memo_order.pop_front() {
-                            self.suffix_memo[qs].remove(&qb);
-                        }
-                    }
-                    if is_new {
-                        self.suffix_memo_order.push_back((s, key.clone()));
-                    }
-                    self.suffix_memo[s].insert(key, (result.0, downstream_epoch));
-                }
-            }
-            let suffix_results: Vec<(u64, bool)> = suffix_results
-                .into_iter()
-                .map(|r| r.expect("every distinct output was served or computed"))
-                .collect();
-            // Expand back to one result per unique candidate before the
-            // scatter, so `EngineStats` counts exactly what the unshared path
-            // would have counted.
-            let results: Vec<(u64, bool)> = suffix_of.iter().map(|&k| suffix_results[k]).collect();
-            ehw_evolution::fitness::scatter_results(slots, &results, &mut self.stats)
-        } else {
-            let diffs: Vec<_> = offspring.iter().map(|g| g.diff_from(parent)).collect();
-            ehw_evolution::fitness::batch_mae_bounded_init(
-                &offspring,
-                Some((parent, bound)),
-                self.parallel,
-                |_, g| g,
-                || parent_plan,
-                |plan, i| {
-                    let diff = &diffs[i];
-                    plan.apply(diff);
-                    let result = ehw_evolution::fitness::plan_mae_bounded(
-                        plan,
-                        windows,
-                        reference,
-                        Some(bound),
-                    );
-                    plan.revert(diff);
-                    result
-                },
-                &mut self.stats,
-            )
-        };
+        // value without changing the argmin below.
+        let fitnesses = scorer.evaluator.evaluate_batch_bounded(
+            &offspring,
+            Some(bound),
+            Some((&self.parents[s], bound)),
+            self.parallel,
+        );
 
         let mut best_child: Option<(usize, u64)> = None;
         for (i, &fitness) in fitnesses.iter().enumerate() {
@@ -697,19 +527,30 @@ impl CascadeState<'_> {
         if let Some((i, fitness)) = best_child {
             // A neutrally-drifting child that is genotype-identical to the
             // parent replaces nothing observable: skipping it keeps every
-            // downstream prefix/window/fitness cache valid instead of
-            // patching in an identical plan and invalidating them all.
+            // downstream window and evaluator current instead of patching in
+            // an identical plan and invalidating them all.
             if fitness <= bound && self.parents[s] != offspring[i] {
-                // `fitness <= bound` implies the value is exact, so the cache
-                // stores the true parent fitness for the generations ahead.
+                // `fitness <= bound` implies the value is exact, so the
+                // scorer holds the true parent fitness for the generations
+                // ahead.
                 self.epoch += 1;
                 let diff = offspring[i].diff_from(&self.parents[s]);
                 self.parents[s] = offspring[i].clone();
                 self.parent_plans[s] = self.parent_plans[s].patch(&diff);
                 self.changed_at[s] = self.epoch;
-                self.parent_fitness[s] = Some((fitness, self.epoch));
+                scorer.parent_fitness = fitness;
             }
         }
+    }
+
+    /// The engine counters of every generation run: the state's own parent
+    /// reuses plus each stage evaluator's work.
+    fn total_stats(&self) -> EngineStats {
+        let mut stats = self.stats;
+        for scorer in self.scorers.iter().flatten() {
+            stats.accumulate(scorer.evaluator.engine_stats());
+        }
+        stats
     }
 }
 
@@ -975,7 +816,7 @@ mod tests {
             stage_genotypes: Vec::new(),
             stage_fitness: Vec::new(),
             evaluations: 0,
-            stats: ehw_evolution::fitness::EngineStats::default(),
+            stats: EngineStats::default(),
         };
         assert_eq!(empty.final_fitness(), None);
     }
@@ -1005,9 +846,9 @@ mod tests {
 
     #[test]
     fn merged_cascade_stats_are_worker_invariant() {
-        // The shared-suffix merged path groups candidates by stage output
-        // before evaluating the downstream chain; the grouping (and the
-        // EngineStats accounting) must be independent of the worker count.
+        // Merged stages chain each candidate through the downstream parents
+        // and rebuild their evaluator whenever one changes; the memo and the
+        // EngineStats accounting must be independent of the worker count.
         let task = denoise_task(20, 0.35, 83);
         for schedule in [CascadeSchedule::Sequential, CascadeSchedule::Interleaved] {
             let run = |parallel: ParallelConfig| {
@@ -1027,6 +868,26 @@ mod tests {
                 assert_eq!(r.stats, reference.stats);
             }
         }
+    }
+
+    #[test]
+    fn a_seeded_cascade_answers_a_third_of_its_candidates_from_the_memo() {
+        // The count the stage evaluators' memo exists for: on a fixed
+        // three-stage, 100-generations-per-stage 32×32 run, offspring that
+        // repeat the parent's circuit or one already scored under the same
+        // parent fitness, and parent fitnesses reused unchanged, are at
+        // least a third of all candidates.
+        let mut platform = EhwPlatform::with_parallel(3, ParallelConfig::serial());
+        let task = denoise_task(32, 0.4, 16);
+        let spec = cascade_spec(&platform, &task).generations(100);
+        let result = run_cascade(&mut platform, spec, 16);
+        let stats = result.stats;
+        let ratio = stats.memo_hits as f64 / result.evaluations as f64;
+        assert!(
+            ratio >= 1.0 / 3.0,
+            "memo answered {ratio:.3} of candidates: {stats:?}"
+        );
+        assert_eq!(stats.memo_hits + stats.plans_evaluated, result.evaluations);
     }
 
     #[test]

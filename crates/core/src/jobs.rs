@@ -33,7 +33,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use ehw_array::genotype::{Genotype, TOTAL_GENES};
+use ehw_array::genotype::{Genotype, ARRAY_ROWS, TOTAL_GENES};
 use ehw_evolution::fitness::EngineStats;
 use ehw_evolution::strategy::{
     run_evolution, EsConfig, EvolutionResult, GenerationObserver, MutationStrategy,
@@ -51,7 +51,7 @@ use crate::fault_campaign::CampaignReport;
 use crate::modes::{CascadeFitness, CascadeSchedule};
 use crate::platform::{EhwPlatform, MAX_ARRAYS};
 use crate::scenario::FaultScenario;
-use crate::self_healing::RecoveryPolicy;
+use crate::self_healing::{RecoveryPolicy, RecoveryStep};
 use crate::timing::{EvolutionTimeEstimate, PipelineTimer};
 
 // ---------------------------------------------------------------------------
@@ -73,6 +73,22 @@ pub enum SpecError {
     },
     /// λ (offspring per generation) must be at least 1.
     ZeroOffspring,
+    /// λ exceeds [`MAX_OFFSPRING`]: every generation holds its whole
+    /// offspring batch in memory.
+    TooManyOffspring {
+        /// What the spec asked for.
+        offspring: usize,
+        /// The cap ([`MAX_OFFSPRING`]).
+        max: usize,
+    },
+    /// The job's pixel evaluations ([`JobSpec::work`]) exceed
+    /// [`MAX_JOB_WORK`].
+    TooMuchWork {
+        /// What the spec asks for, saturated at `u64::MAX`.
+        work: u64,
+        /// The cap ([`MAX_JOB_WORK`]).
+        max: u64,
+    },
     /// The generation budget must be at least 1.
     ZeroGenerations,
     /// A mutation rate exceeds the genotype's gene count: mutating draws
@@ -140,6 +156,14 @@ impl std::fmt::Display for SpecError {
                 input.0, input.1, reference.0, reference.1
             ),
             SpecError::ZeroOffspring => write!(f, "offspring (lambda) must be at least 1"),
+            SpecError::TooManyOffspring { offspring, max } => write!(
+                f,
+                "offspring (lambda) {offspring} exceeds the MAX_OFFSPRING cap of {max}"
+            ),
+            SpecError::TooMuchWork { work, max } => write!(
+                f,
+                "the job asks for {work} pixel evaluations, over the MAX_JOB_WORK cap of {max}"
+            ),
             SpecError::ZeroGenerations => write!(f, "generations must be at least 1"),
             SpecError::MutationRateTooHigh { rate, max } => write!(
                 f,
@@ -196,6 +220,18 @@ fn validate_arrays(requested: usize) -> Result<(), SpecError> {
     Ok(())
 }
 
+/// The largest λ a spec may ask for: 455× the paper's λ = 9.  Every
+/// generation holds its whole offspring batch in memory, so λ needs a
+/// ceiling of its own — on a 1×1 image [`JobSpec::work`] stays tiny at any
+/// λ.  A batch this size, with its gene diffs, takes well under 1 MiB.
+pub const MAX_OFFSPRING: usize = 4_096;
+
+/// The most pixel evaluations ([`JobSpec::work`]) a spec may ask for.  The
+/// paper's longest evolution, 128×128 over 100,000 generations at λ = 9, is
+/// 1.5·10^10 of them, and Fig. 13's 256×256 run at the same budget
+/// 5.9·10^10: the cap leaves 68× and 17× margin over them.
+pub const MAX_JOB_WORK: u64 = 1_000_000_000_000;
+
 fn validate_budget(
     offspring: usize,
     mutation_rate: usize,
@@ -204,10 +240,36 @@ fn validate_budget(
     if offspring == 0 {
         return Err(SpecError::ZeroOffspring);
     }
+    if offspring > MAX_OFFSPRING {
+        return Err(SpecError::TooManyOffspring {
+            offspring,
+            max: MAX_OFFSPRING,
+        });
+    }
     if generations == 0 {
         return Err(SpecError::ZeroGenerations);
     }
     validate_rate(mutation_rate)
+}
+
+/// Passes `spec` through unless its [`work`](JobSpec::work) exceeds
+/// [`MAX_JOB_WORK`].
+fn validate_work(spec: JobSpec) -> Result<JobSpec, SpecError> {
+    match spec.work() {
+        work if work > MAX_JOB_WORK => Err(SpecError::TooMuchWork {
+            work,
+            max: MAX_JOB_WORK,
+        }),
+        _ => Ok(spec),
+    }
+}
+
+/// Candidate evaluations of one (1+λ) run: the initial parent plus λ per
+/// generation, saturating.
+fn run_candidates(generations: usize, offspring: usize) -> u64 {
+    (generations as u64)
+        .saturating_mul(offspring as u64)
+        .saturating_add(1)
 }
 
 fn validate_rate(rate: usize) -> Result<(), SpecError> {
@@ -306,7 +368,7 @@ impl EvolutionBuilder {
             validate_rate(low_rate)?;
         }
         validate_arrays(self.config.num_arrays)?;
-        Ok(JobSpec::Evolution(EvolutionSpec {
+        validate_work(JobSpec::Evolution(EvolutionSpec {
             task: EvolutionTask {
                 input: self.input,
                 reference: self.reference,
@@ -426,7 +488,7 @@ impl CascadeBuilder {
             self.config.generations,
         )?;
         validate_arrays(self.stages)?;
-        Ok(JobSpec::Cascade(CascadeSpec {
+        validate_work(JobSpec::Cascade(CascadeSpec {
             task: EvolutionTask {
                 input: self.input,
                 reference: self.reference,
@@ -602,7 +664,7 @@ impl FaultCampaignBuilder {
                 arrays: platform_arrays,
             });
         }
-        Ok(JobSpec::FaultCampaign(FaultCampaignSpec {
+        validate_work(JobSpec::FaultCampaign(FaultCampaignSpec {
             task: EvolutionTask {
                 input: self.input,
                 reference: self.reference,
@@ -770,7 +832,7 @@ impl StreamBuilder {
                 "an explicit adaptation wall-clock budget must be at least 1 ms".into(),
             ));
         }
-        Ok(JobSpec::Stream(StreamSpec {
+        validate_work(JobSpec::Stream(StreamSpec {
             source: self.source,
             initial: self.initial,
             drift: self.drift,
@@ -871,6 +933,69 @@ impl JobSpec {
             JobSpec::Cascade(s) => s.stages,
             JobSpec::FaultCampaign(s) => s.platform_arrays,
             JobSpec::Stream(_) => 1,
+        }
+    }
+
+    /// The pixel evaluations the job asks for, from the spec alone: each
+    /// candidate evaluation or fitness measurement filters every pixel of
+    /// its image once, and a merged-fitness cascade candidate once per
+    /// stage.  Counts are upper bounds where the run decides (a stream
+    /// adapting at every frame, every campaign event firing, every ladder
+    /// step running) and saturate at `u64::MAX`.  Arithmetic only — a few
+    /// operations per scenario phase and ladder step, no allocation — since
+    /// builders check every spec against [`MAX_JOB_WORK`].
+    pub fn work(&self) -> u64 {
+        match self {
+            JobSpec::Evolution(s) => {
+                let c = &s.config;
+                (s.task.input.len() as u64)
+                    .saturating_mul(run_candidates(c.generations, c.offspring))
+            }
+            JobSpec::Cascade(s) => {
+                let c = &s.config;
+                // A merged candidate runs through every stage after its own.
+                let chain = match c.fitness {
+                    CascadeFitness::Separate => 1,
+                    CascadeFitness::Merged => s.stages,
+                };
+                (s.task.input.len() as u64)
+                    .saturating_mul(run_candidates(c.generations, c.offspring + 1))
+                    .saturating_mul((s.stages * chain) as u64)
+            }
+            JobSpec::FaultCampaign(s) => {
+                let r = &s.recovery;
+                // The clean and faulty measurements, then every ladder step.
+                let per_event = s.policy.steps.iter().fold(2u64, |n, step| {
+                    n.saturating_add(match *step {
+                        RecoveryStep::Scrub { attempts } => attempts as u64,
+                        RecoveryStep::TmrRemap => ARRAY_ROWS as u64,
+                        RecoveryStep::Reevolve { generations, .. } => {
+                            run_candidates(generations.unwrap_or(r.generations), r.offspring)
+                        }
+                    })
+                });
+                (s.task.input.len() as u64)
+                    .saturating_mul(s.scenario.max_events(s.arrays.len()))
+                    .saturating_mul(per_event)
+            }
+            JobSpec::Stream(s) => {
+                let (pixels, frames) = match &s.source {
+                    StreamSourceSpec::Synthetic {
+                        width,
+                        height,
+                        frames,
+                        ..
+                    } => (width.saturating_mul(*height), *frames),
+                    StreamSourceSpec::PgmDir(source) => (source.reference().len(), source.len()),
+                };
+                // One filtering pass per frame, and at most one adaptation
+                // per frame plus the bootstrap.
+                let a = &s.adaptation;
+                let adaptations = (frames as u64)
+                    .saturating_add(1)
+                    .saturating_mul(run_candidates(a.generations, a.offspring));
+                (pixels as u64).saturating_mul(adaptations.saturating_add(frames as u64))
+            }
         }
     }
 
@@ -1200,9 +1325,10 @@ pub fn execute(platform: &mut EhwPlatform, spec: &JobSpec, seed: u64) -> JobResu
 /// For evolution jobs the cache supplies a shared window extraction for the
 /// training image.  Cascade, fault-campaign and stream jobs run uncached:
 /// their inner images change per stage, position or frame, so the windows
-/// tier would not hit (the cascade engine has its own intra/cross-generation
-/// memos).  A result is byte-identical with and without a cache — see the
-/// determinism contract in [`crate::cache`].
+/// tier would not hit (each cascade stage keeps its own evaluator and
+/// phenotype memo for as long as its inputs stay current).  A result is
+/// byte-identical with and without a cache — see the determinism contract
+/// in [`crate::cache`].
 pub fn execute_controlled_cached(
     platform: &mut EhwPlatform,
     spec: &JobSpec,
@@ -1537,6 +1663,64 @@ mod tests {
     }
 
     #[test]
+    fn builders_cap_lambda_and_the_total_work() {
+        // A 10^12 λ on a 1×1 image asks for little pixel work but would
+        // allocate 10^12 genotypes per generation: λ has its own cap.
+        let dot = GrayImage::from_vec(1, 1, vec![0]);
+        assert_eq!(
+            JobSpec::evolution(dot.clone(), dot)
+                .offspring(1_000_000_000_000)
+                .generations(1)
+                .build()
+                .unwrap_err(),
+            SpecError::TooManyOffspring {
+                offspring: 1_000_000_000_000,
+                max: MAX_OFFSPRING
+            }
+        );
+        // Budgets past the work cap are refused for every kind, saturating
+        // rather than wrapping.
+        let (noisy, clean) = training_pair(16, 1);
+        let over = SpecError::TooMuchWork {
+            work: u64::MAX,
+            max: MAX_JOB_WORK,
+        };
+        let huge = usize::MAX;
+        let refused = [
+            JobSpec::evolution(noisy.clone(), clean.clone())
+                .generations(huge)
+                .build(),
+            JobSpec::cascade(noisy.clone(), clean.clone())
+                .generations(huge)
+                .build(),
+            JobSpec::fault_campaign(noisy.clone(), clean.clone())
+                .recovery_generations(huge)
+                .build(),
+            JobSpec::stream(stream_source(4))
+                .adaptation_generations(huge)
+                .build(),
+        ];
+        for result in refused {
+            assert_eq!(result.unwrap_err(), over);
+        }
+        assert!(over.to_string().contains("MAX_JOB_WORK"), "{over}");
+        // The paper's largest budgets fit: 128×128 and Fig. 13's 256×256
+        // over 100,000 generations at λ = 9.
+        for (size, work) in [(128, 16_384 * 900_001), (256, 65_536 * 900_001)] {
+            let image = ehw_image::synth::gradient(size, size);
+            let spec = JobSpec::evolution(image.clone(), image)
+                .generations(100_000)
+                .build()
+                .expect("the paper's budget is within the cap");
+            assert_eq!(spec.work(), work);
+        }
+        assert!(JobSpec::evolution(noisy, clean)
+            .offspring(MAX_OFFSPRING)
+            .build()
+            .is_ok());
+    }
+
+    #[test]
     fn campaign_platform_is_sized_to_the_highest_target_by_default() {
         let (noisy, clean) = training_pair(16, 2);
         let spec = JobSpec::fault_campaign(noisy, clean)
@@ -1838,10 +2022,12 @@ mod tests {
     #[test]
     fn a_huge_generation_budget_allocates_nothing_up_front() {
         // The budget arrives over the wire: presizing the fitness history
-        // from it would abort the process before the first generation.
+        // from it would abort the process before the first generation.  The
+        // largest budget the work cap admits on this 8×8 image at λ = 9 is
+        // 1.7·10^9 generations, a 14 GB history.
         let (noisy, clean) = training_pair(8, 5);
         let spec = JobSpec::evolution(noisy, clean)
-            .generations(1_000_000_000_000)
+            .generations((MAX_JOB_WORK / (64 * 9)) as usize)
             .build()
             .unwrap();
         let mut platform = EhwPlatform::new(spec.arrays_needed());

@@ -130,6 +130,31 @@ impl FaultScenario {
         Ok(())
     }
 
+    /// The most injection events [`compile`](Self::compile) yields over
+    /// `arrays` target arrays (probabilistic kinds may skip slots), from the
+    /// parameters alone: no compile and no allocation.  Saturates at
+    /// `u64::MAX`.
+    pub(crate) fn max_events(&self, arrays: usize) -> u64 {
+        let positions = (0..PES_PER_ARRAY)
+            .filter(|&pe| self.filter.admits(pe / ARRAY_COLS, pe % ARRAY_COLS))
+            .count() as u64;
+        let per_array = match &self.kind {
+            ScenarioKind::SingleSweep => positions,
+            ScenarioKind::MultiPe { k } => positions.div_ceil((*k as u64).min(positions).max(1)),
+            ScenarioKind::Correlated {
+                shape: CorrelationShape::Col,
+            } => ARRAY_COLS as u64,
+            ScenarioKind::Correlated { .. } => ARRAY_ROWS as u64,
+            ScenarioKind::Burst { width, .. } => *width as u64,
+            ScenarioKind::PermanentLpd => 1,
+            ScenarioKind::RateSweep { rates } => rates.len() as u64,
+            ScenarioKind::Storm { schedule } => schedule
+                .iter()
+                .fold(0u64, |n, phase| n.saturating_add(phase.ticks as u64)),
+        };
+        per_array.saturating_mul(arrays as u64)
+    }
+
     /// The admitted positions of one array, row-major — the deterministic
     /// position pool every kind compiles from.
     fn positions(&self) -> Vec<(usize, usize)> {

@@ -34,7 +34,9 @@
 //!    its plan's [`phenotype`](CompiledArray::phenotype) and keeps a memo of
 //!    the `(sum, early_exited)` pairs [`plan_mae_bounded`] returned under
 //!    the current bound, seeded with the incumbent's known fitness; a hit is
-//!    the very pair a fresh evaluation would return.
+//!    the very pair a fresh evaluation would return.  A cascade stage is one
+//!    more such evaluator, [`chained`](SoftwareEvaluator::chained) through
+//!    the downstream stages under merged fitness.
 //!
 //! This is the only evaluation path.  Every shortcut is observationally
 //! equivalent: the evolution trajectory (best genotype, fitness history,
@@ -44,7 +46,7 @@
 //! the reference evaluators of `ehw_bench::oracle`, which live outside the
 //! production crates.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ehw_array::array::ProcessingArray;
@@ -101,10 +103,10 @@ pub struct EngineStats {
     /// scored; single-candidate [`FitnessEvaluator::evaluate`] calls count
     /// here too.
     pub plans_evaluated: u64,
-    /// Batch candidates answered without a plan evaluation: from an earlier
-    /// candidate of the same batch, from the evaluator's phenotype memo
-    /// (which holds the incumbent's fitness), or, in the cascade engine,
-    /// from its per-batch genotype memo and incumbent shortcut.
+    /// Candidates answered without a plan evaluation: from an earlier
+    /// candidate of the same batch or from the evaluator's phenotype memo
+    /// (which holds the incumbent's fitness).  The cascade engine also
+    /// counts here each stage-parent fitness it reuses unchanged.
     pub memo_hits: u64,
     /// Plan evaluations that stopped before the last pixel because the
     /// running MAE sum exceeded the incumbent bound.
@@ -194,7 +196,7 @@ pub fn plan_filter_windows(plan: &CompiledArray, windows: &SharedWindows) -> Gra
 /// early-exited evaluation may differ from [`plan_mae_bounded`]'s — both are
 /// deterministic, `> bound`, and exact iff `<= bound`, which is the only
 /// contract bounded callers may rely on.
-pub fn plan_image_mae_bounded(
+fn plan_image_mae_bounded(
     plan: &CompiledArray,
     input: &GrayImage,
     reference: &GrayImage,
@@ -233,7 +235,7 @@ pub fn plan_image_mae_bounded(
 /// downstream stage is fused with the bounded comparison and stops filtering
 /// as soon as the running sum exceeds `bound`; with no downstream stages this
 /// is exactly [`plan_mae_bounded`].
-pub fn chain_mae_bounded(
+fn chain_mae_bounded(
     plan: &CompiledArray,
     windows: &SharedWindows,
     downstream: &[CompiledArray],
@@ -252,89 +254,20 @@ pub fn chain_mae_bounded(
     }
 }
 
-/// Drives the full dedup → worker pool → scatter pipeline over a candidate
-/// batch — the building block of the cascade engine, which evaluates
-/// per-stage offspring batches without owning an evaluator.  Each worker
-/// builds a scratch state once with `init`
-/// (see [`ehw_parallel::ordered_map_init`]), and `eval(state, i)` scores
-/// batch slot `i`, returning the [`plan_mae_bounded`]-style
-/// `(sum, early_exited)` pair.  This is the loop behind worker-resident plans
-/// — patch the resident plan to the candidate, evaluate, revert — so the
-/// per-candidate reconfiguration cost is ≤ k gene writes each way instead of
-/// a full plan compile or copy.  `eval`'s result must be a pure function of
-/// the slot (restore the state before returning), which keeps results
-/// worker-count-invariant; `key` / `incumbent` are forwarded to
-/// [`dedupe_batch`].
-pub fn batch_mae_bounded_init<'a, K, S, IF, F>(
-    batch: &'a [Genotype],
-    incumbent: Option<(&Genotype, u64)>,
-    parallel: ParallelConfig,
-    key: impl Fn(usize, &'a Genotype) -> K,
-    init: IF,
-    eval: F,
-    stats: &mut EngineStats,
-) -> Vec<u64>
-where
-    K: std::hash::Hash + Eq,
-    IF: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> (u64, bool) + Sync,
-{
-    let (slots, unique) = dedupe_batch(batch, incumbent, key);
-    let results = ehw_parallel::ordered_map_init(parallel, &unique, init, |s, _, &i| eval(s, i));
-    scatter_results(slots, &results, stats)
-}
-
 /// How one batch slot is resolved: evaluated through a plan (index into the
 /// unique list) or answered from a known value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Slot {
+enum Slot {
     /// The slot shares the result of the `n`-th unique evaluation.
     Unique(usize),
     /// The slot's fitness is already known (a memo hit or the incumbent).
     Known(u64),
 }
 
-/// Resolves batch slots against an incumbent and a per-batch memo keyed by
-/// `key(i, genotype)` (evaluators whose candidates land on different arrays
-/// key by array index as well).  Returns the slot list and the batch indices
-/// whose candidates must actually be evaluated, in batch order.  Building
-/// block for [`FitnessEvaluator::evaluate_batch_bounded`] implementations.
-pub fn dedupe_batch<'a, K: std::hash::Hash + Eq>(
-    batch: &'a [Genotype],
-    incumbent: Option<(&Genotype, u64)>,
-    key: impl Fn(usize, &'a Genotype) -> K,
-) -> (Vec<Slot>, Vec<usize>) {
-    let mut slots = Vec::with_capacity(batch.len());
-    let mut unique: Vec<usize> = Vec::with_capacity(batch.len());
-    let mut seen: HashMap<K, usize> = HashMap::with_capacity(batch.len());
-    for (i, g) in batch.iter().enumerate() {
-        if let Some((parent, fit)) = incumbent {
-            if g == parent {
-                slots.push(Slot::Known(fit));
-                continue;
-            }
-        }
-        match seen.get(&key(i, g)) {
-            Some(&u) => slots.push(Slot::Unique(u)),
-            None => {
-                let u = unique.len();
-                seen.insert(key(i, g), u);
-                unique.push(i);
-                slots.push(Slot::Unique(u));
-            }
-        }
-    }
-    (slots, unique)
-}
-
 /// Scatters unique results (as returned by [`plan_mae_bounded`], in the order
-/// of [`dedupe_batch`]'s unique list) back into batch order and tallies memo
-/// hits and early exits into `stats`.
-pub fn scatter_results(
-    slots: Vec<Slot>,
-    results: &[(u64, bool)],
-    stats: &mut EngineStats,
-) -> Vec<u64> {
+/// of the batch's unique list) back into batch order and tallies memo hits
+/// and early exits into `stats`.
+fn scatter_results(slots: Vec<Slot>, results: &[(u64, bool)], stats: &mut EngineStats) -> Vec<u64> {
     stats.plans_evaluated += results.len() as u64;
     stats.early_exits += results.iter().filter(|r| r.1).count() as u64;
     let mut seen_unique = vec![false; results.len()];
@@ -421,6 +354,11 @@ impl PhenotypeMemo {
 /// self-healing experiments drive evolution *around* the fault.  The fault
 /// corrupts the compiled *plan*, never a per-pixel lookup.
 ///
+/// A [`chained`](Self::chained) evaluator scores one cascade stage: under
+/// merged fitness each candidate's output is filtered through the fixed
+/// downstream plans before the comparison.  Every other evaluator compares
+/// the array output itself.
+///
 /// Batches go through the evaluator's phenotype memo (module docs, item 4):
 /// at most 4,096 entries, empty until the first batch, cleared
 /// whenever the bound changes.  [`evaluate`](FitnessEvaluator::evaluate)
@@ -432,6 +370,9 @@ pub struct SoftwareEvaluator {
     /// of every batch (and, through the service's cross-job cache, by every
     /// job training on the same image).
     windows: Arc<SharedWindows>,
+    /// Plans every candidate output passes through before the comparison;
+    /// empty except on a merged-fitness cascade stage.
+    downstream: Vec<CompiledArray>,
     reference: GrayImage,
     evaluations: u64,
     stats: EngineStats,
@@ -483,10 +424,30 @@ impl SoftwareEvaluator {
         Self {
             arrays,
             windows,
+            downstream: Vec::new(),
             reference,
             evaluations: 0,
             stats: EngineStats::default(),
             memo: PhenotypeMemo::default(),
+        }
+    }
+
+    /// Creates an evaluator for one cascade stage: a candidate on `array`
+    /// filters `windows` (the stage input), its output runs through the
+    /// `downstream` plans in order (none under separate fitness), and the
+    /// chain end is compared with `reference`.
+    ///
+    /// # Panics
+    /// As [`with_arrays`](Self::with_arrays).
+    pub fn chained(
+        array: ProcessingArray,
+        windows: Arc<SharedWindows>,
+        downstream: Vec<CompiledArray>,
+        reference: GrayImage,
+    ) -> Self {
+        Self {
+            downstream,
+            ..Self::with_arrays(vec![array], windows, reference)
         }
     }
 
@@ -501,7 +462,14 @@ impl FitnessEvaluator for SoftwareEvaluator {
         self.evaluations += 1;
         self.stats.plans_evaluated += 1;
         let plan = self.arrays[0].compile_with(genotype);
-        plan_mae(&plan, &self.windows, &self.reference)
+        chain_mae_bounded(
+            &plan,
+            &self.windows,
+            &self.downstream,
+            &self.reference,
+            None,
+        )
+        .0
     }
 
     fn evaluate_batch_bounded(
@@ -569,7 +537,12 @@ impl FitnessEvaluator for SoftwareEvaluator {
                 })),
             });
         }
-        let (arrays, windows, reference) = (&self.arrays, &self.windows, &self.reference);
+        let (arrays, windows, downstream, reference) = (
+            &self.arrays,
+            &self.windows,
+            &self.downstream,
+            &self.reference,
+        );
         let results = ehw_parallel::ordered_map_init(
             parallel,
             &todo,
@@ -578,13 +551,13 @@ impl FitnessEvaluator for SoftwareEvaluator {
                 Some(plans) => {
                     let plan = &mut plans[i % num_arrays];
                     plan.apply(&diffs[i]);
-                    let result = plan_mae_bounded(plan, windows, reference, bound);
+                    let result = chain_mae_bounded(plan, windows, downstream, reference, bound);
                     plan.revert(&diffs[i]);
                     result
                 }
                 None => {
                     let plan = arrays[i % num_arrays].compile_with(&batch[i]);
-                    plan_mae_bounded(&plan, windows, reference, bound)
+                    chain_mae_bounded(&plan, windows, downstream, reference, bound)
                 }
             },
         );

@@ -7,7 +7,8 @@
 //!
 //! The bind address defaults to `127.0.0.1:8080`; `EHW_PLATFORMS` sizes the
 //! shard pool (default 1) and the usual `EHW_WORKERS`/`EHW_CHUNK` variables
-//! govern per-shard host parallelism.  `--registry=FILE` overlays a JSON
+//! govern per-shard host parallelism.  A malformed variable exits with
+//! status 2.  `--registry=FILE` overlays a JSON
 //! scenario/policy registry (the `GET /registry` document shape) on the
 //! built-in entries; without it the server runs on the built-ins alone.
 //! Any other argument starting with `--` is refused with exit status 2.
@@ -34,17 +35,8 @@ fn main() {
             addr = arg;
         }
     }
-    let platforms = std::env::var("EHW_PLATFORMS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1);
-
     let config = match ServiceConfig::from_env() {
-        Ok(config) => ServiceConfig {
-            platforms,
-            queue_depth: platforms.saturating_mul(2).max(1),
-            ..config
-        },
+        Ok(config) => config,
         Err(error) => {
             eprintln!("ehw-serve: {error}");
             std::process::exit(2);

@@ -531,6 +531,60 @@ fn huge_mutation_rates_get_a_400_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn huge_budgets_get_a_400_and_the_server_keeps_serving() {
+    let server = start_server(1);
+    let addr = server.local_addr();
+    let (input, reference) = training_pair(4);
+    let pair = format!(
+        "\"input\":{},\"reference\":{}",
+        image_json(&input),
+        image_json(&reference)
+    );
+
+    // Before λ and the total work were capped, a 10^12 λ passed validation
+    // and the shard's offspring allocation aborted the whole process, and a
+    // 10^12 generation budget held the shard for good.
+    let fields = [
+        ("evolution", "offspring", "MAX_OFFSPRING"),
+        ("evolution", "generations", "MAX_JOB_WORK"),
+        ("cascade", "offspring", "MAX_OFFSPRING"),
+        ("cascade", "generations", "MAX_JOB_WORK"),
+        ("fault_campaign", "recovery_offspring", "MAX_OFFSPRING"),
+        ("fault_campaign", "recovery_generations", "MAX_JOB_WORK"),
+    ];
+    for huge in ["1000000000000", "18446744073709551615"] {
+        for (kind, field, cap) in fields {
+            let body = format!("{{\"kind\":\"{kind}\",{pair},\"{field}\":{huge},\"seed\":1}}");
+            let response = request(addr, "POST", "/jobs", Some(&body));
+            assert_eq!(response.status, 400, "{kind} {field}: {}", response.body);
+            assert!(response.body.contains(cap), "{}", response.body);
+        }
+        for (member, cap) in [
+            ("\"generations\":6", "MAX_JOB_WORK"),
+            ("\"frames\":10", "maximum"),
+        ] {
+            let field = member.split(':').next().unwrap();
+            let body = stream_body(1).replace(member, &format!("{field}:{huge}"));
+            let response = request(addr, "POST", "/streams", Some(&body));
+            assert_eq!(response.status, 400, "stream {field}: {}", response.body);
+            assert!(response.body.contains(cap), "{}", response.body);
+        }
+        let body = format!(
+            "{},\"offspring\":{huge}}}",
+            stream_body(1).strip_suffix('}').unwrap()
+        );
+        let response = request(addr, "POST", "/streams", Some(&body));
+        assert_eq!(response.status, 400, "stream offspring: {}", response.body);
+        assert!(response.body.contains("MAX_OFFSPRING"), "{}", response.body);
+    }
+
+    // The shard is still free: a well-formed job runs and settles.
+    let job_id = submit(addr, &evolution_body(8, 2, 1, ""));
+    let doc = wait_settled(addr, job_id);
+    assert_eq!(doc.get("status").unwrap().as_str(), Some("done"));
+}
+
+#[test]
 fn oversized_bodies_get_413() {
     let server = start_server(1);
     let addr = server.local_addr();

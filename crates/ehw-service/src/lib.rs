@@ -129,6 +129,10 @@ fn wait_recover<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuar
 // Configuration
 // ---------------------------------------------------------------------------
 
+/// Environment variable [`ServiceConfig::from_env`] reads the shard count
+/// from.
+const PLATFORMS_ENV: &str = "EHW_PLATFORMS";
+
 /// Sizing of an [`EhwService`]: how many platform shards it owns, how much
 /// host parallelism each shard may use, and how deep the submission queue is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,19 +180,33 @@ impl ServiceConfig {
         }
     }
 
-    /// A configuration sized from the environment: one shard, with
-    /// `EHW_WORKERS` / `EHW_CHUNK` **validated** for the per-shard worker
-    /// count and chunk size — a malformed variable is a deployment error and
+    /// A configuration sized from the environment: `EHW_PLATFORMS` shards
+    /// (default 1) with a queue depth of twice that, and `EHW_WORKERS` /
+    /// `EHW_CHUNK` for the per-shard worker count and chunk size.  All three
+    /// are **validated** — a malformed variable is a deployment error and
     /// comes back as [`ServiceError::Environment`], never a silent default.
-    /// This is the satellite contract on top of the legacy
+    /// This is the contract on top of the legacy
     /// [`ParallelConfig::from_env`] fallback behaviour, which the experiment
     /// binaries keep.
     pub fn from_env() -> Result<Self, ServiceError> {
         let parallel = ParallelConfig::try_from_env().map_err(ServiceError::Environment)?;
+        let platforms = match std::env::var(PLATFORMS_ENV) {
+            Err(_) => 1,
+            Ok(value) => match value.trim().parse::<usize>() {
+                Ok(platforms) if platforms > 0 => platforms,
+                _ => {
+                    return Err(ServiceError::Environment(EnvConfigError {
+                        var: PLATFORMS_ENV,
+                        value,
+                        reason: "expected a positive integer shard count",
+                    }))
+                }
+            },
+        };
         Ok(ServiceConfig {
             workers_per_platform: parallel.workers,
             chunk: parallel.chunk,
-            ..Self::new(1)
+            ..Self::new(platforms)
         })
     }
 
@@ -1445,6 +1463,25 @@ mod tests {
         match old {
             Some(value) => std::env::set_var(ehw_parallel::WORKERS_ENV, value),
             None => std::env::remove_var(ehw_parallel::WORKERS_ENV),
+        }
+        // A malformed shard count is refused the same way, not read as 1.
+        let old = std::env::var(PLATFORMS_ENV).ok();
+        std::env::set_var(PLATFORMS_ENV, "abc");
+        let err = ServiceConfig::from_env().unwrap_err();
+        match &err {
+            ServiceError::Environment(env) => {
+                assert_eq!(env.var, PLATFORMS_ENV);
+                assert_eq!(env.value, "abc");
+            }
+            other => panic!("expected an environment error, got {other:?}"),
+        }
+        assert!(err.to_string().contains("EHW_PLATFORMS"), "{err}");
+        std::env::set_var(PLATFORMS_ENV, "3");
+        let config = ServiceConfig::from_env().expect("a well-formed shard count");
+        assert_eq!((config.platforms, config.queue_depth), (3, 6));
+        match old {
+            Some(value) => std::env::set_var(PLATFORMS_ENV, value),
+            None => std::env::remove_var(PLATFORMS_ENV),
         }
         // Explicit configs never read the environment, so they were valid
         // throughout.

@@ -98,9 +98,9 @@ proptest! {
             prop_assert_eq!(&compiled.stage_fitness, &naive.stage_fitness);
             prop_assert_eq!(compiled.evaluations, naive.evaluations);
             prop_assert_eq!(compiled.final_fitness(), naive.final_fitness());
-            // The suffix-shared Merged path must not change the engine's
-            // work accounting either: plans evaluated, memo hits and early
-            // exits are worker-invariant.
+            // The stage evaluators' memo must not change the engine's work
+            // accounting either: plans evaluated, memo hits and early exits
+            // are worker-invariant.
             prop_assert_eq!(
                 compiled.stats, reference.stats,
                 "EngineStats diverged at {} workers ({:?}/{:?})", workers, fitness, schedule
@@ -172,6 +172,14 @@ fn compiled_and_naive_cascades_are_byte_identical() {
             assert!(
                 compiled.stats.early_exits > 0 || compiled.stats.memo_hits > 0,
                 "engine saved nothing: {:?}",
+                compiled.stats
+            );
+            // Every candidate is either a plan evaluation or a memo hit,
+            // never both.
+            assert_eq!(
+                compiled.stats.memo_hits + compiled.stats.plans_evaluated,
+                compiled.evaluations,
+                "{fitness:?}/{schedule:?}: {:?}",
                 compiled.stats
             );
         }

@@ -15,6 +15,7 @@ use ehw_array::pe::FaultBehaviour;
 use ehw_evolution::fitness::EngineStats;
 use ehw_fabric::FaultKind;
 use ehw_platform::fault_campaign::{CampaignReport, EventResult, PositionResult};
+use ehw_platform::jobs::MAX_JOB_WORK;
 use ehw_platform::scenario::{
     CorrelationShape, FaultScenario, PlannedFault, ScenarioKind, ScenarioRegistry, StormPhase,
     TargetFilter,
@@ -308,9 +309,12 @@ fn mutate(value: &mut Value, rng: &mut StdRng) {
     }
 }
 
-/// Runs every decoder that reads outside input; each must answer.
+/// Runs every decoder that reads outside input; each must answer, and a
+/// spec that decodes asks for no more work than the cap.
 fn decode_everything(doc: &Value, registry: &ScenarioRegistry) {
-    let _ = decode_spec_with(doc, registry);
+    if let Ok((spec, _)) = decode_spec_with(doc, registry) {
+        assert!(spec.work() <= MAX_JOB_WORK, "{} work", spec.work());
+    }
     let _ = parse_registry(doc);
     let _ = decode_campaign_report(doc);
 }

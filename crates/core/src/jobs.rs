@@ -2022,14 +2022,16 @@ mod tests {
     #[test]
     fn a_huge_generation_budget_allocates_nothing_up_front() {
         // The budget arrives over the wire: presizing the fitness history
-        // from it would abort the process before the first generation.  The
-        // largest budget the work cap admits on this 8×8 image at λ = 9 is
-        // 1.7·10^9 generations, a 14 GB history.
+        // from it would abort the process before the first generation.  At
+        // λ = 1 on this 8×8 image the work cap admits 1.6·10^10
+        // generations, a 125 GB history no host can hand out.
         let (noisy, clean) = training_pair(8, 5);
         let spec = JobSpec::evolution(noisy, clean)
-            .generations((MAX_JOB_WORK / (64 * 9)) as usize)
+            .offspring(1)
+            .generations((MAX_JOB_WORK / 64 - 1) as usize)
             .build()
             .unwrap();
+        assert_eq!(spec.work(), MAX_JOB_WORK);
         let mut platform = EhwPlatform::new(spec.arrays_needed());
         let control = JobControl::new();
         let mut generations = Vec::new();

@@ -821,6 +821,61 @@ mod tests {
     }
 
     #[test]
+    fn max_events_bounds_every_compiled_schedule() {
+        let mut scenarios = ScenarioRegistry::builtin().scenarios().to_vec();
+        scenarios.extend([
+            FaultScenario::new("k_all", ScenarioKind::MultiPe { k: PES_PER_ARRAY }),
+            FaultScenario::new(
+                "dense_burst",
+                ScenarioKind::Burst {
+                    rate: 1.0,
+                    width: 4,
+                },
+            ),
+            FaultScenario::new(
+                "dense_storm",
+                ScenarioKind::Storm {
+                    schedule: vec![StormPhase {
+                        ticks: 5,
+                        rate: 1.0,
+                    }],
+                },
+            ),
+            FaultScenario::new(
+                "dense_sweep",
+                ScenarioKind::RateSweep {
+                    rates: vec![1.0; 3],
+                },
+            ),
+        ]);
+        let filters = [
+            TargetFilter::All,
+            TargetFilter::Rows(vec![1]),
+            TargetFilter::Cols(vec![0, 2]),
+            TargetFilter::Positions(vec![(0, 0), (2, 2)]),
+        ];
+        for scenario in scenarios {
+            for filter in &filters {
+                let scenario = scenario.clone().with_filter(filter.clone());
+                if scenario.validate().is_err() {
+                    continue;
+                }
+                for arrays in [&[0][..], &[0, 1, 2]] {
+                    for seed in 0..4 {
+                        let events = scenario.compile(arrays, seed).len() as u64;
+                        let bound = scenario.max_events(arrays.len());
+                        assert!(
+                            events <= bound,
+                            "{} {filter:?}: {events} events over a bound of {bound}",
+                            scenario.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn registry_inserts_replace_by_name() {
         let mut registry = ScenarioRegistry::builtin();
         let before = registry.scenarios().len();

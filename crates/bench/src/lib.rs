@@ -52,11 +52,7 @@ pub fn arg_flag(name: &str) -> bool {
 /// available parallelism.  Worker count is scheduling only — every figure is
 /// byte-identical at any setting; only wall-clock time changes.
 pub fn arg_parallel() -> ParallelConfig {
-    // Start from the environment so EHW_CHUNK survives; the flag only
-    // overrides the worker count.
-    let mut cfg = ParallelConfig::from_env();
-    cfg.workers = arg_usize("workers", cfg.workers);
-    cfg
+    ParallelConfig::with_workers(arg_usize("workers", ParallelConfig::from_env().workers))
 }
 
 /// Which implementation runs a figure binary's cascades.
@@ -111,7 +107,7 @@ pub struct ExperimentArgs {
     pub generations: usize,
     /// `--size=` (square image side).
     pub size: usize,
-    /// `--workers=` / `EHW_WORKERS`, plus `EHW_CHUNK`.
+    /// `--workers=` / `EHW_WORKERS`.
     pub parallel: ParallelConfig,
     /// `--naive` flag → the oracle cascade engine.
     pub engine: CascadeEngine,
@@ -138,15 +134,12 @@ impl ExperimentArgs {
     }
 
     /// The service sizing these arguments describe: `--platforms=` shards ×
-    /// `--workers=` workers each (with the `EHW_CHUNK` chunking the flags
-    /// resolved), `--queue-depth=` backpressure.
+    /// `--workers=` workers each, `--queue-depth=` backpressure.
     pub fn service_config(&self, seed: u64) -> ServiceConfig {
-        let mut config = ServiceConfig::new(self.platforms)
+        ServiceConfig::new(self.platforms)
             .workers_per_platform(self.parallel.workers)
             .queue_depth(self.queue_depth)
-            .seed(seed);
-        config.chunk = self.parallel.chunk;
-        config
+            .seed(seed)
     }
 
     /// Starts an [`EhwService`] sized from these arguments.

@@ -1065,13 +1065,6 @@ impl JobControl {
         self.cancelled.store(true, Ordering::SeqCst);
     }
 
-    /// `true` if the job carries a deadline.  The service's affinity-routing
-    /// queue consults this: a deadline-carrying job at the lane front is
-    /// never bypassed by an affinity match behind it.
-    pub fn has_deadline(&self) -> bool {
-        self.deadline.is_some()
-    }
-
     /// `true` once [`cancel`](Self::cancel) has been called.
     pub(crate) fn cancel_requested(&self) -> bool {
         self.cancelled.load(Ordering::SeqCst)

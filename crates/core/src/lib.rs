@@ -52,7 +52,7 @@ pub mod timing;
 pub mod voter;
 
 pub use acb::ArrayControlBlock;
-pub use cache::{CacheStats, CrossJobCache, CrossJobCacheConfig};
+pub use cache::{CacheStats, CrossJobCache};
 pub use jobs::{JobOutput, JobResult, JobSpec, SpecError, StreamSourceSpec, StreamSpec};
 pub use modes::{EvolutionMode, ProcessingMode};
 pub use platform::EhwPlatform;

@@ -62,7 +62,7 @@ impl EhwPlatform {
 
     /// Creates a platform with an explicit host-parallelism configuration
     /// (see [`ParallelConfig`]); [`new`](Self::new) defaults to the
-    /// environment (`EHW_WORKERS` / `EHW_CHUNK`).
+    /// environment (`EHW_WORKERS`).
     pub fn with_parallel(num_arrays: usize, parallel: ParallelConfig) -> Self {
         let mut platform = Self::new(num_arrays);
         platform.parallel = parallel;

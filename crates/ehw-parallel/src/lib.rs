@@ -35,18 +35,14 @@ use std::sync::OnceLock;
 /// Environment variable overriding the default worker count.
 pub const WORKERS_ENV: &str = "EHW_WORKERS";
 
-/// Environment variable overriding the default chunk size (0 = auto).
-pub const CHUNK_ENV: &str = "EHW_CHUNK";
-
-/// A malformed `EHW_WORKERS` / `EHW_CHUNK` value, with enough context to tell
-/// the operator exactly what to fix.
+/// A malformed `EHW_WORKERS` value, with enough context to tell the
+/// operator exactly what to fix.
 ///
-/// The legacy `ParallelConfig::parse` / [`ParallelConfig::from_env`] pair
-/// silently falls back to defaults on malformed input (figure binaries should
-/// keep running); service front-ends validate through
-/// [`ParallelConfig::try_from_env`] instead, so a typo in a deployment
-/// manifest surfaces as a configuration error rather than a silently wrong
-/// worker count.
+/// [`ParallelConfig::from_env`] silently falls back to host parallelism on
+/// malformed input (figure binaries should keep running); service
+/// front-ends validate through [`ParallelConfig::try_from_env`] instead, so
+/// a typo in a deployment manifest surfaces as a configuration error rather
+/// than a silently wrong worker count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvConfigError {
     /// The environment variable that failed to parse.
@@ -79,83 +75,57 @@ pub struct ParallelConfig {
     /// Number of worker threads (0 is normalised to 1; 1 runs inline on the
     /// calling thread with no spawning at all).
     pub workers: usize,
-    /// Items handed to a worker at a time; 0 picks a chunk size that gives
-    /// each worker a handful of chunks for load balancing.
-    pub chunk: usize,
 }
 
 impl ParallelConfig {
     /// Strictly sequential execution on the calling thread.
     pub fn serial() -> Self {
-        ParallelConfig {
-            workers: 1,
-            chunk: 0,
-        }
+        ParallelConfig { workers: 1 }
     }
 
-    /// `workers` threads with automatic chunking.
+    /// `workers` threads.
     pub fn with_workers(workers: usize) -> Self {
-        ParallelConfig { workers, chunk: 0 }
+        ParallelConfig { workers }
     }
 
-    /// The process-wide default: `EHW_WORKERS` / `EHW_CHUNK` from the
-    /// environment, falling back to the host's available parallelism.
+    /// The process-wide default: `EHW_WORKERS` from the environment, falling
+    /// back to the host's available parallelism when it is unset or
+    /// malformed.
     ///
     /// The lookup is cached — the environment is read once per process, so
     /// per-generation hot paths can call this freely.
     pub fn from_env() -> Self {
         static CACHED: OnceLock<ParallelConfig> = OnceLock::new();
         *CACHED.get_or_init(|| {
-            Self::parse(
-                std::env::var(WORKERS_ENV).ok().as_deref(),
-                std::env::var(CHUNK_ENV).ok().as_deref(),
-            )
+            Self::try_from_env().unwrap_or_else(|_| Self::with_workers(Self::host_workers()))
         })
     }
 
-    /// Builds a configuration from the textual forms of the two environment
-    /// variables (exposed separately so it can be tested without touching the
-    /// process environment).
-    ///
-    /// Malformed values fall back silently — each variable independently — so
-    /// experiment binaries keep running on a typo; validating callers use
-    /// [`try_parse`](Self::try_parse) instead.
-    pub(crate) fn parse(workers: Option<&str>, chunk: Option<&str>) -> Self {
-        ParallelConfig {
-            workers: Self::parse_workers(workers).unwrap_or_else(|_| Self::host_workers()),
-            chunk: Self::parse_chunk(chunk).unwrap_or(0),
-        }
-    }
-
-    /// [`parse`](Self::parse) with errors instead of silent fallbacks: a
-    /// malformed (or zero) worker count and a malformed chunk size are
-    /// reported as a descriptive [`EnvConfigError`].  `None` values use the
-    /// defaults (host parallelism, auto chunking).
-    pub(crate) fn try_parse(
-        workers: Option<&str>,
-        chunk: Option<&str>,
-    ) -> Result<Self, EnvConfigError> {
-        let workers = match workers {
-            Some(v) => Self::parse_workers(Some(v))?,
-            None => Self::host_workers(),
-        };
-        Ok(ParallelConfig {
-            workers,
-            chunk: Self::parse_chunk(chunk)?,
-        })
-    }
-
-    /// Reads and validates `EHW_WORKERS` / `EHW_CHUNK` from the process
-    /// environment, reporting malformed values as an [`EnvConfigError`].
-    /// This is the validation entry point service configuration goes
-    /// through; [`from_env`](Self::from_env) keeps the legacy
-    /// silent-fallback behaviour (and its cache) for the experiment
-    /// binaries.
+    /// Reads and validates `EHW_WORKERS` from the process environment,
+    /// reporting a malformed value as an [`EnvConfigError`].  This is the
+    /// validation entry point service configuration goes through.
     pub fn try_from_env() -> Result<Self, EnvConfigError> {
-        Self::try_parse(
-            std::env::var(WORKERS_ENV).ok().as_deref(),
-            std::env::var(CHUNK_ENV).ok().as_deref(),
-        )
+        Self::try_parse(std::env::var(WORKERS_ENV).ok().as_deref())
+    }
+
+    /// Builds a configuration from the textual form of `EHW_WORKERS`
+    /// (separate from [`try_from_env`](Self::try_from_env) so it can be
+    /// tested without touching the process environment).  `None` means host
+    /// parallelism; a malformed or zero count is an [`EnvConfigError`].
+    pub(crate) fn try_parse(workers: Option<&str>) -> Result<Self, EnvConfigError> {
+        let Some(v) = workers else {
+            return Ok(Self::with_workers(Self::host_workers()));
+        };
+        let error = |reason| EnvConfigError {
+            var: WORKERS_ENV,
+            value: v.to_owned(),
+            reason,
+        };
+        match v.trim().parse::<usize>() {
+            Ok(0) => Err(error("worker count must be at least 1")),
+            Ok(workers) => Ok(Self::with_workers(workers)),
+            Err(_) => Err(error("expected an unsigned integer worker count")),
+        }
     }
 
     fn host_workers() -> usize {
@@ -164,48 +134,16 @@ impl ParallelConfig {
             .unwrap_or(1)
     }
 
-    fn parse_workers(value: Option<&str>) -> Result<usize, EnvConfigError> {
-        let Some(v) = value else {
-            return Ok(Self::host_workers());
-        };
-        let workers = v.trim().parse::<usize>().map_err(|_| EnvConfigError {
-            var: WORKERS_ENV,
-            value: v.to_owned(),
-            reason: "expected an unsigned integer worker count",
-        })?;
-        if workers == 0 {
-            return Err(EnvConfigError {
-                var: WORKERS_ENV,
-                value: v.to_owned(),
-                reason: "worker count must be at least 1",
-            });
-        }
-        Ok(workers)
-    }
-
-    fn parse_chunk(value: Option<&str>) -> Result<usize, EnvConfigError> {
-        let Some(v) = value else { return Ok(0) };
-        v.trim().parse::<usize>().map_err(|_| EnvConfigError {
-            var: CHUNK_ENV,
-            value: v.to_owned(),
-            reason: "expected an unsigned integer chunk size (0 = auto)",
-        })
-    }
-
     /// Worker threads actually used for a batch of `items` work items.
     pub(crate) fn effective_workers(&self, items: usize) -> usize {
         self.workers.max(1).min(items.max(1))
     }
 
-    /// Chunk size actually used for a batch of `items` work items.
+    /// Items handed to a worker at a time for a batch of `items` work items:
+    /// about four chunks per worker so stragglers can be rebalanced, but
+    /// never less than one item per chunk.
     pub(crate) fn effective_chunk(&self, items: usize) -> usize {
-        if self.chunk > 0 {
-            return self.chunk;
-        }
-        // Aim for ~4 chunks per worker so stragglers can be rebalanced, but
-        // never less than one item per chunk.
-        let workers = self.effective_workers(items);
-        items.div_ceil(workers * 4).max(1)
+        items.div_ceil(self.effective_workers(items) * 4).max(1)
     }
 }
 
@@ -313,12 +251,10 @@ mod tests {
     fn serial_and_parallel_agree_in_order() {
         let items: Vec<u64> = (0..103).collect();
         let serial = ordered_map(ParallelConfig::serial(), &items, |i, &x| x * 3 + i as u64);
-        for workers in [2, 3, 8, 16] {
-            for chunk in [0, 1, 5, 1000] {
-                let cfg = ParallelConfig { workers, chunk };
-                let parallel = ordered_map(cfg, &items, |i, &x| x * 3 + i as u64);
-                assert_eq!(serial, parallel, "workers={workers} chunk={chunk}");
-            }
+        for workers in [2, 3, 8, 16, 32] {
+            let cfg = ParallelConfig::with_workers(workers);
+            let parallel = ordered_map(cfg, &items, |i, &x| x * 3 + i as u64);
+            assert_eq!(serial, parallel, "workers={workers}");
         }
     }
 
@@ -336,7 +272,7 @@ mod tests {
     #[test]
     fn init_variant_is_deterministic_with_scratch_state() {
         // The per-worker state is scratch: as long as `f` restores it before
-        // returning, results are identical at any worker/chunk configuration.
+        // returning, results are identical at any worker count.
         let items: Vec<u64> = (0..97).collect();
         let run = |cfg: ParallelConfig| {
             ordered_map_init(
@@ -352,10 +288,8 @@ mod tests {
             )
         };
         let serial = run(ParallelConfig::serial());
-        for workers in [2, 3, 8] {
-            for chunk in [0, 1, 7] {
-                assert_eq!(serial, run(ParallelConfig { workers, chunk }));
-            }
+        for workers in [2, 3, 8, 25] {
+            assert_eq!(serial, run(ParallelConfig::with_workers(workers)));
         }
     }
 
@@ -363,71 +297,32 @@ mod tests {
     fn workers_receive_position_addressed_indices() {
         // Every index must be passed exactly once and in the right slot.
         let items = vec![0u8; 57];
-        let got = ordered_map(
-            ParallelConfig {
-                workers: 4,
-                chunk: 3,
-            },
-            &items,
-            |i, _| i,
-        );
+        let got = ordered_map(ParallelConfig::with_workers(4), &items, |i, _| i);
         assert_eq!(got, (0..57).collect::<Vec<_>>());
     }
 
     #[test]
     fn zero_workers_normalises_to_one() {
-        let cfg = ParallelConfig {
-            workers: 0,
-            chunk: 0,
-        };
+        let cfg = ParallelConfig::with_workers(0);
         assert_eq!(cfg.effective_workers(10), 1);
         let items = [1u8, 2, 3];
         assert_eq!(ordered_map(cfg, &items, |_, &x| x), vec![1, 2, 3]);
     }
 
     #[test]
-    fn parse_prefers_explicit_values() {
-        let cfg = ParallelConfig::parse(Some("6"), Some("2"));
-        assert_eq!(
-            cfg,
-            ParallelConfig {
-                workers: 6,
-                chunk: 2
-            }
-        );
-        // Invalid and zero values fall back to host parallelism / auto chunk.
-        let fallback = ParallelConfig::parse(Some("zero"), None);
-        assert!(fallback.workers >= 1);
-        assert_eq!(fallback.chunk, 0);
-        assert!(ParallelConfig::parse(Some("0"), None).workers >= 1);
-    }
-
-    #[test]
     fn try_parse_accepts_valid_and_default_values() {
         assert_eq!(
-            ParallelConfig::try_parse(Some("6"), Some("2")),
-            Ok(ParallelConfig {
-                workers: 6,
-                chunk: 2
-            })
+            ParallelConfig::try_parse(Some("6")),
+            Ok(ParallelConfig::with_workers(6))
         );
-        // Whitespace is tolerated, `None` means default.
-        assert_eq!(
-            ParallelConfig::try_parse(Some(" 3 "), None)
-                .unwrap()
-                .workers,
-            3
-        );
-        let defaults = ParallelConfig::try_parse(None, None).unwrap();
-        assert!(defaults.workers >= 1);
-        assert_eq!(defaults.chunk, 0);
-        // Chunk 0 is a valid value (auto chunking), not an error.
-        assert_eq!(ParallelConfig::try_parse(None, Some("0")).unwrap().chunk, 0);
+        // Whitespace is tolerated, `None` means host parallelism.
+        assert_eq!(ParallelConfig::try_parse(Some(" 3 ")).unwrap().workers, 3);
+        assert!(ParallelConfig::try_parse(None).unwrap().workers >= 1);
     }
 
     #[test]
     fn try_parse_reports_descriptive_errors() {
-        let err = ParallelConfig::try_parse(Some("zero"), None).unwrap_err();
+        let err = ParallelConfig::try_parse(Some("zero")).unwrap_err();
         assert_eq!(err.var, WORKERS_ENV);
         assert_eq!(err.value, "zero");
         let msg = err.to_string();
@@ -437,27 +332,11 @@ mod tests {
         );
         assert!(msg.contains("zero"), "error must quote the value: {msg}");
 
-        let err = ParallelConfig::try_parse(Some("0"), None).unwrap_err();
+        let err = ParallelConfig::try_parse(Some("0")).unwrap_err();
         assert!(err.to_string().contains("at least 1"), "{err}");
 
-        let err = ParallelConfig::try_parse(Some("-3"), None).unwrap_err();
+        let err = ParallelConfig::try_parse(Some("-3")).unwrap_err();
         assert_eq!(err.var, WORKERS_ENV);
-
-        let err = ParallelConfig::try_parse(None, Some("many")).unwrap_err();
-        assert_eq!(err.var, CHUNK_ENV);
-        assert!(err.to_string().contains("EHW_CHUNK"), "{err}");
-    }
-
-    #[test]
-    fn silent_parse_still_falls_back_per_variable() {
-        // A malformed worker count must not eat a valid chunk size (and vice
-        // versa) — each variable falls back independently.
-        let cfg = ParallelConfig::parse(Some("oops"), Some("5"));
-        assert!(cfg.workers >= 1);
-        assert_eq!(cfg.chunk, 5);
-        let cfg = ParallelConfig::parse(Some("4"), Some("oops"));
-        assert_eq!(cfg.workers, 4);
-        assert_eq!(cfg.chunk, 0);
     }
 
     #[test]
@@ -476,19 +355,12 @@ mod tests {
     #[should_panic(expected = "worker thread panicked")]
     fn worker_panics_propagate() {
         let items: Vec<usize> = (0..64).collect();
-        let _ = ordered_map(
-            ParallelConfig {
-                workers: 4,
-                chunk: 1,
-            },
-            &items,
-            |_, &x| {
-                if x == 33 {
-                    panic!("boom");
-                }
-                x
-            },
-        );
+        let _ = ordered_map(ParallelConfig::with_workers(4), &items, |_, &x| {
+            if x == 33 {
+                panic!("boom");
+            }
+            x
+        });
     }
 
     #[test]
@@ -502,22 +374,9 @@ mod tests {
             }
             acc
         };
-        let a = ordered_map(
-            ParallelConfig {
-                workers: 8,
-                chunk: 1,
-            },
-            &items,
-            expensive,
-        );
-        let b = ordered_map(
-            ParallelConfig {
-                workers: 2,
-                chunk: 13,
-            },
-            &items,
-            expensive,
-        );
+        // 8 workers take chunks of 7 items, 2 workers chunks of 25.
+        let a = ordered_map(ParallelConfig::with_workers(8), &items, expensive);
+        let b = ordered_map(ParallelConfig::with_workers(2), &items, expensive);
         assert_eq!(a, b);
     }
 }

@@ -6,11 +6,11 @@
 //! ```
 //!
 //! The bind address defaults to `127.0.0.1:8080`; `EHW_PLATFORMS` sizes the
-//! shard pool (default 1) and the usual `EHW_WORKERS`/`EHW_CHUNK` variables
-//! govern per-shard host parallelism.  A malformed variable exits with
-//! status 2.  `--registry=FILE` overlays a JSON
-//! scenario/policy registry (the `GET /registry` document shape) on the
-//! built-in entries; without it the server runs on the built-ins alone.
+//! shard pool (default 1) and `EHW_WORKERS` sets each shard's worker
+//! threads.  A malformed variable exits with status 2.  `--registry=FILE`
+//! overlays a JSON scenario/policy registry (the `GET /registry` document
+//! shape) on the built-in entries; without it the server runs on the
+//! built-ins alone.
 //! Any other argument starting with `--` is refused with exit status 2.
 
 use ehw_server::{json, wire, EhwServer, DEFAULT_JOB_TTL};

@@ -91,7 +91,7 @@ use ehw_platform::jobs;
 use ehw_platform::platform::EhwPlatform;
 use rand::SeedSequence;
 
-pub use ehw_platform::cache::{CacheStats, CrossJobCache, CrossJobCacheConfig};
+pub use ehw_platform::cache::{CacheStats, CrossJobCache};
 pub use ehw_platform::jobs::{
     CancelKind, CascadeBuilder, CascadeSpec, EvolutionBuilder, EvolutionSpec, FaultCampaignBuilder,
     FaultCampaignSpec, JobOutput, JobProgress, JobResult, JobSpec, SpecError, StreamBuilder,
@@ -144,50 +144,41 @@ pub struct ServiceConfig {
     /// (candidate batches, campaign positions).  Scheduling only: results
     /// are byte-identical at any value.
     pub workers_per_platform: usize,
-    /// Work-items-per-chunk for the shards' intra-job parallelism (0 =
-    /// auto).  Scheduling only, like `workers_per_platform`;
-    /// [`from_env`](Self::from_env) fills it from a validated `EHW_CHUNK`.
-    pub chunk: usize,
     /// Maximum number of submitted-but-not-yet-started jobs; a full queue
     /// blocks [`EhwService::submit`] (backpressure) instead of dropping.
     pub queue_depth: usize,
     /// Root seed jobs without a pinned seed derive theirs from (job `n` runs
     /// with `SeedSequence::new(seed).fork(n)`).
     pub seed: u64,
-    /// Whether the shards share a service-scope [`CrossJobCache`] (shared
-    /// window extractions, image-affinity queue pickup).  Caching never
-    /// changes a result byte — `tests/property_cache_determinism.rs` pins
-    /// byte-identity with this flag on vs off — it only changes how often
-    /// windows are rebuilt.
+    /// Whether the shards share a service-scope [`CrossJobCache`] of window
+    /// extractions (its capacity is the fixed
+    /// [`WINDOWS_CAPACITY`](ehw_platform::cache::WINDOWS_CAPACITY)).  Caching
+    /// never changes a result byte — `tests/property_cache_determinism.rs`
+    /// pins byte-identity with this flag on vs off — it only changes how
+    /// often windows are rebuilt.
     pub cache: bool,
-    /// Sizing of the cross-job cache; ignored when `cache` is off.
-    pub cache_sizes: CrossJobCacheConfig,
 }
 
 impl ServiceConfig {
-    /// A configuration with `platforms` shards, one worker per shard, auto
-    /// chunking, a queue depth of twice the shard count and seed 0.  Fully
+    /// A configuration with `platforms` shards, one worker per shard, a
+    /// queue depth of twice the shard count, the cache on and seed 0.  Fully
     /// explicit — nothing is read from the environment.
     pub fn new(platforms: usize) -> Self {
         ServiceConfig {
             platforms,
             workers_per_platform: 1,
-            chunk: 0,
             queue_depth: platforms.saturating_mul(2).max(1),
             seed: 0,
             cache: true,
-            cache_sizes: CrossJobCacheConfig::default(),
         }
     }
 
     /// A configuration sized from the environment: `EHW_PLATFORMS` shards
-    /// (default 1) with a queue depth of twice that, and `EHW_WORKERS` /
-    /// `EHW_CHUNK` for the per-shard worker count and chunk size.  All three
-    /// are **validated** — a malformed variable is a deployment error and
-    /// comes back as [`ServiceError::Environment`], never a silent default.
-    /// This is the contract on top of the legacy
-    /// [`ParallelConfig::from_env`] fallback behaviour, which the experiment
-    /// binaries keep.
+    /// (default 1) with a queue depth of twice that, and `EHW_WORKERS` for
+    /// the per-shard worker count.  Both are **validated** — a malformed
+    /// variable is a deployment error and comes back as
+    /// [`ServiceError::Environment`], never a silent default (unlike
+    /// [`ParallelConfig::from_env`], which the experiment binaries use).
     pub fn from_env() -> Result<Self, ServiceError> {
         let parallel = ParallelConfig::try_from_env().map_err(ServiceError::Environment)?;
         let platforms = match std::env::var(PLATFORMS_ENV) {
@@ -203,11 +194,7 @@ impl ServiceConfig {
                 }
             },
         };
-        Ok(ServiceConfig {
-            workers_per_platform: parallel.workers,
-            chunk: parallel.chunk,
-            ..Self::new(platforms)
-        })
+        Ok(Self::new(platforms).workers_per_platform(parallel.workers))
     }
 
     /// Sets the per-shard worker count.
@@ -234,16 +221,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the cross-job cache capacity (distinct training images whose
-    /// windows stay resident).
-    pub fn cache_sizes(mut self, sizes: CrossJobCacheConfig) -> Self {
-        self.cache_sizes = sizes;
-        self
-    }
-
     /// Validates the sizing of the configuration.  The environment is only
-    /// consulted — and validated, surfacing malformed `EHW_WORKERS` /
-    /// `EHW_CHUNK` as [`ServiceError::Environment`] — by
+    /// consulted — and validated, surfacing a malformed `EHW_PLATFORMS` or
+    /// `EHW_WORKERS` as [`ServiceError::Environment`] — by
     /// [`from_env`](Self::from_env); an explicitly constructed config never
     /// reads it, so binaries with their own flag handling keep working
     /// whatever the environment contains.
@@ -261,11 +241,6 @@ impl ServiceConfig {
         if self.queue_depth == 0 {
             return Err(ServiceError::InvalidConfig(
                 "queue_depth must be at least 1".into(),
-            ));
-        }
-        if self.cache && self.cache_sizes.windows_capacity == 0 {
-            return Err(ServiceError::InvalidConfig(
-                "cache capacity must be at least 1 (or disable the cache)".into(),
             ));
         }
         Ok(())
@@ -670,17 +645,6 @@ struct QueuedJob {
     job_id: u64,
     seed: u64,
     spec: JobSpec,
-    /// Scheduling affinity: the training-image content hash of an evolution
-    /// job (when the cache is on).  A shard prefers jobs whose affinity
-    /// matches its previous job, so same-image batches stay on one shard and
-    /// keep its compiled state warm.  Scheduling only — the seed is already
-    /// assigned, so results are byte-identical with or without the routing.
-    affinity: Option<u64>,
-    /// How many times an affinity match behind this job was picked ahead of
-    /// it while it sat at its lane's front.  Capped at
-    /// [`AFFINITY_BYPASS_LIMIT`] so a sustained same-image stream can never
-    /// starve a non-matching job.
-    bypassed: u32,
     shared: Arc<JobShared>,
 }
 
@@ -707,26 +671,6 @@ impl QueueState {
             .flatten()
             .filter(|item| matches!(item, QueueItem::Job(_)))
             .count()
-    }
-}
-
-/// Most times an affinity match may be picked ahead of its lane's front
-/// before the front job is taken regardless — the bound that keeps affinity
-/// routing from starving non-matching (and possibly deadline-carrying) jobs
-/// under a sustained same-image stream.
-const AFFINITY_BYPASS_LIMIT: u32 = 4;
-
-/// Whether an affinity match may be picked ahead of `lane`'s front: not if
-/// the front job carries a deadline (it could expire while bypassed), and
-/// not once it has already been bypassed [`AFFINITY_BYPASS_LIMIT`] times.
-fn front_may_be_bypassed(lane: &VecDeque<QueueItem>) -> bool {
-    match lane.front() {
-        Some(QueueItem::Job(front)) => {
-            !front.shared.control.has_deadline() && front.bypassed < AFFINITY_BYPASS_LIMIT
-        }
-        // A pill at the front is matched by the affinity scan itself
-        // (pick == 0), so this arm is never the bypass target; be permissive.
-        _ => true,
     }
 }
 
@@ -774,50 +718,15 @@ impl JobQueue {
         self.not_empty.notify_one();
     }
 
-    /// Test shorthand for [`pop_preferring`](Self::pop_preferring) with no
-    /// affinity hint — exact lane-priority FIFO.
-    #[cfg(test)]
+    /// Blocks for the next job: the front of the highest non-empty lane
+    /// (lane priority, FIFO within a lane).  `None` means the queue closed
+    /// and drained.  Lanes drain even after close (graceful shutdown
+    /// executes everything already accepted).  Panics — deliberately, while
+    /// holding the pickup lock — on a [`QueueItem::ShardPanic`] pill.
     fn pop(&self) -> Option<QueuedJob> {
-        self.pop_preferring(None)
-    }
-
-    /// Blocks for the next job; `None` means the queue closed and drained.
-    /// Lanes drain even after close (graceful shutdown executes everything
-    /// already accepted).  Panics — deliberately, while holding the pickup
-    /// lock — on a [`QueueItem::ShardPanic`] pill.
-    ///
-    /// With an affinity hint: within the highest non-empty lane, the first
-    /// job whose [`QueuedJob::affinity`] matches the hint is picked ahead of
-    /// the lane's front (plain FIFO when nothing matches or no hint is
-    /// given).  Lane priority is never crossed, and a poison pill still
-    /// fires before any job it precedes.
-    ///
-    /// The preference is bounded so it stays a locality *hint*, never a
-    /// scheduling class: a front job carrying a deadline is never bypassed,
-    /// and any front job is picked after at most [`AFFINITY_BYPASS_LIMIT`]
-    /// bypasses — a sustained same-image stream cannot starve a
-    /// non-matching job (which could otherwise expire while queued).
-    fn pop_preferring(&self, affinity: Option<u64>) -> Option<QueuedJob> {
         let mut state = lock_recover(&self.state);
         loop {
-            let lane = state.lanes.iter_mut().find(|lane| !lane.is_empty());
-            if let Some(lane) = lane {
-                let pick = affinity
-                    .and_then(|hint| {
-                        lane.iter().position(|item| match item {
-                            QueueItem::Job(job) => job.affinity == Some(hint),
-                            #[cfg(test)]
-                            QueueItem::ShardPanic => true,
-                        })
-                    })
-                    .filter(|&pick| pick == 0 || front_may_be_bypassed(lane))
-                    .unwrap_or(0);
-                if pick > 0 {
-                    if let Some(QueueItem::Job(front)) = lane.front_mut() {
-                        front.bypassed += 1;
-                    }
-                }
-                let item = lane.remove(pick).expect("picked index is in the lane");
+            if let Some(item) = state.lanes.iter_mut().find_map(VecDeque::pop_front) {
                 self.not_full.notify_one();
                 match item {
                     QueueItem::Job(job) => return Some(*job),
@@ -898,15 +807,10 @@ impl EhwService {
     /// Validates the configuration and starts the shard threads.
     pub fn new(config: ServiceConfig) -> Result<Self, ServiceError> {
         config.validate()?;
-        let parallel = ParallelConfig {
-            workers: config.workers_per_platform,
-            chunk: config.chunk,
-        };
+        let parallel = ParallelConfig::with_workers(config.workers_per_platform);
         let queue = Arc::new(JobQueue::new(config.queue_depth));
         let counters = Arc::new(Counters::default());
-        let cache = config
-            .cache
-            .then(|| Arc::new(CrossJobCache::new(config.cache_sizes)));
+        let cache = config.cache.then(|| Arc::new(CrossJobCache::default()));
         let liveness: Arc<Vec<AtomicBool>> = Arc::new(
             (0..config.platforms)
                 .map(|_| AtomicBool::new(true))
@@ -1018,16 +922,10 @@ impl EhwService {
         // and settle it the instant `push` returns, and the settled counters
         // must never be observable above `submitted`.
         self.counters.submitted.fetch_add(1, Ordering::SeqCst);
-        let affinity = match (&self.cache, &spec) {
-            (Some(_), JobSpec::Evolution(s)) => Some(s.task().input.content_hash()),
-            _ => None,
-        };
         let queued = QueuedJob {
             job_id,
             seed,
             spec,
-            affinity,
-            bypassed: 0,
             shared: Arc::clone(&shared),
         };
         if self.queue.push(queued, options.priority).is_err() {
@@ -1310,19 +1208,13 @@ fn shard_loop(
     // and a sibling dying while holding the pickup lock poisons it, which
     // `pop` recovers from instead of abandoning the queue.
     let mut pool: HashMap<usize, EhwPlatform> = HashMap::new();
-    // The affinity of the previous job: with the cache on, the shard prefers
-    // queued jobs training on the same image (batch-aware routing).
-    let mut last_affinity: Option<u64> = None;
     while let Some(QueuedJob {
         job_id,
         seed,
         spec,
-        affinity,
-        bypassed: _,
         shared,
-    }) = queue.pop_preferring(last_affinity)
+    }) = queue.pop()
     {
-        last_affinity = affinity;
         let job = TakenJob {
             job_id,
             shared,
@@ -1720,8 +1612,6 @@ mod tests {
             job_id,
             seed: job_id,
             spec: evolution_spec(8, 1),
-            affinity: None,
-            bypassed: 0,
             shared: Arc::new(JobShared::new("evolution", None)),
         }
     }
@@ -1746,72 +1636,6 @@ mod tests {
         assert_eq!(picked, vec![2, 4, 1, 0, 3]);
         queue.close();
         assert!(queue.pop().is_none());
-    }
-
-    #[test]
-    fn affinity_pickup_prefers_matching_jobs_but_never_crosses_lanes() {
-        let queue = JobQueue::new(8);
-        for (id, affinity) in [(0, Some(7)), (1, Some(9)), (2, Some(7))] {
-            let mut job = dummy_queued_job(id);
-            job.affinity = affinity;
-            queue.push(job, Priority::Normal).unwrap();
-        }
-        // A high-lane job outranks any affinity match in a lower lane.
-        queue.push(dummy_queued_job(3), Priority::High).unwrap();
-        assert_eq!(queue.pop_preferring(Some(9)).unwrap().job_id, 3);
-        // Within the lane, the hint pulls the matching job ahead of the
-        // front; with no match left for the hint, pickup falls back to FIFO.
-        assert_eq!(queue.pop_preferring(Some(9)).unwrap().job_id, 1);
-        assert_eq!(queue.pop_preferring(Some(9)).unwrap().job_id, 0);
-        assert_eq!(queue.pop().unwrap().job_id, 2);
-    }
-
-    #[test]
-    fn affinity_bypassing_is_bounded_so_the_lane_front_cannot_starve() {
-        let queue = JobQueue::new(64);
-        // A non-matching job at the front, then a sustained stream of
-        // matching jobs behind it — the adversarial schedule that would
-        // starve the front unboundedly without the bypass cap.
-        queue.push(dummy_queued_job(0), Priority::Normal).unwrap();
-        for id in 1..=AFFINITY_BYPASS_LIMIT as u64 + 3 {
-            let mut job = dummy_queued_job(id);
-            job.affinity = Some(7);
-            queue.push(job, Priority::Normal).unwrap();
-        }
-        // The first LIMIT pops honor the affinity hint...
-        for pop in 0..AFFINITY_BYPASS_LIMIT as u64 {
-            assert_eq!(queue.pop_preferring(Some(7)).unwrap().job_id, pop + 1);
-        }
-        // ...then the bypassed front is taken despite a live match behind it.
-        assert_eq!(queue.pop_preferring(Some(7)).unwrap().job_id, 0);
-        assert_eq!(
-            queue.pop_preferring(Some(7)).unwrap().job_id,
-            AFFINITY_BYPASS_LIMIT as u64 + 1
-        );
-    }
-
-    #[test]
-    fn a_deadline_carrying_front_job_is_never_bypassed() {
-        let queue = JobQueue::new(8);
-        let deadline_front = QueuedJob {
-            job_id: 0,
-            seed: 0,
-            spec: evolution_spec(8, 1),
-            affinity: None,
-            bypassed: 0,
-            shared: Arc::new(JobShared::new(
-                "evolution",
-                Some(Instant::now() + Duration::from_secs(3600)),
-            )),
-        };
-        queue.push(deadline_front, Priority::Normal).unwrap();
-        let mut matching = dummy_queued_job(1);
-        matching.affinity = Some(7);
-        queue.push(matching, Priority::Normal).unwrap();
-        // The hint matches job 1, but job 0 could expire while queued — FIFO
-        // wins immediately, without burning through the bypass budget.
-        assert_eq!(queue.pop_preferring(Some(7)).unwrap().job_id, 0);
-        assert_eq!(queue.pop_preferring(Some(7)).unwrap().job_id, 1);
     }
 
     #[test]
@@ -1923,6 +1747,30 @@ mod tests {
         // The feed is closed once the job settles.
         let (_, closed) = monitor.events_since(0);
         assert!(closed);
+    }
+
+    #[test]
+    fn a_shard_takes_queued_jobs_in_submission_order_whatever_their_image() {
+        // The running job trains on image X; B (image Y) queues ahead of C
+        // (image X again).  Pickup is FIFO within a lane, so the job sharing
+        // the previous job's image gets no precedence: B settles first.
+        let service = EhwService::new(ServiceConfig::new(1).queue_depth(4)).unwrap();
+        let running = service.submit(marathon_spec(8)).unwrap();
+        let monitor = running.monitor();
+        let (events, _) = monitor.wait_events(0, Duration::from_secs(30));
+        assert!(!events.is_empty(), "the running job never started");
+        let b = service.submit(evolution_spec(10, 2)).unwrap();
+        let c = service.submit(evolution_spec(8, 2)).unwrap();
+        monitor.cancel();
+        assert!(running.wait().unwrap().is_cancelled());
+        for handle in [&b, &c] {
+            assert!(handle.monitor().wait_settled(Duration::from_secs(30)));
+            assert_eq!(handle.status(), JobStatus::Done);
+        }
+        assert!(
+            b.settled_at().unwrap() < c.settled_at().unwrap(),
+            "the later same-image job ran ahead of the earlier one"
+        );
     }
 
     #[test]

@@ -9,16 +9,17 @@
 //!    replay) produce byte-identical [`JobResult`]s with the cache on and
 //!    off, across 1/2 platforms × 1/2/8 workers, while the cache-on run
 //!    observably hits.
-//! 2. **Eviction under pressure** — a cache squeezed to a toy capacity
-//!    evicts (observably) and still changes nothing about the results.
+//! 2. **Eviction under pressure** — training on one image more than the
+//!    cache holds evicts (observably) and still changes nothing about the
+//!    results.
 
 use ehw_image::noise::{salt_pepper, NoiseModel};
 use ehw_image::synth;
+use ehw_platform::cache::WINDOWS_CAPACITY;
 use ehw_platform::evo_modes::EvolutionTask;
 use ehw_server::wire::encode_result;
 use ehw_service::{
-    CrossJobCacheConfig, EhwService, JobResult, JobSpec, NoiseSegment, SceneKind, ServiceConfig,
-    StreamSourceSpec,
+    EhwService, JobResult, JobSpec, NoiseSegment, SceneKind, ServiceConfig, StreamSourceSpec,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -176,29 +177,40 @@ fn mixed_batches_are_byte_identical_with_the_cache_on_and_off() {
 
 #[test]
 fn a_cache_squeezed_to_toy_capacities_evicts_but_stays_transparent() {
-    let shared = denoise_task(12, 0xD1CE);
-    let distinct = denoise_task(12, 0xFEED);
+    // One training image more than the cache holds, each trained on once
+    // per round: pickup is FIFO, so by the time an image comes round again
+    // the LRU has evicted it, and every job of the second round rebuilds.
+    let distinct_images = WINDOWS_CAPACITY + 1;
+    let tasks: Vec<EvolutionTask> = (0..distinct_images as u64)
+        .map(|i| denoise_task(12, 0xD1CE + i))
+        .collect();
+    let specs = || {
+        tasks
+            .iter()
+            .zip(11u64..)
+            .map(|(task, seed)| {
+                JobSpec::evolution(task.input.clone(), task.reference.clone())
+                    .generations(3)
+                    .seed(seed)
+                    .build()
+                    .unwrap()
+            })
+            .collect::<Vec<_>>()
+    };
 
     let uncached = EhwService::new(ServiceConfig::new(1).seed(7).cache(false)).unwrap();
     assert!(uncached.cache().is_none());
     let reference: Vec<_> = uncached
-        .run_batch(mixed_specs(&shared, &distinct))
+        .run_batch(specs())
         .expect("batch accepted")
         .iter()
         .map(fingerprint)
         .collect();
 
-    let squeezed = EhwService::new(ServiceConfig::new(1).seed(7).cache_sizes(
-        CrossJobCacheConfig {
-            windows_capacity: 1,
-        },
-    ))
-    .unwrap();
-    // Two rounds: one window slot cannot hold both training images across
-    // the round boundary, whatever order affinity pickup runs them in.
+    let cached = EhwService::new(ServiceConfig::new(1).seed(7)).unwrap();
     for _ in 0..2 {
-        let got: Vec<_> = squeezed
-            .run_batch(mixed_specs(&shared, &distinct))
+        let got: Vec<_> = cached
+            .run_batch(specs())
             .expect("batch accepted")
             .iter()
             .map(fingerprint)
@@ -207,10 +219,9 @@ fn a_cache_squeezed_to_toy_capacities_evicts_but_stays_transparent() {
     }
     // More builds than distinct training images: an extraction was evicted
     // and rebuilt.
-    let distinct_images = 2;
-    let stats = squeezed.stats();
+    let stats = cached.stats();
     assert!(
-        stats.cache.windows_misses > distinct_images,
+        stats.cache.windows_misses > distinct_images as u64,
         "{:?}",
         stats.cache
     );

@@ -171,19 +171,19 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // The pool primitive itself, over adversarial chunk sizes
+    // The pool primitive itself, over item and worker counts that reach
+    // every chunk size down to one item
     // ------------------------------------------------------------------
 
     #[test]
     fn ordered_map_is_schedule_invariant(
         items in proptest::collection::vec(any::<u64>(), 0..80),
         workers in 1usize..9,
-        chunk in 0usize..10,
     ) {
         let serial = ordered_map(ParallelConfig::serial(), &items, |i, &x| {
             x.wrapping_mul(31).wrapping_add(i as u64)
         });
-        let parallel = ordered_map(ParallelConfig { workers, chunk }, &items, |i, &x| {
+        let parallel = ordered_map(ParallelConfig::with_workers(workers), &items, |i, &x| {
             x.wrapping_mul(31).wrapping_add(i as u64)
         });
         prop_assert_eq!(serial, parallel);
